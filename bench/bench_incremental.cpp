@@ -10,11 +10,13 @@
 
 #include <algorithm>
 
+#include "../tests/flow_reference.hpp"
 #include "bench_util.hpp"
 #include "core/flows.hpp"
 #include "core/report.hpp"
 #include "netlist/benchmarks.hpp"
 #include "power/incremental.hpp"
+#include "seq/encoding.hpp"
 #include "seq/stg.hpp"
 #include "sim/compiled.hpp"
 
@@ -93,43 +95,38 @@ void report() {
   }
   t.print(std::cout);
 
-  // ---- flow equality gate: all three flows, both estimate paths ---------
+  // ---- flow equality gate: all three flows vs per-stage full analyses ---
+  core::FlowOptions io;
+  io.sim_vectors = 512;
+  io.estimate_mode = power::ActivityMode::ZeroDelay;
   bool flow_comb = true, flow_seq = true;
   for (const auto& [name, net] : bench::default_suite()) {
     if (net.num_gates() > 300) continue;  // keep the sweep quick
-    core::FlowOptions io;
-    io.sim_vectors = 512;
-    io.estimate_mode = power::ActivityMode::ZeroDelay;
-    core::FlowOptions fo = io;
-    fo.use_incremental_power = false;
     flow_comb = flow_comb && stages_identical(core::optimize_combinational(net, io),
-                                              core::optimize_combinational(net, fo));
+                                              reference::flow(net, io, false));
   }
-  {
-    core::FlowOptions io;
-    io.sim_vectors = 512;
-    io.estimate_mode = power::ActivityMode::ZeroDelay;
-    core::FlowOptions fo = io;
-    fo.use_incremental_power = false;
-    for (auto* mk : {+[] { return bench::counter(8); },
-                     +[] { return bench::shift_register(16); }}) {
-      Netlist net = mk();
-      flow_seq = flow_seq && stages_identical(core::optimize_sequential(net, io),
-                                              core::optimize_sequential(net, fo));
-    }
+  for (auto* mk : {+[] { return bench::counter(8); },
+                   +[] { return bench::shift_register(16); }}) {
+    Netlist net = mk();
+    flow_seq = flow_seq && stages_identical(core::optimize_sequential(net, io),
+                                            reference::flow(net, io, true));
   }
   bool flow_fsm = true;
   {
-    core::FlowOptions io;
-    io.sim_vectors = 256;
-    io.estimate_mode = power::ActivityMode::ZeroDelay;
     core::FlowOptions fo = io;
-    fo.use_incremental_power = false;
+    fo.sim_vectors = 256;
     auto stg = seq::counter_fsm(8);
-    auto a = core::optimize_fsm(stg, io);
-    auto b = core::optimize_fsm(stg, fo);
-    flow_fsm = a.power_lowpower_w == b.power_lowpower_w &&
-               a.power_gated_w == b.power_gated_w;
+    auto r = core::optimize_fsm(stg, fo);
+    // Reference: fresh full analyses of the ungated and gated circuits.
+    auto ao = core::flow_runner_options(fo).estimate;
+    seq::AnnealOptions an;
+    an.seed = static_cast<std::uint32_t>(fo.seed);
+    Netlist low = seq::synthesize_fsm(stg, seq::low_power_encoding(stg, an),
+                                      stg.state_name(0) + "_low");
+    flow_fsm = r.power_lowpower_w ==
+                   power::analyze(low, ao).report.breakdown.total_w() &&
+               r.power_gated_w ==
+                   power::analyze(r.circuit, ao).report.breakdown.total_w();
   }
 
   std::cout << "\nflow equality (incremental vs full estimates): comb "

@@ -137,9 +137,14 @@ NetlistBdds build_bdds(const Netlist& net, std::size_t node_limit,
     out.var_node[v] = s;
     ++v;
   }
+  // Root each variable as it is created: under a tight node_limit the next
+  // var() call may collect, sweeping earlier unrooted ones.
+  auto rooted_var = [&](NodeId s) {
+    return out.mgr.ref(out.mgr.var(out.var_of[s]));
+  };
   std::vector<Ref> sources;
-  for (NodeId pi : net.inputs()) sources.push_back(out.mgr.var(out.var_of[pi]));
-  for (NodeId d : dffs) sources.push_back(out.mgr.var(out.var_of[d]));
+  for (NodeId pi : net.inputs()) sources.push_back(rooted_var(pi));
+  for (NodeId d : dffs) sources.push_back(rooted_var(d));
   out.node_fn = build_into(out.mgr, net, sources);
   // Hand the manager back with auto-GC off: callers (don't-care extraction,
   // density estimation) hold unrooted temporaries across operations and use

@@ -1,16 +1,9 @@
 #include "core/flows.hpp"
 
-#include <optional>
+#include <iterator>
 #include <stdexcept>
 
-#include "circuit/sizing.hpp"
 #include "core/metrics.hpp"
-#include "core/pass.hpp"
-#include "logicopt/bdd_synth.hpp"
-#include "logicopt/dontcare.hpp"
-#include "logicopt/resynth.hpp"
-#include "logicopt/rewrite/engine.hpp"
-#include "logicopt/path_balance.hpp"
 #include "power/incremental.hpp"
 #include "seq/clock_gating.hpp"
 #include "seq/encoding.hpp"
@@ -21,291 +14,92 @@ namespace lps::core {
 
 namespace {
 
-power::AnalysisOptions estimate_options(const FlowOptions& opt) {
-  power::AnalysisOptions ao;
-  ao.mode = opt.estimate_mode;
-  ao.n_vectors = opt.sim_vectors;
-  ao.seed = opt.seed;
-  ao.params = opt.params;
-  ao.cancel = opt.cancel;
-  return ao;
-}
-
-StageReport stage_report(const std::string& stage, const Netlist& net,
-                         const power::Analysis& a) {
-  StageReport r;
-  r.stage = stage;
-  r.power_w = a.report.breakdown.total_w();
-  r.glitch_fraction = a.glitch_fraction;
-  r.gates = net.num_gates();
-  r.delay = net.critical_delay();
-  return r;
-}
-
-StageReport measure(const std::string& stage, const Netlist& net,
-                    const FlowOptions& opt) {
-  return stage_report(stage, net, power::analyze(net, estimate_options(opt)));
-}
-
-// Shared stage loop of the combinational and sequential flows: run each
-// transform under the mutation journal, verify function and invariants,
-// estimate power, and keep the rewrite only if it lowered power.  Estimates
-// go through IncrementalAnalyzer by default — only the touched fanout cone
-// is re-simulated per stage (ZeroDelay mode; Timed falls back to full runs,
-// recorded as such) — with FlowOptions::use_incremental_power = false
-// selecting the legacy full per-stage analysis for differential testing.
-// Both paths produce bit-identical StageReports.
-class StageRunner {
- public:
-  StageRunner(FlowResult& res, const FlowOptions& opt)
-      : res_(res), opt_(opt), ao_(estimate_options(opt)) {
-    if (opt.use_incremental_power) {
-      try {
-        inc_.emplace(res.circuit, ao_);
-      } catch (const CancelledError&) {
-        throw;  // deadline during the baseline: abort the flow
-      } catch (const std::exception&) {
-        // Degraded but alive: stages estimate with full analyze() instead.
-        metrics::count("flow.estimate_fallback");
-      }
-    }
-  }
-
-  /// Report for the circuit as it stands (used for the post-strash entry).
-  StageReport current(const std::string& stage) {
-    return stage_report(stage, res_.circuit,
-                        inc_ ? inc_->analysis()
-                             : power::analyze(res_.circuit, ao_));
-  }
-
-  // Each stage is kept only if it actually lowers estimated power — the
-  // survey repeatedly notes that overheads (buffer capacitance, gating
-  // logic) can offset the savings, so a production flow measures and backs
-  // out losing transforms.  A stage that throws, corrupts the netlist or
-  // changes the function is likewise rolled back and recorded as failed;
-  // the remaining stages still run on the pre-stage circuit.  Rollback uses
-  // the mutation journal (O(edit size)) and a pre-stage functional_trace
-  // digest instead of a deep pre-stage clone; the same journal's touched
-  // set feeds the incremental estimator.
-  template <typename Fn>
-  void attempt(const std::string& stage, Fn&& transform) {
-    Netlist& net = res_.circuit;
-    metrics::ScopedTimer timer("flow." + stage, /*trace=*/true);
-    sim::SimTrace ref = sim::functional_trace(net, 512, 17);
-    std::size_t rb_before = net.undo_rollbacks();
-    net.begin_undo();
-    // The stage epoch's depth.  A transform may open nested epochs of its
-    // own (the datapath engine journals each candidate); one that dies with
-    // an inner epoch still open must be unwound down TO this depth — a
-    // single rollback_undo() would pop only the innermost candidate epoch
-    // and leave the stage half-applied (and the journal stack corrupted for
-    // every later stage).
-    const std::size_t base_depth = net.undo_depth();
-    auto unwind_stage = [&net, base_depth] {
-      while (net.undo_depth() >= base_depth) net.rollback_undo();
-    };
-    double p_before = res_.stages.back().power_w;
-    std::string failure;
-    try {
-      transform(net);
-      // A transform that *returns* with inner epochs open is also a defect,
-      // but a benign one: absorb them into the stage epoch (the function
-      // check below still guards the result) and record the smell.
-      while (net.undo_depth() > base_depth) {
-        metrics::count("flow.stray_epochs");
-        net.commit_undo();
-      }
-      if (auto err = net.check(); !err.empty())
-        failure = "broke netlist invariants: " + err;
-      else if (sim::functional_trace(net, 512, 17) != ref)
-        failure = "changed circuit function";
-    } catch (const CancelledError&) {
-      // Deadline fired inside the transform: restore the pre-stage circuit
-      // and abort the flow — never record cancellation as a stage defect.
-      unwind_stage();
-      throw;
-    } catch (const std::exception& e) {
-      failure = e.what();
-    }
-    if (!failure.empty()) {
-      // The estimator cache was never advanced, so after rollback it still
-      // matches the restored circuit — the failed-stage report reads it.
-      unwind_stage();
-      StageReport rep = inc_ ? current(stage + " (failed)")
-                             : measure(stage + " (failed)", net, opt_);
-      rep.status = "failed";
-      rep.note = failure;
-      rep.rollbacks = net.undo_rollbacks() - rb_before;
-      metrics::count("flow.stages_failed");
-      res_.stages.push_back(std::move(rep));
-      return;
-    }
-    // Estimate the mutated circuit: the journal's touched set (captured
-    // while the undo epoch is still open) scopes the re-simulation.  An
-    // estimator defect degrades down the ladder — cone update, full
-    // rebaseline, drop the analyzer — without failing the stage; only a
-    // cancellation (deadline) aborts, after rolling the stage back.
-    StageReport rep;
-    std::size_t resim = 0, full = 0;
-    bool can_revert = false;  // does the estimator hold a revertable snapshot?
-    if (inc_) {
-      auto touched = net.touched_nodes();
-      try {
-        rep = stage_report(stage, net, inc_->reanalyze(touched));
-        resim = inc_->last_update().resim_nodes;
-        full = inc_->last_update().live_nodes;
-        can_revert = true;
-      } catch (const CancelledError&) {
-        // reanalyze restored the estimator's caches before throwing; the
-        // journal restores the circuit they describe.
-        net.rollback_undo();
-        throw;
-      } catch (const std::exception&) {
-        metrics::count("flow.estimate_fallback");
-        try {
-          inc_->rebaseline();
-          rep = stage_report(stage, net, inc_->analysis());
-        } catch (const CancelledError&) {
-          net.rollback_undo();
-          throw;
-        } catch (const std::exception&) {
-          inc_.reset();  // bottom rung: full analyze per stage from here on
-          metrics::count("flow.estimate_dropped");
-        }
-      }
-    }
-    if (!inc_ && rep.stage.empty()) {
-      try {
-        rep = measure(stage, net, opt_);
-      } catch (const CancelledError&) {
-        net.rollback_undo();
-        throw;
-      }
-    }
-    if (rep.power_w <= p_before) {
-      net.commit_undo();
-      metrics::count("flow.stages_kept");
-    } else {
-      net.rollback_undo();
-      if (inc_) {
-        try {
-          // A rebaselined estimate left no snapshot to pop; rebuild against
-          // the restored circuit instead.
-          if (can_revert)
-            inc_->revert_last();
-          else
-            inc_->rebaseline();
-        } catch (const CancelledError&) {
-          throw;  // circuit already restored; estimator caches are clean
-        } catch (const std::exception&) {
-          inc_.reset();
-          metrics::count("flow.estimate_dropped");
-        }
-      }
-      if (inc_)
-        rep = current(stage + " (reverted)");
-      else
-        rep = measure(stage + " (reverted)", net, opt_);
-      rep.status = "reverted";
-      metrics::count("flow.stages_reverted");
-    }
-    rep.resim_nodes = resim;  // the estimate's cost, kept or reverted
-    rep.full_nodes = full;
-    rep.rollbacks = net.undo_rollbacks() - rb_before;
-    res_.stages.push_back(std::move(rep));
-  }
-
- private:
-  FlowResult& res_;
-  const FlowOptions& opt_;
-  power::AnalysisOptions ao_;
-  std::optional<power::IncrementalAnalyzer> inc_;
-};
-
-void run_logic_stages(StageRunner& runner, const FlowOptions& opt) {
-  if (opt.run_dontcare) {
-    runner.attempt("dontcare", [&](Netlist& net) {
-      auto st = sim::measure_activity(net, 64, opt.seed);
-      logicopt::optimize_dontcare(net, st.transition_prob);
-    });
-    runner.attempt("resynth", [&](Netlist& net) {
-      auto st = sim::measure_activity(net, 64, opt.seed);
-      logicopt::ResynthOptions rso;
-      rso.workers = opt.opt_workers;
-      logicopt::resynthesize_windows(net, st.transition_prob, rso);
-    });
-  }
-  if (opt.run_datapath) {
-    runner.attempt("datapath", [&](Netlist& net) {
-      logicopt::rewrite::RewriteOptions ro;
-      ro.seed = opt.seed;
-      // Match the flow's own estimator stimulus so that (in ZeroDelay mode)
-      // a rewrite the engine keeps is a win under the stage keep-check too.
-      ro.sim_vectors = opt.sim_vectors;
-      ro.workers = opt.opt_workers;
-      logicopt::rewrite::rewrite_datapath(net, ro);
-    });
-  }
-  if (opt.run_bdd_synth) {
-    runner.attempt("bdd_synth", [&](Netlist& net) {
-      logicopt::BddSynthOptions bo;
-      // Match the flow's estimator stimulus so a cone the engine keeps is
-      // a win under the stage keep-check too (ZeroDelay mode).
-      bo.sim_vectors = opt.sim_vectors;
-      bo.seed = opt.seed;
-      logicopt::synthesize_bdd_cones(net, bo);
-    });
-  }
-  if (opt.run_balance) {
-    runner.attempt("balance", [&](Netlist& net) { logicopt::full_balance(net); });
-  }
-  if (opt.run_sizing) {
-    runner.attempt("sizing", [&](Netlist& net) {
-      power::AnalysisOptions ao;
-      ao.mode = power::ActivityMode::Timed;
-      ao.n_vectors = opt.sim_vectors;
-      ao.seed = opt.seed;
-      auto a = power::analyze(net, ao);
-      circuit::SizingParams sp;
-      sp.start_from_max = false;  // in-place: only ever removes capacitance
-      sp.min_size = 0.5;
-      sp.step = 0.25;
-      circuit::size_for_power(net, a.toggles_per_cycle, opt.params, sp);
-    });
-  }
+// Shared body of the combinational and sequential flows: the input row is
+// a full analysis of the circuit as given, the strash row is the runner's
+// own baseline analysis of the strashed circuit, and every later row is
+// one stage of the pipeline.
+FlowResult run_flow(const Netlist& input, const FlowOptions& opt,
+                    bool sequential) {
+  FlowResult res;
+  res.circuit = strash(input);
+  if (!sim::equivalent_random(input, res.circuit, 512, 17))
+    throw std::logic_error("flow: strash changed function");
+  const PassManager::Options po = flow_runner_options(opt);
+  StageReport& in = res.stages.emplace_back();
+  in.stage = "input";
+  const power::Analysis a = power::analyze(input, po.estimate);
+  in.power_w = a.report.breakdown.total_w();
+  in.glitch_fraction = a.glitch_fraction;
+  in.gates = input.num_gates();
+  in.delay = input.critical_delay();
+  PassManager pm(po);
+  // The sequential ladder ends in hold-on-self-loop gating: a functional
+  // no-op, kept only when the comparator doesn't eat the clock-gating win.
+  for (auto& stage :
+       flow_stages(opt, sequential && !res.circuit.dffs().empty()))
+    pm.add(std::move(stage));
+  auto stages = pm.run(res.circuit);
+  stages.front().stage = "strash";
+  res.stages.insert(res.stages.end(), std::make_move_iterator(stages.begin()),
+                    std::make_move_iterator(stages.end()));
+  return res;
 }
 
 }  // namespace
 
+std::vector<std::unique_ptr<Pass>> flow_stages(const FlowOptions& opt,
+                                               bool gate_self_loops) {
+  std::vector<std::unique_ptr<Pass>> stages;
+  if (opt.run_dontcare) {
+    stages.push_back(make_dontcare_pass(opt.seed));
+    logicopt::ResynthOptions rso;
+    rso.workers = opt.opt_workers;
+    stages.push_back(make_resynth_pass(opt.seed, rso));
+  }
+  if (opt.run_datapath) {
+    logicopt::rewrite::RewriteOptions ro;
+    ro.seed = opt.seed;
+    // Match the flow's own estimator stimulus so that (in ZeroDelay mode)
+    // a rewrite the engine keeps is a win under the stage keep-check too.
+    ro.sim_vectors = opt.sim_vectors;
+    ro.workers = opt.opt_workers;
+    stages.push_back(make_datapath_rewrite_pass(ro));
+  }
+  if (opt.run_bdd_synth) {
+    logicopt::BddSynthOptions bo;
+    // Match the flow's estimator stimulus so a cone the engine keeps is a
+    // win under the stage keep-check too (ZeroDelay mode).
+    bo.sim_vectors = opt.sim_vectors;
+    bo.seed = opt.seed;
+    stages.push_back(make_bdd_synth_pass(bo));
+  }
+  if (opt.run_balance) stages.push_back(make_balance_pass());
+  if (opt.run_sizing)
+    stages.push_back(make_sizing_pass(opt.sim_vectors, opt.seed, opt.params));
+  if (gate_self_loops) stages.push_back(make_selfloop_gate_pass());
+  return stages;
+}
+
+PassManager::Options flow_runner_options(const FlowOptions& opt) {
+  PassManager::Options po;
+  po.verify_vectors = 512;
+  po.verify_seed = 17;
+  po.estimate_power = true;
+  po.estimate.mode = opt.estimate_mode;
+  po.estimate.n_vectors = opt.sim_vectors;
+  po.estimate.seed = opt.seed;
+  po.estimate.params = opt.params;
+  po.estimate.cancel = opt.cancel;
+  return po;
+}
+
 FlowResult optimize_combinational(const Netlist& input,
                                   const FlowOptions& opt) {
-  FlowResult res;
-  res.circuit = strash(input);
-  if (!sim::equivalent_random(input, res.circuit, 512, 17))
-    throw std::logic_error("flow: strash changed function");
-  res.stages.push_back(measure("input", input, opt));
-  StageRunner runner(res, opt);
-  res.stages.push_back(runner.current("strash"));
-  run_logic_stages(runner, opt);
-  return res;
+  return run_flow(input, opt, /*sequential=*/false);
 }
 
 FlowResult optimize_sequential(const Netlist& input, const FlowOptions& opt) {
-  FlowResult res;
-  res.circuit = strash(input);
-  if (!sim::equivalent_random(input, res.circuit, 512, 17))
-    throw std::logic_error("flow: strash changed function");
-  res.stages.push_back(measure("input", input, opt));
-  StageRunner runner(res, opt);
-  res.stages.push_back(runner.current("strash"));
-  run_logic_stages(runner, opt);
-  // Hold-on-self-loop gating: functionally a no-op, kept only when the
-  // comparator's own power doesn't eat the clock-gating win.
-  if (!res.circuit.dffs().empty()) {
-    runner.attempt("selfloop-gate",
-                   [](Netlist& net) { seq::gate_fsm_self_loops(net); });
-  }
-  return res;
+  return run_flow(input, opt, /*sequential=*/true);
 }
 
 FsmFlowResult optimize_fsm(const seq::Stg& stg, const FlowOptions& opt) {
@@ -320,24 +114,18 @@ FsmFlowResult optimize_fsm(const seq::Stg& stg, const FlowOptions& opt) {
 
   Netlist nb = seq::synthesize_fsm(stg, binary, stg.state_name(0) + "_bin");
   Netlist nl = seq::synthesize_fsm(stg, low, stg.state_name(0) + "_low");
-  power::AnalysisOptions ao = estimate_options(opt);
+  const power::AnalysisOptions ao = flow_runner_options(opt).estimate;
   r.power_binary_w = power::analyze(nb, ao).report.breakdown.total_w();
 
-  if (opt.use_incremental_power) {
-    // The gating rewrite is local, so the post-gating estimate reuses the
-    // pre-gating baseline and re-simulates only the touched cone.
-    power::IncrementalAnalyzer inc(nl, ao);
-    r.power_lowpower_w = inc.analysis().report.breakdown.total_w();
-    nl.begin_undo();
-    seq::gate_fsm_self_loops(nl);
-    auto touched = nl.touched_nodes();
-    nl.commit_undo();
-    r.power_gated_w = inc.reanalyze(touched).report.breakdown.total_w();
-  } else {
-    r.power_lowpower_w = power::analyze(nl, ao).report.breakdown.total_w();
-    seq::gate_fsm_self_loops(nl);
-    r.power_gated_w = power::analyze(nl, ao).report.breakdown.total_w();
-  }
+  // The gating rewrite is local, so the post-gating estimate reuses the
+  // pre-gating baseline and re-simulates only the touched cone.
+  power::IncrementalAnalyzer inc(nl, ao);
+  r.power_lowpower_w = inc.analysis().report.breakdown.total_w();
+  nl.begin_undo();
+  seq::gate_fsm_self_loops(nl);
+  auto touched = nl.touched_nodes();
+  nl.commit_undo();
+  r.power_gated_w = inc.reanalyze(touched).report.breakdown.total_w();
   auto patterns = seq::detect_hold_patterns(nl);
   auto ca = seq::clock_activity(nl, patterns, opt.sim_vectors, opt.seed);
   r.clock_saving_fraction = ca.clock_power_saving_fraction();

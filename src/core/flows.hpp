@@ -6,6 +6,9 @@
 //   rewriting -> hybrid BDD synthesis -> path balancing -> sizing,
 //   sequential (FSM): low-power encoding -> synthesis -> self-loop clock
 //   gating, with Eqn. (1) power measured between every stage.
+//
+// The combinational and sequential flows are PassManager pipelines
+// (pass.hpp) of the make_*_pass factories, run with the power keep-gate.
 
 #pragma once
 
@@ -13,37 +16,12 @@
 #include <vector>
 
 #include "core/parallel.hpp"
+#include "core/pass.hpp"
 #include "netlist/netlist.hpp"
 #include "power/activity.hpp"
 #include "seq/stg.hpp"
 
 namespace lps::core {
-
-struct StageReport {
-  std::string stage;
-  double power_w = 0.0;
-  double glitch_fraction = 0.0;
-  std::size_t gates = 0;
-  int delay = 0;
-  /// Outcome of this stage: "kept" (improved or baseline), "reverted"
-  /// (legal rewrite that raised power — backed out), or "failed" (the
-  /// transform threw or broke the circuit — rolled back; see note).
-  std::string status = "kept";
-  std::string note;  // diagnostic text when status == "failed"
-  /// Incremental-estimate instrumentation (use_incremental_power only):
-  /// nodes re-simulated for this stage's estimate vs. what a full
-  /// re-analysis evaluates.  Equal on full fallbacks (e.g. Timed mode);
-  /// both 0 when the stage failed before estimation or on the legacy path.
-  std::size_t resim_nodes = 0;
-  std::size_t full_nodes = 0;
-  /// Journal epochs actually rewound while this stage ran, measured from
-  /// Netlist::undo_rollbacks() — not inferred from the status.  Includes
-  /// rollbacks a transform performs internally (e.g. the datapath engine
-  /// backing out losing candidates), plus the stage-epoch rollback itself
-  /// for reverted/failed stages.  Summed over a flow this equals the
-  /// journal's own counter, which is what the accounting tests audit.
-  std::size_t rollbacks = 0;
-};
 
 struct FlowOptions {
   std::size_t sim_vectors = 2048;
@@ -65,13 +43,6 @@ struct FlowOptions {
   /// with; ZeroDelay trades glitch visibility for cone-scoped incremental
   /// re-estimation (power/incremental.hpp) inside the stage loop.
   power::ActivityMode estimate_mode = power::ActivityMode::Timed;
-  /// Route between-stage estimates through IncrementalAnalyzer.  The
-  /// result is bit-identical to per-stage full power::analyze runs (cone
-  /// updates in ZeroDelay mode; Timed mode falls back to full runs,
-  /// recorded in power.inc.* metrics).  false = legacy per-stage full
-  /// analysis, kept for differential testing — mirroring
-  /// PassManager::Options::use_undo_log.
-  bool use_incremental_power = true;
   /// Candidate-scoring worker threads for the optimization engines
   /// (logicopt/speculate.hpp) — routed into the datapath rewrite and
   /// window-resynthesis stages.  Speculative scoring is bit-identical to
@@ -80,11 +51,9 @@ struct FlowOptions {
   int opt_workers = 0;
   power::PowerParams params;
   /// Optional cooperative cancellation token (not owned; must outlive the
-  /// flow).  Threaded into every between-stage power estimate; when it
-  /// fires, the in-flight stage is rolled back (the journal restores the
-  /// pre-stage circuit, the estimator restores its caches) and the flow
-  /// aborts with core::CancelledError.  Cancellation never yields a
-  /// half-applied stage.
+  /// flow), polled in every between-stage power estimate.  When it fires
+  /// the in-flight stage is rolled back — circuit and estimator caches —
+  /// and the flow aborts with core::CancelledError.
   const core::CancelToken* cancel = nullptr;
 };
 
@@ -112,16 +81,25 @@ struct FlowResult {
   }
 };
 
+/// The flows' stage ladder, one pass per enabled stage, configured from
+/// `opt`: dontcare, resynth (both under run_dontcare), datapath,
+/// bdd_synth, balance, sizing, then selfloop-gate when `gate_self_loops`.
+std::vector<std::unique_ptr<Pass>> flow_stages(const FlowOptions& opt,
+                                               bool gate_self_loops = false);
+
+/// The runner settings every flow stage is judged by: invariant check, a
+/// 512-frame / seed-17 function check, and the power keep-gate under
+/// `opt`'s estimate mode, stimulus, parameters and cancel token.
+PassManager::Options flow_runner_options(const FlowOptions& opt);
+
 /// Combinational low-power flow; function verified stage by stage.
 FlowResult optimize_combinational(const Netlist& input,
                                   const FlowOptions& opt = {});
 
-/// Sequential low-power flow: the combinational stage ladder (strash ->
-/// don't-care -> resynthesis -> datapath -> bdd_synth -> balancing ->
-/// sizing) run on a netlist with
-/// registers, plus a final hold-on-self-loop gating stage
-/// (seq::gate_fsm_self_loops).  Register-crossing transforms make this the
-/// flow that exercises Dff-crossing incremental re-estimation.
+/// Sequential low-power flow: the combinational ladder on a netlist with
+/// registers, plus a final hold-on-self-loop gating stage when the strashed
+/// input has registers — the flow that exercises Dff-crossing incremental
+/// re-estimation.
 FlowResult optimize_sequential(const Netlist& input,
                                const FlowOptions& opt = {});
 

@@ -4,8 +4,9 @@
 // The ROADMAP's north-star asks for observability on every hot path.  This
 // module is the one place it lives: a process-wide registry of named double
 // counters (simulation vector/event counts, BDD node/cache statistics,
-// thread-pool job totals, pass outcomes) plus an ordered per-stage trace of
-// timed regions (PassManager passes, flow stages).  Producers pay one mutex
+// thread-pool job totals, flow.* stage outcomes) plus an ordered per-stage
+// trace of timed regions (one flow.<pass> event per PassManager pass, the
+// flows' stages included).  Producers pay one mutex
 // acquisition per *bulk* update — hot loops accumulate locally and publish
 // once — so instrumentation is always on.
 //

@@ -3,197 +3,198 @@
 #include <optional>
 #include <stdexcept>
 
+#include "circuit/sizing.hpp"
+#include "core/diag.hpp"
 #include "core/metrics.hpp"
 #include "core/parallel.hpp"
 #include "logicopt/dontcare.hpp"
 #include "logicopt/path_balance.hpp"
 #include "logicopt/speculate.hpp"
-#include "netlist/validate.hpp"
 #include "power/incremental.hpp"
+#include "seq/guarded_eval.hpp"
 #include "sim/logicsim.hpp"
 
 namespace lps::core {
 
-bool all_ok(const std::vector<PassRecord>& records) {
-  for (const auto& r : records)
-    if (!r.ok) return false;
+namespace {
+
+template <typename T>
+std::string change(T before, T after) {
+  return std::to_string(before) + " -> " + std::to_string(after);
+}
+
+void fill(StageReport& r, const Netlist& net, const power::Analysis& a) {
+  r.power_w = a.report.breakdown.total_w();
+  r.glitch_fraction = a.glitch_fraction;
+  r.gates = net.num_gates();
+  r.delay = net.critical_delay();
+}
+
+// Power estimates for the keep gate.  An estimator defect degrades down a
+// ladder — cone update, full rebaseline, then every later estimate is a
+// full power::analyze — without failing the pass.  Cancellation propagates;
+// reanalyze()/rebaseline() restore the analyzer's caches before throwing.
+class Estimator {
+ public:
+  Estimator(const Netlist& net, const power::AnalysisOptions& ao)
+      : net_(net), ao_(ao) {
+    try {
+      inc_.emplace(net, ao);
+    } catch (const CancelledError&) {
+      throw;  // deadline during the baseline: abort the run
+    } catch (const std::exception&) {
+      metrics::count("flow.estimate_fallback");
+    }
+  }
+
+  /// Report the circuit as it stands (the baseline, or a restored circuit,
+  /// which the cached analysis still describes).
+  void current(StageReport& r) const {
+    if (inc_)
+      fill(r, net_, inc_->analysis());
+    else
+      fill(r, net_, power::analyze(net_, ao_));
+  }
+
+  /// Report the mutated circuit; `touched` is the open pass epoch's set.
+  void update(StageReport& r, const Netlist::TouchedNodes& touched) {
+    can_revert_ = false;
+    if (inc_) {
+      try {
+        inc_->reanalyze(touched);
+        r.resim_nodes = inc_->last_update().resim_nodes;
+        r.full_nodes = inc_->last_update().live_nodes;
+        can_revert_ = true;
+      } catch (const CancelledError&) {
+        throw;
+      } catch (const std::exception&) {
+        metrics::count("flow.estimate_fallback");
+        or_drop([this] { inc_->rebaseline(); });
+      }
+    }
+    current(r);
+  }
+
+  /// The netlist was rolled back after update(): bring the cache along.
+  /// A rebaselined estimate left no snapshot to pop, so it rebuilds.
+  void revert() {
+    if (inc_)
+      or_drop([this] {
+        can_revert_ ? inc_->revert_last() : inc_->rebaseline();
+      });
+  }
+
+ private:
+  // Bottom rung: an analyzer that fails to resynchronize is dropped.
+  template <typename Fn>
+  void or_drop(Fn&& fn) {
+    try {
+      fn();
+    } catch (const CancelledError&) {
+      throw;
+    } catch (const std::exception&) {
+      inc_.reset();
+      metrics::count("flow.estimate_dropped");
+    }
+  }
+
+  const Netlist& net_;
+  power::AnalysisOptions ao_;
+  std::optional<power::IncrementalAnalyzer> inc_;
+  bool can_revert_ = false;
+};
+
+}  // namespace
+
+bool all_ok(const std::vector<StageReport>& reports) {
+  for (const auto& r : reports)
+    if (!r.ok()) return false;
   return true;
 }
 
-std::vector<PassRecord> PassManager::run(Netlist& net) const {
-  std::vector<PassRecord> records;
+std::vector<StageReport> PassManager::run(Netlist& net) const {
   // Scope the speculation worker default over the whole pipeline so passes
   // constructed with default engine options pick it up.
   std::optional<logicopt::speculate::ScopedWorkers> spec_workers;
   if (opt_.opt_workers > 0) spec_workers.emplace(opt_.opt_workers);
-  const bool guard_needed =
-      opt_.verify || opt_.check_invariants || opt_.rollback;
-  const bool use_undo = guard_needed && opt_.use_undo_log;
-  const bool use_snapshot = guard_needed && !opt_.use_undo_log;
-  // Per-pass power estimates ride the same mutation journal rollback uses:
-  // a successful pass's touched set scopes the re-simulation to its fanout
-  // cone, and a rolled-back pass leaves the cached baseline valid as-is.
-  std::optional<power::IncrementalAnalyzer> analyzer;
-  if (opt_.estimate_power && opt_.use_incremental_power) {
-    try {
-      analyzer.emplace(net, opt_.estimate);
-    } catch (const CancelledError&) {
-      throw;  // deadline during the baseline: abort the whole pipeline
-    } catch (const std::exception&) {
-      // Degraded but alive: per-pass estimates fall back to full analyze().
-      metrics::count("pass.estimate_fallback");
-    }
+  std::vector<StageReport> reports;
+  std::optional<Estimator> est;
+  if (opt_.estimate_power) {
+    est.emplace(net, opt_.estimate);
+    reports.emplace_back().stage = "baseline";
+    est->current(reports.back());
   }
-  // Estimate degradation ladder: a failed incremental re-estimate never
-  // fails the pass (the rewrite itself already committed and verified).
-  // Rung 1 is the cone update; rung 2 rebuilds the whole baseline; rung 3
-  // drops the analyzer so the per-pass estimate below becomes a full
-  // power::analyze().  Cancellation is different in kind — a deadline, not
-  // an estimator defect — and aborts the pipeline instead of degrading it;
-  // reanalyze()/rebaseline() restore the analyzer's caches before throwing,
-  // so nothing is left half-updated.
-  auto reestimate = [&](const Netlist::TouchedNodes& touched) {
-    try {
-      analyzer->reanalyze(touched);
-      return;
-    } catch (const CancelledError&) {
-      throw;
-    } catch (const std::exception&) {
-      metrics::count("pass.estimate_fallback");
-    }
-    try {
-      analyzer->rebaseline();
-    } catch (const CancelledError&) {
-      throw;
-    } catch (const std::exception&) {
-      analyzer.reset();
-      metrics::count("pass.estimate_dropped");
-    }
-  };
+  const sim::SimTrace ref =
+      opt_.verify
+          ? sim::functional_trace(net, opt_.verify_vectors, opt_.verify_seed)
+          : sim::SimTrace{};
+
   for (const auto& p : passes_) {
-    metrics::ScopedTimer timer("pass." + p->name(), /*trace=*/true);
-    metrics::count("pass.runs");
-    Netlist before = use_snapshot ? net.clone() : Netlist{};
-    PassRecord rec;
-    rec.pass = p->name();
-
-    // Functional reference for the undo-log path: a trace digest of the
-    // pre-pass circuit replaces keeping the circuit itself alive.
-    sim::SimTrace ref;
-    std::size_t base_depth = 0;
-    if (use_undo) {
-      if (opt_.verify)
-        ref = sim::functional_trace(net, opt_.verify_vectors, opt_.verify_seed);
-      net.begin_undo();
-      base_depth = net.undo_depth();
-    }
-
-    // A failing pass may leave the netlist half-rewritten or structurally
-    // corrupt — possibly with nested undo epochs of its own still open
-    // (e.g. a candidate loop that died mid-probe).  Every failure path
-    // unwinds the journal down to and including the pass epoch; a single
-    // rollback_undo() would pop only the innermost epoch and restore a
-    // half-applied pass.
-    auto unwind_pass = [&net, base_depth] {
-      while (net.undo_depth() >= base_depth) net.rollback_undo();
+    metrics::ScopedTimer timer("flow." + p->name(), /*trace=*/true);
+    StageReport rep;
+    rep.stage = p->name();
+    const double power_before = est ? reports.back().power_w : 0.0;
+    const std::size_t rb_before = net.undo_rollbacks();
+    net.begin_undo();
+    // A pass may die with nested epochs of its own still open (the datapath
+    // engine journals each candidate): unwind down TO the pass epoch, or
+    // the pass is left half-applied.
+    const std::size_t depth = net.undo_depth();
+    auto unwind = [&net, depth] {
+      while (net.undo_depth() >= depth) net.rollback_undo();
     };
-    auto fail = [&](diag::Diagnostic d) {
-      if (use_undo)
-        unwind_pass();
-      else if (use_snapshot)
-        net = std::move(before);
-      rec.ok = false;
-      rec.rolled_back = true;
-      rec.diag = std::move(d);
-      if (!opt_.rollback) throw diag::CheckError(rec.diag);
-    };
-
     try {
-      rec.summary = p->run(net);
-      // A pass that returns with inner epochs open is a (benign) defect:
-      // absorb them into the pass epoch so verification and commit see one
-      // coherent journal level.
-      while (use_undo && net.undo_depth() > base_depth) {
-        metrics::count("pass.stray_epochs");
+      rep.summary = p->run(net);
+      // A pass that *returns* with inner epochs open is a benign defect:
+      // absorb them into the pass epoch (the checks below still guard the
+      // result) and record the smell.
+      while (net.undo_depth() > depth) {
+        metrics::count("flow.stray_epochs");
         net.commit_undo();
       }
-      if (opt_.check_invariants) {
-        diag::DiagEngine eng(4);
-        if (validate(net, eng) > 0) {
-          diag::Diagnostic d = *eng.first_error();
-          d.message =
-              "pass " + p->name() + " broke netlist invariants: " + d.message;
-          fail(std::move(d));
-        }
-      }
-      if (rec.ok && opt_.verify) {
-        bool same =
-            use_undo
-                ? sim::functional_trace(net, opt_.verify_vectors,
-                                        opt_.verify_seed) == ref
-                : sim::equivalent_random(before, net, opt_.verify_vectors,
-                                         opt_.verify_seed);
-        if (!same) {
-          fail({diag::Severity::Error,
-                "pass " + p->name() + " changed circuit function",
-                {}});
-        } else {
-          rec.verified = true;
-        }
-      }
-    } catch (const diag::DiagError& e) {
-      if (!rec.ok) throw;  // rethrown by fail() in strict mode
-      fail(e.diagnostic());
+      if (std::string err = net.check(); !err.empty())
+        rep.note = "broke netlist invariants: " + err;
+      else if (opt_.verify && sim::functional_trace(net, opt_.verify_vectors,
+                                                    opt_.verify_seed) != ref)
+        rep.note = "changed circuit function";
+      else if (est)
+        est->update(rep, net.touched_nodes());  // read before the epoch ends
     } catch (const CancelledError&) {
-      // Deadline fired inside the pass body: restore the pre-pass state and
-      // abort the pipeline — cancellation is not a pass defect and must not
-      // be swallowed as one.
-      if (use_undo)
-        unwind_pass();
-      else if (use_snapshot)
-        net = std::move(before);
+      unwind();
       throw;
     } catch (const std::exception& e) {
-      fail({diag::Severity::Error,
-            "pass " + p->name() + " threw: " + e.what(),
-            {}});
+      rep.note = e.what();
     }
-    if (use_undo && rec.ok) {
-      if (analyzer) {
-        // Touched set must be read while the undo epoch is still open.
-        auto touched = net.touched_nodes();
-        net.commit_undo();
-        reestimate(touched);
-      } else {
-        net.commit_undo();
-      }
-    } else if (analyzer && rec.ok) {
-      // No journal (snapshot or unguarded run): full re-baseline.
-      Netlist::TouchedNodes all;
-      all.all = true;
-      reestimate(all);
+
+    if (!rep.note.empty()) {
+      unwind();
+      if (!opt_.rollback)
+        throw diag::CheckError(
+            {diag::Severity::Error, "pass " + p->name() + ": " + rep.note, {}});
+      rep.status = "failed";
+      // The estimator was never advanced: it describes the restored circuit.
+      if (est) est->current(rep);
+    } else if (!est || rep.power_w <= power_before) {
+      net.commit_undo();
+    } else {
+      net.rollback_undo();
+      est->revert();
+      est->current(rep);
+      rep.status = "reverted";
     }
-    if (opt_.estimate_power) {
-      // Rolled-back passes restored the pre-pass circuit, which the cached
-      // analysis still describes.
-      rec.power_w =
-          analyzer
-              ? analyzer->analysis().report.breakdown.total_w()
-              : power::analyze(net, opt_.estimate).report.breakdown.total_w();
-    }
-    if (rec.rolled_back) metrics::count("pass.rolled_back");
-    if (rec.verified) metrics::count("pass.verified");
-    records.push_back(std::move(rec));
+    if (rep.status != "kept") rep.stage += " (" + rep.status + ")";
+    metrics::count("flow.stages_" + rep.status);
+    rep.rollbacks = net.undo_rollbacks() - rb_before;
+    reports.push_back(std::move(rep));
   }
-  return records;
+  return reports;
 }
 
 std::unique_ptr<Pass> make_strash_pass() {
   return std::make_unique<FnPass>("strash", [](Netlist& net) {
     std::size_t before = net.num_gates();
     net = strash(net);
-    return "gates " + std::to_string(before) + " -> " +
-           std::to_string(net.num_gates());
+    return "gates " + change(before, net.num_gates());
   });
 }
 
@@ -204,53 +205,87 @@ std::unique_ptr<Pass> make_sweep_pass() {
   });
 }
 
-std::unique_ptr<Pass> make_dontcare_pass() {
-  return std::make_unique<FnPass>("dontcare", [](Netlist& net) {
-    auto st = sim::measure_activity(net, 64, 7);
+std::unique_ptr<Pass> make_dontcare_pass(std::uint64_t seed) {
+  return std::make_unique<FnPass>("dontcare", [seed](Netlist& net) {
+    auto st = sim::measure_activity(net, 64, seed);
     auto res = logicopt::optimize_dontcare(net, st.transition_prob);
     return "consts " + std::to_string(res.const_replacements) + ", merges " +
            std::to_string(res.merges) + ", gates " +
-           std::to_string(res.gates_before) + " -> " +
-           std::to_string(res.gates_after);
+           change(res.gates_before, res.gates_after) +
+           (res.limited ? ", BDD node limit hit" : "");
+  });
+}
+
+std::unique_ptr<Pass> make_resynth_pass(std::uint64_t seed,
+                                        logicopt::ResynthOptions opt) {
+  return std::make_unique<FnPass>("resynth", [seed, opt](Netlist& net) {
+    auto st = sim::measure_activity(net, 64, seed);
+    auto res = logicopt::resynthesize_windows(net, st.transition_prob, opt);
+    return "rewrote " + std::to_string(res.nodes_rewritten) + "/" +
+           std::to_string(res.windows_examined) + " windows, gates " +
+           change(res.gates_before, res.gates_after) +
+           (res.note.empty() ? "" : ", " + res.note);
   });
 }
 
 std::unique_ptr<Pass> make_datapath_rewrite_pass(
     logicopt::rewrite::RewriteOptions opt) {
-  return std::make_unique<FnPass>("datapath-rewrite", [opt](Netlist& net) {
+  return std::make_unique<FnPass>("datapath", [opt](Netlist& net) {
     auto res = logicopt::rewrite::rewrite_datapath(net, opt);
     return "kept " + std::to_string(res.kept) + "/" +
            std::to_string(res.candidates_scored) + " scored (" +
            std::to_string(res.candidates_seen) + " matched), power " +
-           std::to_string(res.power_before_w) + " -> " +
-           std::to_string(res.power_after_w) + " W, gates " +
-           std::to_string(res.gates_before) + " -> " +
-           std::to_string(res.gates_after) +
+           change(res.power_before_w, res.power_after_w) + " W, gates " +
+           change(res.gates_before, res.gates_after) +
            (res.capped ? ", queue CAPPED" : "");
   });
 }
 
 std::unique_ptr<Pass> make_bdd_synth_pass(logicopt::BddSynthOptions opt) {
-  return std::make_unique<FnPass>("bdd-synth", [opt](Netlist& net) {
+  return std::make_unique<FnPass>("bdd_synth", [opt](Netlist& net) {
     auto res = logicopt::synthesize_bdd_cones(net, opt);
     return "kept " + std::to_string(res.kept) + "/" +
            std::to_string(res.cones_examined) + " cones, power " +
-           std::to_string(res.power_before_w) + " -> " +
-           std::to_string(res.power_after_w) + " W, gates " +
-           std::to_string(res.gates_before) + " -> " +
-           std::to_string(res.gates_after) +
+           change(res.power_before_w, res.power_after_w) + " W, gates " +
+           change(res.gates_before, res.gates_after) +
            (res.note.empty() ? "" : ", " + res.note);
   });
 }
 
 std::unique_ptr<Pass> make_balance_pass(int buffer_budget) {
-  return std::make_unique<FnPass>("path-balance", [buffer_budget](Netlist& net) {
+  return std::make_unique<FnPass>("balance", [buffer_budget](Netlist& net) {
     auto res = buffer_budget < 0
                    ? logicopt::full_balance(net)
                    : logicopt::partial_balance(net, buffer_budget);
     return "buffers +" + std::to_string(res.buffers_inserted) + ", delay " +
-           std::to_string(res.critical_delay_before) + " -> " +
-           std::to_string(res.critical_delay_after);
+           change(res.critical_delay_before, res.critical_delay_after);
+  });
+}
+
+std::unique_ptr<Pass> make_sizing_pass(std::size_t sim_vectors,
+                                       std::uint64_t seed,
+                                       power::PowerParams params) {
+  return std::make_unique<FnPass>(
+      "sizing", [sim_vectors, seed, params](Netlist& net) {
+        power::AnalysisOptions ao;
+        ao.mode = power::ActivityMode::Timed;
+        ao.n_vectors = sim_vectors;
+        ao.seed = seed;
+        auto a = power::analyze(net, ao);
+        circuit::SizingParams sp;
+        sp.start_from_max = false;  // in-place: only ever removes capacitance
+        sp.min_size = 0.5;
+        sp.step = 0.25;
+        auto res = circuit::size_for_power(net, a.toggles_per_cycle, params, sp);
+        return std::to_string(res.downsizing_moves) + " downsizing moves";
+      });
+}
+
+std::unique_ptr<Pass> make_selfloop_gate_pass() {
+  return std::make_unique<FnPass>("selfloop-gate", [](Netlist& net) {
+    auto res = seq::gate_fsm_self_loops(net);
+    return std::to_string(res.state_bits) + " state bits, " +
+           std::to_string(res.comparator_gates) + " comparator gates";
   });
 }
 

@@ -1,23 +1,21 @@
-// pass.hpp — pass manager for netlist-level optimization pipelines.
+// pass.hpp — the stage runner: netlist optimization pipelines.
 //
-// Wraps the individual techniques behind a uniform interface so flows
-// (flows.hpp) and user pipelines can chain them, with functional
-// verification and invariant checking after every pass — every rewrite in
-// this library is supposed to be safe, and the pass manager enforces it.
+// PassManager::run is the one runner: the end-to-end flows (flows.hpp) are
+// pipelines of the factories below, and user pipelines chain the same
+// passes.  Each pass runs inside a Netlist mutation-journal epoch and is
+// then checked: invariants (Netlist::check()); function, as the post-pass
+// functional_trace() digest against one reference trace taken when the run
+// starts (the digest covers primary outputs only, so every kept, reverted
+// or failed pass leaves it unchanged); and with Options::estimate_power,
+// power — a pass is kept only if estimated power does not rise, the
+// survey's caveat that a transform's overheads can eat its saving.
 //
-// Failure containment: a pass that throws, breaks a netlist invariant
-// (Netlist::check()/validate()), or changes the circuit function is *rolled
-// back* — the pre-pass state is restored, the failure is recorded as a
-// Diagnostic on its PassRecord, and the remaining passes still run.  Set
-// Options::rollback = false to get the old abort-on-first-failure behavior
-// (the failure is then rethrown as diag::CheckError).
-//
-// Rollback is implemented with the Netlist mutation journal
-// (begin_undo/rollback_undo): restoring a failed pass costs O(edit size)
-// instead of a whole-netlist deep copy per pass.  Function verification
-// compares a pre-pass functional_trace() digest against the post-pass one,
-// so no pre-pass clone is kept alive.  Options::use_undo_log = false
-// selects the legacy snapshot path (kept for differential testing).
+// A pass that throws, breaks an invariant or changes the function is rolled
+// back through the journal (O(edit size)), recorded as "failed" with the
+// reason in StageReport::note, and the remaining passes still run;
+// Options::rollback = false rethrows as diag::CheckError instead.  A
+// cancellation (core::CancelledError) unwinds the in-flight pass and
+// propagates.
 
 #pragma once
 
@@ -26,8 +24,8 @@
 #include <string>
 #include <vector>
 
-#include "core/diag.hpp"
 #include "logicopt/bdd_synth.hpp"
+#include "logicopt/resynth.hpp"
 #include "logicopt/rewrite/engine.hpp"
 #include "netlist/netlist.hpp"
 #include "power/activity.hpp"
@@ -55,45 +53,62 @@ class FnPass final : public Pass {
   std::function<std::string(Netlist&)> fn_;
 };
 
-struct PassRecord {
-  std::string pass;
-  std::string summary;
-  bool verified = false;     // equivalence check ran and passed
-  bool ok = true;            // pass ran without throwing/breaking anything
-  bool rolled_back = false;  // pre-pass snapshot was restored
-  diag::Diagnostic diag;     // why the pass failed (when !ok)
-  /// Estimated total power after this pass (Options::estimate_power only;
-  /// rolled-back passes report the restored circuit's power).
+/// One pipeline entry: a pass outcome, or (first entry of an estimating
+/// run) the power baseline of the circuit the run started from.
+struct StageReport {
+  /// Pass name; reverted and failed passes carry a " (reverted)" /
+  /// " (failed)" suffix.
+  std::string stage;
+  /// Estimate of the circuit as the pass left it (Options::estimate_power
+  /// only): reverted and failed passes report the restored circuit.
   double power_w = 0.0;
+  double glitch_fraction = 0.0;
+  std::size_t gates = 0;
+  int delay = 0;
+  /// "kept" (improved, or baseline), "reverted" (legal rewrite that raised
+  /// power — backed out), or "failed" (the transform threw or broke the
+  /// circuit — rolled back; see note).
+  std::string status = "kept";
+  std::string note;  // why the pass failed (status == "failed")
+  /// Incremental-estimate instrumentation: nodes re-simulated for this
+  /// pass's estimate vs. what a full re-analysis evaluates.  Equal on full
+  /// fallbacks (e.g. Timed mode); both 0 when the pass failed before
+  /// estimation or the estimator fell back to a rebaseline.
+  std::size_t resim_nodes = 0;
+  std::size_t full_nodes = 0;
+  /// Journal epochs actually rewound while this pass ran, measured from
+  /// Netlist::undo_rollbacks() — not inferred from the status.  Includes
+  /// rollbacks a transform performs internally (e.g. the datapath engine
+  /// backing out losing candidates), plus the pass-epoch rollback itself
+  /// for reverted/failed passes.  Summed over a run this equals the
+  /// journal's own counter, which is what the accounting tests audit.
+  std::size_t rollbacks = 0;
+  std::string summary{};  // the pass's own one-line summary
+
+  bool ok() const { return status != "failed"; }
 };
 
-/// True when every record succeeded.
-bool all_ok(const std::vector<PassRecord>& records);
+/// True when no report failed.
+bool all_ok(const std::vector<StageReport>& reports);
 
 class PassManager {
  public:
   struct Options {
-    /// Check each pass against the pre-pass circuit with random patterns.
+    /// Check each pass against the run's reference functional trace.
     bool verify = true;
-    /// Run the structural invariant checker after every pass.
-    bool check_invariants = true;
-    /// Contain failures: restore the snapshot and keep going.  When false a
+    /// Contain failures: roll the pass back and keep going.  When false a
     /// failing pass rethrows (diag::CheckError) after restoring the input.
     bool rollback = true;
-    /// Roll back via the Netlist mutation journal (O(edit size)); false
-    /// uses the legacy whole-netlist snapshot (O(circuit size)).  Both
-    /// restore the identical pre-pass state.
-    bool use_undo_log = true;
     std::size_t verify_vectors = 1024;
     std::uint64_t verify_seed = 0xABCD;
-    /// Record an estimated power number on every PassRecord.
+    /// Estimate power after every pass and keep a pass only if power does
+    /// not rise.  The run's first report is then the baseline ("baseline")
+    /// of the input circuit.  Estimates go through the cone-scoped
+    /// incremental analyzer (power/incremental.hpp), fed by the same
+    /// journal rollback uses — bit-identical to a full power::analyze.
     bool estimate_power = false;
-    /// Estimates go through the cone-scoped incremental analyzer
-    /// (power/incremental.hpp), fed by the same mutation journal rollback
-    /// uses; false selects a full power::analyze per pass — bit-identical
-    /// results, kept for differential testing (like use_undo_log).
-    bool use_incremental_power = true;
-    /// Analysis options for the per-pass estimate (estimate_power only).
+    /// Analysis options for the estimates (estimate_power only).  A cancel
+    /// token set here aborts the run from inside an estimate.
     power::AnalysisOptions estimate;
     /// Candidate-scoring worker threads for optimization passes that go
     /// through logicopt/speculate.hpp (datapath rewriting, window
@@ -104,30 +119,34 @@ class PassManager {
     int opt_workers = 0;
   };
 
+  PassManager() = default;
   explicit PassManager(Options opt) : opt_(opt) {}
-  /// Back-compat shorthand: verification on/off, rollback containment on.
-  explicit PassManager(bool verify = true) { opt_.verify = verify; }
-
-  const Options& options() const { return opt_; }
 
   void add(std::unique_ptr<Pass> p) { passes_.push_back(std::move(p)); }
   void add(std::string name, std::function<std::string(Netlist&)> fn) {
     passes_.push_back(std::make_unique<FnPass>(std::move(name), std::move(fn)));
   }
 
-  /// Run all passes in order; returns a record per pass (failed passes are
-  /// recorded, rolled back and skipped — the flow continues).
-  std::vector<PassRecord> run(Netlist& net) const;
+  /// Run all passes in order; returns a report per pass, preceded by the
+  /// baseline when estimating.  Failed passes are recorded, rolled back
+  /// and skipped — the pipeline continues.
+  std::vector<StageReport> run(Netlist& net) const;
 
  private:
   Options opt_;
   std::vector<std::unique_ptr<Pass>> passes_;
 };
 
-// Ready-made passes over this library's techniques.
+// Ready-made passes over this library's techniques.  Passes that measure
+// activity take the stimulus seed; 64 words of 64 patterns each.
 std::unique_ptr<Pass> make_strash_pass();
 std::unique_ptr<Pass> make_sweep_pass();
-std::unique_ptr<Pass> make_dontcare_pass();
+/// Observability-don't-care rewriting (logicopt/dontcare.hpp); the summary
+/// says when the BDD node limit cut the pass short.
+std::unique_ptr<Pass> make_dontcare_pass(std::uint64_t seed = 5);
+/// Window resynthesis (logicopt/resynth.hpp).
+std::unique_ptr<Pass> make_resynth_pass(std::uint64_t seed = 5,
+                                        logicopt::ResynthOptions opt = {});
 std::unique_ptr<Pass> make_balance_pass(int buffer_budget = -1);  // -1 = full
 /// Power-driven datapath rewriting (logicopt/rewrite/engine.hpp).  The
 /// engine journals each candidate in a nested undo epoch, which composes
@@ -139,5 +158,12 @@ std::unique_ptr<Pass> make_datapath_rewrite_pass(
 /// proven and power-scored individually.  Candidate epochs nest inside the
 /// manager's pass epoch like the datapath engine's.
 std::unique_ptr<Pass> make_bdd_synth_pass(logicopt::BddSynthOptions opt = {});
+/// In-place slack-based downsizing (circuit/sizing.hpp) driven by a Timed
+/// activity estimate over `sim_vectors` vectors from `seed`.
+std::unique_ptr<Pass> make_sizing_pass(std::size_t sim_vectors = 2048,
+                                       std::uint64_t seed = 5,
+                                       power::PowerParams params = {});
+/// Hold-on-self-loop register gating (seq::gate_fsm_self_loops).
+std::unique_ptr<Pass> make_selfloop_gate_pass();
 
 }  // namespace lps::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "bdd/bdd_netlist.hpp"
+#include "core/metrics.hpp"
 
 namespace lps::logicopt {
 
@@ -173,7 +174,9 @@ DontCareResult optimize_dontcare(Netlist& net,
   } catch (const bdd::NodeLimitExceeded&) {
     // Symbolic analysis outgrew the budget: keep whatever rewrites landed
     // before the blowup (each was applied atomically, so the netlist is
-    // consistent and equivalent).
+    // consistent and equivalent) — and say so.
+    res.limited = true;
+    core::metrics::count("logicopt.dontcare.limited");
   }
   res.gates_after = net.num_gates();
   return res;

@@ -37,6 +37,9 @@ struct DontCareResult {
   int merges = 0;
   std::size_t gates_before = 0;
   std::size_t gates_after = 0;
+  /// The BDDs outgrew bdd_limit and the pass stopped early, keeping the
+  /// rewrites made so far (also the logicopt.dontcare.limited metric).
+  bool limited = false;
 };
 
 /// Run ODC-based rewriting until fixpoint (or the rewrite cap).  Preserves

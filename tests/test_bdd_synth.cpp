@@ -86,12 +86,11 @@ TEST(BddSynth, EnvKnobsControlCapAndSifting) {
 
 TEST(BddSynth, PassManagerIntegration) {
   Netlist net = strash(bench::alu_addsub(8));
-  core::PassManager pm(/*verify=*/true);
+  core::PassManager pm;
   pm.add(core::make_bdd_synth_pass());
   auto records = pm.run(net);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_TRUE(core::all_ok(records));
-  EXPECT_TRUE(records[0].verified);
   EXPECT_TRUE(net.check().empty());
 }
 

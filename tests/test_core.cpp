@@ -8,6 +8,7 @@
 #include "core/pass.hpp"
 #include "core/report.hpp"
 #include "netlist/benchmarks.hpp"
+#include "power/incremental.hpp"
 #include "seq/stg.hpp"
 #include "sim/logicsim.hpp"
 
@@ -16,7 +17,7 @@ namespace {
 
 TEST(PassManager, RunsAndVerifies) {
   auto net = bench::carry_select_adder(8, 2);
-  PassManager pm(/*verify=*/true);
+  PassManager pm;
   pm.add(make_strash_pass());
   pm.add(make_sweep_pass());
   pm.add(make_dontcare_pass());
@@ -24,8 +25,8 @@ TEST(PassManager, RunsAndVerifies) {
   auto records = pm.run(net);
   ASSERT_EQ(records.size(), 4u);
   for (const auto& r : records) {
-    EXPECT_TRUE(r.verified) << r.pass;
-    EXPECT_FALSE(r.summary.empty()) << r.pass;
+    EXPECT_TRUE(r.ok()) << r.stage;
+    EXPECT_FALSE(r.summary.empty()) << r.stage;
   }
   EXPECT_EQ(net.check(), "");
 }
@@ -33,7 +34,7 @@ TEST(PassManager, RunsAndVerifies) {
 TEST(PassManager, RollsBackFunctionBreakingPassAndContinues) {
   auto net = bench::c17();
   auto golden = net.clone();
-  PassManager pm(true);
+  PassManager pm;
   pm.add(make_strash_pass());
   pm.add("saboteur", [](Netlist& n) {
     // Flip an output by inserting an inverter.
@@ -48,13 +49,14 @@ TEST(PassManager, RollsBackFunctionBreakingPassAndContinues) {
   pm.add(make_sweep_pass());
   auto records = pm.run(net);
   ASSERT_EQ(records.size(), 3u);
-  EXPECT_TRUE(records[0].ok);
-  EXPECT_FALSE(records[1].ok);
-  EXPECT_TRUE(records[1].rolled_back);
-  EXPECT_NE(records[1].diag.message.find("saboteur"), std::string::npos);
+  EXPECT_TRUE(records[0].ok());
+  EXPECT_FALSE(records[1].ok());
+  EXPECT_EQ(records[1].status, "failed");
+  EXPECT_EQ(records[1].stage, "saboteur (failed)");
+  EXPECT_FALSE(records[1].note.empty());
   // The broken pass was contained: later passes still ran and the final
   // circuit is equivalent to the input.
-  EXPECT_TRUE(records[2].ok);
+  EXPECT_TRUE(records[2].ok());
   EXPECT_FALSE(all_ok(records));
   EXPECT_EQ(net.check(), "");
   EXPECT_TRUE(sim::equivalent_random(golden, net, 1024, 99));
@@ -77,7 +79,7 @@ TEST(PassManager, StrictModeStillThrows) {
 TEST(PassManager, RollsBackThrowingPass) {
   auto net = bench::c17();
   auto golden = net.clone();
-  PassManager pm(true);
+  PassManager pm;
   pm.add("bomb", [](Netlist& n) -> std::string {
     n.add_not(n.outputs()[0]);  // half-done rewrite, then...
     throw std::runtime_error("boom");
@@ -85,11 +87,148 @@ TEST(PassManager, RollsBackThrowingPass) {
   pm.add(make_strash_pass());
   auto records = pm.run(net);
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_FALSE(records[0].ok);
-  EXPECT_TRUE(records[0].rolled_back);
-  EXPECT_NE(records[0].diag.message.find("boom"), std::string::npos);
-  EXPECT_TRUE(records[1].ok);
+  EXPECT_FALSE(records[0].ok());
+  EXPECT_EQ(records[0].status, "failed");
+  EXPECT_NE(records[0].note.find("boom"), std::string::npos);
+  EXPECT_TRUE(records[1].ok());
   EXPECT_TRUE(sim::equivalent_random(golden, net, 1024, 99));
+}
+
+// An estimating pipeline is the flows' keep-gate: a legal rewrite that
+// raises power is rolled back, and the run reports the restored circuit.
+TEST(PassManager, EstimateGateRevertsAPowerRaisingPass) {
+  auto net = bench::carry_select_adder(8, 2);
+  const std::uint64_t h0 = structural_hash(net);
+  const std::size_t rb0 = net.undo_rollbacks();
+  PassManager::Options opt;
+  opt.estimate_power = true;
+  opt.estimate.mode = power::ActivityMode::ZeroDelay;
+  opt.estimate.n_vectors = 512;
+  PassManager pm(opt);
+  pm.add("buffer-chain", [](Netlist& n) {
+    // Function-preserving, but every buffer switches with the PO driver.
+    NodeId o = n.outputs()[0];
+    NodeId x = n.node(o).fanins[0];
+    for (int i = 0; i < 8; ++i) x = n.add_buf(x);
+    n.replace_fanin(o, 0, x);
+    return std::string("8 buffers");
+  });
+  auto records = pm.run(net);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].stage, "baseline");
+  EXPECT_EQ(records[1].stage, "buffer-chain (reverted)");
+  EXPECT_EQ(records[1].status, "reverted");
+  EXPECT_GT(records[1].full_nodes, 0u);  // the rejected estimate ran
+  EXPECT_EQ(structural_hash(net), h0);
+  EXPECT_EQ(net.undo_depth(), 0u);
+  EXPECT_EQ(records[1].power_w, records[0].power_w);
+  EXPECT_EQ(records[1].power_w,
+            power::analyze(net, opt.estimate).report.breakdown.total_w());
+  std::size_t reported = 0;
+  for (const auto& r : records) reported += r.rollbacks;
+  EXPECT_EQ(reported, net.undo_rollbacks() - rb0);
+  EXPECT_GE(records[1].rollbacks, 1u);
+}
+
+// Passes the wrapped pass through, logging the structural hash the circuit
+// had before and after its transform.
+class HashProbe final : public Pass {
+ public:
+  HashProbe(std::unique_ptr<Pass> inner,
+            std::vector<std::pair<std::uint64_t, std::uint64_t>>& log)
+      : inner_(std::move(inner)), log_(log) {}
+  std::string name() const override { return inner_->name(); }
+  std::string run(Netlist& net) override {
+    log_.push_back({structural_hash(net), 0});
+    std::string summary = inner_->run(net);
+    log_.back().second = structural_hash(net);
+    return summary;
+  }
+
+ private:
+  std::unique_ptr<Pass> inner_;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>>& log_;
+};
+
+// A cancellation fired inside a flow stage — at the first poll point after
+// the runner's baseline estimate, i.e. inside a stage's re-estimate —
+// propagates and leaves the circuit exactly as that stage found it.
+TEST(PassManager, CancellationInsideAFlowStageRestoresThePreStageCircuit) {
+  FlowOptions fopt;
+  fopt.estimate_mode = power::ActivityMode::ZeroDelay;
+  fopt.sim_vectors = 512;
+  const Netlist input = strash(bench::alu(4));
+  PassManager::Options popt = flow_runner_options(fopt);
+
+  // Poll points the baseline estimate consumes: the smallest budget an
+  // analyzer of the input survives.
+  std::int64_t baseline_polls = 0;
+  for (;; ++baseline_polls) {
+    CancelToken t;
+    t.cancel_after(baseline_polls);
+    power::AnalysisOptions ao = popt.estimate;
+    ao.cancel = &t;
+    try {
+      power::IncrementalAnalyzer probe(input, ao);
+      break;
+    } catch (const CancelledError&) {
+    }
+  }
+
+  bool interrupted_a_rewrite = false;
+  for (std::int64_t extra : {0, 3}) {
+    CancelToken tok;
+    tok.cancel_after(baseline_polls + extra);
+    popt.estimate.cancel = &tok;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> log;
+    PassManager pm(popt);
+    for (auto& stage : flow_stages(fopt))
+      pm.add(std::make_unique<HashProbe>(std::move(stage), log));
+    Netlist net = input.clone();
+    EXPECT_THROW(pm.run(net), CancelledError) << "extra " << extra;
+    ASSERT_FALSE(log.empty()) << "fired before any stage ran";
+    interrupted_a_rewrite |= log.back().second != log.back().first;
+    EXPECT_EQ(structural_hash(net), log.back().first) << "extra " << extra;
+    EXPECT_EQ(net.undo_depth(), 0u);
+    EXPECT_EQ(net.check(), "");
+  }
+  // At least one interrupted stage had rewritten the circuit, so the
+  // restore above undid real work.
+  EXPECT_TRUE(interrupted_a_rewrite);
+}
+
+// A cancellation fired inside a user pass, with nested journal epochs of
+// its own still open, unwinds all of them and the pass epoch.
+TEST(PassManager, CancellationInsideAUserPassUnwindsToThePreStageCircuit) {
+  auto net = bench::carry_select_adder(8, 2);
+  CancelToken tok;
+  std::uint64_t pre_stage = 0;
+  int polls = 0;
+  bool later_pass_ran = false;
+  PassManager pm;
+  pm.add(make_sweep_pass());
+  pm.add("poller", [&](Netlist& n) -> std::string {
+    pre_stage = structural_hash(n);
+    for (int i = 0; i < 10; ++i) {
+      n.begin_undo();
+      NodeId o = n.outputs()[i % n.outputs().size()];
+      n.replace_fanin(o, 0, n.add_not(n.add_not(n.node(o).fanins[0])));
+      ++polls;
+      poll_cancel(&tok);
+    }
+    return "never reached";
+  });
+  pm.add("after", [&](Netlist&) {
+    later_pass_ran = true;
+    return std::string();
+  });
+  tok.cancel_after(3);
+  EXPECT_THROW(pm.run(net), CancelledError);
+  EXPECT_EQ(polls, 4);  // fired at the 4th poll, four inner epochs open
+  EXPECT_FALSE(later_pass_ran);
+  EXPECT_EQ(structural_hash(net), pre_stage);
+  EXPECT_EQ(net.undo_depth(), 0u);
+  EXPECT_EQ(net.check(), "");
 }
 
 TEST(Report, TableAligns) {

@@ -72,7 +72,7 @@ TEST(FaultInject, PassVerifierCatchesAndRollsBackEveryFaultClass) {
   for (fault::Fault f : fault::all_faults()) {
     auto net = healthy();
     auto golden = net.clone();
-    core::PassManager pm(true);
+    core::PassManager pm;
     pm.add(core::make_strash_pass());
     pm.add(std::string("inject-") + std::string(fault::to_string(f)),
            [f](Netlist& n) {
@@ -82,12 +82,12 @@ TEST(FaultInject, PassVerifierCatchesAndRollsBackEveryFaultClass) {
     pm.add(core::make_sweep_pass());
     auto records = pm.run(net);
     ASSERT_EQ(records.size(), 3u);
-    EXPECT_TRUE(records[0].ok) << fault::to_string(f);
-    EXPECT_FALSE(records[1].ok)
+    EXPECT_TRUE(records[0].ok()) << fault::to_string(f);
+    EXPECT_FALSE(records[1].ok())
         << fault::to_string(f) << " slipped through the verifier";
-    EXPECT_TRUE(records[1].rolled_back) << fault::to_string(f);
-    EXPECT_FALSE(records[1].diag.message.empty()) << fault::to_string(f);
-    EXPECT_TRUE(records[2].ok) << fault::to_string(f);
+    EXPECT_EQ(records[1].status, "failed") << fault::to_string(f);
+    EXPECT_FALSE(records[1].note.empty()) << fault::to_string(f);
+    EXPECT_TRUE(records[2].ok()) << fault::to_string(f);
     EXPECT_FALSE(core::all_ok(records)) << fault::to_string(f);
     // Rollback restored a healthy, equivalent netlist and later passes ran.
     EXPECT_EQ(net.check(), "") << fault::to_string(f);

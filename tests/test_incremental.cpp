@@ -7,7 +7,7 @@
 // too: Netlist::fanout_cone_of / cone_of on reconvergent, multi-output and
 // register-crossing topologies, touched_nodes() across undo epochs,
 // LogicSim::eval_cone_into splicing, and the flow/pass integration
-// (incremental and legacy full estimates must agree exactly).
+// (every runner estimate must equal a full analysis exactly).
 
 #include <gtest/gtest.h>
 
@@ -18,8 +18,10 @@
 #include "core/flows.hpp"
 #include "core/metrics.hpp"
 #include "core/pass.hpp"
+#include "flow_reference.hpp"
 #include "netlist/benchmarks.hpp"
 #include "power/incremental.hpp"
+#include "seq/encoding.hpp"
 #include "sim/logicsim.hpp"
 
 namespace {
@@ -443,35 +445,27 @@ void expect_same_stages(const core::FlowResult& a, const core::FlowResult& b) {
 
 TEST(FlowIncremental, CombinationalMatchesLegacyZeroDelay) {
   auto net = bench::alu(4);
-  core::FlowOptions inc_opt;
-  inc_opt.estimate_mode = power::ActivityMode::ZeroDelay;
-  inc_opt.use_incremental_power = true;
-  core::FlowOptions full_opt = inc_opt;
-  full_opt.use_incremental_power = false;
-  expect_same_stages(core::optimize_combinational(net, inc_opt),
-                     core::optimize_combinational(net, full_opt));
+  core::FlowOptions opt;
+  opt.estimate_mode = power::ActivityMode::ZeroDelay;
+  expect_same_stages(core::optimize_combinational(net, opt),
+                     reference::flow(net, opt, /*sequential=*/false));
 }
 
 TEST(FlowIncremental, CombinationalMatchesLegacyTimed) {
   auto net = bench::carry_select_adder(8, 4);
-  core::FlowOptions inc_opt;  // Timed default
-  inc_opt.sim_vectors = 256;
-  core::FlowOptions full_opt = inc_opt;
-  full_opt.use_incremental_power = false;
-  expect_same_stages(core::optimize_combinational(net, inc_opt),
-                     core::optimize_combinational(net, full_opt));
+  core::FlowOptions opt;  // Timed default
+  opt.sim_vectors = 256;
+  expect_same_stages(core::optimize_combinational(net, opt),
+                     reference::flow(net, opt, /*sequential=*/false));
 }
 
 TEST(FlowIncremental, SequentialFlowMatchesLegacy) {
   auto net = bench::counter(6);
-  core::FlowOptions inc_opt;
-  inc_opt.estimate_mode = power::ActivityMode::ZeroDelay;
-  inc_opt.sim_vectors = 512;
-  core::FlowOptions full_opt = inc_opt;
-  full_opt.use_incremental_power = false;
-  auto a = core::optimize_sequential(net, inc_opt);
-  auto b = core::optimize_sequential(net, full_opt);
-  expect_same_stages(a, b);
+  core::FlowOptions opt;
+  opt.estimate_mode = power::ActivityMode::ZeroDelay;
+  opt.sim_vectors = 512;
+  auto a = core::optimize_sequential(net, opt);
+  expect_same_stages(a, reference::flow(net, opt, /*sequential=*/true));
   // The gating stage ran (kept, reverted, or failed — but present).
   EXPECT_EQ(a.stages.back().stage.rfind("selfloop-gate", 0), 0u);
 }
@@ -506,47 +500,54 @@ TEST(PassIncremental, EstimatesMatchLegacyAndSurviveRollback) {
   core::PassManager::Options opt;
   opt.estimate_power = true;
   opt.estimate.mode = power::ActivityMode::ZeroDelay;
-  core::PassManager pm_inc(opt);
-  pm_inc.add(core::make_dontcare_pass());
-  pm_inc.add("broken", [](Netlist& n) -> std::string {
-    n.remove(n.outputs()[0]);  // removing a PO driver breaks invariants
-    return "boom";
-  });
-  pm_inc.add(core::make_sweep_pass());
+  auto passes = [] {
+    std::vector<std::unique_ptr<core::Pass>> v;
+    v.push_back(core::make_dontcare_pass());
+    v.push_back(std::make_unique<core::FnPass>(
+        "broken", [](Netlist& n) -> std::string {
+          n.remove(n.outputs()[0]);  // removing a PO driver breaks invariants
+          return "boom";
+        }));
+    v.push_back(core::make_sweep_pass());
+    return v;
+  };
+  core::PassManager pm(opt);
+  for (auto& p : passes()) pm.add(std::move(p));
   auto net_inc = net.clone();
-  auto rec_inc = pm_inc.run(net_inc);
+  auto rec_inc = pm.run(net_inc);
 
-  opt.use_incremental_power = false;
-  core::PassManager pm_full(opt);
-  pm_full.add(core::make_dontcare_pass());
-  pm_full.add("broken", [](Netlist& n) -> std::string {
-    n.remove(n.outputs()[0]);
-    return "boom";
-  });
-  pm_full.add(core::make_sweep_pass());
   auto net_full = net.clone();
-  auto rec_full = pm_full.run(net_full);
+  auto rec_full = reference::run(net_full, passes(), opt);
 
+  ASSERT_EQ(rec_inc.size(), 4u);
   ASSERT_EQ(rec_inc.size(), rec_full.size());
   for (std::size_t i = 0; i < rec_inc.size(); ++i) {
-    EXPECT_EQ(rec_inc[i].ok, rec_full[i].ok) << rec_inc[i].pass;
-    EXPECT_EQ(rec_inc[i].power_w, rec_full[i].power_w) << rec_inc[i].pass;
+    EXPECT_EQ(rec_inc[i].stage, rec_full[i].stage);
+    EXPECT_EQ(rec_inc[i].status, rec_full[i].status) << rec_inc[i].stage;
+    EXPECT_EQ(rec_inc[i].power_w, rec_full[i].power_w) << rec_inc[i].stage;
   }
-  EXPECT_FALSE(rec_inc[1].ok);  // the broken pass rolled back
-  EXPECT_GT(rec_inc[2].power_w, 0.0);
+  EXPECT_EQ(rec_inc[0].stage, "baseline");
+  EXPECT_FALSE(rec_inc[2].ok());  // the broken pass rolled back
+  EXPECT_GT(rec_inc[3].power_w, 0.0);
+  EXPECT_EQ(structural_hash(net_inc), structural_hash(net_full));
 }
 
 TEST(FsmFlow, GatedPowerReportedIdenticallyBothPaths) {
   auto stg = seq::counter_fsm(8);
-  core::FlowOptions inc_opt;
-  inc_opt.sim_vectors = 256;
-  inc_opt.estimate_mode = power::ActivityMode::ZeroDelay;
-  core::FlowOptions full_opt = inc_opt;
-  full_opt.use_incremental_power = false;
-  auto a = core::optimize_fsm(stg, inc_opt);
-  auto b = core::optimize_fsm(stg, full_opt);
-  EXPECT_EQ(a.power_lowpower_w, b.power_lowpower_w);
-  EXPECT_EQ(a.power_gated_w, b.power_gated_w);
+  core::FlowOptions opt;
+  opt.sim_vectors = 256;
+  opt.estimate_mode = power::ActivityMode::ZeroDelay;
+  auto a = core::optimize_fsm(stg, opt);
+  // Reference: fresh full analyses of the ungated and gated circuits.
+  auto ao = core::flow_runner_options(opt).estimate;
+  seq::AnnealOptions an;
+  an.seed = static_cast<std::uint32_t>(opt.seed);
+  Netlist low = seq::synthesize_fsm(stg, seq::low_power_encoding(stg, an),
+                                    stg.state_name(0) + "_low");
+  EXPECT_EQ(a.power_lowpower_w,
+            power::analyze(low, ao).report.breakdown.total_w());
+  EXPECT_EQ(a.power_gated_w,
+            power::analyze(a.circuit, ao).report.breakdown.total_w());
   EXPECT_GT(a.power_gated_w, 0.0);
 }
 

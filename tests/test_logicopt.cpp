@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "bdd/bdd_netlist.hpp"
+#include "core/metrics.hpp"
 #include "logicopt/dontcare.hpp"
 #include "logicopt/library.hpp"
 #include "logicopt/path_balance.hpp"
@@ -53,6 +54,25 @@ TEST(DontCare, NoFalsePositivesOnIrredundantCircuit) {
   auto res = optimize_dontcare(net, st.transition_prob);
   EXPECT_EQ(res.const_replacements, 0);
   EXPECT_EQ(res.merges, 0);
+}
+
+TEST(DontCare, NodeLimitIsReportedNotSwallowed) {
+  auto net = bench::alu(4);
+  auto golden = net.clone();
+  auto st = sim::measure_activity(net, 64, 5);
+  core::metrics::reset();
+  DontCareOptions opt;
+  opt.bdd_limit = 16;  // far below what the ALU's global functions need
+  auto res = optimize_dontcare(net, st.transition_prob, opt);
+  EXPECT_TRUE(res.limited);
+  EXPECT_EQ(core::metrics::value("logicopt.dontcare.limited"), 1.0);
+  // Stopping early still leaves a consistent, equivalent circuit.
+  EXPECT_EQ(net.check(), "");
+  EXPECT_TRUE(sim::equivalent_random(golden, net, 256, 5));
+
+  // The default budget completes without the flag.
+  auto ok = optimize_dontcare(golden, st.transition_prob);
+  EXPECT_FALSE(ok.limited);
 }
 
 TEST(Balance, EliminatesGlitchesPreservesDelayAndFunction) {

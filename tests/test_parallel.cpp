@@ -265,13 +265,13 @@ TEST(UndoLog, CopiesDoNotCarryTheJournal) {
 }
 
 // The equivalence that matters for PassManager: rolling back via the undo
-// log lands on the identical netlist as restoring the legacy full
-// snapshot — for every fault class the injection harness can produce.
+// log lands on the identical netlist as restoring a whole-netlist snapshot
+// — for every fault class the injection harness can produce.
 TEST(UndoLog, MatchesSnapshotRollbackUnderFaultInjection) {
   for (fault::Fault f : fault::all_faults()) {
     for (std::uint64_t seed : {1ull, 2ull, 5ull}) {
       auto net = bench::alu(4);
-      Netlist snapshot = net.clone();  // legacy path's pre-image
+      Netlist snapshot = net.clone();  // the pre-image
       net.begin_undo();
       auto inj = fault::inject(net, f, seed);
       net.rollback_undo();
@@ -284,35 +284,29 @@ TEST(UndoLog, MatchesSnapshotRollbackUnderFaultInjection) {
   }
 }
 
-// End-to-end: both PassManager rollback implementations contain a
-// function-corrupting pass and leave behind identical circuits.
+// End-to-end: the PassManager's journal rollback contains a
+// function-corrupting pass and lands on exactly the circuit a whole-netlist
+// snapshot taken before that pass would restore.
 TEST(UndoLog, PassManagerUndoAndSnapshotPathsAgree) {
-  auto make_pm = [](bool use_undo) {
-    core::PassManager::Options opt;
-    opt.use_undo_log = use_undo;
-    core::PassManager pm(opt);
-    pm.add(core::make_strash_pass());
-    pm.add("corrupt", [](Netlist& net) {
-      auto inj = fault::inject(net, fault::Fault::FlipGateFunction, 2);
-      return std::string(inj.applied ? "flipped" : "noop");
-    });
-    pm.add(core::make_sweep_pass());
-    return pm;
-  };
+  Netlist snapshot;
+  core::PassManager pm;
+  pm.add(core::make_strash_pass());
+  pm.add("corrupt", [&snapshot](Netlist& net) {
+    snapshot = net.clone();
+    auto inj = fault::inject(net, fault::Fault::FlipGateFunction, 2);
+    return std::string(inj.applied ? "flipped" : "noop");
+  });
+  pm.add(core::make_sweep_pass());
 
-  auto net_undo = bench::alu(4);
-  auto rec_undo = make_pm(true).run(net_undo);
-  auto net_snap = bench::alu(4);
-  auto rec_snap = make_pm(false).run(net_snap);
-
-  ASSERT_EQ(rec_undo.size(), rec_snap.size());
-  for (std::size_t i = 0; i < rec_undo.size(); ++i) {
-    EXPECT_EQ(rec_undo[i].ok, rec_snap[i].ok) << rec_undo[i].pass;
-    EXPECT_EQ(rec_undo[i].rolled_back, rec_snap[i].rolled_back);
-  }
-  EXPECT_FALSE(rec_undo[1].ok);  // corruption caught and rolled back
-  EXPECT_EQ(dump(net_undo), dump(net_snap));
-  EXPECT_TRUE(sim::equivalent_random(net_undo, bench::alu(4), 256, 11));
+  auto net = bench::alu(4);
+  auto rec = pm.run(net);
+  ASSERT_EQ(rec.size(), 3u);
+  EXPECT_TRUE(rec[0].ok());
+  EXPECT_FALSE(rec[1].ok());  // corruption caught and rolled back
+  EXPECT_TRUE(rec[2].ok());
+  snapshot.sweep();  // the pipeline's last pass, applied to the snapshot
+  EXPECT_EQ(dump(net), dump(snapshot));
+  EXPECT_TRUE(sim::equivalent_random(net, bench::alu(4), 256, 11));
 }
 
 }  // namespace

@@ -455,8 +455,8 @@ TEST(SpeculatePass, PassManagerScopesTheWorkerDefault) {
   EXPECT_EQ(speculate::default_workers(), speculate::resolve_workers(0));
   ASSERT_EQ(rec1.size(), 1u);
   ASSERT_EQ(rec4.size(), 1u);
-  EXPECT_TRUE(rec1[0].ok);
-  EXPECT_TRUE(rec4[0].ok);
+  EXPECT_TRUE(rec1[0].ok());
+  EXPECT_TRUE(rec4[0].ok());
   EXPECT_EQ(structural_hash(a), structural_hash(b));
 }
 
