@@ -10,6 +10,7 @@
 
 #include "bench_util.hpp"
 #include "core/flows.hpp"
+#include "core/metrics.hpp"
 #include "core/report.hpp"
 #include "netlist/benchmarks.hpp"
 #include "sim/logicsim.hpp"
@@ -27,6 +28,7 @@ void report() {
                  "gates in->out", "stages kept", "equiv"});
   double saving_min = 1.0, saving_max = -1.0;
   bool all_equiv = true;
+  const auto metrics_before = core::metrics::Registry::global().counters();
   for (const auto& [name, net] : bench::default_suite()) {
     if (net.num_gates() > 300) continue;  // keep the sweep quick
     core::FlowOptions opt;
@@ -51,9 +53,24 @@ void report() {
            equiv ? "yes" : "NO"});
   }
   t.print(std::cout);
+  // Don't-care's share of the flow stages' wall-clock: a host-independent
+  // ratio, so one stage coming to dominate every flow fails the band.
+  double stage_ms = 0.0, dontcare_ms = 0.0;
+  for (const auto& [key, ms] : core::metrics::Registry::global().counters()) {
+    if (!key.starts_with("time_ms.flow.")) continue;
+    auto before = metrics_before.find(key);
+    const double delta =
+        ms - (before == metrics_before.end() ? 0.0 : before->second);
+    stage_ms += delta;
+    if (key == "time_ms.flow.dontcare") dontcare_ms = delta;
+  }
+  const double dontcare_share = stage_ms > 0 ? dontcare_ms / stage_ms : 0.0;
+  std::cout << "don't-care share of flow stage time: "
+            << core::Table::pct(dontcare_share) << '\n';
   benchx::claim("E20.saving_min", saving_min);
   benchx::claim("E20.saving_max", saving_max);
   benchx::claim("E20.all_equivalent", all_equiv);
+  benchx::claim("E20.dontcare_share", dontcare_share);
   std::cout << '\n';
 }
 

@@ -54,6 +54,8 @@ std::vector<std::unique_ptr<Pass>> flow_stages(const FlowOptions& opt,
     stages.push_back(make_dontcare_pass(opt.seed));
     logicopt::ResynthOptions rso;
     rso.workers = opt.opt_workers;
+    // Re-score on the stimulus the stage measured its activities with.
+    rso.rescore_seed = opt.seed;
     stages.push_back(make_resynth_pass(opt.seed, rso));
   }
   if (opt.run_datapath) {

@@ -14,6 +14,18 @@
 // Each accepted rewrite removes the node's switched capacitance entirely —
 // the activity-directed selection among admissible rewrites is exactly the
 // power-vs-area distinction [38] draws against classic don't-care methods.
+// A change at n is observed at the primary outputs and at every register
+// pin, the load enable included.
+//
+// Most nodes admit no rewrite, so a simulation prefilter runs first: 512
+// random vectors, n complemented and its fanout resimulated, give a care
+// mask, and a candidate survives only if it agrees with n on every care
+// vector.  That is a necessary condition for the exact check to pass, so
+// the filter never drops an admissible rewrite; the BDD check still
+// decides every rewrite, and only nodes with a surviving candidate build
+// the BDD care set.  The counters logicopt.dontcare.{exact_checks,
+// sim_pruned, sim_survivor_rejected} record how often the filter settles
+// a node and how many of its survivors the BDD rejects.
 
 #pragma once
 

@@ -40,8 +40,9 @@ struct ResynthOptions {
   /// nodes the stale vector scores as toggle-free).  power_aware only.
   bool rescore_activities = true;
   /// Stimulus for the internal re-scoring analyzer (ZeroDelay).  The
-  /// defaults reproduce the flow's measure_activity(net, 64, seed) frames:
-  /// 4096 vectors = 64 words of 64 patterns.
+  /// defaults reproduce the stage's measure_activity(net, 64, seed) frames:
+  /// 4096 vectors = 64 words of 64 patterns; the flows set rescore_seed to
+  /// FlowOptions::seed.
   std::size_t rescore_vectors = 4096;
   std::uint64_t rescore_seed = 5;
   /// Window-examination worker threads (logicopt/speculate.hpp): workers

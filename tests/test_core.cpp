@@ -347,6 +347,40 @@ TEST(Flows, CombinationalFlowNeverHurtsAndUsuallySaves) {
   EXPECT_LE(glitch_out, glitch_in + 1e-9);
 }
 
+// At a non-default seed the resynth stage re-scores on the flow's own
+// stimulus: the flow equals a pipeline whose resynth uses that seed.
+TEST(Flows, ResynthRescoresOnTheFlowSeed) {
+  const Netlist input = bench::carry_select_adder(8, 2);
+  FlowOptions fopt;
+  fopt.seed = 9;
+  fopt.sim_vectors = 256;
+  fopt.run_datapath = fopt.run_bdd_synth = false;
+  fopt.run_balance = fopt.run_sizing = false;
+  const FlowResult flow = optimize_combinational(input, fopt);
+
+  auto pipeline = [&](std::uint64_t rescore_seed) {
+    logicopt::ResynthOptions rso;
+    rso.rescore_seed = rescore_seed;
+    PassManager pm(flow_runner_options(fopt));
+    pm.add(make_dontcare_pass(fopt.seed));
+    pm.add(make_resynth_pass(fopt.seed, rso));
+    Netlist net = strash(input);
+    auto reports = pm.run(net);
+    return std::make_pair(structural_hash(net), reports);
+  };
+  const auto [hash, reports] = pipeline(fopt.seed);
+  ASSERT_EQ(flow.stages.size(), reports.size() + 1);  // + the input row
+  for (std::size_t i = 1; i < reports.size(); ++i) {
+    EXPECT_EQ(flow.stages[i + 1].stage, reports[i].stage);
+    EXPECT_EQ(flow.stages[i + 1].summary, reports[i].summary);
+    EXPECT_EQ(flow.stages[i + 1].power_w, reports[i].power_w);
+  }
+  EXPECT_EQ(structural_hash(flow.circuit), hash);
+  // The re-scoring seed matters on this circuit, so the match above is not
+  // the default seed's result by accident.
+  EXPECT_NE(pipeline(5).second.back().summary, reports.back().summary);
+}
+
 TEST(Flows, StagesAreLabelled) {
   auto net = bench::comparator_gt(6);
   FlowOptions opt;

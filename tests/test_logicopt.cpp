@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bdd/bdd_netlist.hpp"
 #include "core/metrics.hpp"
 #include "logicopt/dontcare.hpp"
@@ -14,6 +16,8 @@
 #include "power/activity.hpp"
 #include "sim/eventsim.hpp"
 #include "sim/logicsim.hpp"
+
+#include "dontcare_reference.hpp"
 
 namespace lps::logicopt {
 namespace {
@@ -73,6 +77,72 @@ TEST(DontCare, NodeLimitIsReportedNotSwallowed) {
   // The default budget completes without the flag.
   auto ok = optimize_dontcare(golden, st.transition_prob);
   EXPECT_FALSE(ok.limited);
+}
+
+TEST(DontCare, DffEnableLogicIsObservable) {
+  // The AND gate only drives a load enable: its care set is everything.
+  Netlist n;
+  NodeId a = n.add_input("a");
+  NodeId b = n.add_input("b");
+  NodeId c = n.add_input("c");
+  NodeId q = n.add_dff(c, false, "q");
+  n.set_dff_enable(q, n.add_and(a, b));
+  n.add_output(q, "q");
+  auto golden = n.clone();
+  auto st = sim::measure_activity(n, 64, 1);
+  auto res = optimize_dontcare(n, st.transition_prob);
+  EXPECT_EQ(res.const_replacements, 0);
+  EXPECT_EQ(res.merges, 0);
+  EXPECT_TRUE(bdd::equivalent_bdd(golden, n));
+}
+
+// random_dag(16, 60) plus load-enabled registers: each D is a DAG gate, each
+// enable an absorption-redundant or(and(x, y), x) that only the enable pin
+// observes, and each register output feeds a PO through an AND.
+Netlist with_enabled_registers(std::uint32_t seed) {
+  Netlist net = bench::random_dag(16, 60, seed);
+  std::vector<NodeId> gates;
+  for (NodeId id : net.topo_order())
+    if (!is_source(net.node(id).type)) gates.push_back(id);
+  for (std::size_t k = 0; k < 4; ++k) {
+    auto pick = [&](std::size_t i) { return gates[i % gates.size()]; };
+    NodeId x = pick(7 * k + 3), y = pick(11 * k + 5);
+    NodeId q = net.add_dff(pick(13 * k + 1), k % 2 == 1);
+    net.set_dff_enable(q, net.add_or(net.add_and(x, y), x));
+    net.add_output(net.add_and(q, pick(5 * k + 2)),
+                   "r" + std::to_string(k));
+  }
+  return net;
+}
+
+TEST(DontCare, MatchesReference) {
+  // The simulation prefilter only skips candidates the BDD would reject,
+  // so the rewrite sequence must equal the unfiltered algorithm's.
+  auto expect_match = [](const std::string& name, const Netlist& input,
+                         const DontCareOptions& opt) {
+    Netlist fast = input.clone(), ref = input.clone();
+    auto st = sim::measure_activity(fast, 64, 2);
+    auto a = optimize_dontcare(fast, st.transition_prob, opt);
+    auto b = reference::optimize_dontcare(ref, st.transition_prob, opt);
+    EXPECT_EQ(a.const_replacements, b.const_replacements) << name;
+    EXPECT_EQ(a.merges, b.merges) << name;
+    EXPECT_EQ(a.limited, b.limited) << name;
+    EXPECT_EQ(structural_hash(fast), structural_hash(ref)) << name;
+    EXPECT_TRUE(bdd::equivalent_bdd(input, fast)) << name;
+  };
+  DontCareOptions dflt, area, capped;
+  area.power_aware = false;
+  capped.max_rewrites = 5;
+
+  for (const auto& [name, net] : bench::default_suite())
+    if (net.num_gates() <= 300) expect_match(name, net, dflt);
+  for (std::uint32_t seed : {1u, 2u, 3u, 4u, 5u, 6u})
+    expect_match("rand32x150_s" + std::to_string(seed),
+                 bench::random_dag(32, 150, seed), dflt);
+  expect_match("rand16x60", bench::random_dag(16, 60, 7), dflt);
+  expect_match("enabled_regs", with_enabled_registers(11), dflt);
+  expect_match("rand16x60 area", bench::random_dag(16, 60, 8), area);
+  expect_match("rand32x150 capped", bench::random_dag(32, 150, 9), capped);
 }
 
 TEST(Balance, EliminatesGlitchesPreservesDelayAndFunction) {
