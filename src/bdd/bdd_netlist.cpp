@@ -1,7 +1,5 @@
 #include "bdd/bdd_netlist.hpp"
 
-#include "core/env.hpp"
-
 #include <algorithm>
 #include <stdexcept>
 
@@ -117,11 +115,10 @@ NetlistBdds build_bdds(const Netlist& net, std::size_t node_limit,
   auto dffs = net.dffs();
   // Collect construction garbage while the build runs (the per-node
   // functions are rooted as they are produced, so only dead ITE scaffolding
-  // is swept); LPS_BDD_GC=0 restores the historical monotonic build.
-  static const bool gc_during_build = core::env_bool_or("LPS_BDD_GC", true);
+  // is swept).
   Config cfg = default_config();
   cfg.node_limit = node_limit;
-  cfg.auto_gc = gc_during_build;
+  cfg.auto_gc = true;
   out.mgr =
       Manager(static_cast<unsigned>(net.inputs().size() + dffs.size()), cfg);
   // Capacity hint: global BDDs for gate networks typically land within a

@@ -5,10 +5,9 @@
 #include <vector>
 
 #include "bdd/bdd_netlist.hpp"
-#include "core/env.hpp"
 #include "core/metrics.hpp"
+#include "logicopt/candidate.hpp"
 #include "power/incremental.hpp"
-#include "sim/logicsim.hpp"
 
 namespace lps::logicopt {
 
@@ -128,15 +127,6 @@ BddSynthResult synthesize_bdd_cones(Netlist& net, const BddSynthOptions& opt) {
   core::metrics::ScopedTimer timer("logicopt.bdd_synth", /*trace=*/true);
   BddSynthResult res;
   res.gates_before = net.num_gates();
-  const unsigned cap =
-      opt.max_inputs != 0
-          ? opt.max_inputs
-          : static_cast<unsigned>(
-                core::env_long_or("LPS_BDD_SYNTH_MAX_INPUTS", 2, 30, 18));
-  const bool do_sift = opt.sift < 0
-                           ? core::env_bool_or("LPS_BDD_SYNTH_SIFT", true)
-                           : opt.sift != 0;
-
   // Private deterministic oracle: ZeroDelay statistics are bit-identical
   // across sim engines, lane widths and thread counts, so the kept-cone
   // sequence depends only on (netlist, options).
@@ -146,14 +136,18 @@ BddSynthResult synthesize_bdd_cones(Netlist& net, const BddSynthOptions& opt) {
   ao.seed = opt.seed;
   power::IncrementalAnalyzer inc(net, ao);
   res.power_before_w = inc.analysis().report.breakdown.total_w();
-  double cur_w = res.power_before_w;
+  candidate::Kernel kernel(net, inc,
+                           {.engine = "bdd_synth",
+                            .min_gain_w = opt.min_gain_w,
+                            .verify_frames = opt.verify_frames,
+                            .verify_seed = opt.verify_seed});
 
   for (NodeId root : cone_roots(net)) {
     if (net.is_dead(root)) continue;  // swept behind an earlier kept cone
     ++res.cones_examined;
     core::metrics::count("logicopt.bdd_synth.cones");
     Cone c = extract_cone(net, root);
-    if (c.sources.size() > cap) {
+    if (c.sources.size() > opt.max_inputs) {
       ++res.cones_capped;
       core::metrics::count("logicopt.bdd_synth.capped");
       continue;
@@ -169,7 +163,7 @@ BddSynthResult synthesize_bdd_cones(Netlist& net, const BddSynthOptions& opt) {
     bdd::Ref f;
     try {
       f = build_cone(m, net, c, var_of);
-      if (do_sift && !c.sources.empty()) {
+      if (opt.sift && !c.sources.empty()) {
         // Weight each variable by its measured switching activity (from
         // the *current* circuit — the oracle re-scores after every kept
         // cone, so there is no stale-activity bias).  The floor keeps
@@ -191,55 +185,27 @@ BddSynthResult synthesize_bdd_cones(Netlist& net, const BddSynthOptions& opt) {
     }
     res.peak_live_nodes = std::max(res.peak_live_nodes, m.peak_live_nodes());
 
-    // Variable → netlist driver for the MUX selectors.
-    std::vector<NodeId> var_node(c.sources.begin(), c.sources.end());
-
-    // Candidate epoch: splice the MUX network in place of the root, score
-    // the dirty cone, prove the outputs, keep only a strict power win.
-    const std::uint64_t digest0 = inc.outputs_digest();
-    sim::SimTrace ref;
-    if (opt.verify_frames != 0)
-      ref = sim::functional_trace(net, opt.verify_frames, opt.verify_seed);
-    net.begin_undo();
-    double after_w = 0.0;
-    try {
-      NodeId nr = bdd::synthesize_bdd(net, m, f, var_node);
-      net.substitute(root, nr);
+    // Splice the MUX network (variable v selects on c.sources[v]) in place
+    // of the root; the kernel scores the dirty cone, proves a would-be keep
+    // and keeps only a strict power win.
+    candidate::Probe p = kernel.apply([&] {
+      net.substitute(root, bdd::synthesize_bdd(net, m, f, c.sources));
       net.sweep();
-      after_w = inc.score_candidate(net.touched_nodes());
-    } catch (...) {
-      // score_candidate's strong exception safety already restored the
-      // oracle; restoring the circuit is on us before the stage sees it.
-      net.rollback_undo();
-      throw;
-    }
-    bool sound = inc.outputs_digest() == digest0;
-    if (sound && opt.verify_frames != 0)
-      sound = sim::functional_trace(net, opt.verify_frames,
-                                    opt.verify_seed) == ref;
-    if (sound && cur_w - after_w > opt.min_gain_w) {
-      net.commit_undo();
-      cur_w = after_w;
-      ++res.kept;
-      core::metrics::count("logicopt.bdd_synth.kept");
-    } else {
-      net.rollback_undo();
-      inc.revert_last();
-      if (!sound) {
-        ++res.unsound;
-        core::metrics::count("logicopt.bdd_synth.unsound");
-      } else {
-        ++res.reverted;
-        core::metrics::count("logicopt.bdd_synth.reverted");
-      }
-    }
+      return true;
+    });
+    kernel.score(p);
+    kernel.settle(p);
   }
 
-  res.power_after_w = cur_w;
+  const candidate::Tally& t = kernel.tally();
+  res.kept = t.kept;
+  res.reverted = t.reverted;
+  res.unsound = t.unsound;
+  res.power_after_w = inc.analysis().report.breakdown.total_w();
   res.gates_after = net.num_gates();
   if (res.cones_capped != 0 || res.cones_limited != 0)
     res.note = std::to_string(res.cones_capped) + " cone(s) over the " +
-               std::to_string(cap) + "-input cap, " +
+               std::to_string(opt.max_inputs) + "-input cap, " +
                std::to_string(res.cones_limited) +
                " over the node budget (skipped, not silent)";
   return res;

@@ -23,17 +23,11 @@
 //      selectors (bdd::Manager::SiftOptions::weights);
 //   4. lower the BDD to a MUX/INV network (bdd::synthesize_bdd; complement
 //      edges become one shared inverter per polarity) and splice it in
-//      place of the root inside a nested undo epoch;
-//   5. score the candidate through the cone-scoped incremental power
-//      oracle (power/incremental.hpp) and keep it only when total
-//      switching power strictly drops — losers roll back in O(edit).
-//
-// Soundness: every kept cone is proven twice — the oracle's primary-output
-// stream digest (IncrementalAnalyzer::outputs_digest) must be unchanged
-// after the cone re-simulation, and a whole-netlist interpreter trace
-// (sim::functional_trace over verify_frames) must match the pre-candidate
-// one.  A proof failure rolls the candidate back and counts `unsound`; a
-// defect can cost an optimization, never correctness.
+//      place of the root as one candidate of the shared candidate kernel
+//      (logicopt/candidate.hpp): nested undo epoch, cone-scoped oracle
+//      score, keep only a strict switching-power win whose proof (PO
+//      digest + verify_frames interpreter trace) passes — losers roll back
+//      in O(edit), and a failed proof counts `unsound`.
 //
 // Determinism: the engine is sequential and owns a private ZeroDelay
 // oracle seeded from the options, so the kept-cone sequence is a pure
@@ -52,15 +46,13 @@ namespace lps::logicopt {
 
 struct BddSynthOptions {
   /// Support cap: cones with more source inputs are skipped (counted in
-  /// `cones_capped`, never silent).  0 = the LPS_BDD_SYNTH_MAX_INPUTS
-  /// environment default (18).
-  unsigned max_inputs = 0;
+  /// `cones_capped`, never silent).
+  unsigned max_inputs = 18;
   /// Per-cone manager node budget; a cone that exceeds it while building
   /// or sifting is skipped (counted in `cones_limited`).
   std::size_t node_limit = std::size_t{1} << 20;
-  /// Activity-weighted sifting before extraction: 1 = on, 0 = off,
-  /// -1 = the LPS_BDD_SYNTH_SIFT environment default (on).
-  int sift = -1;
+  /// Activity-weighted sifting before extraction.
+  bool sift = true;
   /// Sifting bail-out: abandon a variable's walk past best × growth.
   double sift_growth = 2.0;
   /// Stimulus for the private ZeroDelay scoring oracle.
@@ -68,8 +60,8 @@ struct BddSynthOptions {
   std::uint64_t seed = 7;
   /// Keep a cone only when it saves strictly more than this (watts).
   double min_gain_w = 0.0;
-  /// Interpreter re-proof stimulus per candidate (0 disables the trace
-  /// proof; the PO-stream digest proof always runs).
+  /// Interpreter-trace frames proving each would-be keep (0 disables the
+  /// trace proof; the PO-stream digest proof always runs).
   std::size_t verify_frames = 256;
   std::uint64_t verify_seed = 17;
 };
@@ -79,8 +71,9 @@ struct BddSynthResult {
   std::size_t cones_capped = 0;   // support exceeded max_inputs
   std::size_t cones_limited = 0;  // per-cone manager hit its node budget
   std::size_t kept = 0;           // spliced in and committed
-  std::size_t reverted = 0;       // legal but not a power win; rolled back
-  std::size_t unsound = 0;        // proof failures (rolled back; also the
+  std::size_t reverted = 0;       // not a strict power win; rolled back
+  std::size_t unsound = 0;        // would-be keeps that failed the proof
+                                  // (rolled back; also the
                                   // logicopt.bdd_synth.unsound metric)
   /// Max live-node watermark over the per-cone managers (complement edges
   /// + GC at work; what experiment E27's peak_live_ratio band audits).

@@ -114,15 +114,14 @@ ResynthResult resynthesize_windows(Netlist& net,
   const int workers = speculate::resolve_workers(opt.workers);
   res.workers_used = workers;
 
-  // The cost oracle.  With rescore_activities the pass owns a cone-scoped
-  // incremental analyzer and refreshes it after every kept rewrite, so each
-  // window is weighted by the switching of the circuit as it *currently*
-  // stands.  The caller's activity vector remains the fallback (and the
-  // legacy behavior when re-scoring is off): it describes the pre-pass
-  // circuit only, and scores nodes created by earlier kept rewrites as
-  // toggle-free — the stale-cost-oracle bug this option fixes.
+  // The cost oracle.  A power-aware pass owns a cone-scoped incremental
+  // analyzer and refreshes it after every kept rewrite, so each window is
+  // weighted by the switching of the circuit as it *currently* stands.  The
+  // caller's activity vector is only the fallback for an analyzer that
+  // fails: it describes the pre-pass circuit, and scores nodes created by
+  // earlier kept rewrites as toggle-free.
   std::optional<power::IncrementalAnalyzer> inc;
-  if (opt.power_aware && opt.rescore_activities) {
+  if (opt.power_aware) {
     try {
       power::AnalysisOptions ao;
       ao.mode = power::ActivityMode::ZeroDelay;

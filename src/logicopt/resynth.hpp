@@ -32,17 +32,14 @@ struct ResynthOptions {
   int max_rewrites = 200;
   bool power_aware = true;  // weigh literals by boundary-signal activity
   std::size_t bdd_limit = 1u << 22;
-  /// Re-score activities through a cone-scoped incremental re-estimate
-  /// (power/incremental.hpp) after every kept rewrite, so later windows are
-  /// costed against the *current* circuit's switching instead of the
-  /// activity vector captured before the pass started (the stale-cost-
-  /// oracle bug: a kept rewrite both shifts activity downstream and creates
-  /// nodes the stale vector scores as toggle-free).  power_aware only.
-  bool rescore_activities = true;
-  /// Stimulus for the internal re-scoring analyzer (ZeroDelay).  The
-  /// defaults reproduce the stage's measure_activity(net, 64, seed) frames:
-  /// 4096 vectors = 64 words of 64 patterns; the flows set rescore_seed to
-  /// FlowOptions::seed.
+  /// Stimulus for the internal re-scoring analyzer (ZeroDelay).  When
+  /// power_aware, activities are re-scored through a cone-scoped
+  /// incremental re-estimate (power/incremental.hpp) after every kept
+  /// rewrite, so later windows are costed against the *current* circuit's
+  /// switching instead of the caller's pre-pass vector (which scores nodes
+  /// created by earlier keeps as toggle-free).  The defaults reproduce the
+  /// stage's measure_activity(net, 64, seed) frames: 4096 vectors = 64
+  /// words of 64 patterns; the flows set rescore_seed to FlowOptions::seed.
   std::size_t rescore_vectors = 4096;
   std::uint64_t rescore_seed = 5;
   /// Window-examination worker threads (logicopt/speculate.hpp): workers
@@ -62,7 +59,8 @@ struct ResynthResult {
   std::size_t gates_before = 0;
   std::size_t gates_after = 0;
   /// Kept rewrites whose activities were refreshed through the incremental
-  /// analyzer (== nodes_rewritten when re-scoring is on and healthy).
+  /// analyzer (== nodes_rewritten when power_aware and the analyzer is
+  /// healthy).
   int rescored = 0;
   /// Windows skipped because their boundary exceeded max_window_inputs even
   /// after the one-level retry.  Never silent: also counted as the

@@ -1,41 +1,15 @@
 #include "logicopt/rewrite/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "core/metrics.hpp"
+#include "logicopt/candidate.hpp"
 #include "logicopt/speculate.hpp"
 #include "power/incremental.hpp"
-#include "sim/compiled.hpp"
-#include "sim/logicsim.hpp"
 
 namespace lps::logicopt::rewrite {
-
-namespace detail {
-namespace {
-std::atomic<int> g_force_unsound{0};
-std::atomic<int> g_force_throw{0};
-
-bool consume(std::atomic<int>& counter) {
-  int v = counter.load(std::memory_order_relaxed);
-  while (v > 0) {
-    if (counter.compare_exchange_weak(v, v - 1, std::memory_order_relaxed))
-      return v == 1;  // fires when the countdown hits zero
-  }
-  return false;
-}
-}  // namespace
-
-void force_unsound_rewrites(int n) {
-  g_force_unsound.store(n, std::memory_order_relaxed);
-}
-void force_throw_on_candidate(int n) {
-  g_force_throw.store(n, std::memory_order_relaxed);
-}
-}  // namespace detail
 
 namespace {
 
@@ -77,24 +51,12 @@ RewriteResult rewrite_datapath(Netlist& net, const RewriteOptions& opt) {
   ao.n_vectors = opt.sim_vectors;
   ao.seed = opt.seed;
   power::IncrementalAnalyzer oracle(net, ao);
-  double power = oracle.analysis().report.breakdown.total_w();
-  res.power_before_w = power;
-
-  // The soundness proof baseline: kept candidates are exact, so the
-  // primary-output streams of the oracle's cached stimulus never change and
-  // one digest serves the whole run.  A post-candidate digest mismatch is
-  // exactly a full-circuit differential-trace failure restricted to where
-  // it can show (the PO streams), at O(outputs x frames) per check instead
-  // of O(netlist x frames).
-  const std::uint64_t base_digest = oracle.outputs_digest();
-
-  // The full-trace reference (interpreter engine) backs the belt-and-braces
-  // verify_full mode only; default runs never pay for it.
-  sim::SimTrace ref;
-  if (opt.verify_full) {
-    sim::ScopedSimOptions interp({.use_compiled = false});
-    ref = sim::functional_trace(net, opt.verify_frames, opt.verify_seed);
-  }
+  res.power_before_w = oracle.analysis().report.breakdown.total_w();
+  candidate::Kernel kernel(net, oracle,
+                           {.engine = "rewrite",
+                            .min_gain_w = opt.min_gain_w,
+                            .verify_frames = opt.verify_frames,
+                            .verify_seed = opt.verify_seed});
 
   PendingTouched pending;
   auto sync_oracle = [&] {
@@ -109,89 +71,25 @@ RewriteResult rewrite_datapath(Netlist& net, const RewriteOptions& opt) {
     oracle.reanalyze(t);
   };
 
-  // Score an applied candidate through the live oracle and keep or revert
-  // it — the tail of the sequential per-candidate body, shared with the
-  // serial re-score path of the speculative commit loop.  The candidate's
-  // undo epoch is open on entry and closed (committed or rolled back) on
-  // normal return; the oracle must be synced to the pre-candidate netlist.
-  // On a keep, `fp_out` (when given) receives the keep's dirty activity
-  // footprint for the speculative conflict set.
-  auto score_and_decide = [&](const Netlist::TouchedNodes& touched,
-                              std::vector<NodeId>* fp_out = nullptr) -> bool {
-    double cand_power = 0.0;
-    try {
-      cand_power = oracle.score_candidate(touched);
-    } catch (...) {
-      // score_candidate restored the oracle's caches; restoring the
-      // netlist leaves caller state fully consistent.
-      net.rollback_undo();
-      throw;
-    }
-    ++res.candidates_scored;
-    std::vector<NodeId> fp = speculate::dirty_footprint(net, touched);
-    speculate::DeltaScore d = speculate::score_delta(
-        oracle.previous_analysis(), oracle.analysis(), fp);
-    bool keep = d.delta_w < -opt.min_gain_w;
-    if (keep) {
-      bool mismatch = oracle.outputs_digest() != base_digest;
-      if (!mismatch && opt.verify_full) {
-        sim::SimTrace now;
-        {
-          sim::ScopedSimOptions interp({.use_compiled = false});
-          now = sim::functional_trace(net, opt.verify_frames,
-                                      opt.verify_seed);
-        }
-        mismatch = now != ref;
-      }
-      if (mismatch || detail::consume(detail::g_force_unsound)) {
-        ++res.unsound;
-        core::metrics::count("logicopt.rewrite.unsound");
-        keep = false;
-      }
-    }
-    if (keep) {
-      net.commit_undo();
-      if (fp_out) *fp_out = std::move(fp);
-      power = cand_power;
-      ++res.kept;
-      core::metrics::count("logicopt.rewrite.kept");
-    } else {
-      net.rollback_undo();
-      oracle.revert_last();
-      ++res.reverted;
-      core::metrics::count("logicopt.rewrite.reverted");
-    }
-    return keep;
+  // The one apply site on the live netlist, serial and speculative alike.
+  auto apply = [&](const Candidate& cand, bool retry = false) {
+    return kernel.apply([&] { return apply_rule(net, cand); }, retry);
   };
 
   // Sequential candidate processing (workers == 1, and the reference
   // semantics the speculative path must reproduce bit-for-bit).
   auto process_serial = [&](const Candidate& cand) -> bool {
-    net.begin_undo();
-    if (detail::consume(detail::g_force_throw))
-      throw std::runtime_error("rewrite: injected mid-candidate failure");
-    bool applied = false;
-    try {
-      applied = apply_rule(net, cand);
-    } catch (...) {
-      net.rollback_undo();
-      throw;
-    }
-    if (!applied) {
-      ++res.stale;  // epoch recorded nothing; commit is free
-      net.commit_undo();
-      return false;
-    }
-    return score_and_decide(net.touched_nodes());
+    candidate::Probe p = apply(cand);
+    if (!p.applied) return false;
+    kernel.score(p);
+    return kernel.settle(p);
   };
 
   // Speculative processing: score the batch against a snapshot on worker
   // threads, then commit in queue order.  Disjoint winners transplant the
-  // worker's delta and proof verdict; anything that overlapped an earlier
-  // keep (or whose snapshot verdict is unusable) is re-scored serially at
-  // exactly the point the sequential engine would have scored it.  Chaos
-  // hooks are consumed only here, in commit order, so their firing point is
-  // identical at any worker count.
+  // worker's verdict; anything that overlapped an earlier keep (or whose
+  // snapshot verdict is unusable) is re-scored serially at exactly the
+  // point the sequential engine would have scored it.
   auto run_spec_batch = [&](std::span<const Candidate> batch) -> std::size_t {
     sync_oracle();  // workers clone the oracle; it must mirror the net
     const std::size_t snap_size = net.size();
@@ -204,6 +102,11 @@ RewriteResult rewrite_datapath(Netlist& net, const RewriteOptions& opt) {
     core::metrics::count("logicopt.spec.batches");
     speculate::ConflictSet committed(snap_size);
     std::size_t kept_this_batch = 0;
+    auto note_conflict = [&] {
+      ++res.spec_conflicts;
+      core::metrics::count("logicopt.spec.conflicts");
+      sync_oracle();  // serial scoring needs a live previous_analysis
+    };
     for (std::size_t k = 0; k < batch.size(); ++k) {
       const Candidate& cand = batch[k];
       speculate::CandidateScore& sc = scores[k];
@@ -212,105 +115,46 @@ RewriteResult rewrite_datapath(Netlist& net, const RewriteOptions& opt) {
       speculate::rethrow_if_cancelled(sc.error);
       bool conflict = sc.error != nullptr || sc.forced_conflict ||
                       committed.hits(sc.reads) || committed.hits(sc.footprint);
-      if (conflict) {
-        ++res.spec_conflicts;
-        core::metrics::count("logicopt.spec.conflicts");
-        sync_oracle();  // serial scoring needs a live previous_analysis
-      }
-      net.begin_undo();
-      if (detail::consume(detail::g_force_throw))
-        throw std::runtime_error("rewrite: injected mid-candidate failure");
-      bool applied = false;
-      try {
-        applied = apply_rule(net, cand);
-      } catch (...) {
-        net.rollback_undo();
-        throw;
-      }
-      if (!applied) {
-        ++res.stale;
-        net.commit_undo();
-        continue;
-      }
-      Netlist::TouchedNodes touched = net.touched_nodes();
+      if (conflict) note_conflict();
+      candidate::Probe p = apply(cand);
+      if (!p.applied) continue;
       if (!conflict &&
-          (!sc.applied || touched.all ||
-           !speculate::same_touched(sc.touched_snap, sc.roots_snap, touched,
+          (!sc.applied || p.touched.all ||
+           !speculate::same_touched(sc.touched_snap, sc.roots_snap, p.touched,
                                     snap_size))) {
         // The snapshot verdict is unusable (the candidate was stale there,
         // the live apply invalidated wholesale, or the live apply made a
         // *different* edit than the snapshot scored — a read outside the
         // structural closure): surface it as a conflict and redo the
         // apply with the oracle synced first.
-        net.rollback_undo();
-        ++res.spec_conflicts;
-        core::metrics::count("logicopt.spec.conflicts");
+        kernel.reject(p);
         conflict = true;
-        sync_oracle();
-        net.begin_undo();
-        applied = false;
-        try {
-          applied = apply_rule(net, cand);
-        } catch (...) {
-          net.rollback_undo();
-          throw;
-        }
-        if (!applied) {
-          ++res.stale;
-          net.commit_undo();
-          continue;
-        }
-        touched = net.touched_nodes();
+        note_conflict();
+        p = apply(cand, /*retry=*/true);
+        if (!p.applied) continue;
       }
       if (conflict) {
         ++res.spec_rescored;
         core::metrics::count("logicopt.spec.rescored");
-        std::vector<NodeId> fp;
-        if (score_and_decide(touched, &fp)) {
-          ++kept_this_batch;
-          // The conflict set carries the keep's structural edit *and* its
-          // dirty activity footprint: a later candidate whose cone
-          // reconverges with this keep's toggle changes downstream (no
-          // structural overlap) must not transplant a pre-keep delta.
-          committed.add(touched.ids);
-          committed.add(fp);
-          // score_and_decide reanalyzed the live oracle; nothing pending.
-        }
-        continue;
-      }
-      // Disjoint from every committed keep: the worker's delta and proof
-      // transplant bit-for-bit.
-      ++res.candidates_scored;
-      bool keep = sc.keep;
-      if (keep) {
-        bool mismatch = !sc.sound;
-        if (!mismatch && opt.verify_full) {
-          sim::SimTrace now;
-          {
-            sim::ScopedSimOptions interp({.use_compiled = false});
-            now = sim::functional_trace(net, opt.verify_frames,
-                                        opt.verify_seed);
-          }
-          mismatch = now != ref;
-        }
-        if (mismatch || detail::consume(detail::g_force_unsound)) {
-          ++res.unsound;
-          core::metrics::count("logicopt.rewrite.unsound");
-          keep = false;
-        }
-      }
-      if (keep) {
-        net.commit_undo();
-        ++res.kept;
-        ++kept_this_batch;
-        core::metrics::count("logicopt.rewrite.kept");
-        committed.add(touched.ids);
-        committed.add(speculate::dirty_footprint(net, touched));
-        pending.add(touched);
+        kernel.score(p);
       } else {
-        net.rollback_undo();
-        ++res.reverted;
-        core::metrics::count("logicopt.rewrite.reverted");
+        // Disjoint from every committed keep: the worker's delta and digest
+        // verdict transplant bit-for-bit; the oracle update is deferred.
+        p.wins = sc.keep;
+        p.sound = sc.sound;
+      }
+      if (!kernel.settle(p)) continue;
+      ++kept_this_batch;
+      // The conflict set carries the keep's structural edit *and* its dirty
+      // activity footprint: a later candidate whose cone reconverges with
+      // this keep's toggle changes downstream (no structural overlap) must
+      // not transplant a pre-keep delta.
+      committed.add(p.touched.ids);
+      if (p.scored) {
+        committed.add(p.footprint);  // the live oracle is already synced
+      } else {
+        committed.add(speculate::dirty_footprint(net, p.touched));
+        pending.add(p.touched);
       }
     }
     return kept_this_batch;
@@ -367,13 +211,16 @@ RewriteResult rewrite_datapath(Netlist& net, const RewriteOptions& opt) {
     if (run_queue(match_rules(net, opt.rules)) == 0) break;
   }
 
-  if (workers > 1) {
-    // Transplanted keeps deferred their oracle updates; settle them so the
-    // exit estimate is the same full assembly the sequential engine ends on.
-    sync_oracle();
-    power = oracle.analysis().report.breakdown.total_w();
-  }
-  res.power_after_w = power;
+  // Transplanted keeps deferred their oracle updates; settle them so the
+  // exit estimate is the same full assembly the sequential engine ends on.
+  sync_oracle();
+  res.power_after_w = oracle.analysis().report.breakdown.total_w();
+  const candidate::Tally& t = kernel.tally();
+  res.candidates_scored = t.settled;
+  res.kept = t.kept;
+  res.reverted = t.reverted;
+  res.stale = t.stale;
+  res.unsound = t.unsound;
   res.gates_after = net.num_gates();
   return res;
 }

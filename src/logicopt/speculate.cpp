@@ -8,6 +8,7 @@
 #include "core/env.hpp"
 #include "core/metrics.hpp"
 #include "core/parallel.hpp"
+#include "logicopt/candidate.hpp"
 #include "power/activity.hpp"
 
 namespace lps::logicopt::speculate {
@@ -133,12 +134,6 @@ bool touches_gated_register(const Netlist& net,
   return false;
 }
 
-void keep_below(std::vector<NodeId>& ids, std::size_t limit) {
-  ids.erase(std::remove_if(ids.begin(), ids.end(),
-                           [limit](NodeId id) { return id >= limit; }),
-            ids.end());
-}
-
 // Sorted unique copy of `ids` restricted to [0, limit).
 std::vector<NodeId> canonical_below(std::span<const NodeId> ids,
                                     std::size_t limit) {
@@ -188,7 +183,7 @@ std::vector<CandidateScore> score_rewrite_batch(
   auto work = [&](int) {
     std::optional<Netlist> clone;
     std::optional<power::IncrementalAnalyzer> worker_oracle;
-    std::uint64_t base_digest = 0;
+    std::optional<candidate::Kernel> kernel;
     for (;;) {
       std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= batch.size()) break;
@@ -197,59 +192,40 @@ std::vector<CandidateScore> score_rewrite_batch(
         if (!clone) {
           clone.emplace(net.clone());
           worker_oracle.emplace(oracle.clone_for(*clone));
-          base_digest = worker_oracle->outputs_digest();
+          kernel.emplace(*clone, *worker_oracle,
+                         candidate::KernelOptions{.min_gain_w = min_gain_w});
         }
         const rewrite::Candidate& cand = batch[i];
         std::vector<NodeId> seeds{cand.target};
         if (cand.aux != kNoNode) seeds.push_back(cand.aux);
         sc.reads = read_closure(*clone, seeds, rewrite::kMaxMatchDepth);
 
-        clone->begin_undo();
-        bool applied = false;
-        try {
-          applied = rewrite::apply_rule(*clone, cand);
-        } catch (...) {
-          clone->rollback_undo();
-          throw;
-        }
-        if (!applied) {
-          // Stale at the snapshot; nothing was mutated.
-          clone->rollback_undo();
-          continue;
-        }
+        candidate::Probe p =
+            kernel->apply([&] { return rewrite::apply_rule(*clone, cand); });
+        if (!p.applied) continue;  // stale at the snapshot; nothing mutated
         sc.applied = true;
-        Netlist::TouchedNodes touched = clone->touched_nodes();
-        if (touched.all) {
+        if (p.touched.all) {
           // Wholesale invalidation would force the clone's oracle into a
           // full rebaseline (shared-pool work) — defer to the serial path.
-          clone->rollback_undo();
+          kernel->reject(p);
           sc.forced_conflict = true;
           continue;
         }
-        sc.touched_snap = canonical_below(touched.ids, snap_size);
-        sc.roots_snap = canonical_below(touched.value_roots, snap_size);
-        if (touches_gated_register(*clone, touched)) sc.forced_conflict = true;
-        try {
-          worker_oracle->reanalyze(touched);
-        } catch (...) {
-          clone->rollback_undo();
-          throw;
-        }
-        sc.footprint = dirty_footprint(*clone, touched);
-        DeltaScore d =
-            score_delta(worker_oracle->previous_analysis(),
-                        worker_oracle->analysis(), sc.footprint);
-        sc.delta_w = d.delta_w;
-        if (d.clock_moved) sc.forced_conflict = true;
-        sc.keep = !sc.forced_conflict && d.delta_w < -min_gain_w;
-        if (sc.keep) sc.sound = worker_oracle->outputs_digest() == base_digest;
-        clone->rollback_undo();
-        worker_oracle->revert_last();
-        keep_below(sc.footprint, snap_size);
+        sc.touched_snap = canonical_below(p.touched.ids, snap_size);
+        sc.roots_snap = canonical_below(p.touched.value_roots, snap_size);
+        if (touches_gated_register(*clone, p.touched))
+          sc.forced_conflict = true;
+        kernel->score(p);
+        if (p.clock_moved) sc.forced_conflict = true;
+        sc.keep = !sc.forced_conflict && p.wins;
+        sc.sound = p.sound;
+        kernel->reject(p);
+        sc.footprint = canonical_below(p.footprint, snap_size);
       } catch (...) {
         sc.error = std::current_exception();
         // The clone's exact state after a mid-candidate failure is not worth
         // reasoning about; rebuild it for the next pull.
+        kernel.reset();
         worker_oracle.reset();
         clone.reset();
       }

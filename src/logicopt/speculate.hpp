@@ -13,8 +13,10 @@
 //
 //  * Workers score candidates against a *snapshot* of the netlist: each
 //    worker owns a Netlist::clone() plus an IncrementalAnalyzer::clone_for()
-//    fork of the engine's oracle, applies the candidate there, cone-scores
-//    it, and rolls its clone back.  The live netlist is never touched.
+//    fork of the engine's oracle, and runs the candidate kernel's apply and
+//    score steps there (logicopt/candidate.hpp), then rejects on its clone.
+//    The live netlist is never touched, and the kernel's chaos hooks fire
+//    only in the commit loop, at each candidate's sequential position.
 //
 //  * Decisions are expressed as footprint-local power *deltas*
 //    (score_delta): the sum, in ascending node-id order, of per-node
@@ -154,7 +156,6 @@ struct CandidateScore {
   bool forced_conflict = false;
   bool keep = false;   // delta_w < -min_gain_w
   bool sound = true;   // cone-digest proof verdict (meaningful when keep)
-  double delta_w = 0.0;
   std::vector<NodeId> reads;      // snapshot-id read closure (pre-apply)
   std::vector<NodeId> footprint;  // dirty footprint, filtered < snapshot size
   /// Canonical (sorted unique, < snapshot size) touched ids and value

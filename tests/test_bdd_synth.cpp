@@ -1,17 +1,19 @@
 // Hybrid BDD→MUX extraction (logicopt/bdd_synth.hpp): soundness of every
-// kept cone against the interpreter, cap/knob behavior, flow integration
-// and worker-count identity, and the power estimators' degrade-to-
-// simulation fallback when the BDD node budget is exceeded.
+// kept cone against the interpreter, the support cap, the shared kernel's
+// failure paths, flow integration and worker-count identity, and the power
+// estimators' degrade-to-simulation fallback when the BDD node budget is
+// exceeded.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
+#include "bdd/bdd_netlist.hpp"
 #include "core/flows.hpp"
 #include "core/metrics.hpp"
 #include "core/pass.hpp"
 #include "logicopt/bdd_synth.hpp"
+#include "logicopt/candidate.hpp"
 #include "netlist/benchmarks.hpp"
 #include "power/probability.hpp"
 #include "sim/logicsim.hpp"
@@ -73,15 +75,49 @@ TEST(BddSynth, SupportCapSkipsWideConesLoudly) {
   EXPECT_TRUE(net.check().empty());
 }
 
+// The cap and sifting knobs are BddSynthOptions fields (the former
+// LPS_BDD_SYNTH_* environment variables are gone): a cap below every
+// cone's support keeps nothing, with sifting off.
 TEST(BddSynth, EnvKnobsControlCapAndSifting) {
-  ::setenv("LPS_BDD_SYNTH_MAX_INPUTS", "2", 1);
-  ::setenv("LPS_BDD_SYNTH_SIFT", "0", 1);
   Netlist net = strash(bench::alu(4));  // 10 inputs: every cone is wider
-  auto r = logicopt::synthesize_bdd_cones(net);
-  ::unsetenv("LPS_BDD_SYNTH_MAX_INPUTS");
-  ::unsetenv("LPS_BDD_SYNTH_SIFT");
+  logicopt::BddSynthOptions bo;
+  bo.max_inputs = 2;
+  bo.sift = false;
+  auto r = logicopt::synthesize_bdd_cones(net, bo);
   EXPECT_EQ(r.kept, 0u);
   EXPECT_EQ(r.cones_capped, r.cones_examined);
+}
+
+// The shared candidate kernel's chaos hooks reach this engine: a forced
+// proof failure on a would-be keep rolls the cone back and is counted ...
+TEST(BddSynth, InjectedUnsoundKeepIsRolledBackAndCounted) {
+  core::metrics::reset();
+  const Netlist input = strash(bench::alu_addsub(8));
+  Netlist net = input.clone();
+  logicopt::candidate::detail::force_unsound_keeps(1);
+  auto r = logicopt::synthesize_bdd_cones(net);
+  logicopt::candidate::detail::force_unsound_keeps(0);
+  EXPECT_EQ(r.unsound, 1u);
+  EXPECT_EQ(core::metrics::value("logicopt.bdd_synth.unsound"), 1.0);
+  EXPECT_TRUE(net.check().empty());
+  EXPECT_TRUE(bdd::equivalent_bdd(input, net));
+}
+
+// ... and a transform that dies with a cone's epoch still open fails the
+// pass cleanly: the pass epoch unwinds to the input circuit.
+TEST(BddSynth, MidCandidateFaultRollsBackThePassEpoch) {
+  Netlist net = strash(bench::alu_addsub(8));
+  std::uint64_t h0 = structural_hash(net);
+  core::PassManager pm;
+  pm.add(core::make_bdd_synth_pass());
+  logicopt::candidate::detail::force_throw_on_candidate(3);
+  auto records = pm.run(net);
+  logicopt::candidate::detail::force_throw_on_candidate(0);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].status, "failed");
+  EXPECT_EQ(structural_hash(net), h0);
+  EXPECT_EQ(net.undo_depth(), 0u);
+  EXPECT_EQ(net.check(), "");
 }
 
 TEST(BddSynth, PassManagerIntegration) {

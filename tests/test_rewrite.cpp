@@ -24,6 +24,7 @@
 #include "core/metrics.hpp"
 #include "core/parallel.hpp"
 #include "core/pass.hpp"
+#include "logicopt/candidate.hpp"
 #include "logicopt/resynth.hpp"
 #include "logicopt/rewrite/engine.hpp"
 #include "netlist/benchmarks.hpp"
@@ -333,9 +334,9 @@ TEST(RewriteEngine, InjectedUnsoundRewriteIsRolledBackAndCounted) {
   // first candidate that was about to be kept.
   Netlist net = bench::dct_butterfly(8);
   Netlist original = net.clone();
-  logicopt::rewrite::detail::force_unsound_rewrites(1);
+  logicopt::candidate::detail::force_unsound_keeps(1);
   auto res = rewrite_datapath(net);
-  logicopt::rewrite::detail::force_unsound_rewrites(0);
+  logicopt::candidate::detail::force_unsound_keeps(0);
   EXPECT_EQ(res.unsound, 1u);
   EXPECT_EQ(core::metrics::value("logicopt.rewrite.unsound"), 1.0);
   EXPECT_EQ(net.check(), "");
@@ -354,7 +355,7 @@ TEST(ResynthRescore, DecisionsComeFromTheLiveOracleNotTheStaleVector) {
     Netlist n1 = build();
     Netlist n2 = build();
     auto st = sim::measure_activity(n1, 64, 5);
-    logicopt::ResynthOptions opt;  // rescore_activities = true
+    logicopt::ResynthOptions opt;  // power_aware: re-scores activities
     auto r1 = logicopt::resynthesize_windows(n1, st.transition_prob, opt);
     auto r2 = logicopt::resynthesize_windows(n2, {}, opt);
     EXPECT_EQ(structural_hash(n1), structural_hash(n2));
@@ -422,9 +423,9 @@ TEST(FlowAccounting, MidCandidateFaultUnwindsToTheStageEpoch) {
   opt.run_sizing = false;
   // Blow up inside the 3rd candidate, after its inner epoch opened (and
   // typically after earlier candidates committed into the stage epoch).
-  logicopt::rewrite::detail::force_throw_on_candidate(3);
+  logicopt::candidate::detail::force_throw_on_candidate(3);
   auto res = core::optimize_combinational(input, opt);
-  logicopt::rewrite::detail::force_throw_on_candidate(0);
+  logicopt::candidate::detail::force_throw_on_candidate(0);
 
   const core::StageReport* datapath = nullptr;
   for (const auto& s : res.stages)
@@ -446,9 +447,9 @@ TEST(PassAccounting, MidCandidateFaultRollsBackThePassEpoch) {
   std::uint64_t h0 = structural_hash(net);
   core::PassManager pm{core::PassManager::Options{}};
   pm.add(core::make_datapath_rewrite_pass());
-  logicopt::rewrite::detail::force_throw_on_candidate(3);
+  logicopt::candidate::detail::force_throw_on_candidate(3);
   auto records = pm.run(net);
-  logicopt::rewrite::detail::force_throw_on_candidate(0);
+  logicopt::candidate::detail::force_throw_on_candidate(0);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_FALSE(records[0].ok());
   EXPECT_EQ(records[0].status, "failed");

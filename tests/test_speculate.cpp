@@ -9,7 +9,7 @@
 //  * the oracle fork (IncrementalAnalyzer::clone_for) scores a cloned
 //    netlist exactly like a fresh analyzer, and outputs_digest() is a
 //    faithful PO-stream witness;
-//  * chaos hooks (force_throw_on_candidate, force_unsound_rewrites) are
+//  * chaos hooks (force_throw_on_candidate, force_unsound_keeps) are
 //    consumed at deterministic commit points, so fault injection behaves
 //    identically under concurrency and a mid-speculation fault unwinds to
 //    the caller's epoch exactly like the sequential engine;
@@ -26,6 +26,7 @@
 #include "core/flows.hpp"
 #include "core/parallel.hpp"
 #include "core/pass.hpp"
+#include "logicopt/candidate.hpp"
 #include "logicopt/power_factor.hpp"
 #include "logicopt/resynth.hpp"
 #include "logicopt/rewrite/engine.hpp"
@@ -316,7 +317,7 @@ TEST(SpeculateRewrite, VerifyFullModeStaysIdentical) {
   Netlist a = input.clone();
   Netlist b = input.clone();
   RewriteOptions ro;
-  ro.verify_full = true;
+  ro.verify_frames = 256;
   ro.workers = 1;
   RewriteResult ra = rewrite_datapath(a, ro);
   ro.workers = 4;
@@ -331,11 +332,11 @@ TEST(SpeculateRewrite, ChaosUnsoundHookFiresIdenticallyUnderConcurrency) {
   Netlist input = bench::dct_butterfly(6);
   Netlist a = input.clone();
   Netlist b = input.clone();
-  logicopt::rewrite::detail::force_unsound_rewrites(2);
+  logicopt::candidate::detail::force_unsound_keeps(2);
   RewriteResult ra = run_rewrite(a, 1);
-  logicopt::rewrite::detail::force_unsound_rewrites(2);
+  logicopt::candidate::detail::force_unsound_keeps(2);
   RewriteResult rb = run_rewrite(b, 4);
-  logicopt::rewrite::detail::force_unsound_rewrites(0);
+  logicopt::candidate::detail::force_unsound_keeps(0);
   // The hook is consumed at the commit point, in queue order — the same
   // candidate eats it at any worker count.
   EXPECT_EQ(ra.unsound, 1u);
@@ -349,11 +350,11 @@ TEST(SpeculateRewrite, MidSpeculationFaultUnwindsToTheCallersEpoch) {
   Netlist net = bench::dct_butterfly(6);
   std::uint64_t h0 = structural_hash(net);
   net.begin_undo();  // the caller's (stage) epoch
-  logicopt::rewrite::detail::force_throw_on_candidate(3);
+  logicopt::candidate::detail::force_throw_on_candidate(3);
   RewriteOptions ro;
   ro.workers = 4;
   EXPECT_THROW(rewrite_datapath(net, ro), std::runtime_error);
-  logicopt::rewrite::detail::force_throw_on_candidate(0);
+  logicopt::candidate::detail::force_throw_on_candidate(0);
   // The engine died right after the 3rd candidate's epoch opened: the open
   // candidate epoch plus the caller's stage epoch are still on the stack,
   // exactly like the sequential engine's failure mode.

@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Regression tests for aggregate_bench.py and check_experiments.py.
+"""Regression tests for aggregate_bench.py and check_experiments.py, and
+an inventory check that the environment knobs read in src/ are exactly the
+ones the README knob table documents.
 
 Run directly (python3 tools/test_tools.py) or via ctest (tools_py target).
 """
 
 import json
 import os
+import re
 import sys
 import tempfile
 import unittest
@@ -326,6 +329,33 @@ class CheckExperimentsTest(unittest.TestCase):
         self.assertIsNone(check_experiments.check_band(
             0.2, {"min": 0.1, "max": 0.4}))
         self.assertIsNotNone(check_experiments.check_band(0.2, {}))
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class KnobInventoryTest(unittest.TestCase):
+    """A knob added to or deleted from src/ without the docs fails CI."""
+
+    def src_knobs(self):
+        read = re.compile(r'env_(?:long|bool|choice)_or\(\s*"(LPS_[A-Z0-9_]+)"')
+        knobs = set()
+        for dirpath, _, files in os.walk(os.path.join(ROOT, "src")):
+            for name in files:
+                if name.endswith((".cpp", ".hpp")):
+                    with open(os.path.join(dirpath, name)) as f:
+                        knobs.update(read.findall(f.read()))
+        return knobs
+
+    def readme_knobs(self):
+        row = re.compile(r"^\| `(LPS_[A-Z0-9_]+)` \|", re.MULTILINE)
+        with open(os.path.join(ROOT, "README.md")) as f:
+            return set(row.findall(f.read()))
+
+    def test_src_knobs_match_readme_table(self):
+        src = self.src_knobs()
+        self.assertIn("LPS_THREADS", src)  # the scan itself still works
+        self.assertEqual(sorted(src), sorted(self.readme_knobs()))
 
 
 if __name__ == "__main__":
