@@ -13,8 +13,12 @@
 // It also carries E26 — speculative parallel candidate scoring
 // (logicopt/speculate.hpp): worker threads score candidate batches against
 // a snapshot and the engine commits the deltas, so the bench pins
-// bit-identity of the result across worker counts and measures the
-// hardware-gated wall-clock speedup at 4 workers.
+// bit-identity of the result across worker counts, measures the
+// hardware-gated wall-clock speedup at 4 workers, and bands the
+// hardware-independent price of speculation: the process CPU time it
+// spends at 4 workers over the time at 1.
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
@@ -33,6 +37,17 @@
 namespace {
 
 using namespace lps;
+
+// Process CPU time of every thread, user plus system, in ms.
+double process_cpu_ms() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  auto ms = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) * 1e3 +
+           static_cast<double>(t.tv_usec) / 1e3;
+  };
+  return ms(ru.ru_utime) + ms(ru.ru_stime);
+}
 
 // The datapath family of the E25 claim: multipliers, ALUs and the
 // DCT-butterfly add/sub pairs the carry/share/reassociation rules target.
@@ -160,11 +175,14 @@ void report() {
   // (bitwise) exit power as the sequential run — speculation is a wall-clock
   // optimization, never a result change.  The speedup claim is measured
   // here too but banded as optional/hardware-gated: it only moves when real
-  // cores exist under the worker threads.
+  // cores exist under the worker threads.  Work inflation does not depend
+  // on the cores: it is the extra CPU the workers burn (clones, batch
+  // scoring, conflicted re-scores) for the same result.
   bool identical = true;
   bool accounted = true;
   double speedup_log_sum = 0.0;
   std::size_t speedup_n = 0;
+  double cpu_1w = 0.0, cpu_4w = 0.0;
   core::Table ts({"circuit", "kept", "batches", "conflicts", "rescored",
                   "t 1w ms", "t 4w ms", "speedup"});
   for (const auto& [name, net] : family()) {
@@ -180,16 +198,20 @@ void report() {
     };
     Netlist base = net.clone();
     logicopt::rewrite::RewriteResult r1;
+    double c0 = process_cpu_ms();
     double t1 = timed_run(1, base, r1);
+    cpu_1w += process_cpu_ms() - c0;
     logicopt::rewrite::RewriteResult r4;
     double t4 = 0.0;
     for (int w : {2, 4, 8}) {
       Netlist work = net.clone();
       logicopt::rewrite::RewriteResult rw;
+      c0 = process_cpu_ms();
       double tw = timed_run(w, work, rw);
       if (w == 4) {
         r4 = rw;
         t4 = tw;
+        cpu_4w += process_cpu_ms() - c0;
       }
       bool same = structural_hash(work) == structural_hash(base) &&
                   rw.kept == r1.kept && rw.reverted == r1.reverted &&
@@ -221,10 +243,16 @@ void report() {
             << (identical ? "bit-identical" : "BROKEN")
             << "; engine speedup geomean at 4 workers: "
             << core::Table::num(speedup_geomean, 2) << "x ("
-            << std::thread::hardware_concurrency() << " hw threads)\n\n";
+            << std::thread::hardware_concurrency() << " hw threads)\n";
+  const double work_inflation = cpu_1w > 0.0 ? cpu_4w / cpu_1w : 0.0;
+  std::cout << "speculation work inflation at 4 workers: "
+            << core::Table::num(work_inflation, 2) << "x (process CPU "
+            << core::Table::num(cpu_4w, 1) << " ms vs "
+            << core::Table::num(cpu_1w, 1) << " ms at 1 worker)\n\n";
 
   benchx::claim("E26.identity", identical);
   benchx::claim("E26.conflicts_accounted", accounted);
+  benchx::claim("E26.work_inflation_4w", work_inflation);
   // Wall-clock only means anything with cores behind the workers; boxes
   // with fewer than 4 hardware threads skip the (optional) band entirely.
   if (std::thread::hardware_concurrency() >= 4)

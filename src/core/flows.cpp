@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/metrics.hpp"
-#include "power/incremental.hpp"
 #include "seq/clock_gating.hpp"
 #include "seq/encoding.hpp"
 #include "seq/guarded_eval.hpp"
@@ -119,15 +118,9 @@ FsmFlowResult optimize_fsm(const seq::Stg& stg, const FlowOptions& opt) {
   const power::AnalysisOptions ao = flow_runner_options(opt).estimate;
   r.power_binary_w = power::analyze(nb, ao).report.breakdown.total_w();
 
-  // The gating rewrite is local, so the post-gating estimate reuses the
-  // pre-gating baseline and re-simulates only the touched cone.
-  power::IncrementalAnalyzer inc(nl, ao);
-  r.power_lowpower_w = inc.analysis().report.breakdown.total_w();
-  nl.begin_undo();
+  r.power_lowpower_w = power::analyze(nl, ao).report.breakdown.total_w();
   seq::gate_fsm_self_loops(nl);
-  auto touched = nl.touched_nodes();
-  nl.commit_undo();
-  r.power_gated_w = inc.reanalyze(touched).report.breakdown.total_w();
+  r.power_gated_w = power::analyze(nl, ao).report.breakdown.total_w();
   auto patterns = seq::detect_hold_patterns(nl);
   auto ca = seq::clock_activity(nl, patterns, opt.sim_vectors, opt.seed);
   r.clock_saving_fraction = ca.clock_power_saving_fraction();

@@ -38,10 +38,11 @@ struct FlowOptions {
   bool run_bdd_synth = true;
   bool run_balance = true;
   bool run_sizing = true;
-  /// Activity source for the between-stage estimates.  Timed (default)
-  /// keeps the glitch-aware reports the survey's Eqn. (1) story is told
-  /// with; ZeroDelay trades glitch visibility for cone-scoped incremental
-  /// re-estimation (power/incremental.hpp) inside the stage loop.
+  /// Activity source for the between-stage estimates, each one full
+  /// power::analyze.  Timed (default) keeps the glitch-aware reports the
+  /// survey's Eqn. (1) story is told with; ZeroDelay trades glitch
+  /// visibility for a cheaper estimate (lpsd's optimize uses it).  The
+  /// optimization engines score their candidates in ZeroDelay either way.
   power::ActivityMode estimate_mode = power::ActivityMode::Timed;
   /// Candidate-scoring worker threads for the optimization engines
   /// (logicopt/speculate.hpp) — routed into the datapath rewrite and
@@ -52,8 +53,8 @@ struct FlowOptions {
   power::PowerParams params;
   /// Optional cooperative cancellation token (not owned; must outlive the
   /// flow), polled in every between-stage power estimate.  When it fires
-  /// the in-flight stage is rolled back — circuit and estimator caches —
-  /// and the flow aborts with core::CancelledError.
+  /// the in-flight stage is rolled back and the flow aborts with
+  /// core::CancelledError.
   const core::CancelToken* cancel = nullptr;
 };
 

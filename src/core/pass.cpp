@@ -1,6 +1,5 @@
 #include "core/pass.hpp"
 
-#include <optional>
 #include <stdexcept>
 
 #include "circuit/sizing.hpp"
@@ -9,8 +8,6 @@
 #include "core/parallel.hpp"
 #include "logicopt/dontcare.hpp"
 #include "logicopt/path_balance.hpp"
-#include "logicopt/speculate.hpp"
-#include "power/incremental.hpp"
 #include "seq/guarded_eval.hpp"
 #include "sim/logicsim.hpp"
 
@@ -30,80 +27,6 @@ void fill(StageReport& r, const Netlist& net, const power::Analysis& a) {
   r.delay = net.critical_delay();
 }
 
-// Power estimates for the keep gate.  An estimator defect degrades down a
-// ladder — cone update, full rebaseline, then every later estimate is a
-// full power::analyze — without failing the pass.  Cancellation propagates;
-// reanalyze()/rebaseline() restore the analyzer's caches before throwing.
-class Estimator {
- public:
-  Estimator(const Netlist& net, const power::AnalysisOptions& ao)
-      : net_(net), ao_(ao) {
-    try {
-      inc_.emplace(net, ao);
-    } catch (const CancelledError&) {
-      throw;  // deadline during the baseline: abort the run
-    } catch (const std::exception&) {
-      metrics::count("flow.estimate_fallback");
-    }
-  }
-
-  /// Report the circuit as it stands (the baseline, or a restored circuit,
-  /// which the cached analysis still describes).
-  void current(StageReport& r) const {
-    if (inc_)
-      fill(r, net_, inc_->analysis());
-    else
-      fill(r, net_, power::analyze(net_, ao_));
-  }
-
-  /// Report the mutated circuit; `touched` is the open pass epoch's set.
-  void update(StageReport& r, const Netlist::TouchedNodes& touched) {
-    can_revert_ = false;
-    if (inc_) {
-      try {
-        inc_->reanalyze(touched);
-        r.resim_nodes = inc_->last_update().resim_nodes;
-        r.full_nodes = inc_->last_update().live_nodes;
-        can_revert_ = true;
-      } catch (const CancelledError&) {
-        throw;
-      } catch (const std::exception&) {
-        metrics::count("flow.estimate_fallback");
-        or_drop([this] { inc_->rebaseline(); });
-      }
-    }
-    current(r);
-  }
-
-  /// The netlist was rolled back after update(): bring the cache along.
-  /// A rebaselined estimate left no snapshot to pop, so it rebuilds.
-  void revert() {
-    if (inc_)
-      or_drop([this] {
-        can_revert_ ? inc_->revert_last() : inc_->rebaseline();
-      });
-  }
-
- private:
-  // Bottom rung: an analyzer that fails to resynchronize is dropped.
-  template <typename Fn>
-  void or_drop(Fn&& fn) {
-    try {
-      fn();
-    } catch (const CancelledError&) {
-      throw;
-    } catch (const std::exception&) {
-      inc_.reset();
-      metrics::count("flow.estimate_dropped");
-    }
-  }
-
-  const Netlist& net_;
-  power::AnalysisOptions ao_;
-  std::optional<power::IncrementalAnalyzer> inc_;
-  bool can_revert_ = false;
-};
-
 }  // namespace
 
 bool all_ok(const std::vector<StageReport>& reports) {
@@ -113,27 +36,18 @@ bool all_ok(const std::vector<StageReport>& reports) {
 }
 
 std::vector<StageReport> PassManager::run(Netlist& net) const {
-  // Scope the speculation worker default over the whole pipeline so passes
-  // constructed with default engine options pick it up.
-  std::optional<logicopt::speculate::ScopedWorkers> spec_workers;
-  if (opt_.opt_workers > 0) spec_workers.emplace(opt_.opt_workers);
   std::vector<StageReport> reports;
-  std::optional<Estimator> est;
   if (opt_.estimate_power) {
-    est.emplace(net, opt_.estimate);
     reports.emplace_back().stage = "baseline";
-    est->current(reports.back());
+    fill(reports.back(), net, power::analyze(net, opt_.estimate));
   }
   const sim::SimTrace ref =
-      opt_.verify
-          ? sim::functional_trace(net, opt_.verify_vectors, opt_.verify_seed)
-          : sim::SimTrace{};
+      sim::functional_trace(net, opt_.verify_vectors, opt_.verify_seed);
 
   for (const auto& p : passes_) {
     metrics::ScopedTimer timer("flow." + p->name(), /*trace=*/true);
     StageReport rep;
     rep.stage = p->name();
-    const double power_before = est ? reports.back().power_w : 0.0;
     const std::size_t rb_before = net.undo_rollbacks();
     net.begin_undo();
     // A pass may die with nested epochs of its own still open (the datapath
@@ -154,11 +68,11 @@ std::vector<StageReport> PassManager::run(Netlist& net) const {
       }
       if (std::string err = net.check(); !err.empty())
         rep.note = "broke netlist invariants: " + err;
-      else if (opt_.verify && sim::functional_trace(net, opt_.verify_vectors,
-                                                    opt_.verify_seed) != ref)
+      else if (sim::functional_trace(net, opt_.verify_vectors,
+                                     opt_.verify_seed) != ref)
         rep.note = "changed circuit function";
-      else if (est)
-        est->update(rep, net.touched_nodes());  // read before the epoch ends
+      else if (opt_.estimate_power)
+        fill(rep, net, power::analyze(net, opt_.estimate));
     } catch (const CancelledError&) {
       unwind();
       throw;
@@ -172,17 +86,24 @@ std::vector<StageReport> PassManager::run(Netlist& net) const {
         throw diag::CheckError(
             {diag::Severity::Error, "pass " + p->name() + ": " + rep.note, {}});
       rep.status = "failed";
-      // The estimator was never advanced: it describes the restored circuit.
-      if (est) est->current(rep);
-    } else if (!est || rep.power_w <= power_before) {
+    } else if (!opt_.estimate_power || rep.power_w <= reports.back().power_w) {
       net.commit_undo();
     } else {
       net.rollback_undo();
-      est->revert();
-      est->current(rep);
       rep.status = "reverted";
     }
-    if (rep.status != "kept") rep.stage += " (" + rep.status + ")";
+    if (rep.status != "kept") {
+      rep.stage += " (" + rep.status + ")";
+      // The journal restored exactly the circuit the previous entry
+      // describes.
+      if (opt_.estimate_power) {
+        const StageReport& prev = reports.back();
+        rep.power_w = prev.power_w;
+        rep.glitch_fraction = prev.glitch_fraction;
+        rep.gates = prev.gates;
+        rep.delay = prev.delay;
+      }
+    }
     metrics::count("flow.stages_" + rep.status);
     rep.rollbacks = net.undo_rollbacks() - rb_before;
     reports.push_back(std::move(rep));

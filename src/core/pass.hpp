@@ -7,15 +7,16 @@
 // functional_trace() digest against one reference trace taken when the run
 // starts (the digest covers primary outputs only, so every kept, reverted
 // or failed pass leaves it unchanged); and with Options::estimate_power,
-// power — a pass is kept only if estimated power does not rise, the
-// survey's caveat that a transform's overheads can eat its saving.
+// power — a pass is kept only if a full power::analyze of the result does
+// not exceed the previous entry's, the survey's caveat that a transform's
+// overheads can eat its saving.
 //
-// A pass that throws, breaks an invariant or changes the function is rolled
-// back through the journal (O(edit size)), recorded as "failed" with the
-// reason in StageReport::note, and the remaining passes still run;
-// Options::rollback = false rethrows as diag::CheckError instead.  A
-// cancellation (core::CancelledError) unwinds the in-flight pass and
-// propagates.
+// A pass that throws (its estimate included), breaks an invariant or
+// changes the function is rolled back through the journal (O(edit size)),
+// recorded as "failed" with the reason in StageReport::note, and the
+// remaining passes still run; Options::rollback = false rethrows as
+// diag::CheckError instead.  A cancellation (core::CancelledError) unwinds
+// the in-flight pass and propagates.
 
 #pragma once
 
@@ -60,7 +61,8 @@ struct StageReport {
   /// " (failed)" suffix.
   std::string stage;
   /// Estimate of the circuit as the pass left it (Options::estimate_power
-  /// only): reverted and failed passes report the restored circuit.
+  /// only).  Reverted and failed passes report the restored circuit: the
+  /// previous entry's numbers, since the journal restored exactly it.
   double power_w = 0.0;
   double glitch_fraction = 0.0;
   std::size_t gates = 0;
@@ -70,12 +72,6 @@ struct StageReport {
   /// circuit — rolled back; see note).
   std::string status = "kept";
   std::string note;  // why the pass failed (status == "failed")
-  /// Incremental-estimate instrumentation: nodes re-simulated for this
-  /// pass's estimate vs. what a full re-analysis evaluates.  Equal on full
-  /// fallbacks (e.g. Timed mode); both 0 when the pass failed before
-  /// estimation or the estimator fell back to a rebaseline.
-  std::size_t resim_nodes = 0;
-  std::size_t full_nodes = 0;
   /// Journal epochs actually rewound while this pass ran, measured from
   /// Netlist::undo_rollbacks() — not inferred from the status.  Includes
   /// rollbacks a transform performs internally (e.g. the datapath engine
@@ -94,29 +90,21 @@ bool all_ok(const std::vector<StageReport>& reports);
 class PassManager {
  public:
   struct Options {
-    /// Check each pass against the run's reference functional trace.
-    bool verify = true;
     /// Contain failures: roll the pass back and keep going.  When false a
     /// failing pass rethrows (diag::CheckError) after restoring the input.
     bool rollback = true;
+    /// Stimulus of the reference functional trace every pass is checked
+    /// against.
     std::size_t verify_vectors = 1024;
     std::uint64_t verify_seed = 0xABCD;
     /// Estimate power after every pass and keep a pass only if power does
     /// not rise.  The run's first report is then the baseline ("baseline")
-    /// of the input circuit.  Estimates go through the cone-scoped
-    /// incremental analyzer (power/incremental.hpp), fed by the same
-    /// journal rollback uses — bit-identical to a full power::analyze.
+    /// of the input circuit.  Each estimate is one full power::analyze of
+    /// the circuit the pass left.
     bool estimate_power = false;
     /// Analysis options for the estimates (estimate_power only).  A cancel
     /// token set here aborts the run from inside an estimate.
     power::AnalysisOptions estimate;
-    /// Candidate-scoring worker threads for optimization passes that go
-    /// through logicopt/speculate.hpp (datapath rewriting, window
-    /// resynthesis).  Applied as the speculation default for the duration
-    /// of run(), so passes built with default options inherit it.  Results
-    /// are bit-identical at any value; only wall-clock changes.  0 = the
-    /// LPS_OPT_WORKERS environment default.
-    int opt_workers = 0;
   };
 
   PassManager() = default;

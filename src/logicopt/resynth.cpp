@@ -155,6 +155,9 @@ ResynthResult resynthesize_windows(Netlist& net,
                     " max_rewrites=" + std::to_string(opt.max_rewrites) +
                     " budget exhausted";
     }
+    if (res.limited)
+      res.note += std::string(res.note.empty() ? "" : "; ") +
+                  "BDD node limit hit";
     return res;
   };
 
@@ -256,7 +259,10 @@ ResynthResult resynthesize_windows(Netlist& net,
     try {
       bdds = bdd::build_bdds(net, opt.bdd_limit);
     } catch (const bdd::NodeLimitExceeded&) {
-      return finalize(net.num_gates());  // circuit too wide for exact DCs
+      // Circuit too wide for exact DCs: keep the rewrites made so far.
+      res.limited = true;
+      core::metrics::count("logicopt.resynth.limited");
+      return finalize(net.num_gates());
     }
 
     // Candidate list fixed per round; rewrites only add nodes.
@@ -372,10 +378,7 @@ ResynthResult resynthesize_windows(Netlist& net,
       continue;
     }
 
-    const std::size_t batch_size =
-        opt.spec_batch ? opt.spec_batch
-                       : static_cast<std::size_t>(8) *
-                             static_cast<std::size_t>(team);
+    const std::size_t batch_size = 8 * static_cast<std::size_t>(team);
     bool budget_stop = false;
     // Plans go stale once the activity oracle dies mid-batch (later plans
     // were weighted through it): force the batch remainder serial.

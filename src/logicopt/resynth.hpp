@@ -46,11 +46,10 @@ struct ResynthOptions {
   /// evaluate window plans read-only against the live netlist using private
   /// per-round BDD views; plans commit in candidate order and anything an
   /// earlier keep touched (structurally or through its activity cone) is
-  /// re-examined serially.  Results are bit-identical at any value.
-  /// 0 = the LPS_OPT_WORKERS environment default; 1 = sequential.
+  /// re-examined serially, in batches of 8 candidates per worker.  Results
+  /// are bit-identical at any value.  0 = the LPS_OPT_WORKERS environment
+  /// default; 1 = sequential.
   int workers = 0;
-  /// Candidates per speculation batch (0 = 8 per worker).
-  std::size_t spec_batch = 0;
 };
 
 struct ResynthResult {
@@ -69,13 +68,18 @@ struct ResynthResult {
   /// True when the max_rewrites budget stopped the pass with candidate
   /// windows still unexamined (logicopt.resynth.rewrites_capped metric).
   bool rewrites_capped = false;
+  /// True when building the global BDDs outgrew bdd_limit and the pass
+  /// stopped, keeping the rewrites made so far (logicopt.resynth.limited
+  /// metric; "BDD node limit hit" in `note`).
+  bool limited = false;
   /// Speculation accounting (workers > 1; zero in sequential runs, mirrored
   /// in logicopt.spec.* metrics — conflicts are never silent).
   std::size_t spec_batches = 0;    // plan batches examined by workers
   std::size_t spec_conflicts = 0;  // plans invalidated by an earlier keep
   std::size_t spec_rescored = 0;   // conflicted plans re-examined serially
   int workers_used = 1;            // resolved worker count for this run
-  /// One-line diagnostic describing any cap that was hit; empty otherwise.
+  /// One-line diagnostic describing any cap or limit that was hit; empty
+  /// otherwise.
   std::string note;
 };
 

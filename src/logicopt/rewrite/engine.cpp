@@ -179,10 +179,7 @@ RewriteResult rewrite_datapath(Netlist& net, const RewriteOptions& opt) {
         if (process_serial(cand)) ++kept_this_round;
       return kept_this_round;
     }
-    const std::size_t batch_size =
-        opt.spec_batch ? opt.spec_batch
-                       : static_cast<std::size_t>(32) *
-                             static_cast<std::size_t>(workers);
+    const std::size_t batch_size = 32 * static_cast<std::size_t>(workers);
     for (std::size_t start = 0; start < queue.size(); start += batch_size) {
       std::size_t n = std::min(batch_size, queue.size() - start);
       kept_this_round +=

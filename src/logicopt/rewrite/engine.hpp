@@ -49,14 +49,12 @@ struct RewriteOptions {
   /// Keep a candidate only when it saves strictly more than this (watts).
   double min_gain_w = 0.0;
   /// Candidate-scoring worker threads (logicopt/speculate.hpp).  Workers
-  /// score batches against a snapshot on private netlist+oracle clones;
-  /// disjoint winners commit without re-scoring, overlapping candidates
-  /// are re-scored serially.  Kept sequence and final netlist are
-  /// bit-identical at any value.  0 = the LPS_OPT_WORKERS environment
-  /// default; 1 = the plain sequential loop.
+  /// score batches of 32 candidates per worker against a snapshot on
+  /// private netlist+oracle clones; disjoint winners commit without
+  /// re-scoring, overlapping candidates are re-scored serially.  Kept
+  /// sequence and final netlist are bit-identical at any value.  0 = the
+  /// LPS_OPT_WORKERS environment default; 1 = the plain sequential loop.
   int workers = 0;
-  /// Candidates per speculation batch (0 = 32 per worker).
-  std::size_t spec_batch = 0;
 };
 
 struct RewriteResult {

@@ -30,10 +30,6 @@ int default_workers() {
   return o > 0 ? o : env_workers();
 }
 
-void set_default_workers(int n) {
-  g_override.store(n > 0 ? n : 0, std::memory_order_relaxed);
-}
-
 int resolve_workers(int requested) {
   int w = requested > 0 ? requested : default_workers();
   return std::clamp(w, 1, 256);
@@ -41,7 +37,7 @@ int resolve_workers(int requested) {
 
 ScopedWorkers::ScopedWorkers(int n)
     : prev_(g_override.load(std::memory_order_relaxed)) {
-  set_default_workers(n);
+  g_override.store(n > 0 ? n : 0, std::memory_order_relaxed);
 }
 
 ScopedWorkers::~ScopedWorkers() {

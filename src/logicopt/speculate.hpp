@@ -64,14 +64,12 @@ namespace lps::logicopt::speculate {
 /// Resolved LPS_OPT_WORKERS knob (parsed once through core/env, range
 /// 1..256, default 1 = sequential engines).
 int default_workers();
-/// Process-wide override of the knob (0 restores the environment value).
-/// Threaded from PassManager::Options / the lpsd optimize verb.
-void set_default_workers(int n);
 /// Map an options field to an effective worker count: `requested` when
 /// positive, else default_workers(); clamped to [1, 256].
 int resolve_workers(int requested);
 
-/// RAII override of default_workers() for tests and benches.
+/// RAII process-wide override of default_workers() for tests (n <= 0
+/// restores the environment value for the scope).
 class ScopedWorkers {
  public:
   explicit ScopedWorkers(int n);

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/aligned.hpp"
+#include "core/diag.hpp"
 #include "core/metrics.hpp"
 #include "core/parallel.hpp"
 
@@ -37,6 +38,8 @@ void force_tape_failures(int n) {
 IncrementalAnalyzer::IncrementalAnalyzer(const Netlist& net,
                                          AnalysisOptions opt)
     : net_(&net), opt_(std::move(opt)) {
+  LPS_CHECK(opt_.mode == ActivityMode::ZeroDelay,
+            "IncrementalAnalyzer: ZeroDelay only (Timed keeps no frame cache)");
   run_full();
 }
 
@@ -45,17 +48,12 @@ IncrementalAnalyzer::IncrementalAnalyzer(CloneTag, const Netlist& net,
     : net_(&net),
       opt_(src.opt_),
       analysis_(src.analysis_),
-      trace_(src.trace_),
-      have_trace_(true) {
+      trace_(src.trace_) {
   // No compiled tape: it binds to the source netlist.  The first
   // reanalyze() on the clone compiles one lazily against `net`.
 }
 
 IncrementalAnalyzer IncrementalAnalyzer::clone_for(const Netlist& net) const {
-  if (opt_.mode != ActivityMode::ZeroDelay || !have_trace_)
-    throw std::logic_error(
-        "IncrementalAnalyzer::clone_for: requires a ZeroDelay baseline "
-        "cache (Timed mode keeps none)");
   core::metrics::count("power.inc.clones");
   return IncrementalAnalyzer(CloneTag{}, net, *this);
 }
@@ -68,9 +66,6 @@ const Analysis& IncrementalAnalyzer::previous_analysis() const {
 }
 
 std::uint64_t IncrementalAnalyzer::outputs_digest() const {
-  if (!have_trace_)
-    throw std::logic_error(
-        "IncrementalAnalyzer::outputs_digest: no cached trace");
   std::uint64_t d = 0x9E3779B97F4A7C15ull;
   const auto& outs = net_->outputs();
   for (const sim::Frame& f : trace_.frames)
@@ -80,48 +75,32 @@ std::uint64_t IncrementalAnalyzer::outputs_digest() const {
 }
 
 void IncrementalAnalyzer::run_full() {
-  if (opt_.mode == ActivityMode::ZeroDelay) {
-    try {
-      // Same frames/seed/arithmetic as analyze()'s ZeroDelay branch, plus
-      // the raw trace capture the cone updates replay against.
-      auto st = sim::measure_activity(*net_, zero_delay_frames(opt_.n_vectors),
-                                      opt_.seed, opt_.pi_one_prob, &trace_,
-                                      opt_.cancel);
-      analysis_ = detail::assemble_zero_delay(*net_, st, opt_);
-      have_trace_ = true;
-    } catch (...) {
-      // A cancelled or failed baseline leaves no usable cache: the capture
-      // buffer was partially overwritten, so forget it wholesale rather
-      // than risk splicing against garbage.  Callers in reanalyze() restore
-      // their own snapshot on top of this.
-      trace_ = {};
-      have_trace_ = false;
-      csim_.reset();
-      throw;
-    }
-    // Fresh compact tape for the cone updates (patched per mutation from
-    // here on).
-    if (sim::sim_options().use_compiled) {
-      if (csim_)
-        csim_->rebuild();
-      else
-        csim_.emplace(*net_);
-    } else {
-      csim_.reset();
-    }
-  } else {
-    // Timed mode keeps no per-frame cache; every update is a full run.
-    analysis_ = analyze(*net_, opt_);
+  try {
+    // Same frames/seed/arithmetic as analyze()'s ZeroDelay branch, plus the
+    // raw trace capture the cone updates replay against.
+    auto st = sim::measure_activity(*net_, zero_delay_frames(opt_.n_vectors),
+                                    opt_.seed, opt_.pi_one_prob, &trace_,
+                                    opt_.cancel);
+    analysis_ = detail::assemble_zero_delay(*net_, st, opt_);
+  } catch (...) {
+    // A cancelled or failed baseline leaves no usable cache: the capture
+    // buffer was partially overwritten, so forget it wholesale rather than
+    // risk splicing against garbage.  reanalyze() restores its own snapshot
+    // on top of this.
     trace_ = {};
-    have_trace_ = false;
+    csim_.reset();
+    throw;
+  }
+  // Fresh compact tape for the cone updates (patched per mutation from here
+  // on).
+  if (sim::sim_options().use_compiled) {
+    if (csim_)
+      csim_->rebuild();
+    else
+      csim_.emplace(*net_);
+  } else {
     csim_.reset();
   }
-}
-
-void IncrementalAnalyzer::rebaseline() {
-  snap_.reset();
-  last_ = {};
-  run_full();
 }
 
 const Analysis& IncrementalAnalyzer::reanalyze(
@@ -132,15 +111,13 @@ const Analysis& IncrementalAnalyzer::reanalyze(
   core::metrics::count("power.inc.updates");
 
   std::size_t n_frames = trace_.frames.size();
-  bool cone_ok = have_trace_ && !touched.all &&
-                 net.size() >= trace_.ones.size();
+  bool cone_ok = !touched.all && net.size() >= trace_.ones.size();
   if (!cone_ok) {
     // Full fallback: the old cache moves wholesale into the snapshot (no
     // copies), then the baseline is rebuilt for the mutated netlist.
     Snapshot s;
     s.full = true;
     s.trace = std::move(trace_);
-    s.have_trace = have_trace_;
     s.analysis = std::move(analysis_);
     try {
       run_full();
@@ -150,7 +127,6 @@ const Analysis& IncrementalAnalyzer::reanalyze(
       // analyzer is bit-for-bit consistent again.  The compiled tape was
       // dropped; it is recompiled lazily.
       trace_ = std::move(s.trace);
-      have_trace_ = s.have_trace;
       analysis_ = std::move(s.analysis);
       throw;
     }
@@ -159,10 +135,8 @@ const Analysis& IncrementalAnalyzer::reanalyze(
     last_.full_rebaseline = true;
     last_.resim_nodes = last_.live_nodes;
     core::metrics::count("power.inc.fallback_full");
-    // Frame-equivalent eval volume (Timed keeps no trace; use the request).
-    double frames_eq = static_cast<double>(
-        have_trace_ ? trace_.frames.size() : opt_.n_vectors);
-    double evals = static_cast<double>(last_.live_nodes) * frames_eq;
+    double evals = static_cast<double>(last_.live_nodes) *
+                   static_cast<double>(trace_.frames.size());
     core::metrics::count("power.inc.node_evals", evals);
     core::metrics::count("power.inc.node_evals_full", evals);
     return analysis_;
@@ -381,7 +355,6 @@ void IncrementalAnalyzer::revert_last() {
   core::metrics::count("power.inc.reverts");
   if (s.full) {
     trace_ = std::move(s.trace);
-    have_trace_ = s.have_trace;
     analysis_ = std::move(s.analysis);
     // The netlist was restored wholesale; recompile against it.
     if (csim_) csim_->rebuild();

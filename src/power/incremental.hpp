@@ -1,9 +1,13 @@
 // incremental.hpp — cone-scoped incremental power re-estimation.
 //
-// Every optimization loop (core/pass.hpp, core/flows.cpp) is gated on
-// re-estimating switching activity after each local rewrite, yet a local
-// rewrite touches a handful of nodes while `power::analyze` re-simulates
-// the whole netlist.  IncrementalAnalyzer caches the raw simulation record
+// The candidate-scoring loops (the datapath rewriter, BDD→MUX synthesis
+// and window resynthesis, through logicopt/candidate.hpp and
+// logicopt/speculate.hpp) and lpsd sessions re-estimate switching activity
+// after each local rewrite, yet a local rewrite touches a handful of nodes
+// while `power::analyze` re-simulates the whole netlist.  The stage runner
+// (core/pass.hpp) pays one full analysis per stage instead: that is cheap
+// beside a stage, and its default Timed estimate has no per-frame cache.
+// IncrementalAnalyzer is ZeroDelay only and caches the raw simulation record
 // of one full baseline run — the per-frame value words and the exact
 // integer toggle counters behind the ActivityStats doubles — and after a
 // mutation re-evaluates only the transitive fanout cone of the touched
@@ -21,15 +25,11 @@
 // produces word-for-word what a full re-simulation would, and integer
 // popcount splicing introduces no floating-point divergence.
 //
-// Cache invalidation rule — fall back to a full re-baseline when:
-//   * the touched-node report says `all` (no journal, wholesale restore
-//     such as compact()/assignment, or a PI-list change that re-maps the
-//     input→stream binding);
-//   * the analyzer runs in Timed mode (event-driven glitch simulation has
-//     no per-frame cache; the fallback is recorded as such in metrics);
-//   * there is no baseline yet.
-// Fallbacks are full analyze() runs, so correctness never depends on the
-// cone path applying.
+// Cache invalidation rule — fall back to a full re-baseline when the
+// touched-node report says `all` (no journal, wholesale restore such as
+// compact()/assignment, or a PI-list change that re-maps the input→stream
+// binding).  Fallbacks are full analyze() runs, so correctness never
+// depends on the cone path applying.
 
 #pragma once
 
@@ -64,7 +64,9 @@ class IncrementalAnalyzer {
   };
 
   /// Binds to `net` and runs the full baseline analysis immediately.  The
-  /// netlist must outlive the analyzer.
+  /// netlist must outlive the analyzer.  `opt.mode` must be ZeroDelay
+  /// (Timed throws diag::CheckError: event-driven glitch simulation keeps
+  /// no per-frame cache to splice into).
   explicit IncrementalAnalyzer(const Netlist& net, AnalysisOptions opt = {});
 
   /// Current estimate — always equal (bit-for-bit) to what
@@ -79,10 +81,6 @@ class IncrementalAnalyzer {
   /// must be bound for the duration of the operation it guards and unbound
   /// (nullptr) before it goes out of scope — never left to dangle.
   void set_cancel(const core::CancelToken* c) { opt_.cancel = c; }
-
-  /// Drop all cached state and re-run the full baseline analysis.  Also
-  /// forgets any pending revert_last() snapshot.
-  void rebaseline();
 
   /// Re-estimate after a mutation of the bound netlist.  `touched` must be
   /// captured via Netlist::touched_nodes() *before* the undo epoch is
@@ -133,8 +131,6 @@ class IncrementalAnalyzer {
   /// pending snapshot; its compiled tape is built lazily against `net` on
   /// first reanalyze().  Used by logicopt/speculate.cpp to score candidate
   /// batches on worker threads without touching the primary oracle.
-  /// Requires a ZeroDelay baseline cache (throws std::logic_error in Timed
-  /// mode or after a failed baseline).
   IncrementalAnalyzer clone_for(const Netlist& net) const;
 
   /// Digest of the primary-output value streams in the cached trace,
@@ -147,7 +143,7 @@ class IncrementalAnalyzer {
   /// exactly what the full-circuit differential trace checked (the PO
   /// streams), at O(outputs x frames) instead of O(netlist x frames).
   /// Covers PO-list redirection: the digest reads the *current* outputs()
-  /// binding.  Throws std::logic_error when there is no cached trace.
+  /// binding.
   std::uint64_t outputs_digest() const;
 
  private:
@@ -158,7 +154,6 @@ class IncrementalAnalyzer {
     bool full = false;  // snapshot of a whole pre-fallback cache
     // full == true: the entire previous trace (moved, so cost-free).
     sim::ActivityTrace trace;
-    bool have_trace = false;
     // full == false: per-node deltas, all ids < old_size.
     std::size_t old_size = 0;
     std::vector<NodeId> resim_ids;  // columns[i] = old frame words of id i
@@ -183,8 +178,7 @@ class IncrementalAnalyzer {
   const Netlist* net_;
   AnalysisOptions opt_;
   Analysis analysis_;
-  sim::ActivityTrace trace_;  // ZeroDelay frame/counter cache
-  bool have_trace_ = false;
+  sim::ActivityTrace trace_;  // frame/counter cache
   // Persistent compiled tape (SimOptions::use_compiled): patched in place
   // from each mutation's touched-node report instead of recompiled, so a
   // pass loop pays O(edit) per candidate, not O(netlist).

@@ -1,13 +1,14 @@
 // flow_reference.hpp — a full-analysis reference for the stage runner's
 // estimate gate, shared by the incremental-estimator tests and E21.
 //
-// PassManager's estimating runs score each pass through the cone-scoped
-// incremental analyzer and decide keep/revert from that score.  This
-// reference does neither: it runs each pass as its own non-estimating
-// single-pass pipeline (so failures are still contained), scores the
-// result with a fresh power::analyze, and backs out a pass that raised
-// power by restoring a clone taken before it.  Matching it checks both the
-// reported powers and every keep/revert decision against full analyses.
+// PassManager's estimating runs decide keep/revert inside one pipeline,
+// back a losing pass out through the journal, and report it with the
+// previous entry's numbers.  This reference does none of that: it runs
+// each pass as its own non-estimating single-pass pipeline (so failures
+// are still contained), scores every result with a fresh power::analyze,
+// and backs out a pass that raised power by restoring a clone taken before
+// it.  Matching it checks both the reported powers and every keep/revert
+// decision.
 
 #pragma once
 

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/diag.hpp"
 #include "core/flows.hpp"
 #include "core/metrics.hpp"
 #include "core/pass.hpp"
@@ -378,20 +379,12 @@ TEST(Incremental, RevertAfterFallbackRestoresCache) {
   expect_identical(inc.analysis(), power::analyze(net, ao));
 }
 
-TEST(Incremental, TimedModeFallsBackToFull) {
+TEST(Incremental, TimedModeIsRejected) {
   auto net = bench::c17();
   power::AnalysisOptions ao;
   ao.mode = power::ActivityMode::Timed;
   ao.n_vectors = 256;
-  power::IncrementalAnalyzer inc(net, ao);
-  net.begin_undo();
-  NodeId o = net.outputs()[0];
-  net.replace_fanin(o, 0, net.add_not(net.node(o).fanins[0]));
-  auto touched = net.touched_nodes();
-  net.commit_undo();
-  inc.reanalyze(touched);
-  EXPECT_TRUE(inc.last_update().full_rebaseline);
-  expect_identical(inc.analysis(), power::analyze(net, ao));
+  EXPECT_THROW(power::IncrementalAnalyzer(net, ao), diag::CheckError);
 }
 
 TEST(Incremental, ConeUpdateEvaluatesFarFewerNodes) {
@@ -409,6 +402,17 @@ TEST(Incremental, ConeUpdateEvaluatesFarFewerNodes) {
   EXPECT_FALSE(up.full_rebaseline);
   EXPECT_GE(up.live_nodes, 5 * up.resim_nodes)
       << "cone " << up.resim_nodes << " of " << up.live_nodes;
+  expect_identical(inc.analysis(), power::analyze(net, ao));
+
+  // A size-only edit (what in-place sizing makes) leaves every value
+  // stream intact: nothing is re-simulated, capacitance still moves.
+  net.begin_undo();
+  net.node(net.node(o).fanins[0]).size = 2.0;
+  auto sized = net.touched_nodes();
+  net.commit_undo();
+  inc.reanalyze(sized);
+  EXPECT_FALSE(inc.last_update().full_rebaseline);
+  EXPECT_EQ(inc.last_update().resim_nodes, 0u);
   expect_identical(inc.analysis(), power::analyze(net, ao));
 }
 
@@ -444,11 +448,16 @@ void expect_same_stages(const core::FlowResult& a, const core::FlowResult& b) {
 }
 
 TEST(FlowIncremental, CombinationalMatchesLegacyZeroDelay) {
+  core::metrics::reset();
   auto net = bench::alu(4);
   core::FlowOptions opt;
   opt.estimate_mode = power::ActivityMode::ZeroDelay;
   expect_same_stages(core::optimize_combinational(net, opt),
                      reference::flow(net, opt, /*sequential=*/false));
+  // The engines' candidate oracles re-simulated less than full analyses
+  // of every probe would have.
+  EXPECT_LT(core::metrics::value("power.inc.node_evals"),
+            core::metrics::value("power.inc.node_evals_full"));
 }
 
 TEST(FlowIncremental, CombinationalMatchesLegacyTimed) {
@@ -468,31 +477,6 @@ TEST(FlowIncremental, SequentialFlowMatchesLegacy) {
   expect_same_stages(a, reference::flow(net, opt, /*sequential=*/true));
   // The gating stage ran (kept, reverted, or failed — but present).
   EXPECT_EQ(a.stages.back().stage.rfind("selfloop-gate", 0), 0u);
-}
-
-TEST(FlowIncremental, LocalStageSavesFiveFoldNodeEvals) {
-  core::metrics::reset();
-  auto net = bench::array_multiplier(6);
-  core::FlowOptions opt;
-  opt.estimate_mode = power::ActivityMode::ZeroDelay;
-  opt.sim_vectors = 512;  // the sizing transform's internal Timed run
-  core::FlowResult res = core::optimize_combinational(net, opt);
-  // At least one local-transform stage must re-simulate ≤ 1/5 of what a
-  // full re-analysis evaluates.  The sizing stage is the extreme case:
-  // size-only edits leave every value stream intact (resim_nodes == 0).
-  bool found = false;
-  for (const auto& s : res.stages) {
-    if (s.full_nodes > 0 && 5 * s.resim_nodes <= s.full_nodes) found = true;
-  }
-  EXPECT_TRUE(found);
-  // And the sizing stage specifically needs no re-simulation at all.
-  for (const auto& s : res.stages) {
-    if (s.stage.rfind("sizing", 0) == 0 && s.full_nodes > 0)
-      EXPECT_EQ(s.resim_nodes, 0u) << s.stage;
-  }
-  // The metrics registry shows the cumulative saving.
-  EXPECT_LT(core::metrics::value("power.inc.node_evals"),
-            core::metrics::value("power.inc.node_evals_full"));
 }
 
 TEST(PassIncremental, EstimatesMatchLegacyAndSurviveRollback) {

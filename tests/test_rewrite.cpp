@@ -390,6 +390,27 @@ TEST(ResynthCaps, TruncationIsSurfacedInResultMetricsAndNote) {
   }
 }
 
+TEST(ResynthCaps, BddNodeLimitIsSurfacedInResultMetricsAndSummary) {
+  core::metrics::reset();
+  Netlist net = bench::alu(4);
+  logicopt::ResynthOptions opt;
+  opt.bdd_limit = 16;  // far below what alu4's global BDDs need
+  auto st = sim::measure_activity(net, 64, 5);
+  auto res = logicopt::resynthesize_windows(net, st.transition_prob, opt);
+  EXPECT_TRUE(res.limited);
+  EXPECT_NE(res.note.find("BDD node limit hit"), std::string::npos);
+  EXPECT_EQ(core::metrics::value("logicopt.resynth.limited"), 1.0);
+
+  core::PassManager pm;
+  pm.add(core::make_resynth_pass(5, opt));
+  Netlist net2 = bench::alu(4);
+  auto records = pm.run(net2);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_TRUE(records[0].ok());
+  EXPECT_NE(records[0].summary.find("BDD node limit hit"), std::string::npos)
+      << records[0].summary;
+}
+
 // ---- flow & pass rollback accounting --------------------------------------
 
 TEST(FlowAccounting, StageRollbackCountsMatchTheJournalCounter) {
