@@ -5,40 +5,77 @@
 
 namespace lps::bdd {
 
-namespace {
+Ref lower_gate(Manager& m, const Node& gate, std::span<const Ref> fn) {
+  const std::vector<NodeId>& in = gate.fanins;
+  Ref r = kFalse;
+  switch (gate.type) {
+    case GateType::Input:
+    case GateType::Dff:
+      throw std::invalid_argument("lower_gate: sources are variables");
+    case GateType::Const0:
+      return kFalse;
+    case GateType::Const1:
+      return kTrue;
+    case GateType::Buf:
+      return fn[in[0]];
+    case GateType::Not:
+      return m.lnot(fn[in[0]]);
+    case GateType::And:
+    case GateType::Nand:
+      r = kTrue;
+      for (NodeId f : in) r = m.land(r, fn[f]);
+      return gate.type == GateType::Nand ? m.lnot(r) : r;
+    case GateType::Or:
+    case GateType::Nor:
+      for (NodeId f : in) r = m.lor(r, fn[f]);
+      return gate.type == GateType::Nor ? m.lnot(r) : r;
+    case GateType::Xor:
+    case GateType::Xnor:
+      for (NodeId f : in) r = m.lxor(r, fn[f]);
+      return gate.type == GateType::Xnor ? m.lnot(r) : r;
+    case GateType::Mux:
+      return m.ite(fn[in[0]], fn[in[2]], fn[in[1]]);
+  }
+  return r;
+}
 
-// Variable order heuristic: depth-first from the outputs, fanin-first,
-// collecting symbolic sources (PIs and Dff outputs) in first-visit order.
-// For arithmetic circuits this interleaves the operand buses (a0 b0 a1 b1
-// ...), which keeps adder/comparator BDDs linear where the blocked
-// positional order is exponential.
-std::vector<NodeId> source_order_dfs(const Netlist& net) {
-  std::vector<NodeId> order;
+FaninOrder fanin_dfs(const Netlist& net, std::span<const NodeId> roots) {
+  FaninOrder out;
   std::vector<bool> seen(net.size(), false);
   auto rec = [&](auto&& self, NodeId n) -> void {
     if (seen[n]) return;
     seen[n] = true;
     const Node& nd = net.node(n);
     if (nd.type == GateType::Input || nd.type == GateType::Dff) {
-      order.push_back(n);
+      out.sources.push_back(n);
       return;
     }
     for (NodeId f : nd.fanins) self(self, f);
+    out.gates.push_back(n);
   };
-  for (NodeId o : net.outputs()) rec(rec, o);
+  for (NodeId r : roots) rec(rec, r);
+  return out;
+}
+
+std::vector<NodeId> observation_points(const Netlist& net) {
+  std::vector<NodeId> points(net.outputs().begin(), net.outputs().end());
   for (NodeId d : net.dffs())
-    for (NodeId f : net.node(d).fanins) rec(rec, f);
-  // Any source not reachable from an output still needs a variable.
+    for (NodeId pin : net.node(d).fanins) points.push_back(pin);
+  return points;
+}
+
+namespace {
+
+// Variable order: fanin_dfs over the observation points, then the sources
+// no point reaches (PIs, then Dff outputs), which still need a variable.
+std::vector<NodeId> variable_order(const Netlist& net) {
+  std::vector<NodeId> order = fanin_dfs(net, observation_points(net)).sources;
+  std::vector<bool> has_var(net.size(), false);
+  for (NodeId s : order) has_var[s] = true;
   for (NodeId pi : net.inputs())
-    if (!seen[pi]) {
-      seen[pi] = true;
-      order.push_back(pi);
-    }
+    if (!has_var[pi]) order.push_back(pi);
   for (NodeId d : net.dffs())
-    if (!seen[d]) {
-      seen[d] = true;
-      order.push_back(d);
-    }
+    if (!has_var[d]) order.push_back(d);
   return order;
 }
 
@@ -56,53 +93,11 @@ std::vector<Ref> build_into(Manager& m, const Netlist& net,
 
   // Every per-node function is ref()'d as soon as it exists: under auto-GC
   // a collection may run at any later operation entry, and only rooted (or
-  // argument) refs survive it.  Gate evaluation itself is safe because each
-  // intermediate is immediately the argument of the next public call.
+  // argument) refs survive it.
   for (NodeId id : net.topo_order()) {
     const Node& nd = net.node(id);
-    switch (nd.type) {
-      case GateType::Input:
-      case GateType::Dff:
-        break;  // already assigned
-      case GateType::Const0:
-        fn[id] = kFalse;
-        break;
-      case GateType::Const1:
-        fn[id] = kTrue;
-        break;
-      case GateType::Buf:
-        fn[id] = fn[nd.fanins[0]];
-        break;
-      case GateType::Not:
-        fn[id] = m.lnot(fn[nd.fanins[0]]);
-        break;
-      case GateType::And:
-      case GateType::Nand: {
-        Ref r = kTrue;
-        for (NodeId f : nd.fanins) r = m.land(r, fn[f]);
-        fn[id] = nd.type == GateType::Nand ? m.lnot(r) : r;
-        break;
-      }
-      case GateType::Or:
-      case GateType::Nor: {
-        Ref r = kFalse;
-        for (NodeId f : nd.fanins) r = m.lor(r, fn[f]);
-        fn[id] = nd.type == GateType::Nor ? m.lnot(r) : r;
-        break;
-      }
-      case GateType::Xor:
-      case GateType::Xnor: {
-        Ref r = kFalse;
-        for (NodeId f : nd.fanins) r = m.lxor(r, fn[f]);
-        fn[id] = nd.type == GateType::Xnor ? m.lnot(r) : r;
-        break;
-      }
-      case GateType::Mux:
-        fn[id] = m.ite(fn[nd.fanins[0]], fn[nd.fanins[2]], fn[nd.fanins[1]]);
-        break;
-    }
-    if (nd.type != GateType::Input && nd.type != GateType::Dff)
-      m.ref(fn[id]);
+    if (nd.type == GateType::Input || nd.type == GateType::Dff) continue;
+    fn[id] = m.ref(lower_gate(m, nd, fn));
   }
   return fn;
 }
@@ -125,11 +120,12 @@ NetlistBdds build_bdds(const Netlist& net, std::size_t node_limit,
   // small multiple of the gate count; pre-sizing avoids rehash churn.
   if (reserve_hint == 0) reserve_hint = 16 * net.num_gates();
   out.mgr.reserve(std::min<std::size_t>(node_limit, reserve_hint));
-  // Assign variable indices in DFS order; feed build_into positionally.
-  auto dfs = source_order_dfs(net);
+  // Assign variable indices in variable order; feed build_into
+  // positionally.
+  auto order = variable_order(net);
   unsigned v = 0;
-  out.var_node.resize(dfs.size());
-  for (NodeId s : dfs) {
+  out.var_node.resize(order.size());
+  for (NodeId s : order) {
     out.var_of[s] = v;
     out.var_node[v] = s;
     ++v;
@@ -158,14 +154,13 @@ bool equivalent_bdd(const Netlist& a, const Netlist& b,
   if (da.size() != db.size()) return false;
 
   // Build both networks over one shared variable space so Ref equality is
-  // canonical function equality.  Variables follow circuit a's DFS order to
-  // keep arithmetic-style functions compact.
+  // canonical function equality.  Variables follow circuit a's variable
+  // order to keep arithmetic-style functions compact.
   unsigned nv = static_cast<unsigned>(a.inputs().size() + da.size());
   Manager m(nv, node_limit);
-  auto dfs = source_order_dfs(a);
   std::unordered_map<NodeId, unsigned> var_of;
   unsigned v = 0;
-  for (NodeId s : dfs) var_of[s] = v++;
+  for (NodeId s : variable_order(a)) var_of[s] = v++;
   std::vector<Ref> sources;
   for (NodeId pi : a.inputs()) sources.push_back(m.var(var_of.at(pi)));
   for (NodeId d : da) sources.push_back(m.var(var_of.at(d)));

@@ -12,12 +12,14 @@
 // This engine does exactly that, on the synthesis-scale manager
 // (bdd/bdd.hpp):
 //
-//   1. enumerate extraction roots (primary outputs and register D/EN
-//      fanins) and take each root's transitive fanin cone, skipping cones
-//      whose support exceeds the input cap;
-//   2. build the cone's function in a fresh per-cone manager (complement
-//      edges halve arithmetic cones; auto-GC bounds the build; the
-//      per-gate scaffolding is dropped before reordering);
+//   1. enumerate extraction roots (the observation points of
+//      bdd/bdd_netlist.hpp: primary outputs and register D/EN fanins) and
+//      take each root's transitive fanin cone (bdd::fanin_dfs), skipping
+//      cones whose support exceeds the input cap;
+//   2. build the cone's function in a fresh per-cone manager with
+//      bdd::lower_gate (complement edges halve arithmetic cones; auto-GC
+//      bounds the build; the per-gate scaffolding is dropped before
+//      reordering);
 //   3. sift with per-variable switching-activity weights — high-activity
 //      variables sink toward the leaves, where their toggles drive few MUX
 //      selectors (bdd::Manager::SiftOptions::weights);
@@ -26,7 +28,7 @@
 //      place of the root as one candidate of the shared candidate kernel
 //      (logicopt/candidate.hpp): nested undo epoch, cone-scoped oracle
 //      score, keep only a strict switching-power win whose proof (PO
-//      digest + verify_frames interpreter trace) passes — losers roll back
+//      digest + a 256-frame interpreter trace) passes — losers roll back
 //      in O(edit), and a failed proof counts `unsound`.
 //
 // Determinism: the engine is sequential and owns a private ZeroDelay
@@ -53,17 +55,9 @@ struct BddSynthOptions {
   std::size_t node_limit = std::size_t{1} << 20;
   /// Activity-weighted sifting before extraction.
   bool sift = true;
-  /// Sifting bail-out: abandon a variable's walk past best × growth.
-  double sift_growth = 2.0;
   /// Stimulus for the private ZeroDelay scoring oracle.
   std::size_t sim_vectors = 4096;
   std::uint64_t seed = 7;
-  /// Keep a cone only when it saves strictly more than this (watts).
-  double min_gain_w = 0.0;
-  /// Interpreter-trace frames proving each would-be keep (0 disables the
-  /// trace proof; the PO-stream digest proof always runs).
-  std::size_t verify_frames = 256;
-  std::uint64_t verify_seed = 17;
 };
 
 struct BddSynthResult {

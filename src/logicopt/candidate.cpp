@@ -5,7 +5,6 @@
 
 #include "core/metrics.hpp"
 #include "logicopt/speculate.hpp"
-#include "sim/compiled.hpp"
 
 namespace lps::logicopt::candidate {
 
@@ -34,11 +33,13 @@ void force_throw_on_candidate(int n) {
 
 namespace {
 
-// The one proof engine: the interpreter, independent of the caller's sim
-// configuration.
+// Stimulus seed of the interpreter trace proof.
+constexpr std::uint64_t kVerifySeed = 17;
+
+// The one proof engine: sim::functional_trace runs the LogicSim
+// interpreter, whatever the process's sim_options() select.
 sim::SimTrace interpreter_trace(const Netlist& net, const KernelOptions& o) {
-  sim::ScopedSimOptions interp({.use_compiled = false});
-  return sim::functional_trace(net, o.verify_frames, o.verify_seed);
+  return sim::functional_trace(net, o.verify_frames, kVerifySeed);
 }
 
 }  // namespace

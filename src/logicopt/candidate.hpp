@@ -54,7 +54,6 @@ struct KernelOptions {
   /// Interpreter trace frames proving each would-be keep on top of the
   /// PO digest (0 = digest only).
   std::size_t verify_frames = 0;
-  std::uint64_t verify_seed = 17;
 };
 
 /// One candidate in flight: apply() fills `applied` and `touched`, score()

@@ -36,67 +36,28 @@ std::vector<bool> tfo_of(const Netlist& net, NodeId n) {
   return mask;
 }
 
-// The TFO nodes a change is observed through: POs and every Dff pin (the D
-// input and, when present, the load enable).
-std::vector<NodeId> observed_roots(const Netlist& net,
+// The TFO nodes a change is observed through: the observation points
+// (bdd_netlist.hpp) inside the TFO.
+std::vector<NodeId> observed_roots(const std::vector<NodeId>& points,
                                    const std::vector<bool>& tfo) {
   std::vector<NodeId> roots;
-  for (NodeId o : net.outputs())
-    if (tfo[o]) roots.push_back(o);
-  for (NodeId d : net.dffs())
-    for (NodeId pin : net.node(d).fanins)
-      if (tfo[pin]) roots.push_back(pin);
+  for (NodeId p : points)
+    if (tfo[p]) roots.push_back(p);
   return roots;
 }
 
 // Rebuild functions of n's transitive fanout with node n replaced by var y;
-// returns the function of every node under that substitution.
+// returns the function of every node under that substitution.  The TFO
+// stops at registers, so besides n it holds only logic gates.  Auto-GC is
+// off in build_bdds' manager, so nothing here is rooted.
 std::vector<bdd::Ref> with_fresh_var(bdd::NetlistBdds& b, const Netlist& net,
                                      const std::vector<NodeId>& order,
                                      NodeId n, unsigned y,
                                      const std::vector<bool>& tfo) {
-  auto& m = b.mgr;
   std::vector<bdd::Ref> fn = b.node_fn;
-  fn[n] = m.var(y);
-  for (NodeId id : order) {
-    if (id == n || !tfo[id]) continue;
-    const Node& nd = net.node(id);
-    if (is_source(nd.type) || nd.type == GateType::Dff) continue;
-    switch (nd.type) {
-      case GateType::Buf:
-        fn[id] = fn[nd.fanins[0]];
-        break;
-      case GateType::Not:
-        fn[id] = m.lnot(fn[nd.fanins[0]]);
-        break;
-      case GateType::And:
-      case GateType::Nand: {
-        bdd::Ref r = bdd::kTrue;
-        for (NodeId f : nd.fanins) r = m.land(r, fn[f]);
-        fn[id] = nd.type == GateType::Nand ? m.lnot(r) : r;
-        break;
-      }
-      case GateType::Or:
-      case GateType::Nor: {
-        bdd::Ref r = bdd::kFalse;
-        for (NodeId f : nd.fanins) r = m.lor(r, fn[f]);
-        fn[id] = nd.type == GateType::Nor ? m.lnot(r) : r;
-        break;
-      }
-      case GateType::Xor:
-      case GateType::Xnor: {
-        bdd::Ref r = bdd::kFalse;
-        for (NodeId f : nd.fanins) r = m.lxor(r, fn[f]);
-        fn[id] = nd.type == GateType::Xnor ? m.lnot(r) : r;
-        break;
-      }
-      case GateType::Mux:
-        fn[id] = m.ite(fn[nd.fanins[0]], fn[nd.fanins[2]], fn[nd.fanins[1]]);
-        break;
-      default:
-        break;
-    }
-  }
+  fn[n] = b.mgr.var(y);
+  for (NodeId id : order)
+    if (id != n && tfo[id]) fn[id] = bdd::lower_gate(b.mgr, net.node(id), fn);
   return fn;
 }
 
@@ -188,6 +149,7 @@ DontCareResult optimize_dontcare(Netlist& net,
     auto& m = bdds.mgr;
     unsigned y = m.add_var();
     SimulatedCare sim_care(net);
+    const std::vector<NodeId> points = bdd::observation_points(net);
     std::vector<NodeId> merge_targets;
 
     const auto& order = sim_care.order();
@@ -197,7 +159,7 @@ DontCareResult optimize_dontcare(Netlist& net,
       if (is_source(nd.type) || nd.type == GateType::Dff) continue;
 
       auto tfo = tfo_of(net, n);
-      const auto roots = observed_roots(net, tfo);
+      const auto roots = observed_roots(points, tfo);
       tfo[n] = false;
       sim_care.compute(n, tfo, roots);
       tfo[n] = true;

@@ -1,6 +1,5 @@
 #include "logicopt/power_factor.hpp"
 
-#include "logicopt/speculate.hpp"
 #include "power/activity.hpp"
 
 namespace lps::logicopt {
@@ -56,7 +55,7 @@ Netlist expr_to_netlist(const sop::Expr& e, unsigned num_vars,
 
 FactoringComparison compare_factorings(const sop::Sop& f,
                                        const std::vector<double>& one_prob,
-                                       bool rescore, int workers) {
+                                       bool rescore) {
   FactoringComparison r;
   r.flat = sop_to_netlist(f, "flat");
   auto lit_expr = sop::factor(f);
@@ -72,20 +71,17 @@ FactoringComparison compare_factorings(const sop::Sop& f,
   if (rescore) {
     // Score the *built* structures: the factoring weights only describe the
     // cover's inputs, so two factorings with equal weighted literals can
-    // still switch very differently once their internal nodes exist.  The
-    // three analyses share nothing, so they run concurrently through the
-    // speculation layer; the results (and therefore measured_winner) are
-    // bit-identical at any worker count.
+    // still switch very differently once their internal nodes exist.
     power::AnalysisOptions ao;
     ao.mode = power::ActivityMode::ZeroDelay;
     ao.n_vectors = 4096;
     ao.pi_one_prob = one_prob;
-    const Netlist* forms[3] = {&r.flat, &r.literal_form, &r.power_form};
-    std::vector<power::Analysis> scored = speculate::analyze_candidates(
-        forms, ao, speculate::resolve_workers(workers));
-    r.power_flat_w = scored[0].report.breakdown.total_w();
-    r.power_literal_w = scored[1].report.breakdown.total_w();
-    r.power_power_w = scored[2].report.breakdown.total_w();
+    auto measured_w = [&ao](const Netlist& form) {
+      return power::analyze(form, ao).report.breakdown.total_w();
+    };
+    r.power_flat_w = measured_w(r.flat);
+    r.power_literal_w = measured_w(r.literal_form);
+    r.power_power_w = measured_w(r.power_form);
     r.measured_winner =
         r.power_power_w <= r.power_literal_w ? "power" : "literal";
   }

@@ -17,6 +17,10 @@ namespace lps::logicopt {
 
 namespace {
 
+// Stimulus for the re-scoring analyzer: 4096 vectors = 64 words of 64
+// patterns, the frames the stage's measure_activity(net, 64, seed) draws.
+constexpr std::size_t kRescoreVectors = 4096;
+
 // Two-level fanin window around `n`: interior = {n} ∪ gate fanins that are
 // themselves logic gates; boundary = everything feeding the interior from
 // outside.  Returns false if the boundary exceeds the budget even after
@@ -125,7 +129,7 @@ ResynthResult resynthesize_windows(Netlist& net,
     try {
       power::AnalysisOptions ao;
       ao.mode = power::ActivityMode::ZeroDelay;
-      ao.n_vectors = opt.rescore_vectors;
+      ao.n_vectors = kRescoreVectors;
       ao.seed = opt.rescore_seed;
       inc.emplace(net, ao);
     } catch (const std::exception&) {
@@ -333,22 +337,12 @@ ResynthResult resynthesize_windows(Netlist& net,
       round_changed = true;
     };
 
-    if (workers <= 1) {
-      for (NodeId n : candidates) {
-        if (res.nodes_rewritten >= opt.max_rewrites) {
-          // Budget exhausted with windows still unexamined — never silent.
-          res.rewrites_capped = true;
-          break;
-        }
-        commit_plan(n, examine(n, bdds), nullptr);
-      }
-      continue;
-    }
-
     // Speculative rounds: per-worker BDD views built once from the
     // round-start netlist (kept rewrites preserve every node's global
     // function — they only use boundary patterns no PI assignment reaches —
-    // so the views stay valid across the whole round).
+    // so the views stay valid across the whole round).  With one worker,
+    // or when a view does not build, the round runs sequentially —
+    // identical results, just no overlap.
     int team = std::min<int>(workers, static_cast<int>(candidates.size()));
     std::vector<std::optional<bdd::NetlistBdds>> wbdds(
         static_cast<std::size_t>(std::max(team, 1)));
@@ -366,10 +360,9 @@ ResynthResult resynthesize_windows(Netlist& net,
       spec_ok = !build_failed.load(std::memory_order_relaxed);
     }
     if (!spec_ok) {
-      // Degrade to the sequential loop for this round — identical results,
-      // just no overlap.
       for (NodeId n : candidates) {
         if (res.nodes_rewritten >= opt.max_rewrites) {
+          // Budget exhausted with windows still unexamined — never silent.
           res.rewrites_capped = true;
           break;
         }

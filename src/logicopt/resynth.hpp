@@ -32,15 +32,14 @@ struct ResynthOptions {
   int max_rewrites = 200;
   bool power_aware = true;  // weigh literals by boundary-signal activity
   std::size_t bdd_limit = 1u << 22;
-  /// Stimulus for the internal re-scoring analyzer (ZeroDelay).  When
-  /// power_aware, activities are re-scored through a cone-scoped
+  /// Seed of the internal re-scoring analyzer (ZeroDelay, 4096 vectors).
+  /// When power_aware, activities are re-scored through a cone-scoped
   /// incremental re-estimate (power/incremental.hpp) after every kept
   /// rewrite, so later windows are costed against the *current* circuit's
   /// switching instead of the caller's pre-pass vector (which scores nodes
-  /// created by earlier keeps as toggle-free).  The defaults reproduce the
-  /// stage's measure_activity(net, 64, seed) frames: 4096 vectors = 64
-  /// words of 64 patterns; the flows set rescore_seed to FlowOptions::seed.
-  std::size_t rescore_vectors = 4096;
+  /// created by earlier keeps as toggle-free).  Its stimulus reproduces
+  /// the stage's measure_activity(net, 64, seed) frames; the flows set
+  /// rescore_seed to FlowOptions::seed.
   std::uint64_t rescore_seed = 5;
   /// Window-examination worker threads (logicopt/speculate.hpp): workers
   /// evaluate window plans read-only against the live netlist using private

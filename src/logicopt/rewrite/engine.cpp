@@ -13,6 +13,11 @@ namespace lps::logicopt::rewrite {
 
 namespace {
 
+// Full-rule match/apply sweeps until a fixpoint.  Constant folding runs
+// first as its own fixpoint prephase (fold-only queues, same scoring and
+// proof per candidate) so const propagation doesn't consume these.
+constexpr int kMaxRounds = 4;
+
 // Touched-set union of keeps committed since the oracle was last synced.
 // Flushed as one synthetic reanalyze: the resimulated cone words converge to
 // the current netlist and the spliced counters are integers, so one union
@@ -55,8 +60,7 @@ RewriteResult rewrite_datapath(Netlist& net, const RewriteOptions& opt) {
   candidate::Kernel kernel(net, oracle,
                            {.engine = "rewrite",
                             .min_gain_w = opt.min_gain_w,
-                            .verify_frames = opt.verify_frames,
-                            .verify_seed = opt.verify_seed});
+                            .verify_frames = opt.verify_frames});
 
   PendingTouched pending;
   auto sync_oracle = [&] {
@@ -194,18 +198,16 @@ RewriteResult rewrite_datapath(Netlist& net, const RewriteOptions& opt) {
   // just keeps the propagation from paying a full-rule-space rescore per
   // level.  The iteration bound is a backstop: each productive pass
   // retires at least one gate, so it can't loop.
-  if (opt.rules.fold) {
-    MatchOptions fold_only;
-    fold_only.reassoc = fold_only.inv_push = fold_only.share = false;
-    fold_only.mux = fold_only.carry = fold_only.distrib = false;
-    for (int pass = 0; pass < 256; ++pass) {
-      std::vector<Candidate> queue = match_rules(net, fold_only);
-      if (queue.empty() || run_queue(std::move(queue)) == 0) break;
-    }
+  MatchOptions fold_only;
+  fold_only.reassoc = fold_only.inv_push = fold_only.share = false;
+  fold_only.mux = fold_only.carry = fold_only.distrib = false;
+  for (int pass = 0; pass < 256; ++pass) {
+    std::vector<Candidate> queue = match_rules(net, fold_only);
+    if (queue.empty() || run_queue(std::move(queue)) == 0) break;
   }
 
-  for (int round = 0; round < opt.max_rounds; ++round) {
-    if (run_queue(match_rules(net, opt.rules)) == 0) break;
+  for (int round = 0; round < kMaxRounds; ++round) {
+    if (run_queue(match_rules(net)) == 0) break;
   }
 
   // Transplanted keeps deferred their oracle updates; settle them so the

@@ -33,11 +33,6 @@
 namespace lps::logicopt::rewrite {
 
 struct RewriteOptions {
-  MatchOptions rules;        // which rule families to enumerate
-  /// Full-rule match/apply sweeps until a fixpoint.  Constant folding runs
-  /// first as its own fixpoint prephase (fold-only queues, same scoring
-  /// and proof per candidate) so const propagation doesn't consume these.
-  int max_rounds = 4;
   std::size_t max_candidates = 4096;  // per-round queue bound (see `capped`)
   /// Scoring stimulus for the private ZeroDelay oracle.
   std::size_t sim_vectors = 4096;
@@ -45,7 +40,6 @@ struct RewriteOptions {
   /// Interpreter-trace frames proving each would-be keep on top of the
   /// PO-stream digest (0 = digest only; the soundness fuzzer sets 256).
   std::size_t verify_frames = 0;
-  std::uint64_t verify_seed = 17;
   /// Keep a candidate only when it saves strictly more than this (watts).
   double min_gain_w = 0.0;
   /// Candidate-scoring worker threads (logicopt/speculate.hpp).  Workers

@@ -233,27 +233,4 @@ std::vector<CandidateScore> score_rewrite_batch(
   return out;
 }
 
-std::vector<power::Analysis> analyze_candidates(
-    std::span<const Netlist* const> nets, const power::AnalysisOptions& ao,
-    int workers) {
-  std::vector<power::Analysis> out(nets.size());
-  std::vector<std::exception_ptr> errs(nets.size());
-  std::atomic<std::size_t> next{0};
-  int team = std::clamp<int>(workers, 1, static_cast<int>(nets.size() ? nets.size() : 1));
-  run_workers(team, [&](int) {
-    for (;;) {
-      std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= nets.size()) break;
-      try {
-        out[i] = power::analyze(*nets[i], ao);
-      } catch (...) {
-        errs[i] = std::current_exception();
-      }
-    }
-  });
-  for (std::exception_ptr& e : errs)
-    if (e) std::rethrow_exception(e);
-  return out;
-}
-
 }  // namespace lps::logicopt::speculate

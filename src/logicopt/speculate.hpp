@@ -1,9 +1,8 @@
 // speculate.hpp — speculative parallel candidate scoring with a
 // deterministic commit order.
 //
-// The optimization engines (rewrite/engine.cpp, resynth.cpp,
-// power_factor.cpp) evaluate long queues of independent candidates, each
-// scored through a power oracle — serially, on one thread, while the
+// The optimization engines (rewrite/engine.cpp, resynth.cpp) evaluate long
+// queues of independent candidates, each scored through a power oracle — serially, on one thread, while the
 // simulator underneath scales to SIMD lanes and pinned threads.  This layer
 // parallelizes the *candidate* axis without giving up the engines' defining
 // guarantee: the kept sequence and the final netlist are bit-identical to
@@ -199,15 +198,6 @@ bool same_touched(std::span<const NodeId> snap_ids,
 std::vector<CandidateScore> score_rewrite_batch(
     const Netlist& net, const power::IncrementalAnalyzer& oracle,
     std::span<const rewrite::Candidate> batch, double min_gain_w,
-    int workers);
-
-/// Analyze independent candidate netlists concurrently (power_factor's
-/// flat/literal/power forms), one dedicated thread per netlist up to
-/// `workers`.  Results are in input order and bit-identical to serial
-/// power::analyze calls — the analyses share nothing.  The first failure
-/// (lowest input index) is rethrown after all threads join.
-std::vector<power::Analysis> analyze_candidates(
-    std::span<const Netlist* const> nets, const power::AnalysisOptions& ao,
     int workers);
 
 }  // namespace lps::logicopt::speculate

@@ -179,15 +179,6 @@ Netlist and_tree(int w) {
   return n;
 }
 
-Netlist and_chain(int w) {
-  Netlist n("andchain" + std::to_string(w));
-  auto x = add_bus(n, "x", w);
-  NodeId acc = x[0];
-  for (int i = 1; i < w; ++i) acc = n.add_and(acc, x[i]);
-  n.add_output(acc, "out");
-  return n;
-}
-
 Netlist decoder(int w) {
   Netlist n("dec" + std::to_string(w));
   auto x = add_bus(n, "x", w);

@@ -43,10 +43,6 @@ Netlist parity_tree(int n, int radix = 2);
 /// Balanced AND tree over n inputs (zero glitches under unit delay).
 Netlist and_tree(int n);
 
-/// Linear AND chain over n inputs (maximally unbalanced; glitch-prone when
-/// driven through inverters).
-Netlist and_chain(int n);
-
 /// n-to-2^n decoder.
 Netlist decoder(int n);
 

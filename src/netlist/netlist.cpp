@@ -76,22 +76,6 @@ std::uint64_t eval_gate(GateType t, std::span<const std::uint64_t> w) {
   return 0;
 }
 
-bool eval_gate_scalar(GateType t, std::span<const bool> fanins) {
-  // Wide gates (BLIF cubes routinely exceed 8 literals) spill to the heap;
-  // the old fixed words[8] + release-invisible assert was a silent stack
-  // overwrite for any 9-input gate in release builds.
-  std::size_t n = fanins.size();
-  std::uint64_t stack_words[8];
-  std::vector<std::uint64_t> heap_words;
-  std::uint64_t* words = stack_words;
-  if (n > 8) {
-    heap_words.resize(n);
-    words = heap_words.data();
-  }
-  for (std::size_t i = 0; i < n; ++i) words[i] = fanins[i] ? ~0ULL : 0;
-  return (eval_gate(t, {words, n}) & 1ULL) != 0;
-}
-
 std::size_t gate_min_arity(GateType t) {
   switch (t) {
     case GateType::Input:

@@ -69,9 +69,6 @@ std::size_t gate_max_arity(GateType t);
 /// buffer (the timed semantics live in the simulator).
 std::uint64_t eval_gate(GateType t, std::span<const std::uint64_t> fanin_words);
 
-/// Evaluate one gate over scalar booleans.
-bool eval_gate_scalar(GateType t, std::span<const bool> fanins);
-
 struct Node {
   GateType type = GateType::Input;
   std::vector<NodeId> fanins;
@@ -130,7 +127,6 @@ class Netlist {
   NodeId add_xor(NodeId a, NodeId b) { return add_gate(GateType::Xor, {a, b}); }
   NodeId add_xnor(NodeId a, NodeId b) { return add_gate(GateType::Xnor, {a, b}); }
   NodeId add_nand(NodeId a, NodeId b) { return add_gate(GateType::Nand, {a, b}); }
-  NodeId add_nor(NodeId a, NodeId b) { return add_gate(GateType::Nor, {a, b}); }
   NodeId add_not(NodeId a) { return add_gate(GateType::Not, {a}); }
   NodeId add_buf(NodeId a) { return add_gate(GateType::Buf, {a}); }
   NodeId add_mux(NodeId s, NodeId a, NodeId b) {

@@ -50,21 +50,6 @@ Netlist registered(const Netlist& comb, int extra_output_ranks) {
   return n;
 }
 
-std::vector<NodeId> add_load_enable(Netlist& net,
-                                    std::span<const NodeId> dffs,
-                                    NodeId enable) {
-  std::vector<NodeId> muxes;
-  for (NodeId d : dffs) {
-    if (net.node(d).type != GateType::Dff)
-      throw std::invalid_argument("add_load_enable: not a Dff");
-    NodeId old_d = net.node(d).fanins[0];
-    NodeId m = net.add_mux(enable, d, old_d);  // en=0 -> hold Q
-    net.replace_fanin(d, 0, m);
-    muxes.push_back(m);
-  }
-  return muxes;
-}
-
 Netlist register_file(int words, int width) {
   int abits = 1;
   while ((1 << abits) < words) ++abits;
@@ -113,7 +98,5 @@ Netlist register_file(int words, int width) {
   }
   return n;
 }
-
-std::size_t num_state_bits(const Netlist& net) { return net.dffs().size(); }
 
 }  // namespace lps::seq

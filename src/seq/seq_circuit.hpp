@@ -1,15 +1,12 @@
 // seq_circuit.hpp — helpers for building and transforming clocked designs.
 //
 // Shared plumbing for the §III-C techniques: wrapping combinational blocks
-// in register ranks (retiming/precomputation testbeds), converting plain
-// flip-flops into load-enabled ones (the "LE" registers of Figure 1 and the
-// gated-clock transformation), and a register-file generator (the §III-C.3
-// example: "the register file is typically not accessed in each clock
-// cycle").
+// in register ranks (retiming/precomputation testbeds) and a register-file
+// generator (the §III-C.3 example: "the register file is typically not
+// accessed in each clock cycle").
 
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -21,20 +18,11 @@ namespace lps::seq {
 /// register rank (a 1-deep pipeline; `extra_output_ranks` appends more).
 Netlist registered(const Netlist& comb, int extra_output_ranks = 0);
 
-/// Convert each listed Dff to a load-enabled register:
-///   D := mux(enable, Q, D_original)   (enable=1 loads, 0 holds).
-/// Returns the mux node ids (for inspection).
-std::vector<NodeId> add_load_enable(Netlist& net, std::span<const NodeId> dffs,
-                                    NodeId enable);
-
 /// A w-bit × n-word register file with one write port: inputs are
 /// addr[log n], wdata[w], wen; outputs rdata of the addressed word.
 /// Every word's register bank holds via a recirculating mux selected by its
 /// address decode — exactly the hold pattern the clock-gating pass
 /// (clock_gating.hpp) detects and converts to a gated clock (§III-C.3).
 Netlist register_file(int words, int width);
-
-/// Count register bits.
-std::size_t num_state_bits(const Netlist& net);
 
 }  // namespace lps::seq

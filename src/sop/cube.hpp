@@ -37,8 +37,6 @@ class Cube {
   unsigned num_literals() const;
   /// True when some variable appears in both phases.
   bool contradictory() const;
-  /// True when this cube has no literals (the universal cube).
-  bool is_tautology() const { return num_literals() == 0; }
 
   /// Cube containment: every literal of `other` appears in this cube, i.e.
   /// this ⊆ other as point sets.

@@ -716,6 +716,57 @@ TEST(ServiceConcurrency, ParallelEstimatesMatchSerialized) {
     EXPECT_EQ(got[i], expect[i]) << "estimate " << i;
 }
 
+// An optimize on one session overlaps seeded estimates on another: the
+// sessions lock separately, so the flow and the estimates run at once and
+// must share no mutable global state.  Every response equals its
+// serialized reference.
+TEST(ServiceConcurrency, OptimizeOneSessionWhileEstimatingAnother) {
+  auto estimate_frame = [](int seed) {
+    Json req;
+    req.set("verb", Json("estimate"));
+    req.set("session", Json("est"));
+    req.set("seed", Json(seed));
+    return req.dump();
+  };
+  const std::string optimize_frame =
+      R"({"verb":"optimize","session":"opt","flow":"combinational"})";
+  auto load_both = [](service::Service& svc) {
+    ASSERT_TRUE(resp_ok(roundtrip(svc, load_frame("opt", bench_blif(), 256))));
+    ASSERT_TRUE(resp_ok(roundtrip(svc, load_frame("est", bench_blif(), 256))));
+  };
+  constexpr int kSeeds = 5;
+
+  service::Service ref;
+  ASSERT_NO_FATAL_FAILURE(load_both(ref));
+  const std::string opt_expect = ref.dispatch(optimize_frame);
+  std::vector<std::string> est_expect;
+  for (int seed = 1; seed <= kSeeds; ++seed)
+    est_expect.push_back(ref.dispatch(estimate_frame(seed)));
+
+  service::Service svc;
+  ASSERT_NO_FATAL_FAILURE(load_both(svc));
+  std::atomic<bool> optimizing{true};
+  std::string opt_got;
+  std::thread optimizer([&] {
+    opt_got = svc.dispatch(optimize_frame);
+    optimizing.store(false);
+  });
+  // Estimate for as long as the optimize runs (and at least one round).
+  std::vector<std::string> est_got;
+  std::vector<int> est_seed;
+  do {
+    for (int seed = 1; seed <= kSeeds; ++seed) {
+      est_got.push_back(svc.dispatch(estimate_frame(seed)));
+      est_seed.push_back(seed);
+    }
+  } while (optimizing.load());
+  optimizer.join();
+
+  EXPECT_EQ(opt_got, opt_expect);
+  for (std::size_t i = 0; i < est_got.size(); ++i)
+    EXPECT_EQ(est_got[i], est_expect[est_seed[i] - 1]) << "estimate " << i;
+}
+
 // ---------------------------------------------------------------------------
 // Journal recovery.
 

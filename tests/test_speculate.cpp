@@ -27,7 +27,6 @@
 #include "core/flows.hpp"
 #include "core/parallel.hpp"
 #include "logicopt/candidate.hpp"
-#include "logicopt/power_factor.hpp"
 #include "logicopt/resynth.hpp"
 #include "logicopt/rewrite/engine.hpp"
 #include "logicopt/rewrite/rules.hpp"
@@ -404,21 +403,6 @@ TEST(SpeculateResynth, ResultsIdenticalAcrossWorkerCounts) {
           << name << " workers=" << w;
     }
   }
-}
-
-// ---- factoring comparison identity ----------------------------------------
-
-TEST(SpeculateFactoring, MeasuredScoresIdenticalAcrossWorkerCounts) {
-  auto f = sop::Sop::parse(6, "11---- + 1-1--- + --11-- + ---1-1 + 0----1");
-  std::vector<double> probs{0.5, 0.9, 0.1, 0.5, 0.3, 0.7};
-  auto c1 = logicopt::compare_factorings(f, probs, /*rescore=*/true,
-                                         /*workers=*/1);
-  auto c4 = logicopt::compare_factorings(f, probs, /*rescore=*/true,
-                                         /*workers=*/4);
-  EXPECT_EQ(c1.power_flat_w, c4.power_flat_w);
-  EXPECT_EQ(c1.power_literal_w, c4.power_literal_w);
-  EXPECT_EQ(c1.power_power_w, c4.power_power_w);
-  EXPECT_EQ(c1.measured_winner, c4.measured_winner);
 }
 
 // ---- flow / pass plumbing -------------------------------------------------
