@@ -14,6 +14,7 @@
 #include <cmath>
 #include <thread>
 
+#include "../tests/activity_reference.hpp"
 #include "bench_util.hpp"
 #include "bdd/bdd_netlist.hpp"
 #include "core/parallel.hpp"
@@ -27,17 +28,22 @@ namespace {
 
 using namespace lps;
 
-// Best-of-3 wall time of one measure_activity run under the given engine.
+// One Monte Carlo activity run: the compiled tape (sim::measure_activity)
+// or the per-gate interpreter reference (tests/activity_reference.hpp).
+sim::ActivityStats run_activity(const Netlist& net, bool compiled,
+                                std::size_t frames, std::uint64_t seed) {
+  return compiled ? sim::measure_activity(net, frames, seed)
+                  : reference::measure_activity(net, frames, seed);
+}
+
+// Best-of-3 wall time of one activity run under the given engine.
 // Best-of (not mean) because the question is the engines' intrinsic cost
 // ratio, and the minimum is the least contaminated by scheduling noise.
 double activity_ms(const Netlist& net, bool compiled, std::size_t frames) {
-  sim::SimOptions o = sim::sim_options();
-  o.use_compiled = compiled;
-  sim::ScopedSimOptions scope(o);
   double best = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
-    auto r = sim::measure_activity(net, frames, 3);
+    auto r = run_activity(net, compiled, frames, 3);
     benchmark::DoNotOptimize(r.patterns);
     auto t1 = std::chrono::steady_clock::now();
     best = std::min(
@@ -51,8 +57,8 @@ double activity_ms(const Netlist& net, bool compiled, std::size_t frames) {
 // circuit (including a sequential one), and a >=2x single-thread win on
 // the medium/large circuits where the Monte Carlo loop actually hurts.
 void report_compiled() {
-  std::cout << "E22: compiled tape vs interpreter (block="
-            << sim::sim_options().block << ")\n";
+  std::cout << "E22: compiled tape vs interpreter (block=" << sim::kSimBlock
+            << ")\n";
 
   // Equality gate across the suite, plus a register circuit for the
   // sequential (block=1) driver path.
@@ -60,19 +66,8 @@ void report_compiled() {
   suite.push_back({"counter16", bench::counter(16)});
   bool identical = true;
   for (const auto& [name, net] : suite) {
-    sim::SimOptions comp = sim::sim_options();
-    comp.use_compiled = true;
-    sim::SimOptions interp = comp;
-    interp.use_compiled = false;
-    sim::ActivityStats a, b;
-    {
-      sim::ScopedSimOptions s(comp);
-      a = sim::measure_activity(net, 128, 3);
-    }
-    {
-      sim::ScopedSimOptions s(interp);
-      b = sim::measure_activity(net, 128, 3);
-    }
+    auto a = sim::measure_activity(net, 128, 3);
+    auto b = reference::measure_activity(net, 128, 3);
     bool same = a.patterns == b.patterns && a.signal_prob == b.signal_prob &&
                 a.transition_prob == b.transition_prob;
     identical = identical && same;
@@ -141,11 +136,10 @@ void report_compiled() {
 }
 
 // E24 — SIMD-wide tape frames.  The lane width (scalar / AVX2 / AVX-512)
-// and the locality knobs riding with it (pinning, first-touch placement)
-// must be pure speed levers: bit-identical counters at every runnable
-// width x block factor and at every thread count, with the wide kernels
-// delivering a measurable single-thread win over the forced-scalar
-// fallback on medium/large circuits.
+// and the pinning knob riding with it must be pure speed levers:
+// bit-identical counters at every runnable width and at every thread
+// count, with the wide kernels delivering a measurable single-thread win
+// over the forced-scalar fallback on medium/large circuits.
 void report_simd() {
   std::vector<sim::SimdWidth> widths{sim::SimdWidth::Scalar};
   if (sim::resolve_simd(sim::SimdWidth::Avx2) == sim::SimdWidth::Avx2)
@@ -161,51 +155,33 @@ void report_simd() {
   auto suite = bench::default_suite();
   suite.push_back({"counter16", bench::counter(16)});
 
-  // Equality gate: every runnable width x block {1,16} against the
-  // interpreter, including a register circuit for the sequential path.
+  // Equality gate: every runnable width against the interpreter,
+  // including a register circuit for the sequential path.
   bool identical = true;
   for (const auto& [name, net] : suite) {
-    sim::ActivityStats ref;
-    {
-      sim::SimOptions o = sim::sim_options();
-      o.use_compiled = false;
-      sim::ScopedSimOptions s(o);
-      ref = sim::measure_activity(net, 128, 3);
-    }
+    const auto ref = reference::measure_activity(net, 128, 3);
     for (auto w : widths) {
-      for (std::size_t block : {std::size_t{1}, std::size_t{16}}) {
-        sim::SimOptions o = sim::sim_options();
-        o.use_compiled = true;
-        o.block = block;
-        o.width = w;
-        sim::ScopedSimOptions s(o);
-        auto st = sim::measure_activity(net, 128, 3);
-        bool same = st.patterns == ref.patterns &&
-                    st.signal_prob == ref.signal_prob &&
-                    st.transition_prob == ref.transition_prob;
-        identical = identical && same;
-        if (!same)
-          std::cout << "  MISMATCH " << name << " width="
-                    << sim::simd_name(w) << " block=" << block << "\n";
-      }
+      sim::ScopedSimOptions s({.width = w});
+      auto st = sim::measure_activity(net, 128, 3);
+      bool same = st.patterns == ref.patterns &&
+                  st.signal_prob == ref.signal_prob &&
+                  st.transition_prob == ref.transition_prob;
+      identical = identical && same;
+      if (!same)
+        std::cout << "  MISMATCH " << name << " width=" << sim::simd_name(w)
+                  << "\n";
     }
   }
 
   // Thread-count equality under the widest kernels: the chunked shard
-  // plan, pinning and first-touch placement must leave counters invariant.
+  // plan and first-touch placement must leave counters equal to the
+  // interpreter's.
   bool identical_threads = true;
   {
     auto net = bench::alu(4);
-    sim::SimOptions o = sim::sim_options();
-    o.use_compiled = true;
-    o.width = widest;
-    sim::ScopedSimOptions s(o);
-    sim::ActivityStats ref;
-    {
-      core::ScopedThreads one(1);
-      ref = sim::measure_activity(net, 1024, 5);
-    }
-    for (unsigned n : {2u, 4u, 8u}) {
+    sim::ScopedSimOptions s({.width = widest});
+    const auto ref = reference::measure_activity(net, 1024, 5);
+    for (unsigned n : {1u, 2u, 4u, 8u}) {
       core::ScopedThreads threads(n);
       auto st = sim::measure_activity(net, 1024, 5);
       bool same = st.patterns == ref.patterns &&
@@ -216,7 +192,7 @@ void report_simd() {
     }
   }
 
-  std::cout << "identical across widths/blocks: " << (identical ? "yes" : "NO")
+  std::cout << "identical across widths: " << (identical ? "yes" : "NO")
             << ", across thread counts: "
             << (identical_threads ? "yes" : "NO") << "\n";
   benchx::claim("E24.simd_identical_suite", identical);
@@ -233,20 +209,8 @@ void report_simd() {
   // the band is optional.
   if (widest != sim::SimdWidth::Scalar) {
     auto engine_ms = [&](const Netlist& net, bool compiled, sim::SimdWidth w) {
-      sim::SimOptions o = sim::sim_options();
-      o.use_compiled = compiled;
-      o.width = w;
-      sim::ScopedSimOptions scope(o);
-      double best = 1e300;
-      for (int rep = 0; rep < 3; ++rep) {
-        auto t0 = std::chrono::steady_clock::now();
-        auto r = sim::measure_activity(net, 2048, 3);
-        benchmark::DoNotOptimize(r.patterns);
-        auto t1 = std::chrono::steady_clock::now();
-        best = std::min(
-            best, std::chrono::duration<double, std::milli>(t1 - t0).count());
-      }
-      return best;
+      sim::ScopedSimOptions scope({.width = w});
+      return activity_ms(net, compiled, 2048);
     };
     core::Table t({"circuit", "nodes", "interp ms", "scalar ms",
                    std::string(sim::simd_name(widest)) + " ms", "vs interp",
@@ -282,15 +246,12 @@ void report_simd() {
   }
 
   // Sharded Monte Carlo scaling at 8 threads under the wide kernels, with
-  // pinning and first-touch placement on.  Host-gated: only meaningful
-  // (and only claimed) with >=8 hardware threads.
+  // pinning on.  Host-gated: only meaningful (and only claimed) with >=8
+  // hardware threads.
   if (std::thread::hardware_concurrency() >= 8) {
     auto net = bench::alu(4);
-    sim::SimOptions o = sim::sim_options();
-    o.use_compiled = true;
-    o.width = widest;
-    sim::ScopedSimOptions scope(o);
-    core::ScopedPinning place(true, true);
+    sim::ScopedSimOptions scope({.width = widest});
+    core::ScopedPinning place(true);
     auto par_ms = [&](unsigned n) {
       core::ScopedThreads threads(n);
       double best = 1e300;
@@ -469,17 +430,15 @@ void bm_timed_par(benchmark::State& state) {
 }
 BENCHMARK(bm_timed_par)->Arg(1)->Arg(2)->Arg(4);
 
-// Engine-paired Monte Carlo benches.  Names pair as <base>_interp /
-// <base>_comp; aggregate_bench.py derives the compiled-vs-interpreted
-// speedup column from the pairs (same workload, only the engine differs).
+// Engine-paired Monte Carlo benches.  Names pair as <base>_interp (the
+// interpreter reference driver) / <base>_comp (the compiled tape);
+// aggregate_bench.py derives the compiled-vs-interpreted speedup column
+// from the pairs (same workload, only the engine differs).
 template <typename Make>
 void bm_activity_engine(benchmark::State& state, Make make, bool compiled) {
-  sim::SimOptions o = sim::sim_options();
-  o.use_compiled = compiled;
-  sim::ScopedSimOptions scope(o);
   Netlist net = make();
   for (auto _ : state) {
-    auto r = sim::measure_activity(net, 2048, 3);
+    auto r = run_activity(net, compiled, 2048, 3);
     benchmark::DoNotOptimize(r.patterns);
   }
 }
@@ -511,10 +470,7 @@ void bm_activity_width(benchmark::State& state, Make make, sim::SimdWidth w) {
     state.SkipWithError("lane width unsupported on this host");
     return;
   }
-  sim::SimOptions o = sim::sim_options();
-  o.use_compiled = true;
-  o.width = w;
-  sim::ScopedSimOptions scope(o);
+  sim::ScopedSimOptions scope({.width = w});
   Netlist net = make();
   for (auto _ : state) {
     auto r = sim::measure_activity(net, 2048, 3);

@@ -141,61 +141,6 @@ void report() {
   benchx::claim("E21.eval_reduction_max", reduction_max);
   benchx::claim("E21.vectors_used", static_cast<double>(vectors_used));
 
-  // ---- E22: the compiled tape must be invisible to results ---------------
-  // Incremental re-estimation and the full synthesis flow, run once per
-  // engine: same cone counters, same stage-by-stage power trajectory.
-  sim::SimOptions comp_opts = sim::sim_options();
-  comp_opts.use_compiled = true;
-  sim::SimOptions interp_opts = comp_opts;
-  interp_opts.use_compiled = false;
-
-  bool inc_identical = true;
-  for (auto& [name, net0] : bench::default_suite()) {
-    Netlist net = std::move(net0);
-    power::Analysis a, b;
-    {
-      sim::ScopedSimOptions s(comp_opts);
-      Netlist n = net;
-      power::IncrementalAnalyzer inc(n, ao);
-      auto touched = mutate_po_driver(n);
-      a = inc.reanalyze(touched);
-    }
-    {
-      sim::ScopedSimOptions s(interp_opts);
-      Netlist n = net;
-      power::IncrementalAnalyzer inc(n, ao);
-      auto touched = mutate_po_driver(n);
-      b = inc.reanalyze(touched);
-    }
-    bool same = a.report.breakdown.total_w() == b.report.breakdown.total_w() &&
-                a.report.weighted_activity == b.report.weighted_activity &&
-                a.toggles_per_cycle == b.toggles_per_cycle;
-    inc_identical = inc_identical && same;
-    if (!same) std::cout << "E22 incremental MISMATCH on " << name << "\n";
-  }
-
-  bool flow_compiled = true;
-  for (const auto& [name, net] : bench::default_suite()) {
-    if (net.num_gates() > 300) continue;
-    core::FlowOptions fo;
-    fo.sim_vectors = 512;
-    fo.estimate_mode = power::ActivityMode::ZeroDelay;
-    core::FlowResult rc, ri;
-    {
-      sim::ScopedSimOptions s(comp_opts);
-      rc = core::optimize_combinational(net, fo);
-    }
-    {
-      sim::ScopedSimOptions s(interp_opts);
-      ri = core::optimize_combinational(net, fo);
-    }
-    flow_compiled = flow_compiled && stages_identical(rc, ri);
-  }
-  std::cout << "compiled-engine equality: incremental "
-            << (inc_identical ? "identical" : "DIFFERS") << ", flow "
-            << (flow_compiled ? "identical" : "DIFFERS") << "\n";
-  benchx::claim("E22.inc_identical_compiled", inc_identical);
-  benchx::claim("E22.flow_identical_compiled", flow_compiled);
   std::cout << '\n';
 }
 
@@ -252,43 +197,6 @@ BENCHMARK(bm_reestimate_dag_inc);
 BENCHMARK(bm_reestimate_counter_full);
 BENCHMARK(bm_reestimate_counter_inc);
 
-// Engine-paired incremental updates: <base>_interp / <base>_comp feed the
-// compiled-vs-interpreted speedup column in aggregate_bench.py.  The
-// interpreter path rebuilds a LogicSim per update (O(netlist)); the
-// compiled path patches the cached tape from the undo journal (O(edit),
-// with amortized rebuilds at the garbage bound).
-template <typename Make>
-void bm_inc_engine(benchmark::State& state, Make make, bool compiled) {
-  sim::SimOptions o = sim::sim_options();
-  o.use_compiled = compiled;
-  sim::ScopedSimOptions scope(o);
-  Netlist net = make();
-  auto ao = zd_options();
-  power::IncrementalAnalyzer inc(net, ao);
-  auto touched = mutate_po_driver(net);
-  for (auto _ : state) {
-    const auto& a = inc.reanalyze(touched);
-    benchmark::DoNotOptimize(a.report.breakdown.switching_w);
-  }
-}
-
-void bm_reestimate_mult8_interp(benchmark::State& s) {
-  bm_inc_engine(s, [] { return bench::array_multiplier(8); }, false);
-}
-void bm_reestimate_mult8_comp(benchmark::State& s) {
-  bm_inc_engine(s, [] { return bench::array_multiplier(8); }, true);
-}
-void bm_reestimate_dag_interp(benchmark::State& s) {
-  bm_inc_engine(s, [] { return bench::random_dag(16, 400, 11); }, false);
-}
-void bm_reestimate_dag_comp(benchmark::State& s) {
-  bm_inc_engine(s, [] { return bench::random_dag(16, 400, 11); }, true);
-}
-BENCHMARK(bm_reestimate_mult8_interp);
-BENCHMARK(bm_reestimate_mult8_comp);
-BENCHMARK(bm_reestimate_dag_interp);
-BENCHMARK(bm_reestimate_dag_comp);
-
 // Width-paired incremental updates: <base>_wide_scalar / <base>_wide_<isa>
 // feed the SIMD speedup column in aggregate_bench.py.  The blocked cone
 // driver gathers boundary words, replays the cone under the selected
@@ -301,10 +209,7 @@ void bm_inc_width(benchmark::State& state, Make make, sim::SimdWidth w) {
     state.SkipWithError("lane width unsupported on this host");
     return;
   }
-  sim::SimOptions o = sim::sim_options();
-  o.use_compiled = true;
-  o.width = w;
-  sim::ScopedSimOptions scope(o);
+  sim::ScopedSimOptions scope({.width = w});
   Netlist net = make();
   auto ao = zd_options();
   power::IncrementalAnalyzer inc(net, ao);

@@ -195,8 +195,8 @@ StormResult run_storm(service::Service& svc, Ledger& led, long soak_ms,
                     "unstructured deadline response");
       } else if (cls < 86) {
         // Injected engine failure: next tape patch throws, the mutate must
-        // degrade (interpreter or analyzer drop), never fail the request
-        // with anything unstructured.
+        // degrade (full re-baseline or analyzer drop), never fail the
+        // request with anything unstructured.
         power::detail::force_tape_failures(1);
         Json op;
         op.set("op", Json("set_size"));
@@ -258,7 +258,8 @@ bool degradation_accounted() {
   bool ok = true;
 
   // (a) Forced compiled-tape failures must each surface in the metrics
-  // ledger as a tape->interpreter fallback, and the mutate must succeed.
+  // ledger as a tape->full-rebaseline fallback, and the mutate must
+  // succeed.
   {
     service::Service svc;
     Ledger led;

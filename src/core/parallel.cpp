@@ -98,7 +98,6 @@ namespace {
 std::mutex g_config_mu;
 unsigned g_threads = 0;  // 0 = not yet initialized
 int g_pin = -1;          // -1 = not yet sampled from LPS_SIM_PIN
-int g_numa = -1;         // -1 = not yet sampled from LPS_SIM_NUMA
 std::unique_ptr<ThreadPool> g_pool;
 
 unsigned default_threads() {
@@ -137,17 +136,6 @@ void set_pin_threads(bool pin) {
   if (g_pin == v) return;
   g_pin = v;
   g_pool.reset();  // rebuilt lazily with the new affinity policy
-}
-
-bool numa_first_touch() {
-  std::lock_guard lk(g_config_mu);
-  if (g_numa < 0) g_numa = env_bool_or("LPS_SIM_NUMA", true) ? 1 : 0;
-  return g_numa != 0;
-}
-
-void set_numa_first_touch(bool on) {
-  std::lock_guard lk(g_config_mu);
-  g_numa = on ? 1 : 0;  // policy is read per-run by the drivers; no pool churn
 }
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {

@@ -180,33 +180,18 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 bool pin_threads();
 void set_pin_threads(bool pin);
 
-/// First-touch placement policy for shard-chunk scratch (LPS_SIM_NUMA,
-/// default on): with it on, the Monte Carlo drivers allocate and first
-/// write each chunk's scratch *inside the chunk task*, so the pages land
-/// on the executing worker's NUMA node; off pre-faults the scratch on the
-/// submitting thread (single-node placement — the A/B baseline).  Purely a
-/// placement policy: counters and frames are bit-identical either way.
-bool numa_first_touch();
-void set_numa_first_touch(bool on);
-
-/// RAII pin/first-touch override for benchmarks and tests.
+/// RAII pinning override for benchmarks and tests.
 class ScopedPinning {
  public:
-  ScopedPinning(bool pin, bool numa)
-      : prev_pin_(pin_threads()), prev_numa_(numa_first_touch()) {
+  explicit ScopedPinning(bool pin) : prev_pin_(pin_threads()) {
     set_pin_threads(pin);
-    set_numa_first_touch(numa);
   }
-  ~ScopedPinning() {
-    set_pin_threads(prev_pin_);
-    set_numa_first_touch(prev_numa_);
-  }
+  ~ScopedPinning() { set_pin_threads(prev_pin_); }
   ScopedPinning(const ScopedPinning&) = delete;
   ScopedPinning& operator=(const ScopedPinning&) = delete;
 
  private:
   bool prev_pin_;
-  bool prev_numa_;
 };
 
 /// Finalizing 64-bit mixer (splitmix64).

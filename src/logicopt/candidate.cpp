@@ -37,7 +37,7 @@ namespace {
 constexpr std::uint64_t kVerifySeed = 17;
 
 // The one proof engine: sim::functional_trace runs the LogicSim
-// interpreter, whatever the process's sim_options() select.
+// interpreter (the compiled tape is the activity engine, never the proof).
 sim::SimTrace interpreter_trace(const Netlist& net, const KernelOptions& o) {
   return sim::functional_trace(net, o.verify_frames, kVerifySeed);
 }

@@ -48,10 +48,10 @@ struct Analysis {
   /// this can differ from AnalysisOptions::n_vectors — check it instead of
   /// assuming the request was honored exactly.
   std::size_t vectors_used = 0;
-  /// Code path that produced the numbers, e.g. "tape[avx512,b16]",
-  /// "interp", "eventsim" (sim::engine_desc()).  Every engine choice is
-  /// bit-identical for the same options, so this is observability for
-  /// reports and service responses, never a result qualifier.
+  /// Code path that produced the numbers: "tape[<width>,b16]" for
+  /// ZeroDelay (sim::engine_desc()), "eventsim" for Timed.  Every lane
+  /// width is bit-identical for the same options, so this is observability
+  /// for reports and service responses, never a result qualifier.
   std::string engine;
 };
 

@@ -93,14 +93,10 @@ void IncrementalAnalyzer::run_full() {
   }
   // Fresh compact tape for the cone updates (patched per mutation from here
   // on).
-  if (sim::sim_options().use_compiled) {
-    if (csim_)
-      csim_->rebuild();
-    else
-      csim_.emplace(*net_);
-  } else {
-    csim_.reset();
-  }
+  if (csim_)
+    csim_->rebuild();
+  else
+    csim_.emplace(*net_);
 }
 
 const Analysis& IncrementalAnalyzer::reanalyze(
@@ -112,6 +108,37 @@ const Analysis& IncrementalAnalyzer::reanalyze(
 
   std::size_t n_frames = trace_.frames.size();
   bool cone_ok = !touched.all && net.size() >= trace_.ones.size();
+
+  // Dirty set: transitive fanout of the *value-relevant* touched nodes,
+  // crossing registers (a changed D/EN driver changes the register's value
+  // stream from the next frame on).  Touched nodes whose pre-image differs
+  // only in fanouts/size/delay/name seed nothing — their value streams are
+  // unchanged, and capacitance is recomputed from the live netlist below.
+  //
+  // The compiled tape persists across updates and is patched from the
+  // same touched-node report (O(edit)).  A patch failure degrades the
+  // update to the full re-baseline below: the tape may be partially
+  // patched and can no longer be trusted to mirror the netlist, so it is
+  // dropped (run_full compiles a fresh one) and the failure is counted.
+  std::vector<bool> mask;
+  sim::ConeSchedule sched;
+  if (cone_ok) {
+    mask = net.fanout_cone_of(touched.value_roots, /*through_dffs=*/true);
+    try {
+      if (detail::consume_forced_tape_failure())
+        throw std::runtime_error("injected compiled-tape failure (chaos)");
+      if (csim_)
+        csim_->update(touched);
+      else
+        csim_.emplace(net);
+      sched = csim_->cone_schedule(mask);
+    } catch (const std::exception&) {
+      csim_.reset();
+      cone_ok = false;
+      last_.tape_fallback = true;
+      core::metrics::count("power.inc.tape_fallback");
+    }
+  }
   if (!cone_ok) {
     // Full fallback: the old cache moves wholesale into the snapshot (no
     // copies), then the baseline is rebuilt for the mutated netlist.
@@ -143,47 +170,6 @@ const Analysis& IncrementalAnalyzer::reanalyze(
   }
 
   // ---- Cone-scoped update -------------------------------------------------
-  // Dirty set: transitive fanout of the *value-relevant* touched nodes,
-  // crossing registers (a changed D/EN driver changes the register's value
-  // stream from the next frame on).  Touched nodes whose pre-image differs
-  // only in fanouts/size/delay/name seed nothing — their value streams are
-  // unchanged, and capacitance is recomputed from the live netlist below.
-  auto mask = net.fanout_cone_of(touched.value_roots, /*through_dffs=*/true);
-
-  // Engine selection.  The compiled tape persists across updates and is
-  // patched from the same touched-node report (O(edit)); the interpreted
-  // engine re-walks the topo order per call (O(netlist)).  Both produce
-  // bit-identical cone words, so the splice below is engine-agnostic —
-  // which is also why a tape failure can degrade to the interpreter
-  // mid-call without changing the result: the tape is dropped (recompiled
-  // lazily next update), the failure is counted, and the update proceeds.
-  bool compiled_path = sim::sim_options().use_compiled;
-  std::optional<sim::LogicSim> isim;
-  sim::ConeSchedule sched;
-  if (compiled_path) {
-    try {
-      if (detail::consume_forced_tape_failure())
-        throw std::runtime_error("injected compiled-tape failure (chaos)");
-      if (csim_)
-        csim_->update(touched);
-      else
-        csim_.emplace(net);
-      sched = csim_->cone_schedule(mask);
-    } catch (const std::exception&) {
-      // The tape may be partially patched and can no longer be trusted to
-      // mirror the netlist; discard it and fall back to the interpreter.
-      csim_.reset();
-      compiled_path = false;
-      last_.tape_fallback = true;
-      core::metrics::count("power.inc.tape_fallback");
-    }
-  }
-  if (!compiled_path) {
-    csim_.reset();
-    isim.emplace(net);
-    sched = isim->cone_schedule(mask);
-  }
-
   Snapshot s;
   s.full = false;
   s.old_size = trace_.ones.size();
@@ -239,20 +225,16 @@ const Analysis& IncrementalAnalyzer::reanalyze(
   // rewritten columns never escape — the exception-safety contract in the
   // header.
   //
-  // Register-free cones on the compiled tape take a blocked drive: B
-  // frames' worth of cone-boundary words are gathered node-major into an
-  // aligned value block, one exec_gates replay evaluates all B lanes with
-  // the SIMD kernels, and the gate columns are scattered back.  Each lane
-  // is an independent frame of a combinational cone, so lane j's words
-  // equal the frame-by-frame path's words exactly; the counting pass below
-  // then reads identical frames either way.
-  const std::size_t block_frames =
-      (compiled_path && sched.dffs.empty() && n_frames > 1)
-          ? sim::normalize_block(sim::sim_options().block)
-          : 1;
+  // Register-free cones take a blocked drive: kSimBlock frames' worth of
+  // cone-boundary words are gathered node-major into an aligned value
+  // block, one exec_gates replay evaluates all lanes with the SIMD
+  // kernels, and the gate columns are scattered back.  Each lane is an
+  // independent frame of a combinational cone, so lane j's words equal the
+  // frame-by-frame path's words exactly; the counting pass below then
+  // reads identical frames either way.
   try {
-    if (block_frames > 1) {
-      const std::size_t B = block_frames;
+    if (sched.dffs.empty() && n_frames > 1) {
+      const std::size_t B = sim::kSimBlock;
       // Slots a replay touches: the cone gates and every boundary fanin.
       std::vector<NodeId> slots(sched.gates.begin(), sched.gates.end());
       for (NodeId g : sched.gates)
@@ -306,10 +288,7 @@ const Analysis& IncrementalAnalyzer::reanalyze(
             f[d] = next;
           }
         }
-        if (compiled_path)
-          csim_->exec_gates(f.data(), 1, sched.gates);
-        else
-          isim->eval_cone_into(f, sched);
+        csim_->exec_gates(f.data(), 1, sched.gates);
         auto count = [&](NodeId id) {
           trace_.ones[id] += std::popcount(f[id]);
           if (prev) trace_.toggles[id] += std::popcount(f[id] ^ (*prev)[id]);

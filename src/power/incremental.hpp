@@ -21,15 +21,16 @@
 // seed and the input's position in `inputs()` (never on netlist edits), so
 // everything outside the fanout cone of the touched set replays to the
 // very same words — the cached frame already holds them.  Re-evaluating
-// the cone in place inside such a frame (LogicSim::eval_cone_into) then
-// produces word-for-word what a full re-simulation would, and integer
-// popcount splicing introduces no floating-point divergence.
+// the cone in place inside such a frame (CompiledSim::exec_gates over the
+// persistent, patched tape) then produces word-for-word what a full
+// re-simulation would, and integer popcount splicing introduces no
+// floating-point divergence.
 //
 // Cache invalidation rule — fall back to a full re-baseline when the
 // touched-node report says `all` (no journal, wholesale restore such as
 // compact()/assignment, or a PI-list change that re-maps the input→stream
-// binding).  Fallbacks are full analyze() runs, so correctness never
-// depends on the cone path applying.
+// binding), or when patching the compiled tape fails.  Fallbacks are full
+// analyze() runs, so correctness never depends on the cone path applying.
 
 #pragma once
 
@@ -47,7 +48,7 @@ namespace lps::power {
 namespace detail {
 /// Chaos hook (tests and the service soak harness): force the next `n`
 /// compiled-tape patch attempts inside IncrementalAnalyzer::reanalyze() to
-/// throw, exercising the tape→interpreter degradation path
+/// throw, exercising the tape→full-rebaseline degradation path
 /// (`power.inc.tape_fallback`) without needing a genuinely corrupt tape.
 /// Thread-safe; 0 disables.
 void force_tape_failures(int n);
@@ -58,7 +59,7 @@ class IncrementalAnalyzer {
   /// What the most recent reanalyze() actually did.
   struct UpdateStats {
     bool full_rebaseline = false;  // fell back to a fresh full analysis
-    bool tape_fallback = false;    // compiled tape failed; interpreter used
+    bool tape_fallback = false;    // tape patch failed; full re-baseline ran
     std::size_t resim_nodes = 0;   // nodes re-evaluated (cone, or all live)
     std::size_t live_nodes = 0;    // what a full re-analysis evaluates
   };
@@ -96,10 +97,10 @@ class IncrementalAnalyzer {
   /// must NOT call revert_last() for the failed update (there is nothing to
   /// revert — the pending snapshot still belongs to the previous successful
   /// one).  A compiled-tape patch failure alone is not an error: the tape
-  /// is dropped, the update transparently degrades to the interpreted
-  /// engine (recorded as `power.inc.tape_fallback` and
-  /// UpdateStats::tape_fallback), and a fresh tape is compiled on the next
-  /// opportunity.
+  /// is dropped and the update transparently degrades to a full
+  /// re-baseline, which compiles a fresh tape (recorded as
+  /// `power.inc.tape_fallback`, UpdateStats::tape_fallback and
+  /// UpdateStats::full_rebaseline).
   const Analysis& reanalyze(const Netlist::TouchedNodes& touched);
 
   /// Restore the cache and analysis to their state before the most recent
@@ -160,8 +161,8 @@ class IncrementalAnalyzer {
     std::vector<std::vector<std::uint64_t>> columns;
     std::vector<NodeId> count_ids;  // old (ones, toggles) per id
     std::vector<std::pair<std::uint64_t, std::uint64_t>> counts;
-    // Tape-patch roots of the reverted mutation (compiled engine):
-    // revert_to() re-emits their records from the restored netlist.
+    // Tape-patch roots of the reverted mutation: revert_to() re-emits
+    // their records from the restored netlist.
     std::vector<NodeId> patched;
     Analysis analysis;
   };
@@ -179,9 +180,9 @@ class IncrementalAnalyzer {
   AnalysisOptions opt_;
   Analysis analysis_;
   sim::ActivityTrace trace_;  // frame/counter cache
-  // Persistent compiled tape (SimOptions::use_compiled): patched in place
-  // from each mutation's touched-node report instead of recompiled, so a
-  // pass loop pays O(edit) per candidate, not O(netlist).
+  // Persistent compiled tape: patched in place from each mutation's
+  // touched-node report instead of recompiled, so a pass loop pays
+  // O(edit) per candidate, not O(netlist).
   std::optional<sim::CompiledSim> csim_;
   UpdateStats last_;
   std::optional<Snapshot> snap_;

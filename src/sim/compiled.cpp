@@ -22,16 +22,11 @@ std::size_t normalize_block(std::size_t b) {
 SimOptions& sim_options() {
   static SimOptions opt = [] {
     SimOptions o;
-    // Malformed values are rejected with positioned diagnostics on stderr
-    // and fall back to the defaults (core/env.hpp) — "LPS_SIM_COMPILED=off"
-    // or "LPS_SIM_BLOCK=banana" no longer silently pass as defaults without
-    // telling the operator their knob did nothing.
-    o.use_compiled = core::env_bool_or("LPS_SIM_COMPILED", o.use_compiled);
-    o.block = normalize_block(static_cast<std::size_t>(core::env_long_or(
-        "LPS_SIM_BLOCK", 1, 16, static_cast<long>(o.block))));
-    // Choice indices line up with the SimdWidth enumerators; a request the
-    // hardware or binary can't honor degrades at dispatch (resolve_simd),
-    // not here — the operator's intent is preserved for diagnostics.
+    // A malformed value is rejected with a positioned diagnostic on stderr
+    // and falls back to the default (core/env.hpp).  Choice indices line
+    // up with the SimdWidth enumerators; a request the hardware or binary
+    // can't honor degrades at dispatch (resolve_simd), not here — the
+    // operator's intent is preserved for diagnostics.
     static const char* const kWidths[] = {"scalar", "avx2", "avx512", "auto"};
     o.width = static_cast<SimdWidth>(core::env_choice_or(
         "LPS_SIM_WIDTH", kWidths, 4, static_cast<std::size_t>(o.width)));

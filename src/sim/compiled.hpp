@@ -17,9 +17,10 @@
 // exactly the words eval_gate computes — every opcode is the same bitwise
 // expression, folded in the same fanin order — so CompiledSim frames are
 // bit-identical to LogicSim frames.  tests/test_compiled.cpp enforces this
-// differentially across the benchmark suite; the measure_activity driver
-// (sim/logicsim.cpp) selects the engine via SimOptions::use_compiled with
-// either choice producing the same counters.
+// differentially across the benchmark suite against the per-gate reference
+// driver in tests/activity_reference.hpp; the tape is the only Monte Carlo
+// engine of measure_activity (sim/logicsim.cpp) and the incremental
+// analyzer (power/incremental.cpp).
 //
 // Mutation support: optimization loops edit a handful of nodes per
 // candidate move.  update() patches the tape from the same
@@ -43,16 +44,18 @@
 
 namespace lps::sim {
 
-/// Process-wide simulation engine knobs, sampled once from the environment
-/// (LPS_SIM_COMPILED=0 disables the tape, LPS_SIM_BLOCK=1|2|4|8|16 sets the
-/// frame-blocking factor, LPS_SIM_WIDTH=scalar|avx2|avx512|auto picks the
-/// kernel lane width) on the first sim_options() call — the same caching
-/// contract as LPS_THREADS (core/parallel.hpp).  Tests and benches override
-/// via ScopedSimOptions; every engine/width/block choice produces
-/// bit-identical results, so the knobs trade only speed.
+/// 64-bit frame words the Monte Carlo drivers evaluate per tape step
+/// (combinational streams; sequential ones step one frame at a time).
+/// Both measure_activity and the incremental cone driver read it.
+inline constexpr std::size_t kSimBlock = 16;
+
+/// Process-wide simulation engine knob, sampled once from the environment
+/// (LPS_SIM_WIDTH=scalar|avx2|avx512|auto picks the kernel lane width) on
+/// the first sim_options() call — the same caching contract as LPS_THREADS
+/// (core/parallel.hpp).  Tests and benches override via ScopedSimOptions;
+/// every width produces bit-identical results, so the knob trades only
+/// speed.
 struct SimOptions {
-  bool use_compiled = true;  // route Monte Carlo drivers through CompiledSim
-  std::size_t block = 16;    // 64-bit words evaluated per tape step (1..16)
   SimdWidth width = SimdWidth::Auto;  // kernel lane width (see sim/simd.hpp)
 };
 

@@ -1,7 +1,5 @@
 #include "sim/logicsim.hpp"
 
-#include <bit>
-#include <optional>
 #include <random>
 #include <stdexcept>
 
@@ -155,73 +153,30 @@ struct alignas(64) ActivityAccum {
 // cache-line aligned (core/aligned.hpp) so the SIMD kernels' vector
 // accesses of any node block never straddle a line.
 struct ActivityScratch {
-  // interpreted engine
-  Frame f, prev;
-  std::vector<std::uint64_t> pi_words;
-  std::vector<std::uint64_t> state;
-  // compiled engine
   core::AlignedWords val;   // node-major value block, n * B words
   core::AlignedWords last;  // previous frame's word per node
+  std::vector<std::uint64_t> state;  // register values (sequential nets)
 };
 
 // Frames between cancellation polls inside one shard: bounds cancellation
 // latency for single-shard (sequential) streams without measurable cost.
 constexpr std::size_t kCancelBatchFrames = 32;
 
-void simulate_activity_shard(const Netlist& net, const LogicSim& sim,
-                             std::span<const NodeId> dffs,
-                             std::size_t n_frames, std::uint64_t seed,
+// One shard of the Monte Carlo stream on the compiled tape.  Combinational
+// streams evaluate `block` 64-pattern words per tape replay (PI words are
+// drawn frame-major — lane j fully before lane j+1 — so the per-frame
+// stream does not depend on the block factor); sequential streams carry
+// register state frame to frame and run with block == 1.  Each of the 64
+// bit lanes carries an independent trajectory; transitions are counted
+// per lane between consecutive frames, which is exact for sequential
+// circuits and, with iid inputs, for combinational ones too.
+void simulate_activity_shard(const Netlist& net, const CompiledSim& cs,
+                             std::size_t block, std::size_t n_frames,
+                             std::uint64_t seed,
                              std::span<const double> pi_one_prob,
                              Frame* capture_frames, ActivityAccum& a,
                              ActivityScratch& sc,
                              const core::CancelToken* cancel) {
-  const auto& pis = net.inputs();
-  a.frames += n_frames;
-  a.seams += n_frames > 1 ? n_frames - 1 : 0;
-
-  std::mt19937_64 rng(seed);
-  sc.pi_words.resize(pis.size());
-  sc.state.resize(dffs.size());
-  for (std::size_t i = 0; i < dffs.size(); ++i)
-    sc.state[i] = net.node(dffs[i]).init_value ? ~0ULL : 0ULL;
-
-  Frame& f = sc.f;
-  Frame& prev = sc.prev;
-  for (std::size_t fr = 0; fr < n_frames; ++fr) {
-    if (fr % kCancelBatchFrames == 0) core::poll_cancel(cancel);
-    for (std::size_t i = 0; i < pis.size(); ++i) {
-      double p = pi_one_prob.empty() ? 0.5 : pi_one_prob[i];
-      sc.pi_words[i] = (p == 0.5) ? rng() : biased_word(rng, p);
-    }
-    sim.eval_into(f, sc.pi_words, sc.state);
-    if (capture_frames) capture_frames[fr] = f;
-    for (NodeId id = 0; id < net.size(); ++id) {
-      if (net.is_dead(id)) continue;
-      a.ones[id] += std::popcount(f[id]);
-      // Each of the 64 bit lanes carries an independent trajectory;
-      // transitions are counted per lane between consecutive frames.  This
-      // is exact for sequential circuits and, with iid inputs, for
-      // combinational ones too.
-      if (fr > 0) a.toggles[id] += std::popcount(f[id] ^ prev[id]);
-    }
-    sim.next_state_into(f, sc.state);
-    std::swap(prev, f);
-  }
-}
-
-// Compiled-tape twin of simulate_activity_shard: same RNG consumption
-// order, same counting rules, bit-identical counters.  Combinational
-// streams evaluate `block` 64-pattern words per tape replay (PI words are
-// drawn frame-major — lane j fully before lane j+1 — preserving the exact
-// per-frame stream of the interpreted engine); sequential streams carry
-// register state frame to frame and run with block == 1.
-void simulate_activity_shard_compiled(const Netlist& net,
-                                      const CompiledSim& cs, std::size_t block,
-                                      std::size_t n_frames, std::uint64_t seed,
-                                      std::span<const double> pi_one_prob,
-                                      Frame* capture_frames, ActivityAccum& a,
-                                      ActivityScratch& sc,
-                                      const core::CancelToken* cancel) {
   const auto& pis = net.inputs();
   const auto& live = cs.live();
   const auto& dffs = cs.dffs();
@@ -316,11 +271,8 @@ ActivityStats measure_activity(const Netlist& net, std::size_t n_frames,
                                ActivityTrace* capture,
                                const core::CancelToken* cancel) {
   auto dffs = net.dffs();
-  const SimOptions opts = sim_options();
-  const bool compiled = opts.use_compiled;
   // Sequential streams carry state frame to frame: no lane blocking.
-  const std::size_t block =
-      dffs.empty() ? normalize_block(opts.block) : 1;
+  const std::size_t block = dffs.empty() ? kSimBlock : 1;
 
   // Sequential nets form one continuous state trajectory — one shard.
   // Combinational frame streams are iid and shard freely; the plan depends
@@ -337,12 +289,7 @@ ActivityStats measure_activity(const Netlist& net, std::size_t n_frames,
     }
   }
 
-  std::optional<CompiledSim> csim;
-  std::optional<LogicSim> isim;
-  if (compiled)
-    csim.emplace(net);
-  else
-    isim.emplace(net);
+  const CompiledSim csim(net);
 
   // Dispatch grain: up to two pool indices per execution lane
   // (core::plan_chunks — oversubscription evens out lane load imbalance),
@@ -354,31 +301,19 @@ ActivityStats measure_activity(const Netlist& net, std::size_t n_frames,
   const std::size_t n_chunks = core::plan_chunks(plan.shards);
   std::vector<ActivityAccum> parts(n_chunks);
   std::vector<ActivityScratch> scratch(n_chunks);
-  // First-touch NUMA placement: each chunk's accumulators and value block
-  // are written first by whichever worker runs the chunk, so their pages
-  // land on that worker's node.  The LPS_SIM_NUMA=0 baseline faults
-  // everything on the submitting thread instead (single-node placement).
-  auto init_chunk = [&](std::size_t c) {
-    ActivityAccum& a = parts[c];
-    ActivityScratch& sc = scratch[c];
-    a.ones.assign(net.size(), 0);
-    a.toggles.assign(net.size(), 0);
-    if (compiled) {
-      // Dead slots must read 0 (LogicSim's f.assign contract); records
-      // never write them, so zeroing once per chunk suffices.
-      sc.val.assign(net.size() * block, 0);
-      sc.last.assign(net.size(), 0);
-    }
-  };
-  const bool first_touch = core::numa_first_touch();
-  if (!first_touch)
-    for (std::size_t c = 0; c < n_chunks; ++c) init_chunk(c);
   auto run_chunk = [&](std::size_t c) {
     const std::size_t s_begin = c * plan.shards / n_chunks;
     const std::size_t s_end = (c + 1) * plan.shards / n_chunks;
     ActivityAccum& a = parts[c];
     ActivityScratch& sc = scratch[c];
-    if (first_touch) init_chunk(c);
+    // First-touch placement: the worker that runs the chunk writes its
+    // accumulators and value block first, so their pages land on that
+    // worker's NUMA node.  Dead slots must read 0 (LogicSim's f.assign
+    // contract); records never write them, so zeroing once suffices.
+    a.ones.assign(net.size(), 0);
+    a.toggles.assign(net.size(), 0);
+    sc.val.assign(net.size() * block, 0);
+    sc.last.assign(net.size(), 0);
     for (std::size_t s = s_begin; s < s_end; ++s) {
       core::poll_cancel(cancel);
       // A single-shard plan keeps the legacy RNG stream (`seed` itself)
@@ -388,13 +323,8 @@ ActivityStats measure_activity(const Netlist& net, std::size_t n_frames,
       const std::size_t shard_frames = solo ? n_frames : plan.count(s);
       Frame* cap =
           capture ? capture->frames.data() + plan.begin(s) : nullptr;
-      if (compiled)
-        simulate_activity_shard_compiled(net, *csim, block, shard_frames,
-                                         sseed, pi_one_prob, cap, a, sc,
-                                         cancel);
-      else
-        simulate_activity_shard(net, *isim, dffs, shard_frames, sseed,
-                                pi_one_prob, cap, a, sc, cancel);
+      simulate_activity_shard(net, csim, block, shard_frames, sseed,
+                              pi_one_prob, cap, a, sc, cancel);
     }
   };
   if (n_chunks == 1)

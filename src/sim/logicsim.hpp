@@ -1,9 +1,13 @@
 // logicsim.hpp — 64-way bit-parallel zero-delay logic simulation.
 //
-// Used for (a) functional equivalence checking of every optimization pass,
-// (b) exact zero-delay switching-activity measurement (§I Eqn. 1 factor N),
-// and (c) signal/transition probability measurement under arbitrary input
-// statistics.  Each std::uint64_t word carries 64 independent patterns.
+// LogicSim is the proof engine: functional equivalence checking of every
+// optimization pass (equivalent_random, functional_trace) and the
+// don't-care prefilter's cone replays.  This header also declares the
+// Monte Carlo activity driver (measure_activity: exact zero-delay
+// switching activity, §I Eqn. 1 factor N, and signal/transition
+// probabilities under arbitrary input statistics), which runs on the
+// compiled tape (sim/compiled.hpp).  Each std::uint64_t word carries 64
+// independent patterns.
 //
 // Monte Carlo drivers shard their frame stream across the shared thread
 // pool (core/parallel.hpp).  The decomposition and per-shard seeds depend
@@ -28,9 +32,9 @@ using Frame = std::vector<std::uint64_t>;
 
 /// Precomputed evaluation schedule for one cone of the network: the cone's
 /// logic gates in topological order plus its registers.  Built once per
-/// dirty set by LogicSim::cone_schedule() and replayed over every cached
-/// frame by eval_cone_into() — the inner loop of incremental power
-/// re-estimation (power/incremental.hpp).
+/// dirty set (LogicSim::cone_schedule() for the don't-care prefilter,
+/// CompiledSim::cone_schedule() for incremental power re-estimation) and
+/// replayed over every cached frame.
 struct ConeSchedule {
   std::vector<NodeId> gates;  // live non-source, non-Dff cone nodes, topo order
   std::vector<NodeId> dffs;   // live cone registers (state stepped by caller)
@@ -59,7 +63,9 @@ class LogicSim {
                  std::span<const std::uint64_t> dff_words = {}) const;
 
   /// Restrict this netlist's topological order to the nodes set in `mask`
-  /// (sized net.size(); dead nodes and primary inputs are dropped).
+  /// (sized net.size(); dead nodes and primary inputs are dropped).  The
+  /// don't-care prefilter (logicopt/dontcare.cpp) replays such cones over
+  /// its random frames through eval_cone_into().
   ConeSchedule cone_schedule(const std::vector<bool>& mask) const;
 
   /// Cone-restricted re-evaluation: recompute exactly `sched.gates` (in
@@ -68,8 +74,7 @@ class LogicSim {
   /// valid values — the caller supplies PI and register words (including
   /// the cone's registers) before the call.  Evaluating a cone inside a
   /// frame whose complement is up to date yields bit-identical words to a
-  /// full eval_into() pass, which is the splice guarantee incremental
-  /// power analysis rests on.
+  /// full eval_into() pass.
   void eval_cone_into(Frame& f, const ConeSchedule& sched) const;
 
   /// Values at the primary outputs extracted from a frame.
@@ -125,7 +130,8 @@ ActivityStats stats_from_counts(std::span<const std::uint64_t> ones,
 /// sets a per-input probability of 1 (default 0.5).  For sequential nets the
 /// register state is carried across consecutive patterns within a word
 /// stream (one symbolic stream of length 64*n_frames).  Combinational nets
-/// shard the stream across the thread pool; results are deterministic in
+/// shard the stream across the thread pool and replay the compiled tape
+/// over kSimBlock frames at a time; results are deterministic in
 /// (n_frames, seed) and independent of the thread count.  When `capture` is
 /// non-null the full per-frame value matrix and exact counters are recorded
 /// into it (one extra frame copy per simulated frame; the statistics are

@@ -74,10 +74,8 @@ std::size_t simd_lane_words(SimdWidth w) {
 }
 
 std::string engine_desc() {
-  const SimOptions& o = sim_options();
-  if (!o.use_compiled) return "interp";
-  return std::string("tape[") + simd_name(resolve_simd(o.width)) + ",b" +
-         std::to_string(o.block) + "]";
+  return std::string("tape[") + simd_name(resolve_simd(sim_options().width)) +
+         ",b" + std::to_string(kSimBlock) + "]";
 }
 
 }  // namespace lps::sim

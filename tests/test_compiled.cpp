@@ -3,11 +3,13 @@
 // The contract under test (sim/compiled.hpp): CompiledSim is a pure
 // performance substitution for LogicSim — every frame it evaluates, every
 // activity counter derived from it, and every cone splice through it must
-// be bit-identical to the interpreted engine's, at any blocking factor and
-// any thread count.  The suite drives both engines over the benchmark
-// circuits (including the shapes the tape specializes: 2-input gates,
-// constants, MUXes, >64-fanin folds, load-enabled registers), patches the
-// tape through mutation undo epochs, and pins the SimOptions plumbing.
+// be bit-identical to the per-gate interpreter's, at any blocking factor
+// and any thread count.  The suite checks the tape against LogicSim frame
+// by frame and the Monte Carlo driver against the interpreter reference
+// driver (tests/activity_reference.hpp) over the benchmark circuits
+// (including the shapes the tape specializes: 2-input gates, constants,
+// MUXes, >64-fanin folds, load-enabled registers), patches the tape
+// through mutation undo epochs, and pins the SimOptions plumbing.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +18,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/flows.hpp"
+#include "activity_reference.hpp"
 #include "core/parallel.hpp"
 #include "netlist/benchmarks.hpp"
 #include "power/incremental.hpp"
@@ -27,27 +29,16 @@ namespace {
 
 using namespace lps;
 
-sim::SimOptions compiled_opts(std::size_t block = 8) {
-  sim::SimOptions o;
-  o.use_compiled = true;
-  o.block = block;
-  return o;
-}
-
-sim::SimOptions interpreted_opts() {
-  sim::SimOptions o;
-  o.use_compiled = false;
-  return o;
-}
-
-// Per-engine activity measurement of the same workload.
+// Per-engine activity measurement of the same workload: the production
+// tape driver, or the interpreter reference.
 sim::ActivityStats measure_with(const Netlist& net, bool compiled,
                                 std::size_t frames, std::uint64_t seed,
-                                std::size_t block = 8,
+                                std::span<const double> pi_one_prob = {},
                                 sim::ActivityTrace* cap = nullptr) {
-  sim::ScopedSimOptions guard(compiled ? compiled_opts(block)
-                                       : interpreted_opts());
-  return sim::measure_activity(net, frames, seed, {}, cap);
+  return compiled
+             ? sim::measure_activity(net, frames, seed, pi_one_prob, cap)
+             : reference::measure_activity(net, frames, seed, pi_one_prob,
+                                           cap);
 }
 
 void expect_stats_identical(const sim::ActivityStats& a,
@@ -148,13 +139,30 @@ TEST(Compiled, WideGatesConstantsAndMux) {
 
 TEST(Compiled, MeasureActivityIdenticalAcrossSuite) {
   for (auto& [name, net] : bench::default_suite()) {
-    auto interp = measure_with(net, false, 128, 42);
-    for (std::size_t B : {std::size_t{1}, std::size_t{4}, std::size_t{8},
-                          std::size_t{16}}) {
-      auto comp = measure_with(net, true, 128, 42, B);
-      SCOPED_TRACE(name + " B=" + std::to_string(B));
-      expect_stats_identical(interp, comp);
-    }
+    SCOPED_TRACE(name);
+    expect_stats_identical(measure_with(net, false, 128, 42),
+                           measure_with(net, true, 128, 42));
+  }
+}
+
+TEST(Compiled, BiasedInputsIdenticalIncludingTailBlock) {
+  // Non-uniform pi_one_prob takes the biased_word draw, which consumes 64
+  // RNG outputs per word instead of one — the frame-major draw order of
+  // the blocked driver must still reproduce the reference stream.  100
+  // frames is not a multiple of kSimBlock, so the tail block is covered;
+  // counter(8) covers the sequential (one-frame-per-step) path.
+  static_assert(100 % sim::kSimBlock != 0);
+  auto cases = bench::default_suite();
+  cases.push_back({"counter8", bench::counter(8)});
+  for (auto& [name, net] : cases) {
+    SCOPED_TRACE(name);
+    // Cycle through the special cases (constant 0/1 and the uniform
+    // shortcut) and two genuine biases.
+    static const double kProbs[] = {0.2, 0.5, 0.9, 0.0, 1.0, 0.35};
+    std::vector<double> p(net.inputs().size());
+    for (std::size_t i = 0; i < p.size(); ++i) p[i] = kProbs[i % 6];
+    expect_stats_identical(measure_with(net, false, 100, 7, p),
+                           measure_with(net, true, 100, 7, p));
   }
 }
 
@@ -183,8 +191,8 @@ TEST(Compiled, TraceCaptureIdentical) {
   // word-for-word identical, dead slots included.
   auto net = bench::array_multiplier(4);
   sim::ActivityTrace ta, tb;
-  measure_with(net, false, 128, 9, 8, &ta);
-  measure_with(net, true, 128, 9, 8, &tb);
+  measure_with(net, false, 128, 9, {}, &ta);
+  measure_with(net, true, 128, 9, {}, &tb);
   ASSERT_EQ(ta.frames.size(), tb.frames.size());
   for (std::size_t fr = 0; fr < ta.frames.size(); ++fr)
     ASSERT_EQ(ta.frames[fr], tb.frames[fr]) << "frame " << fr;
@@ -199,7 +207,6 @@ TEST(Compiled, ThreadCountInvariance) {
   // Bit-identical at 1/2/4/8 threads with the compiled engine — the PR 2
   // determinism contract survives the chunked dispatch grain.
   auto net = bench::random_dag(24, 600, 77);
-  sim::ScopedSimOptions guard(compiled_opts());
   std::vector<sim::ActivityStats> runs;
   for (unsigned t : {1u, 2u, 4u, 8u}) {
     core::ScopedThreads st(t);
@@ -207,12 +214,8 @@ TEST(Compiled, ThreadCountInvariance) {
   }
   for (std::size_t i = 1; i < runs.size(); ++i)
     expect_stats_identical(runs[0], runs[i]);
-  // And interpreted == compiled at a non-trivial thread count.
-  {
-    core::ScopedThreads st(4);
-    sim::ScopedSimOptions g2(interpreted_opts());
-    expect_stats_identical(sim::measure_activity(net, 512, 23), runs[0]);
-  }
+  // And all of them equal the interpreter reference.
+  expect_stats_identical(reference::measure_activity(net, 512, 23), runs[0]);
 }
 
 TEST(Compiled, TimedActivityThreadInvariance) {
@@ -337,44 +340,11 @@ TEST(Compiled, GarbageBoundTriggersRebuild) {
 
 // ---- incremental-analyzer integration ------------------------------------
 
-TEST(Compiled, IncrementalReanalyzeIdenticalAcrossEngines) {
-  for (auto& [name, base] : bench::default_suite()) {
-    SCOPED_TRACE(name);
-    power::AnalysisOptions ao;
-    ao.mode = power::ActivityMode::ZeroDelay;
-    ao.n_vectors = 1024;
-
-    Netlist net_c = base, net_i = base;
-    sim::ScopedSimOptions gc(compiled_opts());
-    power::IncrementalAnalyzer inc_c(net_c, ao);
-    {
-      sim::ScopedSimOptions gi(interpreted_opts());
-      power::IncrementalAnalyzer inc_i(net_i, ao);
-      auto tc = splice_po_driver(net_c);
-      auto ti = splice_po_driver(net_i);
-      inc_c.reanalyze(tc);
-      inc_i.reanalyze(ti);
-      EXPECT_EQ(inc_c.analysis().toggles_per_cycle,
-                inc_i.analysis().toggles_per_cycle);
-      EXPECT_EQ(inc_c.analysis().report.breakdown.switching_w,
-                inc_i.analysis().report.breakdown.switching_w);
-      EXPECT_EQ(inc_c.analysis().report.weighted_activity,
-                inc_i.analysis().report.weighted_activity);
-    }
-    // Compiled incremental == fresh full analyze of the mutated net.
-    auto full = power::analyze(net_c, ao);
-    EXPECT_EQ(inc_c.analysis().toggles_per_cycle, full.toggles_per_cycle);
-    EXPECT_EQ(inc_c.analysis().report.breakdown.switching_w,
-              full.report.breakdown.switching_w);
-  }
-}
-
 TEST(Compiled, IncrementalRevertRestoresTapeAndAnalysis) {
   auto net = bench::alu(4);
   power::AnalysisOptions ao;
   ao.mode = power::ActivityMode::ZeroDelay;
   ao.n_vectors = 1024;
-  sim::ScopedSimOptions guard(compiled_opts());
   power::IncrementalAnalyzer inc(net, ao);
   auto before = inc.analysis();
 
@@ -397,31 +367,6 @@ TEST(Compiled, IncrementalRevertRestoresTapeAndAnalysis) {
   EXPECT_EQ(inc.analysis().toggles_per_cycle, full.toggles_per_cycle);
 }
 
-TEST(Compiled, FlowResultsIdenticalAcrossEngines) {
-  // End-to-end: the optimization flows must be trajectory-identical under
-  // either engine (estimates gate accept/revert decisions, so any frame
-  // divergence would change the kept-stage sequence).
-  auto base = bench::alu(4);
-  core::FlowOptions fo;
-  fo.sim_vectors = 512;
-  core::FlowResult rc, ri;
-  {
-    sim::ScopedSimOptions g(compiled_opts());
-    Netlist n = base;
-    rc = core::optimize_combinational(n, fo);
-  }
-  {
-    sim::ScopedSimOptions g(interpreted_opts());
-    Netlist n = base;
-    ri = core::optimize_combinational(n, fo);
-  }
-  ASSERT_EQ(rc.stages.size(), ri.stages.size());
-  for (std::size_t i = 0; i < rc.stages.size(); ++i) {
-    EXPECT_EQ(rc.stages[i].power_w, ri.stages[i].power_w) << "stage " << i;
-    EXPECT_EQ(rc.stages[i].status, ri.stages[i].status) << "stage " << i;
-  }
-}
-
 // ---- options plumbing -----------------------------------------------------
 
 TEST(Compiled, NormalizeBlockAndScopedOptions) {
@@ -435,11 +380,10 @@ TEST(Compiled, NormalizeBlockAndScopedOptions) {
 
   const sim::SimOptions saved = sim::sim_options();
   {
-    sim::ScopedSimOptions g(interpreted_opts());
-    EXPECT_FALSE(sim::sim_options().use_compiled);
+    sim::ScopedSimOptions g({.width = sim::SimdWidth::Scalar});
+    EXPECT_EQ(sim::sim_options().width, sim::SimdWidth::Scalar);
   }
-  EXPECT_EQ(sim::sim_options().use_compiled, saved.use_compiled);
-  EXPECT_EQ(sim::sim_options().block, saved.block);
+  EXPECT_EQ(sim::sim_options().width, saved.width);
 }
 
 TEST(Compiled, ExecAllRejectsBadBlockAndPatchedTape) {

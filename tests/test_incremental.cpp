@@ -379,6 +379,40 @@ TEST(Incremental, RevertAfterFallbackRestoresCache) {
   expect_identical(inc.analysis(), power::analyze(net, ao));
 }
 
+TEST(Incremental, TapeFailureRebaselinesAndRevertsExactly) {
+  // A failed tape patch degrades the update to a full re-baseline: the
+  // result must still be exactly a fresh analysis, and the revert must
+  // hand back the pre-update analysis bit for bit.
+  auto net = bench::alu(4);
+  auto ao = zd_options();
+  power::IncrementalAnalyzer inc(net, ao);
+  const power::Analysis before = inc.analysis();
+  net.begin_undo();
+  NodeId o = net.outputs()[0];
+  net.replace_fanin(o, 0, net.add_not(net.node(o).fanins[0]));
+  auto touched = net.touched_nodes();
+  ASSERT_FALSE(touched.all);
+  power::detail::force_tape_failures(1);
+  inc.reanalyze(touched);
+  power::detail::force_tape_failures(0);
+  EXPECT_TRUE(inc.last_update().tape_fallback);
+  EXPECT_TRUE(inc.last_update().full_rebaseline);
+  expect_identical(inc.analysis(), power::analyze(net, ao));
+  net.rollback_undo();
+  inc.revert_last();
+  expect_identical(inc.analysis(), before);
+  EXPECT_EQ(inc.analysis().engine, before.engine);
+  // The recompiled tape keeps serving cone updates.
+  net.begin_undo();
+  net.replace_fanin(o, 0, net.add_not(net.node(o).fanins[0]));
+  auto t2 = net.touched_nodes();
+  net.commit_undo();
+  inc.reanalyze(t2);
+  EXPECT_FALSE(inc.last_update().full_rebaseline);
+  EXPECT_FALSE(inc.last_update().tape_fallback);
+  expect_identical(inc.analysis(), power::analyze(net, ao));
+}
+
 TEST(Incremental, TimedModeIsRejected) {
   auto net = bench::c17();
   power::AnalysisOptions ao;

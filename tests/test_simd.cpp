@@ -3,12 +3,12 @@
 // The contract under test (sim/simd.hpp + sim/kernels_impl.hpp): the lane
 // width is a pure performance knob.  Every kernel build — scalar, AVX2,
 // AVX-512 — must produce bit-identical frames and activity counters at
-// every blocking factor and thread count, on compact and on patched tapes,
-// through the full-analysis and the incremental cone paths.  The suite
-// runs the full width × block × thread matrix against the interpreted
-// engine's reference counters, plus unit coverage for the dispatch
+// every thread count, on compact and on patched tapes, through the
+// full-analysis and the incremental cone paths.  The suite runs the full
+// width × thread matrix against the interpreter reference driver
+// (tests/activity_reference.hpp), plus unit coverage for the dispatch
 // machinery itself (resolve/clamp, LPS_SIM_WIDTH parsing, aligned
-// storage, pinning/first-touch policy knobs, chunk-grain planning).
+// storage, the pinning knob, chunk-grain planning).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "activity_reference.hpp"
 #include "core/aligned.hpp"
 #include "core/env.hpp"
 #include "core/parallel.hpp"
@@ -41,14 +42,6 @@ std::vector<sim::SimdWidth> runnable_widths() {
   if (sim::resolve_simd(sim::SimdWidth::Avx512) == sim::SimdWidth::Avx512)
     w.push_back(sim::SimdWidth::Avx512);
   return w;
-}
-
-sim::SimOptions tape_opts(sim::SimdWidth w, std::size_t block) {
-  sim::SimOptions o;
-  o.use_compiled = true;
-  o.block = block;
-  o.width = w;
-  return o;
 }
 
 void expect_stats_identical(const sim::ActivityStats& a,
@@ -91,17 +84,11 @@ TEST(Simd, LaneWordsMatchWidth) {
 
 TEST(Simd, EngineDescReflectsOptions) {
   {
-    sim::ScopedSimOptions guard(tape_opts(sim::SimdWidth::Scalar, 4));
-    EXPECT_EQ(sim::engine_desc(), "tape[scalar,b4]");
+    sim::ScopedSimOptions guard({.width = sim::SimdWidth::Scalar});
+    EXPECT_EQ(sim::engine_desc(), "tape[scalar,b16]");
   }
   {
-    sim::SimOptions o;
-    o.use_compiled = false;
-    sim::ScopedSimOptions guard(o);
-    EXPECT_EQ(sim::engine_desc(), "interp");
-  }
-  {
-    sim::ScopedSimOptions guard(tape_opts(sim::SimdWidth::Auto, 16));
+    sim::ScopedSimOptions guard({.width = sim::SimdWidth::Auto});
     std::string d = sim::engine_desc();
     EXPECT_EQ(d, std::string("tape[") +
                      sim::simd_name(sim::detect_simd()) + ",b16]");
@@ -166,77 +153,54 @@ TEST(Simd, PlanChunksOversubscribesLanes) {
   EXPECT_EQ(core::plan_chunks(64), 1u);  // serial stays serial
 }
 
-TEST(Simd, PinningAndFirstTouchKnobsRoundTrip) {
+TEST(Simd, PinningKnobRoundTrips) {
   bool pin0 = core::pin_threads();
-  bool numa0 = core::numa_first_touch();
   {
-    core::ScopedPinning guard(!pin0, !numa0);
+    core::ScopedPinning guard(!pin0);
     EXPECT_EQ(core::pin_threads(), !pin0);
-    EXPECT_EQ(core::numa_first_touch(), !numa0);
   }
   EXPECT_EQ(core::pin_threads(), pin0);
-  EXPECT_EQ(core::numa_first_touch(), numa0);
 }
 
 TEST(Simd, PlacementPolicyNeverChangesResults) {
-  // Pinned + first-touch vs unpinned + caller-touch, at several thread
-  // counts: placement is a pure locality policy, counters must be
-  // bit-identical (and equal to the interpreted reference).
+  // Pinned vs unpinned workers, at several thread counts (chunk scratch
+  // is always first-touched on the worker that runs the chunk): placement
+  // is a pure locality policy, counters must be bit-identical (and equal
+  // to the interpreter reference).
   auto net = bench::alu(4);
-  sim::ActivityStats ref;
-  {
-    sim::SimOptions o;
-    o.use_compiled = false;
-    sim::ScopedSimOptions guard(o);
-    core::ScopedThreads t1(1);
-    ref = sim::measure_activity(net, 512, 99);
-  }
+  const sim::ActivityStats ref = reference::measure_activity(net, 512, 99);
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
     for (bool pin : {false, true}) {
-      for (bool numa : {false, true}) {
-        core::ScopedThreads t(threads);
-        core::ScopedPinning place(pin, numa);
-        sim::ScopedSimOptions guard(tape_opts(sim::SimdWidth::Auto, 16));
-        auto st = sim::measure_activity(net, 512, 99);
-        expect_stats_identical(ref, st,
-                               "threads=" + std::to_string(threads) +
-                                   " pin=" + std::to_string(pin) +
-                                   " numa=" + std::to_string(numa));
-      }
+      core::ScopedThreads t(threads);
+      core::ScopedPinning place(pin);
+      sim::ScopedSimOptions guard({.width = sim::SimdWidth::Auto});
+      auto st = sim::measure_activity(net, 512, 99);
+      expect_stats_identical(ref, st,
+                             "threads=" + std::to_string(threads) +
+                                 " pin=" + std::to_string(pin));
     }
   }
 }
 
-// ---- the width × block × thread matrix ------------------------------------
+// ---- the width × thread matrix --------------------------------------------
 
 TEST(Simd, MatrixIdenticalToInterpreterOnSuite) {
-  // Every runnable width × block {1,4,16} × threads {1,2,4,8} over the
-  // benchmark suite must reproduce the interpreted single-thread counters
-  // exactly.  The reference is computed once per circuit.
+  // Every runnable width × threads {1,2,4,8} over the benchmark suite must
+  // reproduce the interpreter reference counters exactly.  The reference
+  // is computed once per circuit.
   auto suite = bench::default_suite();
   const std::size_t frames = 192;
   for (auto& [name, net] : suite) {
-    sim::ActivityStats ref;
-    {
-      sim::SimOptions o;
-      o.use_compiled = false;
-      sim::ScopedSimOptions guard(o);
-      core::ScopedThreads t1(1);
-      ref = sim::measure_activity(net, frames, 0xD15C0 + net.size());
-    }
+    const sim::ActivityStats ref =
+        reference::measure_activity(net, frames, 0xD15C0 + net.size());
     for (sim::SimdWidth w : runnable_widths()) {
-      for (std::size_t block : {std::size_t{1}, std::size_t{4},
-                                std::size_t{16}}) {
-        for (unsigned threads : {1u, 2u, 4u, 8u}) {
-          core::ScopedThreads t(threads);
-          sim::ScopedSimOptions guard(tape_opts(w, block));
-          auto st = sim::measure_activity(net, frames, 0xD15C0 + net.size());
-          expect_stats_identical(
-              ref, st,
-              name + " width=" + sim::simd_name(w) +
-                  " block=" + std::to_string(block) +
-                  " threads=" + std::to_string(threads));
-        }
+      for (unsigned threads : {1u, 2u, 4u, 8u}) {
+        core::ScopedThreads t(threads);
+        sim::ScopedSimOptions guard({.width = w});
+        auto st = sim::measure_activity(net, frames, 0xD15C0 + net.size());
+        expect_stats_identical(ref, st,
+                               name + " width=" + sim::simd_name(w) +
+                                   " threads=" + std::to_string(threads));
       }
     }
   }
@@ -248,11 +212,11 @@ TEST(Simd, ForcedScalarEqualsAutoOnWideHosts) {
   auto net = bench::array_multiplier(8);
   sim::ActivityStats wide, scalar;
   {
-    sim::ScopedSimOptions guard(tape_opts(sim::SimdWidth::Auto, 16));
+    sim::ScopedSimOptions guard({.width = sim::SimdWidth::Auto});
     wide = sim::measure_activity(net, 256, 5);
   }
   {
-    sim::ScopedSimOptions guard(tape_opts(sim::SimdWidth::Scalar, 16));
+    sim::ScopedSimOptions guard({.width = sim::SimdWidth::Scalar});
     scalar = sim::measure_activity(net, 256, 5);
   }
   expect_stats_identical(wide, scalar, "auto vs forced scalar");
@@ -263,15 +227,9 @@ TEST(Simd, SequentialNetsIdenticalAcrossWidths) {
   // scalar/narrow instantiations inside each kernel build) — the counters
   // must still match the interpreter at every width.
   auto net = bench::counter(16);
-  sim::ActivityStats ref;
-  {
-    sim::SimOptions o;
-    o.use_compiled = false;
-    sim::ScopedSimOptions guard(o);
-    ref = sim::measure_activity(net, 256, 21);
-  }
+  const sim::ActivityStats ref = reference::measure_activity(net, 256, 21);
   for (sim::SimdWidth w : runnable_widths()) {
-    sim::ScopedSimOptions guard(tape_opts(w, 16));
+    sim::ScopedSimOptions guard({.width = w});
     auto st = sim::measure_activity(net, 256, 21);
     expect_stats_identical(ref, st, std::string("width=") + sim::simd_name(w));
   }
@@ -291,10 +249,10 @@ Netlist::TouchedNodes splice_po_driver(Netlist& net) {
 TEST(Simd, PatchedTapeExecGatesIdenticalAcrossWidths) {
   // update() re-emits records at the tape's end; the offset-table replay
   // (exec_list kernels, with their lookahead prefetch) must evaluate the
-  // patched program identically at every width and block factor.
+  // patched program identically at every width.
   for (sim::SimdWidth w : runnable_widths()) {
     auto net = bench::alu(4);
-    sim::ScopedSimOptions guard(tape_opts(w, 8));
+    sim::ScopedSimOptions guard({.width = w});
     sim::CompiledSim cs(net);
     auto touched = splice_po_driver(net);
     cs.update(touched);
@@ -317,7 +275,7 @@ TEST(Simd, RevertToRestoresTapeUnderWideKernels) {
   // pre-mutation program for every kernel build.
   for (sim::SimdWidth w : runnable_widths()) {
     auto net = bench::alu(4);
-    sim::ScopedSimOptions guard(tape_opts(w, 8));
+    sim::ScopedSimOptions guard({.width = w});
     sim::CompiledSim cs(net);
     const std::size_t old_size = net.size();
     std::mt19937_64 rng(17);
@@ -341,22 +299,33 @@ TEST(Simd, RevertToRestoresTapeUnderWideKernels) {
 }
 
 TEST(Simd, IncrementalConeIdenticalAcrossWidthsAndBlocks) {
-  // The blocked cone driver (power/incremental.cpp) gathers boundary
-  // words, replays the cone with the wide kernels and scatters gate
-  // columns back.  After a mutation, reanalyze() must equal a fresh full
-  // analyze() of the mutated netlist — at every width and block factor,
-  // including block 1 (the unblocked reference path).
+  // The cone driver (power/incremental.cpp) replays register-free cones
+  // kSimBlock frames at a time — gather boundary words, run the wide
+  // kernels, scatter gate columns back — and cones that cross a register
+  // one frame at a time (block 1, state stepped per frame).  A multiplier
+  // PO splice takes the first path, a counter's register-D splice the
+  // second.  After the mutation, reanalyze() must equal a fresh full
+  // analyze() of the mutated netlist at every width, and the revert must
+  // restore the baseline exactly.
+  struct Case {
+    const char* block;
+    Netlist (*make)();
+  };
+  const Case cases[] = {
+      {"16", +[] { return bench::array_multiplier(6); }},
+      {"1", +[] { return bench::counter(8); }},
+  };
   for (sim::SimdWidth w : runnable_widths()) {
-    for (std::size_t block : {std::size_t{1}, std::size_t{16}}) {
-      auto net = bench::array_multiplier(6);
-      sim::ScopedSimOptions guard(tape_opts(w, block));
+    for (const Case& c : cases) {
+      auto net = c.make();
+      sim::ScopedSimOptions guard({.width = w});
       power::AnalysisOptions opt;
       opt.mode = power::ActivityMode::ZeroDelay;
       opt.n_vectors = 2048;
       power::IncrementalAnalyzer inc(net, opt);
       auto baseline = inc.analysis();
       const std::string what = std::string("width=") + sim::simd_name(w) +
-                               " block=" + std::to_string(block);
+                               " block=" + c.block;
       net.begin_undo();
       NodeId o = net.outputs()[0];
       net.replace_fanin(o, 0,
@@ -384,14 +353,8 @@ TEST(Simd, AnalysisReportsEngineString) {
   power::AnalysisOptions opt;
   opt.mode = power::ActivityMode::ZeroDelay;
   {
-    sim::ScopedSimOptions guard(tape_opts(sim::SimdWidth::Scalar, 8));
-    EXPECT_EQ(power::analyze(net, opt).engine, "tape[scalar,b8]");
-  }
-  {
-    sim::SimOptions o;
-    o.use_compiled = false;
-    sim::ScopedSimOptions guard(o);
-    EXPECT_EQ(power::analyze(net, opt).engine, "interp");
+    sim::ScopedSimOptions guard({.width = sim::SimdWidth::Scalar});
+    EXPECT_EQ(power::analyze(net, opt).engine, "tape[scalar,b16]");
   }
   opt.mode = power::ActivityMode::Timed;
   EXPECT_EQ(power::analyze(net, opt).engine, "eventsim");
