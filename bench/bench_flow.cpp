@@ -53,9 +53,10 @@ void report() {
            equiv ? "yes" : "NO"});
   }
   t.print(std::cout);
-  // Don't-care's share of the flow stages' wall-clock: a host-independent
-  // ratio, so one stage coming to dominate every flow fails the band.
-  double stage_ms = 0.0, dontcare_ms = 0.0;
+  // Don't-care's and resynthesis' shares of the flow stages' wall-clock:
+  // host-independent ratios, so one stage coming to dominate every flow
+  // fails its band.
+  double stage_ms = 0.0, dontcare_ms = 0.0, resynth_ms = 0.0;
   for (const auto& [key, ms] : core::metrics::Registry::global().counters()) {
     if (!key.starts_with("time_ms.flow.")) continue;
     auto before = metrics_before.find(key);
@@ -63,14 +64,19 @@ void report() {
         ms - (before == metrics_before.end() ? 0.0 : before->second);
     stage_ms += delta;
     if (key == "time_ms.flow.dontcare") dontcare_ms = delta;
+    if (key == "time_ms.flow.resynth") resynth_ms = delta;
   }
   const double dontcare_share = stage_ms > 0 ? dontcare_ms / stage_ms : 0.0;
+  const double resynth_share = stage_ms > 0 ? resynth_ms / stage_ms : 0.0;
   std::cout << "don't-care share of flow stage time: "
-            << core::Table::pct(dontcare_share) << '\n';
+            << core::Table::pct(dontcare_share) << '\n'
+            << "resynthesis share of flow stage time: "
+            << core::Table::pct(resynth_share) << '\n';
   benchx::claim("E20.saving_min", saving_min);
   benchx::claim("E20.saving_max", saving_max);
   benchx::claim("E20.all_equivalent", all_equiv);
   benchx::claim("E20.dontcare_share", dontcare_share);
+  benchx::claim("E20.resynth_share", resynth_share);
   std::cout << '\n';
 }
 

@@ -3,75 +3,127 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <map>
+#include <mutex>
 #include <optional>
-#include <set>
+#include <random>
 
 #include "bdd/bdd_netlist.hpp"
 #include "core/metrics.hpp"
 #include "logicopt/speculate.hpp"
 #include "power/incremental.hpp"
+#include "sim/logicsim.hpp"
 #include "sop/factoring.hpp"
 #include "sop/minimize.hpp"
+#include "sop/truth_table.hpp"
 
 namespace lps::logicopt {
 
 namespace {
 
+using sop::TruthTable;
+
 // Stimulus for the re-scoring analyzer: 4096 vectors = 64 words of 64
 // patterns, the frames the stage's measure_activity(net, 64, seed) draws.
 constexpr std::size_t kRescoreVectors = 4096;
 
+// Random vectors per round behind the simulated reachability check.
+constexpr std::size_t kReachWords = 8;
+constexpr std::uint64_t kReachSeed = 0x5EED0F5EEDull;
+
+// Per-thread scratch of the window examination, reused across candidates.
+struct Scratch {
+  std::vector<NodeId> interior;
+  std::vector<NodeId> pending;  // interior nodes not yet tabulated
+  std::vector<std::pair<NodeId, TruthTable>> values;  // window signals
+  std::vector<const TruthTable*> fanin_tts;
+  std::vector<std::uint64_t> fanin_words;
+};
+
 // Two-level fanin window around `n`: interior = {n} ∪ gate fanins that are
 // themselves logic gates; boundary = everything feeding the interior from
-// outside.  Returns false if the boundary exceeds the budget even after
-// retrying with the one-level window; `capped` is set in that case so the
-// caller can surface the truncation (it is a tuning signal, not a defect).
+// outside, in ascending id order.  Returns false if the boundary exceeds
+// the budget even after retrying with the one-level window; `capped` is
+// set in that case so the caller can surface the truncation (it is a
+// tuning signal, not a defect).
 bool build_window(const Netlist& net, NodeId n, int max_inputs,
                   std::vector<NodeId>& interior,
-                  std::vector<NodeId>& boundary, bool* capped = nullptr) {
-  interior.clear();
-  boundary.clear();
-  std::set<NodeId> in_set{n};
+                  std::vector<NodeId>& boundary, bool* capped) {
+  auto inside = [&interior](NodeId id) {
+    return std::find(interior.begin(), interior.end(), id) != interior.end();
+  };
+  auto collect_boundary = [&] {
+    boundary.clear();
+    for (NodeId m : interior)
+      for (NodeId f : net.node(m).fanins)
+        if (!inside(f)) boundary.push_back(f);
+    std::sort(boundary.begin(), boundary.end());
+    boundary.erase(std::unique(boundary.begin(), boundary.end()),
+                   boundary.end());
+  };
+  interior.assign(1, n);
   for (NodeId f : net.node(n).fanins) {
     const Node& fd = net.node(f);
     if (!is_source(fd.type) && fd.type != GateType::Dff &&
-        fd.fanins.size() <= 4)
-      in_set.insert(f);
+        fd.fanins.size() <= 4 && !inside(f))
+      interior.push_back(f);
   }
-  std::set<NodeId> bset;
-  for (NodeId m : in_set)
-    for (NodeId f : net.node(m).fanins)
-      if (!in_set.count(f)) bset.insert(f);
-  if (static_cast<int>(bset.size()) > max_inputs) {
+  collect_boundary();
+  if (static_cast<int>(boundary.size()) > max_inputs) {
     // Retry with the one-level window (just the node itself).
-    in_set = {n};
-    bset.clear();
-    for (NodeId f : net.node(n).fanins) bset.insert(f);
-    if (static_cast<int>(bset.size()) > max_inputs) {
-      if (capped) *capped = true;
+    interior.assign(1, n);
+    collect_boundary();
+    if (static_cast<int>(boundary.size()) > max_inputs) {
+      *capped = true;
       return false;
     }
   }
-  interior.assign(in_set.begin(), in_set.end());
-  boundary.assign(bset.begin(), bset.end());
   return true;
 }
 
-// Evaluate node `n` for one boundary assignment (scalar window simulation
-// over `window_order`, the interior nodes in topological order).
-bool eval_window(const Netlist& net, NodeId n,
-                 const std::vector<NodeId>& window_order,
-                 const std::vector<NodeId>& boundary, unsigned minterm) {
-  std::vector<std::uint64_t> value(net.size(), 0);
+// n's local function over the boundary minterms, in one bit-parallel pass:
+// boundary input i carries the projection of variable i, and the interior
+// nodes are evaluated in a local topological order (every other interior
+// node is a fanin of n, so n comes last).
+TruthTable tabulate_window(const Netlist& net, NodeId n,
+                           const std::vector<NodeId>& boundary, Scratch& s) {
+  s.values.clear();
   for (std::size_t i = 0; i < boundary.size(); ++i)
-    value[boundary[i]] = (minterm >> i & 1) ? ~0ULL : 0ULL;
-  for (NodeId id : window_order) {
-    const Node& nd = net.node(id);
-    std::vector<std::uint64_t> w;
-    for (NodeId f : nd.fanins) w.push_back(value[f]);
-    value[id] = eval_gate(nd.type, w);
+    s.values.emplace_back(boundary[i],
+                          TruthTable::var(static_cast<unsigned>(i)));
+  auto value_of = [&s](NodeId id) -> const TruthTable* {
+    for (const auto& [v, tt] : s.values)
+      if (v == id) return &tt;
+    return nullptr;
+  };
+  // Interior nodes are evaluated once all their fanins carry a value.
+  std::vector<NodeId>& pending = s.pending;
+  pending = s.interior;
+  while (!pending.empty()) {
+    for (std::size_t p = 0; p < pending.size();) {
+      const Node& nd = net.node(pending[p]);
+      s.fanin_tts.clear();
+      for (NodeId f : nd.fanins) {
+        const TruthTable* t = value_of(f);
+        if (!t) break;
+        s.fanin_tts.push_back(t);
+      }
+      if (s.fanin_tts.size() < nd.fanins.size()) {
+        ++p;
+        continue;
+      }
+      TruthTable out;
+      s.fanin_words.resize(nd.fanins.size());
+      for (unsigned w = 0; w < 4; ++w) {
+        for (std::size_t i = 0; i < s.fanin_tts.size(); ++i)
+          s.fanin_words[i] = s.fanin_tts[i]->w[w];
+        out.w[w] = eval_gate(nd.type, s.fanin_words);
+      }
+      s.values.emplace_back(pending[p], out);
+      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(p));
+    }
   }
-  return (value[n] & 1ULL) != 0;
+  return *value_of(n);
 }
 
 // Gate cost of realizing a factored expression: one literal per AND/OR
@@ -108,6 +160,103 @@ struct WindowPlan {
   std::exception_ptr error;  // examination failed; re-raised serially
 };
 
+// Per-call memo of sop::minimize over window functions: the windows of one
+// circuit repeat a few dozen (k, onset, don't-care) tables many times.  It
+// lives inside one resynthesize_windows call; speculation workers share it
+// under a lock.  minimize is deterministic, so whichever thread fills an
+// entry stores the same cover.
+class MinimizeMemo {
+ public:
+  const sop::Sop& cover(unsigned k, const TruthTable& onset,
+                        const TruthTable& dc, bool* hit) {
+    const Key key{k, onset, dc};
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (auto it = covers_.find(key); it != covers_.end()) {
+        *hit = true;
+        return it->second;
+      }
+    }
+    *hit = false;
+    sop::Sop on(k), dcset(k);
+    for (unsigned m = 0; m < (1u << k); ++m) {
+      if (!dc.bit(m) && !onset.bit(m)) continue;
+      sop::Cube c(k);
+      for (unsigned i = 0; i < k; ++i) {
+        if (m >> i & 1)
+          c.set_pos(i);
+        else
+          c.set_neg(i);
+      }
+      (dc.bit(m) ? dcset : on).add_cube(std::move(c));
+    }
+    sop::Sop cov = sop::minimize(on, dcset);
+    std::lock_guard<std::mutex> lock(mu_);
+    // Node-based map: the returned reference survives later inserts.
+    return covers_.try_emplace(key, std::move(cov)).first->second;
+  }
+
+ private:
+  struct Key {
+    unsigned k;
+    TruthTable onset, dc;
+    auto operator<=>(const Key&) const = default;
+  };
+  std::mutex mu_;
+  std::map<Key, sop::Sop> covers_;
+};
+
+// Boundary patterns seen in one batch of random vectors over the round-start
+// netlist.  PIs and Dff outputs are drawn freely, as they are the variables
+// of the global BDDs, so every simulated pattern is reachable by
+// construction and only unseen patterns need the exact BDD check.  Kept
+// rewrites preserve every round-start node's global function, so the batch
+// stays valid for the whole round.
+class SimulatedReach {
+ public:
+  explicit SimulatedReach(const Netlist& net)
+      : words_(net.size() * kReachWords) {
+    sim::LogicSim sim(net);
+    std::mt19937_64 rng(kReachSeed);
+    std::vector<std::uint64_t> pi(net.inputs().size());
+    std::vector<std::uint64_t> q(net.dffs().size());
+    sim::Frame f;
+    for (std::size_t w = 0; w < kReachWords; ++w) {
+      for (auto& x : pi) x = rng();
+      for (auto& x : q) x = rng();
+      sim.eval_into(f, pi, q);
+      for (std::size_t id = 0; id < f.size(); ++id)
+        words_[id * kReachWords + w] = f[id];
+    }
+  }
+
+  /// The patterns of `boundary` (variable i = boundary[i]) the batch hits.
+  TruthTable seen(const std::vector<NodeId>& boundary) const {
+    const std::size_t k = boundary.size();
+    const unsigned patterns = 1u << k;
+    TruthTable t;
+    unsigned hit = 0;
+    std::uint64_t v[TruthTable::kVars];
+    for (std::size_t w = 0; w < kReachWords && hit < patterns; ++w) {
+      for (std::size_t i = 0; i < k; ++i)
+        v[i] = words_[boundary[i] * kReachWords + w];
+      for (unsigned j = 0; j < 64; ++j) {
+        unsigned m = 0;
+        for (std::size_t i = 0; i < k; ++i)
+          m |= static_cast<unsigned>(v[i] >> j & 1) << i;
+        if (!t.bit(m)) {
+          t.set(m);
+          ++hit;
+        }
+      }
+    }
+    return t;
+  }
+
+ private:
+  std::vector<std::uint64_t> words_;  // node-major: kReachWords per node
+};
+
 }  // namespace
 
 ResynthResult resynthesize_windows(Netlist& net,
@@ -142,9 +291,20 @@ ResynthResult resynthesize_windows(Netlist& net,
     return id < t.size() ? t[id] : 0.0;
   };
 
-  // Cap reporting shared by every exit path (satellite of the silent-cap
-  // fix: truncation always leaves a result field, a metric and a note).
-  auto finalize = [&res, &opt](std::size_t gates_after) -> ResynthResult& {
+  // Per-call accounting, emitted with the cap reporting on every exit path
+  // (satellite of the silent-cap fix: truncation always leaves a result
+  // field, a metric and a note).
+  std::atomic<std::size_t> n_minimize{0}, n_memo_hits{0}, n_sim_reached{0},
+      n_exact_checks{0};
+  auto finalize = [&](std::size_t gates_after) -> ResynthResult& {
+    core::metrics::count("logicopt.resynth.minimize_calls",
+                         static_cast<double>(n_minimize.load()));
+    core::metrics::count("logicopt.resynth.memo_hits",
+                         static_cast<double>(n_memo_hits.load()));
+    core::metrics::count("logicopt.resynth.sim_reached",
+                         static_cast<double>(n_sim_reached.load()));
+    core::metrics::count("logicopt.resynth.exact_checks",
+                         static_cast<double>(n_exact_checks.load()));
     if (res.rewrites_capped)
       core::metrics::count("logicopt.resynth.rewrites_capped");
     res.gates_after = gates_after;
@@ -165,20 +325,30 @@ ResynthResult resynthesize_windows(Netlist& net,
     return res;
   };
 
+  MinimizeMemo memo;
+  Scratch scratch;  // the calling thread's
+  const int max_inputs =
+      std::min(opt.max_window_inputs, static_cast<int>(TruthTable::kVars));
+
   // Pure examination of one candidate: window extraction, local-function
-  // tabulation against `bdds`' reachability don't-cares, minimization and
-  // factoring.  Reads the netlist and the activity oracle, mutates only the
-  // given BDD manager (canonical results — manager state never affects the
-  // functions it returns, so per-worker managers built from the same round
-  // snapshot agree with the main one).
-  auto examine = [&](NodeId n, bdd::NetlistBdds& bdds) -> WindowPlan {
+  // tabulation against the reachability don't-cares, minimization and
+  // factoring.  A boundary pattern seen in the round's simulated batch is
+  // reachable; only unseen ones ask `bdds`.  Reads the netlist and the
+  // activity oracle, mutates only the given BDD manager (canonical results
+  // — manager state never affects the functions it returns, so per-worker
+  // managers built from the same round snapshot agree with the main one)
+  // and the thread's scratch.  `speculative` plans record their read set.
+  auto examine = [&](NodeId n, bdd::NetlistBdds& bdds,
+                     const SimulatedReach& reach_sim, Scratch& scratch,
+                     bool speculative) -> WindowPlan {
     WindowPlan plan;
-    const NodeId seeds[1] = {n};
-    plan.reads = speculate::read_closure(net, seeds, 2);
+    if (speculative) {
+      const NodeId seeds[1] = {n};
+      plan.reads = speculate::read_closure(net, seeds, 2);
+    }
     if (net.is_dead(n)) return plan;  // consumed by an earlier rewrite
-    std::vector<NodeId> interior;
     bool win_capped = false;
-    if (!build_window(net, n, opt.max_window_inputs, interior, plan.boundary,
+    if (!build_window(net, n, max_inputs, scratch.interior, plan.boundary,
                       &win_capped)) {
       plan.status =
           win_capped ? WindowPlan::Status::Capped : WindowPlan::Status::NoBdds;
@@ -197,48 +367,47 @@ ResynthResult resynthesize_windows(Netlist& net,
     // live; shed accumulated reachability scaffolding before it can hit
     // the budget.
     if (m.live_nodes() >= opt.bdd_limit / 2) m.gc();
-    unsigned k = static_cast<unsigned>(plan.boundary.size());
-    sop::Sop onset(k), dcset(k);
+    const unsigned k = static_cast<unsigned>(plan.boundary.size());
     // Replacement-cost baseline: the node's own literals plus those of
     // interior helpers that exist only for this node (single fanout).
     int window_lits = static_cast<int>(net.node(n).fanins.size());
-    for (NodeId w : interior) {
+    for (NodeId w : scratch.interior) {
       if (w == n) continue;
       if (net.node(w).fanouts.size() == 1)
         window_lits += static_cast<int>(net.node(w).fanins.size());
     }
-    // Interior nodes in dependency order for the window simulator.
-    std::vector<NodeId> window_order;
-    {
-      std::set<NodeId> in_set(interior.begin(), interior.end());
-      for (NodeId id : net.topo_order())
-        if (in_set.count(id)) window_order.push_back(id);
-    }
 
+    // Controllability DC: boundary patterns no PI assignment realizes.
+    // Simulated patterns are realized by construction; the rest are
+    // decided by the conjunction of (boundary fn XNOR bit).
+    const TruthTable seen = reach_sim.seen(plan.boundary);
+    const TruthTable fn = tabulate_window(net, n, plan.boundary, scratch);
+    TruthTable onset, dc;
+    std::size_t reached = 0, checked = 0;
     for (unsigned minterm = 0; minterm < (1u << k); ++minterm) {
-      sop::Cube c(k);
-      for (unsigned i = 0; i < k; ++i) {
-        if (minterm >> i & 1)
-          c.set_pos(i);
-        else
-          c.set_neg(i);
+      if (!seen.bit(minterm)) {
+        ++checked;
+        bdd::Ref reach = bdd::kTrue;
+        for (unsigned i = 0; i < k && reach != bdd::kFalse; ++i) {
+          bdd::Ref f = bdds.node_fn[plan.boundary[i]];
+          reach = m.land(reach, (minterm >> i & 1) ? f : m.lnot(f));
+        }
+        if (reach == bdd::kFalse) {
+          dc.set(minterm);
+          continue;
+        }
+      } else {
+        ++reached;
       }
-      // Controllability DC: can any PI assignment realize this boundary
-      // pattern?  Conjunction of (boundary fn XNOR bit).
-      bdd::Ref reach = bdd::kTrue;
-      for (unsigned i = 0; i < k && reach != bdd::kFalse; ++i) {
-        bdd::Ref f = bdds.node_fn[plan.boundary[i]];
-        reach = m.land(reach, (minterm >> i & 1) ? f : m.lnot(f));
-      }
-      if (reach == bdd::kFalse) {
-        dcset.add_cube(c);
-        continue;
-      }
-      if (eval_window(net, n, window_order, plan.boundary, minterm))
-        onset.add_cube(c);
+      if (fn.bit(minterm)) onset.set(minterm);
     }
+    n_sim_reached += reached;
+    n_exact_checks += checked;
+    ++n_minimize;
 
-    auto cover = sop::minimize(onset, dcset);
+    bool hit = false;
+    const sop::Sop& cover = memo.cover(k, onset, dc, &hit);
+    if (hit) ++n_memo_hits;
     if (opt.power_aware) {
       std::vector<double> w(k);
       for (unsigned i = 0; i < k; ++i) w[i] = 0.05 + tog(plan.boundary[i]);
@@ -268,6 +437,7 @@ ResynthResult resynthesize_windows(Netlist& net,
       core::metrics::count("logicopt.resynth.limited");
       return finalize(net.num_gates());
     }
+    const SimulatedReach reach_sim(net);
 
     // Candidate list fixed per round; rewrites only add nodes.
     std::vector<NodeId> candidates;
@@ -340,7 +510,8 @@ ResynthResult resynthesize_windows(Netlist& net,
     // Speculative rounds: per-worker BDD views built once from the
     // round-start netlist (kept rewrites preserve every node's global
     // function — they only use boundary patterns no PI assignment reaches —
-    // so the views stay valid across the whole round).  With one worker,
+    // so the views, and the round's simulated patterns, stay valid across
+    // the whole round).  With one worker,
     // or when a view does not build, the round runs sequentially —
     // identical results, just no overlap.
     int team = std::min<int>(workers, static_cast<int>(candidates.size()));
@@ -366,11 +537,12 @@ ResynthResult resynthesize_windows(Netlist& net,
           res.rewrites_capped = true;
           break;
         }
-        commit_plan(n, examine(n, bdds), nullptr);
+        commit_plan(n, examine(n, bdds, reach_sim, scratch, false), nullptr);
       }
       continue;
     }
 
+    std::vector<Scratch> worker_scratch(static_cast<std::size_t>(team));
     const std::size_t batch_size = 8 * static_cast<std::size_t>(team);
     bool budget_stop = false;
     // Plans go stale once the activity oracle dies mid-batch (later plans
@@ -382,11 +554,13 @@ ResynthResult resynthesize_windows(Netlist& net,
       std::atomic<std::size_t> next{0};
       speculate::run_workers(team, [&](int w) {
         bdd::NetlistBdds& view = *wbdds[static_cast<std::size_t>(w)];
+        Scratch& wscratch = worker_scratch[static_cast<std::size_t>(w)];
         for (;;) {
           std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= nb) break;
           try {
-            plans[i] = examine(candidates[start + i], view);
+            plans[i] = examine(candidates[start + i], view, reach_sim,
+                               wscratch, true);
           } catch (...) {
             plans[i].error = std::current_exception();
           }
@@ -419,7 +593,7 @@ ResynthResult resynthesize_windows(Netlist& net,
           ++res.spec_rescored;
           core::metrics::count("logicopt.spec.rescored");
           std::vector<NodeId> dirty;
-          commit_plan(n, examine(n, bdds), &dirty);
+          commit_plan(n, examine(n, bdds, reach_sim, scratch, false), &dirty);
           committed.add(dirty);
           continue;
         }

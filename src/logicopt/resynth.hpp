@@ -7,16 +7,24 @@
 //
 //   1. around each gate, take the two-level fanin window and its boundary
 //      cut (<= max_window_inputs signals);
-//   2. tabulate the node's local function over boundary minterms;
+//   2. tabulate the node's local function over all boundary minterms in
+//      one bit-parallel pass on a 256-bit truth table (sop/truth_table.hpp);
 //   3. compute the local *controllability* don't-cares — boundary patterns
-//      no primary-input assignment can produce (exact, via global BDDs);
-//   4. minimize the local cover against those don't-cares (sop::minimize),
-//      factor it (activity-weighted when power_aware), and rebuild;
+//      no primary-input assignment can produce.  Simulation first: a
+//      pattern seen in the round's batch of random vectors is reachable by
+//      construction; only unseen patterns go to the exact check, a
+//      conjunction of global BDDs, so the don't-care set is exact;
+//   4. minimize the local cover against those don't-cares (sop::minimize,
+//      memoized per call on the (k, onset, don't-care) tables), factor it
+//      (activity-weighted when power_aware), and rebuild;
 //   5. keep the rewrite when it lowers the cost (literals, or
 //      activity-weighted literals).
 //
 // Function preservation is exact: the rewritten node agrees with the old
-// one on every *reachable* boundary pattern.
+// one on every *reachable* boundary pattern.  Per call, the counters
+// logicopt.resynth.{minimize_calls, memo_hits, sim_reached, exact_checks}
+// record the windows minimized, the memo hits among them, and the boundary
+// patterns settled by simulation and by BDD.
 
 #pragma once
 
@@ -28,6 +36,8 @@
 namespace lps::logicopt {
 
 struct ResynthOptions {
+  /// At most 8 (a window is tabulated on a 256-bit truth table); larger
+  /// values act as 8.
   int max_window_inputs = 8;
   int max_rewrites = 200;
   bool power_aware = true;  // weigh literals by boundary-signal activity

@@ -9,9 +9,13 @@
 //   irredundant — drop cubes covered by the rest of the cover;
 //   reduce      — shrink cubes to their essential part to open new expand
 //                 directions.
-// Containment checks are exact (tautology-based cofactor recursion), so the
-// result is a verified cover of the original function.  Don't-care input
-// makes this the natural consumer of the ODC sets from logicopt/dontcare.
+// Containment checks are exact, so the result is a verified cover of the
+// original function.  Over at most 8 variables each check is one 256-bit
+// truth-table test, (region(c) & ~bound) == 0 (sop/truth_table.hpp), with
+// the fixed bounds computed once per call; wider SOPs use tautology-based
+// cofactor recursion.  Both answer every check alike, so the cover does not
+// depend on the path.  Don't-care input makes this the natural consumer of
+// the local don't-cares of logicopt/resynth.
 
 #pragma once
 

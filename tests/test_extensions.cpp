@@ -10,8 +10,10 @@
 #include "bdd/bdd_netlist.hpp"
 #include "logicopt/decompose_power.hpp"
 #include "logicopt/resynth.hpp"
+#include "minimize_reference.hpp"
 #include "netlist/benchmarks.hpp"
 #include "power/activity.hpp"
+#include "resynth_reference.hpp"
 #include "sim/logicsim.hpp"
 #include "sop/division.hpp"
 #include "sop/minimize.hpp"
@@ -59,6 +61,73 @@ TEST(Minimize, UsesDontCares) {
   for (const auto& c : g.cubes())
     EXPECT_TRUE(sop::cube_covered(c, sop::add(f, dc)));
   for (const auto& c : f.cubes()) EXPECT_TRUE(sop::cube_covered(c, g));
+}
+
+TEST(Minimize, TruthTablePathMatchesCubePath) {
+  // Up to 8 variables minimize decides containment on truth tables; the
+  // reference asks cube_covered.  Same decisions in the same order, so the
+  // covers agree cube for cube.  Random cubes (some contradictory) and
+  // random minterm tables both feed it.
+  std::mt19937 rng(20);
+  auto random_sop = [&rng](unsigned n, int cubes) {
+    std::vector<Cube> f;  // add_cube would drop the contradictory ones
+    for (int c = 0; c < cubes; ++c) {
+      Cube cube(n);
+      for (unsigned v = 0; v < n; ++v) {
+        unsigned r = rng() % 4;
+        if (r == 0) cube.set_pos(v);
+        if (r == 1) cube.set_neg(v);
+      }
+      if (rng() % 3 == 0) {
+        unsigned v = rng() % n;
+        cube.set_pos(v);
+        cube.set_neg(v);
+      }
+      f.push_back(cube);
+    }
+    return Sop(n, std::move(f));
+  };
+  auto minterms = [&rng](unsigned n, unsigned density, Sop& on, Sop& dc) {
+    for (unsigned m = 0; m < (1u << n); ++m) {
+      unsigned r = rng() % 8;
+      if (r >= density + 2) continue;
+      Cube c(n);
+      for (unsigned v = 0; v < n; ++v) {
+        if (m >> v & 1)
+          c.set_pos(v);
+        else
+          c.set_neg(v);
+      }
+      (r < 2 ? dc : on).add_cube(c);
+    }
+  };
+  auto stats_eq = [](const sop::MinimizeStats& a,
+                     const sop::MinimizeStats& b) {
+    return a.cubes_before == b.cubes_before &&
+           a.cubes_after == b.cubes_after &&
+           a.literals_before == b.literals_before &&
+           a.literals_after == b.literals_after &&
+           a.iterations == b.iterations;
+  };
+  for (unsigned n = 1; n <= 8; ++n) {
+    const int trials = n <= 6 ? 300 : 8;  // the reference is slow at 7-8
+    for (int trial = 0; trial < trials; ++trial) {
+      Sop on(n), dc(n);
+      if (trial % 4 != 0) {
+        on = random_sop(n, 2 + static_cast<int>(rng() % 8));
+        dc = random_sop(n, static_cast<int>(rng() % 4));
+      } else {
+        minterms(n, rng() % 5, on, dc);
+      }
+      sop::MinimizeStats st, st_ref;
+      Sop g = sop::minimize(on, dc, &st);
+      Sop g_ref = reference::minimize(on, dc, &st_ref);
+      ASSERT_EQ(g.cubes(), g_ref.cubes())
+          << n << " vars, trial " << trial << ": " << on.to_string()
+          << " / dc " << dc.to_string();
+      EXPECT_TRUE(stats_eq(st, st_ref)) << n << " vars, trial " << trial;
+    }
+  }
 }
 
 class MinimizeProperty : public ::testing::TestWithParam<std::uint32_t> {};
@@ -212,6 +281,64 @@ TEST(Resynth, PreservesFunctionOnSuite) {
     EXPECT_TRUE(sim::equivalent_random(net0, net, 256, 9)) << name;
     EXPECT_EQ(net.check(), "") << name;
   }
+}
+
+// random_dag(16, 60) with four registers: each samples a gate and feeds an
+// AND/OR pair towards a new PO, so Dff outputs sit on window boundaries.
+Netlist registered_dag(std::uint32_t seed) {
+  Netlist net = bench::random_dag(16, 60, seed);
+  std::vector<NodeId> gates;
+  for (NodeId id : net.topo_order())
+    if (!is_source(net.node(id).type)) gates.push_back(id);
+  for (std::size_t k = 0; k < 4; ++k) {
+    auto pick = [&](std::size_t i) { return gates[i % gates.size()]; };
+    NodeId q = net.add_dff(pick(13 * k + 1), k % 2 == 1);
+    NodeId t = net.add_and(q, pick(7 * k + 3));
+    net.add_output(net.add_or(t, net.add_and(pick(11 * k + 5), q)),
+                   "r" + std::to_string(k));
+  }
+  return net;
+}
+
+TEST(Resynth, MatchesReference) {
+  // Tabulation, simulated reachability, the minimize memo and truth-table
+  // containment are all exact, so every rewrite must equal the per-minterm
+  // BDD algorithm's — at one worker and under speculation.
+  auto expect_match = [](const std::string& name, const Netlist& input,
+                         logicopt::ResynthOptions opt) {
+    Netlist ref = input.clone();
+    auto st = sim::measure_activity(ref, 64, 2);
+    opt.workers = 1;
+    auto b = reference::resynthesize_windows(ref, st.transition_prob, opt);
+    for (int workers : {1, 4}) {
+      Netlist fast = input.clone();
+      opt.workers = workers;
+      auto a = logicopt::resynthesize_windows(fast, st.transition_prob, opt);
+      const std::string at = name + " @" + std::to_string(workers);
+      EXPECT_EQ(structural_hash(fast), structural_hash(ref)) << at;
+      EXPECT_EQ(a.windows_examined, b.windows_examined) << at;
+      EXPECT_EQ(a.nodes_rewritten, b.nodes_rewritten) << at;
+      EXPECT_EQ(a.windows_capped, b.windows_capped) << at;
+      EXPECT_EQ(a.rewrites_capped, b.rewrites_capped) << at;
+      EXPECT_EQ(a.limited, b.limited) << at;
+    }
+  };
+  logicopt::ResynthOptions dflt, area, capped;
+  area.power_aware = false;
+  capped.max_rewrites = 5;
+
+  for (const auto& [name, net] : bench::default_suite())
+    if (net.num_gates() <= 300) expect_match(name, net, dflt);
+  // perfbench's flow_random strata.
+  for (std::uint32_t seed :
+       {1535578286u, 2653335377u, 961978839u, 1476624210u, 374703215u,
+        1433102928u, 1901963766u, 3814778373u, 4151018557u, 4059216129u,
+        2054710263u, 164471577u})
+    expect_match("rand32x150_s" + std::to_string(seed),
+                 bench::random_dag(32, 150, seed), dflt);
+  expect_match("registered16x60", registered_dag(7), dflt);
+  expect_match("rand16x60 area", bench::random_dag(16, 60, 8), area);
+  expect_match("rand32x150 capped", bench::random_dag(32, 150, 9), capped);
 }
 
 TEST(SequencePower, IdleSequenceCheaperThanRandom) {
