@@ -1,7 +1,7 @@
 // E19 — §IV-A presumes a ladder of power estimators ("reasonably accurate
 // low-level power analysis tools" to calibrate against; Najm's companion
 // survey [31] catalogues them).  This bench compares every estimator in the
-// library against the event-driven reference on the same circuits:
+// library against the timed-simulation reference on the same circuits:
 //   timed simulation          (reference: functional + spurious)
 //   zero-delay simulation     (misses glitches)
 //   exact BDD probabilities   (zero-delay, temporal-independence closed form)

@@ -4,6 +4,10 @@
 // [25].  Reproduced: glitch fraction across the suite + the balancing
 // tradeoff sweep.
 
+#include <chrono>
+#include <cmath>
+
+#include "../tests/eventsim_reference.hpp"
 #include "bench_util.hpp"
 #include "core/parallel.hpp"
 #include "core/report.hpp"
@@ -14,6 +18,67 @@
 namespace {
 
 using namespace lps;
+
+// Best-of-3 wall time of one timed-activity run: the waveform simulator
+// (sim::measure_timed_activity) or the event-driven reference
+// (tests/eventsim_reference.hpp).
+double timed_ms(const Netlist& net, bool waveform, std::size_t n) {
+  double best = 1e300;
+  for (int rep = 0; rep < 3; ++rep) {
+    auto t0 = std::chrono::steady_clock::now();
+    auto r = waveform ? sim::measure_timed_activity(net, n, 3)
+                      : reference::measure_timed_activity(net, n, 3);
+    benchmark::DoNotOptimize(r.vectors);
+    auto t1 = std::chrono::steady_clock::now();
+    best = std::min(
+        best, std::chrono::duration<double, std::milli>(t1 - t0).count());
+  }
+  return best;
+}
+
+// The waveform simulator must be a pure speed lever: the event reference's
+// exact per-node counts on every suite circuit (plus a register circuit),
+// and a single-thread geomean win at the flow's 2048 vectors.
+void report_engine() {
+  auto suite = bench::default_suite();
+  suite.push_back({"counter16", bench::counter(16)});
+  bool identical = true;
+  for (const auto& [name, net] : suite) {
+    auto a = sim::measure_timed_activity(net, 500, 3);
+    auto b = reference::measure_timed_activity(net, 500, 3);
+    bool same = a.vectors == b.vectors &&
+                a.total_toggles == b.total_toggles &&
+                a.functional_toggles == b.functional_toggles;
+    identical = identical && same;
+    if (!same) std::cout << "  MISMATCH on " << name << "\n";
+  }
+  core::Table t({"circuit", "nodes", "event ms", "waveform ms", "speedup"});
+  double log_sum = 0.0;
+  std::size_t timed = 0;
+  {
+    core::ScopedThreads one(1);
+    for (const auto& [name, net] : suite) {
+      if (!net.dffs().empty()) continue;
+      double me = timed_ms(net, false, 2048);
+      double mw = timed_ms(net, true, 2048);
+      double sp = mw > 0 ? me / mw : 0.0;
+      log_sum += std::log(sp);
+      ++timed;
+      t.row({name, std::to_string(net.size()), core::Table::num(me, 2),
+             core::Table::num(mw, 2), core::Table::num(sp, 2) + "x"});
+    }
+  }
+  double geomean =
+      timed > 0 ? std::exp(log_sum / static_cast<double>(timed)) : 0.0;
+  std::cout << "\nTimed engine: waveform simulator vs event-driven reference "
+               "(2048 vectors, 1 thread):\n";
+  t.print(std::cout);
+  std::cout << "identical across suite: " << (identical ? "yes" : "NO")
+            << ", speedup geomean: " << core::Table::num(geomean, 2)
+            << "x\n";
+  benchx::claim("E5.timed_identical_suite", identical);
+  benchx::claim("E5.timed_speedup_suite", geomean);
+}
 
 void report() {
   benchx::banner("E5 bench_glitch_balance",
@@ -64,6 +129,7 @@ void report() {
     }
     t.print(std::cout);
   }
+  report_engine();
   std::cout << '\n';
 }
 

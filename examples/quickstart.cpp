@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
             << " inputs, " << net.outputs().size() << " outputs, "
             << net.num_gates() << " gates\n\n";
 
-  // Step 1: power analysis (event-driven, includes glitches).
+  // Step 1: power analysis (timed waveforms, includes glitches).
   power::AnalysisOptions ao;
   ao.n_vectors = 2048;
   auto analysis = power::analyze(net, ao);

@@ -1,12 +1,11 @@
 #include "coding/residue.hpp"
 
 #include <bit>
-#include <memory>
 #include <numeric>
 #include <random>
 
 #include "netlist/benchmarks.hpp"
-#include "sim/eventsim.hpp"
+#include "sim/waveform.hpp"
 #include <stdexcept>
 
 namespace lps::coding {
@@ -92,17 +91,15 @@ RnsStats evaluate_rns_accumulator(const OneHotRns& rns, std::size_t n_ops,
   st.wires_onehot = rns.num_wires();
 
   // Gate-level binary adder driven with the actual accumulation stream:
-  // its carry chain ripples and glitches (event-driven count).
+  // its carry chain ripples and glitches (timed waveform count).
   auto adder = lps::bench::ripple_carry_adder(bbits);
-  lps::sim::EventSim es(adder);
-  std::unique_ptr<bool[]> pins(new bool[adder.inputs().size()]());
+  std::vector<std::vector<bool>> adds;
   auto apply_add = [&](std::uint64_t a, std::uint64_t b) {
+    auto& pins = adds.emplace_back(adder.inputs().size(), false);
     for (int i = 0; i < bbits; ++i) {
       pins[i] = (a >> i & 1) != 0;
       pins[bbits + i] = (b >> i & 1) != 0;
     }
-    pins[2 * bbits] = false;
-    es.apply({pins.get(), adder.inputs().size()});
   };
 
   std::uint64_t acc = 0;
@@ -121,7 +118,8 @@ RnsStats evaluate_rns_accumulator(const OneHotRns& rns, std::size_t n_ops,
   st.avg_transitions_binary = tb / static_cast<double>(n_ops);
   st.avg_transitions_onehot = to / static_cast<double>(n_ops);
   st.logic_transitions_binary =
-      es.stats().sum_total() / static_cast<double>(n_ops);
+      lps::sim::simulate_timed_sequence(adder, adds).sum_total() /
+      static_cast<double>(n_ops);
   // One-hot modular add = rotate each digit's one-hot vector by the
   // operand residue: one wire falls, one rises, per digit, with no carry
   // logic in between.

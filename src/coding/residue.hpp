@@ -49,7 +49,7 @@ struct RnsStats {
   double avg_transitions_onehot = 0.0;  // accumulator register, one-hot RNS
   // Arithmetic-logic switching per add: a binary accumulator ripples and
   // glitches through a carry chain (measured on the gate-level adder with
-  // the event-driven simulator); a one-hot residue adder is a barrel
+  // the timed waveform simulator); a one-hot residue adder is a barrel
   // rotation — exactly 2 wire transitions per digit, no carries, no
   // glitches.  This is where Chren's delay-power-product win [11] lives.
   double logic_transitions_binary = 0.0;

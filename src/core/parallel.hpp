@@ -1,7 +1,7 @@
 // parallel.hpp — shared thread pool and deterministic work sharding.
 //
 // Every Monte Carlo estimator in this library (bit-parallel activity
-// measurement, event-driven glitch counting) is embarrassingly parallel
+// measurement, timed glitch counting) is embarrassingly parallel
 // across its vector stream.  This module provides the one pool they share:
 // a fixed set of worker threads fed from a blocking task queue, plus a
 // `parallel_for` that runs indexed chunks with the *calling thread
@@ -50,7 +50,7 @@ class CancelledError : public std::runtime_error {
 /// Cooperative cancellation token.  A long-running estimate is handed a
 /// token; the watchdog (or any other thread) calls cancel(), and the
 /// estimate observes it at its poll points — shard-chunk boundaries in the
-/// Monte Carlo drivers (sim/logicsim.cpp, sim/eventsim.cpp), frame batches
+/// Monte Carlo drivers (sim/logicsim.cpp, sim/waveform.cpp), frame batches
 /// inside a shard, and the incremental analyzer's cone sweep — then throws
 /// CancelledError.  Polling is one relaxed atomic load, so the check is
 /// free on the hot path; cancellation latency is bounded by the work

@@ -33,12 +33,12 @@ void force_throw_on_candidate(int n) {
 
 namespace {
 
-// Stimulus seed of the interpreter trace proof.
+// Stimulus seed of the whole-netlist trace proof.
 constexpr std::uint64_t kVerifySeed = 17;
 
-// The one proof engine: sim::functional_trace runs the LogicSim
-// interpreter (the compiled tape is the activity engine, never the proof).
-sim::SimTrace interpreter_trace(const Netlist& net, const KernelOptions& o) {
+// The whole-netlist proof: sim::functional_trace's output digest, replayed
+// on the compiled tape.
+sim::SimTrace whole_trace(const Netlist& net, const KernelOptions& o) {
   return sim::functional_trace(net, o.verify_frames, kVerifySeed);
 }
 
@@ -53,7 +53,7 @@ Kernel::Kernel(Netlist& net, power::IncrementalAnalyzer& oracle,
     kept_metric_ = prefix + ".kept";
     reverted_metric_ = prefix + ".reverted";
     unsound_metric_ = prefix + ".unsound";
-    if (opt_.verify_frames != 0) ref_ = interpreter_trace(net_, opt_);
+    if (opt_.verify_frames != 0) ref_ = whole_trace(net_, opt_);
   }
 }
 
@@ -95,7 +95,7 @@ void Kernel::score(Probe& p) {
 
 bool Kernel::prove(const Probe& p) {
   bool ok = p.sound;
-  if (ok && opt_.verify_frames != 0) ok = interpreter_trace(net_, opt_) == ref_;
+  if (ok && opt_.verify_frames != 0) ok = whole_trace(net_, opt_) == ref_;
   return ok && !detail::consume(detail::g_force_unsound);
 }
 

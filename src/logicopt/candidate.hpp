@@ -9,7 +9,7 @@
 //
 // Proof: the oracle's PO-stream digest (IncrementalAnalyzer::
 // outputs_digest) must be unchanged, plus — when verify_frames != 0 — a
-// whole-netlist interpreter sim::functional_trace must match the reference
+// whole-netlist sim::functional_trace must match the reference
 // taken when the kernel is built (kept candidates are exact, so one
 // reference serves the whole run).  Only would-be keeps are proven; losers
 // are rolled back unproven.

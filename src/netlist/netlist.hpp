@@ -5,7 +5,7 @@
 // substrate: a DAG of typed logic gates with named primary inputs/outputs,
 // optional D flip-flops (for the sequential techniques of §III-C), per-node
 // drive size (for §II-B transistor sizing) and per-node delay (for §III-A.2
-// path balancing and the event-driven glitch simulator).
+// path balancing and the timed glitch simulator).
 //
 // Design notes
 //  - Nodes live in a flat vector and are addressed by NodeId; deletion marks

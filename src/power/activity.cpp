@@ -1,8 +1,6 @@
 #include "power/activity.hpp"
 
 #include <algorithm>
-#include <memory>
-#include <stdexcept>
 
 #include "sim/simd.hpp"
 
@@ -77,68 +75,18 @@ Analysis assemble_zero_delay(const Netlist& net, const sim::ActivityStats& st,
 
 }  // namespace detail
 
-Analysis analyze(const Netlist& net, const AnalysisOptions& opt) {
-  Analysis a;
-  if (opt.mode == ActivityMode::ZeroDelay) {
-    auto st = sim::measure_activity(net, zero_delay_frames(opt.n_vectors),
-                                    opt.seed, opt.pi_one_prob, nullptr,
-                                    opt.cancel);
-    return detail::assemble_zero_delay(net, st, opt);
-  }
-  auto ts = sim::measure_timed_activity(net, opt.n_vectors, opt.seed,
-                                        opt.pi_one_prob, opt.cancel);
-  a.engine = "eventsim";
-  a.vectors_used = ts.vectors;
-  a.toggles_per_cycle.assign(net.size(), 0.0);
-  std::vector<double> functional(net.size(), 0.0);
-  double nv = static_cast<double>(std::max<std::size_t>(1, ts.vectors));
-  for (NodeId id = 0; id < net.size(); ++id) {
-    a.toggles_per_cycle[id] = ts.total_toggles[id] / nv;
-    functional[id] = ts.functional_toggles[id] / nv;
-  }
-  a.report = compute_power(net, a.toggles_per_cycle, opt.params);
-  auto func_report = compute_power(net, functional, opt.params);
-  a.glitch_power_w =
-      a.report.breakdown.switching_w - func_report.breakdown.switching_w;
-  a.glitch_fraction = a.report.breakdown.switching_w > 0
-                          ? a.glitch_power_w / a.report.breakdown.switching_w
-                          : 0.0;
-  // Clock power: enable duties from a quick zero-delay probability run —
-  // skipped entirely when no register has a load-enable pin, since every
-  // duty is then 1.0 regardless of the signal probabilities.
-  if (has_enabled_dff(net)) {
-    auto st = sim::measure_activity(net, zero_delay_frames(opt.n_vectors),
-                                    opt.seed, opt.pi_one_prob, nullptr,
-                                    opt.cancel);
-    a.clock_power_w =
-        clock_power(net, enable_duties(net, st.signal_prob), opt.params);
-  } else {
-    a.clock_power_w =
-        clock_power(net, std::vector<double>(net.size(), 1.0), opt.params);
-  }
-  a.report.breakdown.switching_w += a.clock_power_w;
-  return a;
-}
+namespace {
 
-Analysis analyze_sequence(const Netlist& net,
-                          const std::vector<std::vector<bool>>& sequence,
-                          const PowerParams& params) {
-  sim::EventSim es(net);
-  std::size_t width = net.inputs().size();
-  std::unique_ptr<bool[]> flat(new bool[std::max<std::size_t>(1, width)]);
-  for (const auto& vec : sequence) {
-    if (vec.size() != width)
-      throw std::invalid_argument("analyze_sequence: vector width mismatch");
-    for (std::size_t i = 0; i < width; ++i) flat[i] = vec[i];
-    es.apply({flat.get(), width});
-  }
-  const auto& ts = es.stats();
+// Timed report from exact toggle counts: total and functional switching
+// through Eqn. (1), their gap being the glitch power.
+Analysis assemble_timed(const Netlist& net, const sim::TimedStats& ts,
+                        const PowerParams& params) {
   Analysis a;
-  a.engine = "eventsim";
+  a.engine = "waveform";
   a.vectors_used = ts.vectors;
-  double nv = static_cast<double>(std::max<std::size_t>(1, ts.vectors));
   a.toggles_per_cycle.assign(net.size(), 0.0);
   std::vector<double> functional(net.size(), 0.0);
+  double nv = static_cast<double>(std::max<std::size_t>(1, ts.vectors));
   for (NodeId id = 0; id < net.size(); ++id) {
     a.toggles_per_cycle[id] = ts.total_toggles[id] / nv;
     functional[id] = ts.functional_toggles[id] / nv;
@@ -151,6 +99,42 @@ Analysis analyze_sequence(const Netlist& net,
                           ? a.glitch_power_w / a.report.breakdown.switching_w
                           : 0.0;
   return a;
+}
+
+}  // namespace
+
+Analysis analyze(const Netlist& net, const AnalysisOptions& opt) {
+  if (opt.mode == ActivityMode::ZeroDelay) {
+    auto st = sim::measure_activity(net, zero_delay_frames(opt.n_vectors),
+                                    opt.seed, opt.pi_one_prob, nullptr,
+                                    opt.cancel);
+    return detail::assemble_zero_delay(net, st, opt);
+  }
+  Analysis a = assemble_timed(
+      net,
+      sim::measure_timed_activity(net, opt.n_vectors, opt.seed,
+                                  opt.pi_one_prob, opt.cancel),
+      opt.params);
+  // Clock power: enable duties from a quick zero-delay probability run —
+  // skipped entirely when no register has a load-enable pin, since every
+  // duty is then 1.0 regardless of the signal probabilities.
+  std::vector<double> duty(net.size(), 1.0);
+  if (has_enabled_dff(net))
+    duty = enable_duties(
+        net, sim::measure_activity(net, zero_delay_frames(opt.n_vectors),
+                                   opt.seed, opt.pi_one_prob, nullptr,
+                                   opt.cancel)
+                 .signal_prob);
+  a.clock_power_w = clock_power(net, duty, opt.params);
+  a.report.breakdown.switching_w += a.clock_power_w;
+  return a;
+}
+
+Analysis analyze_sequence(const Netlist& net,
+                          const std::vector<std::vector<bool>>& sequence,
+                          const PowerParams& params) {
+  return assemble_timed(net, sim::simulate_timed_sequence(net, sequence),
+                        params);
 }
 
 }  // namespace lps::power

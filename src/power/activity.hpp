@@ -3,7 +3,8 @@
 // Ties the simulators (sim/) to the Eqn. (1) model (power_model.hpp).  Two
 // activity sources are offered:
 //   ZeroDelay — functional toggles only (what logic-level estimators count);
-//   Timed     — event-driven with glitches (what the circuit dissipates).
+//   Timed     — transport-delay waveforms with glitches (what the circuit
+//               dissipates).
 // The gap between them is the spurious-switching power of §III-A.2.
 
 #pragma once
@@ -14,8 +15,8 @@
 #include <vector>
 
 #include "power/power_model.hpp"
-#include "sim/eventsim.hpp"
 #include "sim/logicsim.hpp"
+#include "sim/waveform.hpp"
 
 namespace lps::power {
 
@@ -49,13 +50,14 @@ struct Analysis {
   /// assuming the request was honored exactly.
   std::size_t vectors_used = 0;
   /// Code path that produced the numbers: "tape[<width>,b16]" for
-  /// ZeroDelay (sim::engine_desc()), "eventsim" for Timed.  Every lane
+  /// ZeroDelay (sim::engine_desc()), "waveform" for Timed.  Every lane
   /// width is bit-identical for the same options, so this is observability
   /// for reports and service responses, never a result qualifier.
   std::string engine;
 };
 
-/// Simulate and evaluate Eqn. (1).  Deterministic in `seed`.
+/// Simulate and evaluate Eqn. (1).  Deterministic in `seed`.  Timed mode
+/// throws std::length_error past sim::kMaxWaveformWords.
 Analysis analyze(const Netlist& net, const AnalysisOptions& opt = {});
 
 /// Number of zero-delay frames analyze() simulates for a vector request —
@@ -78,7 +80,7 @@ Analysis assemble_zero_delay(const Netlist& net, const sim::ActivityStats& st,
 /// vectors — the sequential-estimation setting of Monteiro & Devadas [28]
 /// ("power estimation ... under user-specified input sequences and
 /// programs").  `sequence[t][i]` is the value of net.inputs()[i] in cycle
-/// t; the event-driven simulator runs the exact trace.
+/// t; the waveform simulator runs the exact trace.
 Analysis analyze_sequence(const Netlist& net,
                           const std::vector<std::vector<bool>>& sequence,
                           const PowerParams& params = {});

@@ -66,7 +66,7 @@ class IncrementalAnalyzer {
 
   /// Binds to `net` and runs the full baseline analysis immediately.  The
   /// netlist must outlive the analyzer.  `opt.mode` must be ZeroDelay
-  /// (Timed throws diag::CheckError: event-driven glitch simulation keeps
+  /// (Timed throws diag::CheckError: the timed waveform simulation keeps
   /// no per-frame cache to splice into).
   explicit IncrementalAnalyzer(const Netlist& net, AnalysisOptions opt = {});
 

@@ -37,7 +37,7 @@ struct ClockGatingResult {
 
 /// Rewrite each pattern: delete the recirculation mux (D = x directly) and
 /// record the gate.  The netlist's cycle-accurate behaviour is preserved
-/// only under gated-clock semantics, so EventSim/LogicSim must be driven
+/// only under gated-clock semantics, so the simulators must be driven
 /// through GatedClockModel (below) afterwards; the function therefore
 /// returns the enable association instead of mutating simulation semantics.
 ClockGatingResult apply_clock_gating(Netlist& net,

@@ -82,7 +82,7 @@ struct PowerRetimeResult {
 /// Greedy local retiming on the netlist: a backward move pushes a register
 /// rank from a gate's output to its inputs (when an initial state exists),
 /// a forward move pulls registers from all inputs to the output.  A move is
-/// kept when the event-driven (glitch-aware) power drops and the clock
+/// kept when the timed (glitch-aware) power drops and the clock
 /// period does not grow.  Function preservation is up to retiming
 /// equivalence (identical I/O traces after a one-cycle reset prologue).
 PowerRetimeResult retime_for_power(Netlist& net,

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "core/flows.hpp"
@@ -506,8 +507,13 @@ OpResult Session::estimate(const Json& params, const core::CancelToken* cancel) 
     ao.seed = seed;
     ao.cancel = cancel;
     // CancelledError propagates to the dispatcher (Deadline response);
-    // analyze() is pure, nothing to restore.
-    fresh = power::analyze(net_, ao);
+    // analyze() is pure, nothing to restore.  set_delay values can widen
+    // the timed waveforms past the simulator's cap: a request error.
+    try {
+      fresh = power::analyze(net_, ao);
+    } catch (const std::length_error& e) {
+      return OpResult::error(ErrorCode::BadRequest, e.what());
+    }
     est_full_.fetch_add(1, std::memory_order_relaxed);
     if (evicted_) est_degraded_.fetch_add(1, std::memory_order_relaxed);
   } else {

@@ -134,19 +134,11 @@ void CompiledSim::rebuild() {
   core::metrics::count("sim.compiled.records", static_cast<double>(records_));
 }
 
-void CompiledSim::emit(NodeId id) {
-  const Netlist& net = *net_;
-  const Node& nd = net.node(id);
-  if (nd.dead || nd.type == GateType::Input || nd.type == GateType::Dff) {
-    if (offset_[id] != kNoRecord) {
-      offset_[id] = kNoRecord;
-      --records_;
-    }
-    return;
-  }
-  const auto n = static_cast<std::uint32_t>(nd.fanins.size());
+void append_record(std::vector<std::uint32_t>& tape, GateType t,
+                   std::uint32_t out, std::span<const std::uint32_t> ins) {
+  const auto n = static_cast<std::uint32_t>(ins.size());
   Op op;
-  switch (nd.type) {
+  switch (t) {
     case GateType::Const0: op = Op::Const0; break;
     case GateType::Const1: op = Op::Const1; break;
     case GateType::Buf: op = Op::Buf; break;
@@ -159,13 +151,33 @@ void CompiledSim::emit(NodeId id) {
     case GateType::Xnor: op = n == 2 ? Op::Xnor2 : Op::XnorN; break;
     case GateType::Mux: op = Op::Mux; break;
     default:
-      return;  // Input/Dff handled above; nothing else exists
+      throw std::invalid_argument("append_record: sources have no record");
+  }
+  tape.push_back(static_cast<std::uint32_t>(op) | (n << 8));
+  tape.push_back(out);
+  tape.insert(tape.end(), ins.begin(), ins.end());
+}
+
+void exec_tape(std::span<const std::uint32_t> tape, std::uint64_t* val,
+               std::size_t block) {
+  if (block != normalize_block(block))
+    throw std::invalid_argument("exec_tape: unsupported block");
+  run_linear(resolve_simd(sim_options().width), tape.data(),
+             tape.data() + tape.size(), val, block);
+}
+
+void CompiledSim::emit(NodeId id) {
+  const Node& nd = net_->node(id);
+  if (nd.dead || nd.type == GateType::Input || nd.type == GateType::Dff) {
+    if (offset_[id] != kNoRecord) {
+      offset_[id] = kNoRecord;
+      --records_;
+    }
+    return;
   }
   if (offset_[id] == kNoRecord) ++records_;
   offset_[id] = static_cast<std::uint32_t>(tape_.size());
-  tape_.push_back(static_cast<std::uint32_t>(op) | (n << 8));
-  tape_.push_back(id);
-  for (NodeId f : nd.fanins) tape_.push_back(f);
+  append_record(tape_, nd.type, id, nd.fanins);
 }
 
 void CompiledSim::update(const Netlist::TouchedNodes& touched) {
@@ -202,10 +214,7 @@ void CompiledSim::exec_all(std::uint64_t* val, std::size_t block) const {
   if (!compact_)
     throw std::logic_error(
         "CompiledSim::exec_all: tape is patched; use exec_gates");
-  if (block != normalize_block(block))
-    throw std::invalid_argument("CompiledSim::exec_all: unsupported block");
-  run_linear(resolve_simd(sim_options().width), tape_.data(),
-             tape_.data() + tape_.size(), val, block);
+  exec_tape(tape_, val, block);
 }
 
 void CompiledSim::exec_gates(std::uint64_t* val, std::size_t block,

@@ -81,6 +81,15 @@ void count_columns(const std::uint64_t* val, std::span<const NodeId> nodes,
                    std::uint64_t* ones, std::uint64_t* toggles,
                    std::uint64_t* last);
 
+/// Append a record computing gate type `t` (no source or register) into
+/// value slot `out` from operand slots `ins`, in fanin order.  CompiledSim's
+/// slots are node ids; the waveform simulator (sim/waveform.hpp) has its own.
+void append_record(std::vector<std::uint32_t>& tape, GateType t,
+                   std::uint32_t out, std::span<const std::uint32_t> ins);
+/// Replay a linear tape of such records over `block` words per slot.
+void exec_tape(std::span<const std::uint32_t> tape, std::uint64_t* val,
+               std::size_t block);
+
 /// RAII override of sim_options() for tests and differential benches.
 class ScopedSimOptions {
  public:

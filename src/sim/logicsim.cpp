@@ -49,6 +49,20 @@ inline void eval_gate_word(const Node& nd, NodeId id, Frame& f) {
 
 }  // namespace
 
+void clock_registers(const Netlist& net, std::span<const NodeId> dffs,
+                     const std::uint64_t* val,
+                     std::vector<std::uint64_t>& state) {
+  for (std::size_t i = 0; i < dffs.size(); ++i) {
+    const Node& nd = net.node(dffs[i]);
+    std::uint64_t next = val[nd.fanins[0]];
+    if (nd.fanins.size() == 2) {
+      std::uint64_t en = val[nd.fanins[1]];
+      next = (en & next) | (~en & val[dffs[i]]);  // hold on EN = 0
+    }
+    state[i] = next;
+  }
+}
+
 void LogicSim::eval_into(Frame& f, std::span<const std::uint64_t> pi_words,
                          std::span<const std::uint64_t> dff_words) const {
   const Netlist& n = *net_;
@@ -101,26 +115,9 @@ std::vector<std::uint64_t> LogicSim::outputs_of(const Frame& f) const {
   return r;
 }
 
-void LogicSim::next_state_into(const Frame& f,
-                               std::vector<std::uint64_t>& state) const {
-  // `state` holds the current Q values, which load-enabled Dffs recirculate
-  // on EN = 0; they equal f[d], so the update is safe in place.
-  state.resize(dff_list_.size());
-  for (std::size_t i = 0; i < dff_list_.size(); ++i) {
-    NodeId d = dff_list_[i];
-    const Node& nd = net_->node(d);
-    std::uint64_t next = f[nd.fanins[0]];
-    if (nd.fanins.size() == 2) {
-      std::uint64_t en = f[nd.fanins[1]];
-      next = (en & next) | (~en & f[d]);  // hold on EN = 0
-    }
-    state[i] = next;
-  }
-}
-
 std::vector<std::uint64_t> LogicSim::next_state_of(const Frame& f) const {
   std::vector<std::uint64_t> r(dff_list_.size());
-  next_state_into(f, r);
+  clock_registers(*net_, dff_list_, f.data(), r);
   return r;
 }
 
@@ -233,15 +230,7 @@ void simulate_activity_shard(const Netlist& net, const CompiledSim& cs,
         cf.assign(net.size(), 0);
         for (NodeId id : live) cf[id] = val[id];
       }
-      for (std::size_t i = 0; i < dffs.size(); ++i) {
-        const Node& nd = net.node(dffs[i]);
-        std::uint64_t next = val[nd.fanins[0]];
-        if (nd.fanins.size() == 2) {
-          std::uint64_t en = val[nd.fanins[1]];
-          next = (en & next) | (~en & val[dffs[i]]);  // hold on EN = 0
-        }
-        sc.state[i] = next;
-      }
+      clock_registers(net, dffs, val, sc.state);
     }
   }
 }
@@ -362,28 +351,10 @@ ActivityStats measure_activity(const Netlist& net, std::size_t n_frames,
 
 bool equivalent_random(const Netlist& a, const Netlist& b,
                        std::size_t n_frames, std::uint64_t seed) {
-  if (a.inputs().size() != b.inputs().size()) return false;
-  if (a.outputs().size() != b.outputs().size()) return false;
-  LogicSim sa(a), sb(b);
-  std::mt19937_64 rng(seed);
-  std::vector<std::uint64_t> pi(a.inputs().size());
-  auto da = a.dffs(), db = b.dffs();
-  std::vector<std::uint64_t> qa(da.size()), qb(db.size());
-  for (std::size_t i = 0; i < da.size(); ++i)
-    qa[i] = a.node(da[i]).init_value ? ~0ULL : 0ULL;
-  for (std::size_t i = 0; i < db.size(); ++i)
-    qb[i] = b.node(db[i]).init_value ? ~0ULL : 0ULL;
-  Frame fa, fb;
-  for (std::size_t fr = 0; fr < n_frames; ++fr) {
-    for (auto& w : pi) w = rng();
-    sa.eval_into(fa, pi, qa);
-    sb.eval_into(fb, pi, qb);
-    for (std::size_t i = 0; i < a.outputs().size(); ++i)
-      if (fa[a.outputs()[i]] != fb[b.outputs()[i]]) return false;
-    sa.next_state_into(fa, qa);
-    sb.next_state_into(fb, qb);
-  }
-  return true;
+  return a.inputs().size() == b.inputs().size() &&
+         a.outputs().size() == b.outputs().size() &&
+         functional_trace(a, n_frames, seed).digest ==
+             functional_trace(b, n_frames, seed).digest;
 }
 
 SimTrace functional_trace(const Netlist& net, std::size_t n_frames,
@@ -394,21 +365,29 @@ SimTrace functional_trace(const Netlist& net, std::size_t n_frames,
   t.frames = n_frames;
   t.seed = seed;
 
-  LogicSim sim(net);
-  auto dffs = net.dffs();
+  // kSimBlock frames per tape replay (one on sequential nets), PI words
+  // drawn and outputs mixed frame by frame: a per-frame loop's digest.
+  const CompiledSim cs(net);
+  const auto& pis = net.inputs();
+  const auto& dffs = cs.dffs();
   t.n_dffs = dffs.size();
-  std::mt19937_64 rng(seed);
-  std::vector<std::uint64_t> pi(net.inputs().size());
+  const std::size_t B = dffs.empty() ? kSimBlock : 1;
+  core::AlignedWords val(net.size() * B, 0);
   std::vector<std::uint64_t> q(dffs.size());
   for (std::size_t i = 0; i < dffs.size(); ++i)
     q[i] = net.node(dffs[i]).init_value ? ~0ULL : 0ULL;
+  std::mt19937_64 rng(seed);
   std::uint64_t digest = 0x5CA1AB1Eu;
-  Frame f;
-  for (std::size_t fr = 0; fr < n_frames; ++fr) {
-    for (auto& w : pi) w = rng();
-    sim.eval_into(f, pi, q);
-    for (NodeId o : net.outputs()) digest = core::mix64(digest ^ f[o]);
-    sim.next_state_into(f, q);
+  for (std::size_t f0 = 0; f0 < n_frames; f0 += B) {
+    const std::size_t b = std::min(B, n_frames - f0);
+    for (std::size_t j = 0; j < b; ++j)
+      for (NodeId pi : pis) val[static_cast<std::size_t>(pi) * B + j] = rng();
+    for (std::size_t i = 0; i < dffs.size(); ++i) val[dffs[i]] = q[i];
+    cs.exec_all(val.data(), B);
+    for (std::size_t j = 0; j < b; ++j)
+      for (NodeId o : net.outputs())
+        digest = core::mix64(digest ^ val[static_cast<std::size_t>(o) * B + j]);
+    clock_registers(net, dffs, val.data(), q);
   }
   t.digest = digest;
   return t;

@@ -1,13 +1,13 @@
 // logicsim.hpp — 64-way bit-parallel zero-delay logic simulation.
 //
-// LogicSim is the proof engine: functional equivalence checking of every
-// optimization pass (equivalent_random, functional_trace) and the
-// don't-care prefilter's cone replays.  This header also declares the
-// Monte Carlo activity driver (measure_activity: exact zero-delay
-// switching activity, §I Eqn. 1 factor N, and signal/transition
-// probabilities under arbitrary input statistics), which runs on the
-// compiled tape (sim/compiled.hpp).  Each std::uint64_t word carries 64
-// independent patterns.
+// LogicSim is the per-gate interpreter the optimization passes drive
+// directly (don't-care cone replays, resynthesis reachability batches,
+// sequential-module probes).  This header also declares the Monte Carlo
+// activity driver (measure_activity: exact zero-delay switching activity,
+// §I Eqn. 1 factor N, and signal/transition probabilities under arbitrary
+// input statistics) and the equivalence checks (functional_trace,
+// equivalent_random), which run on the compiled tape (sim/compiled.hpp).
+// Each std::uint64_t word carries 64 independent patterns.
 //
 // Monte Carlo drivers shard their frame stream across the shared thread
 // pool (core/parallel.hpp).  The decomposition and per-shard seeds depend
@@ -49,8 +49,6 @@ class LogicSim {
  public:
   explicit LogicSim(const Netlist& net);
 
-  const Netlist& net() const { return *net_; }
-
   /// Evaluate the full network for one frame of PI values; `pi_words[i]`
   /// corresponds to net.inputs()[i].  `dff_words` supplies register outputs
   /// (empty = use reset values).  Returns a per-node value frame.
@@ -79,12 +77,8 @@ class LogicSim {
 
   /// Values at the primary outputs extracted from a frame.
   std::vector<std::uint64_t> outputs_of(const Frame& f) const;
-  /// Next-state values (Dff D inputs) extracted from a frame.
+  /// Next-state values (Dff D inputs, EN = 0 holds) from a frame.
   std::vector<std::uint64_t> next_state_of(const Frame& f) const;
-  /// Allocation-free variant: writes next-state words into `state` (which
-  /// must already hold the current state — load-enabled Dffs read it).
-  void next_state_into(const Frame& f,
-                       std::vector<std::uint64_t>& state) const;
 
   const std::vector<NodeId>& order() const { return order_; }
 
@@ -145,10 +139,16 @@ ActivityStats measure_activity(const Netlist& net, std::size_t n_frames,
                                ActivityTrace* capture = nullptr,
                                const core::CancelToken* cancel = nullptr);
 
-/// Random-vector combinational equivalence check: simulates both networks on
-/// the same input stream (inputs matched by position) and compares outputs
-/// (matched by position).  Returns true if no mismatch over n_frames*64
-/// patterns.  A miscompare is definitive; agreement is probabilistic.
+/// Next state of `dffs` (state[i] for dffs[i]) from an evaluated block-1
+/// frame `val`, a word per node id; load-enabled registers hold on EN = 0.
+void clock_registers(const Netlist& net, std::span<const NodeId> dffs,
+                     const std::uint64_t* val,
+                     std::vector<std::uint64_t>& state);
+
+/// Random-vector equivalence check: both networks' functional_trace digests
+/// over the same input stream (inputs and outputs matched by position).  A
+/// miscompare is definitive; agreement is probabilistic (n_frames*64
+/// patterns, up to a ~2^-64 digest collision).
 bool equivalent_random(const Netlist& a, const Netlist& b,
                        std::size_t n_frames, std::uint64_t seed);
 

@@ -71,7 +71,7 @@ inline void simulate_shard(const Netlist& net, const sim::LogicSim& sim,
       a.ones[id] += std::popcount(f[id]);
       if (fr > 0) a.toggles[id] += std::popcount(f[id] ^ prev[id]);
     }
-    sim.next_state_into(f, state);
+    state = sim.next_state_of(f);
     std::swap(prev, f);
   }
 }

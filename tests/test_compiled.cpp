@@ -219,7 +219,7 @@ TEST(Compiled, ThreadCountInvariance) {
 }
 
 TEST(Compiled, TimedActivityThreadInvariance) {
-  // The chunked EventSim grain must keep timed counts thread-invariant.
+  // The chunked waveform grain must keep timed counts thread-invariant.
   auto net = bench::carry_select_adder(8, 2);
   std::vector<sim::TimedStats> runs;
   for (unsigned t : {1u, 2u, 4u}) {

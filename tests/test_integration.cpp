@@ -16,7 +16,7 @@
 #include "seq/encoding.hpp"
 #include "seq/precompute.hpp"
 #include "seq/seq_circuit.hpp"
-#include "sim/eventsim.hpp"
+#include "sim/waveform.hpp"
 #include "sim/logicsim.hpp"
 
 namespace lps {

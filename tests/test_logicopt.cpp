@@ -14,7 +14,7 @@
 #include "logicopt/techmap.hpp"
 #include "netlist/benchmarks.hpp"
 #include "power/activity.hpp"
-#include "sim/eventsim.hpp"
+#include "sim/waveform.hpp"
 #include "sim/logicsim.hpp"
 
 #include "dontcare_reference.hpp"

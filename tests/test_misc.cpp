@@ -11,7 +11,7 @@
 #include "seq/guarded_eval.hpp"
 #include "seq/seq_circuit.hpp"
 #include "seq/stg.hpp"
-#include "sim/eventsim.hpp"
+#include "sim/waveform.hpp"
 #include "sim/logicsim.hpp"
 
 namespace lps {

@@ -20,7 +20,7 @@
 #include "core/pass.hpp"
 #include "netlist/benchmarks.hpp"
 #include "netlist/faultinject.hpp"
-#include "sim/eventsim.hpp"
+#include "sim/waveform.hpp"
 #include "sim/logicsim.hpp"
 
 namespace {

@@ -15,7 +15,7 @@
 #include "netlist/benchmarks.hpp"
 #include "seq/encoding.hpp"
 #include "seq/precompute.hpp"
-#include "sim/eventsim.hpp"
+#include "sim/waveform.hpp"
 #include "sim/logicsim.hpp"
 
 namespace lps {

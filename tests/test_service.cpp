@@ -619,6 +619,47 @@ TEST(ServiceCancel, WatchdogDeadlineFiresOnSlowEstimate) {
       resp_ok(roundtrip(svc, R"({"verb":"estimate","session":"s1"})")));
 }
 
+TEST(ServiceVerbs, TimedEstimateRefusesWaveformsPastTheCap) {
+  // Distinct large delays on every gate of a random DAG widen the timed
+  // waveforms past sim::kMaxWaveformWords: the estimate is refused with a
+  // clear error before any large allocation, and the session keeps working.
+  const std::string blif = blif::write_string(bench::random_dag(64, 2000, 3));
+  diag::DiagEngine eng(8);
+  auto net = blif::parse_string(blif, eng);
+  ASSERT_TRUE(net.has_value()) << eng.str();
+  service::Service svc;
+  Json load;
+  load.set("verb", Json("load"));
+  load.set("session", Json("s1"));
+  load.set("blif", Json(blif));
+  load.set("analyzer", Json(false));
+  ASSERT_TRUE(resp_ok(roundtrip(svc, load.dump())));
+  std::mt19937_64 rng(5);
+  JsonArray ops;
+  for (NodeId id = 0; id < net->size(); ++id) {
+    if (is_source(net->node(id).type)) continue;
+    Json op;
+    op.set("op", Json("set_delay"));
+    op.set("node", Json(static_cast<double>(id)));
+    op.set("value", Json(static_cast<double>(1 + rng() % 1000000)));
+    ops.push_back(std::move(op));
+  }
+  Json mutate;
+  mutate.set("verb", Json("mutate"));
+  mutate.set("session", Json("s1"));
+  mutate.set("ops", Json(std::move(ops)));
+  ASSERT_TRUE(resp_ok(roundtrip(svc, mutate.dump())));
+
+  Json timed = roundtrip(svc,
+                         R"({"verb":"estimate","session":"s1","mode":"timed",)"
+                         R"("vectors":256})");
+  EXPECT_FALSE(resp_ok(timed));
+  EXPECT_EQ(err_code(timed), "bad_request");
+  EXPECT_NE(timed.dump().find("waveforms over"), std::string::npos)
+      << timed.dump();
+  EXPECT_TRUE(resp_ok(roundtrip(svc, R"({"verb":"estimate","session":"s1"})")));
+}
+
 // ---------------------------------------------------------------------------
 // Graceful degradation.
 

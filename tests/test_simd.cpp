@@ -357,7 +357,7 @@ TEST(Simd, AnalysisReportsEngineString) {
     EXPECT_EQ(power::analyze(net, opt).engine, "tape[scalar,b16]");
   }
   opt.mode = power::ActivityMode::Timed;
-  EXPECT_EQ(power::analyze(net, opt).engine, "eventsim");
+  EXPECT_EQ(power::analyze(net, opt).engine, "waveform");
 }
 
 }  // namespace
