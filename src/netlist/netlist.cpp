@@ -191,28 +191,64 @@ void Netlist::commit_undo() {
 
 void Netlist::rollback_undo() {
   LPS_CHECK(!undo_.empty(), "rollback_undo: no active undo log");
-  UndoLog& u = *undo_.back();
+  rewind(*undo_.back(), /*consume=*/true);
+  undo_.pop_back();
+  ++undo_rollbacks_;
+}
+
+void Netlist::rewind(UndoLog& u, bool consume) {
+  auto take = [consume](auto& v) { return consume ? std::move(v) : v; };
   // Restore order matters: a wholesale pre-image rewinds to the point it
   // was taken; node/io images (recorded before it) then rewind the earlier
   // incremental edits; finally nodes created after begin_undo are dropped.
   if (u.full_saved) {
-    nodes_ = std::move(u.full_nodes);
-    inputs_ = std::move(u.full_inputs);
-    outputs_ = std::move(u.full_outputs);
-    output_names_ = std::move(u.full_output_names);
-    name_ = std::move(u.full_name);
+    nodes_ = take(u.full_nodes);
+    inputs_ = take(u.full_inputs);
+    outputs_ = take(u.full_outputs);
+    output_names_ = take(u.full_output_names);
+    name_ = take(u.full_name);
   }
   for (auto it = u.node_images.rbegin(); it != u.node_images.rend(); ++it)
-    nodes_[it->first] = std::move(it->second);
+    nodes_[it->first] = take(it->second);
   if (u.io_saved) {
-    inputs_ = std::move(u.inputs);
-    outputs_ = std::move(u.outputs);
-    output_names_ = std::move(u.output_names);
-    name_ = std::move(u.name);
+    inputs_ = take(u.inputs);
+    outputs_ = take(u.outputs);
+    output_names_ = take(u.output_names);
+    name_ = take(u.name);
   }
   if (nodes_.size() > u.base_nodes) nodes_.resize(u.base_nodes);
-  undo_.pop_back();
-  ++undo_rollbacks_;
+}
+
+Netlist::UndoFrame Netlist::commit_undo_frame() {
+  LPS_CHECK(undo_.size() == 1, "commit_undo_frame: outermost epoch expected");
+  UndoFrame f = std::move(undo_.back());
+  undo_.clear();
+  std::vector<char>().swap(f->dirty);  // only journaling reads it
+  return f;
+}
+
+void Netlist::restore_frame(const UndoFrame& f) {
+  LPS_CHECK(!undo_.empty(), "restore_frame: no active undo log");
+  LPS_CHECK(f->full_saved || nodes_.size() >= f->base_nodes,
+            "restore_frame: a later frame still stands");
+  // Journal everything the rewind overwrites into the active epoch.
+  if (f->full_saved || nodes_.size() > f->base_nodes) {
+    touch_all();
+  } else {
+    for (const auto& [id, img] : f->node_images) touch_node(id);
+    if (f->io_saved) touch_io();
+  }
+  rewind(*f, /*consume=*/false);
+}
+
+std::size_t Netlist::UndoLog::bytes() const {
+  std::size_t b = sizeof(UndoLog);
+  auto add = [&b](const Node& n) {
+    b += sizeof(Node) + (n.fanins.size() + n.fanouts.size()) * sizeof(NodeId);
+  };
+  for (const auto& [id, img] : node_images) add(img);
+  for (const Node& n : full_nodes) add(n);
+  return b;
 }
 
 void Netlist::touch_io() {

@@ -265,7 +265,8 @@ class Netlist {
   };
   TouchedNodes touched_nodes() const;
 
- private:
+  /// One epoch's journal.  Outside Netlist it is an opaque frame
+  /// (commit_undo_frame / restore_frame) that validate_edit() can read.
   struct UndoLog {
     std::size_t base_nodes = 0;            // nodes_.size() at begin_undo
     std::vector<char> dirty;               // per pre-existing node: journaled?
@@ -281,8 +282,31 @@ class Netlist {
     std::vector<NodeId> full_outputs;
     std::vector<std::string> full_output_names;
     std::string full_name;
-  };
 
+    /// Approximate bytes held by the node images (memory accounting for
+    /// kept frames).
+    std::size_t bytes() const;
+  };
+  using UndoFrame = std::unique_ptr<UndoLog>;
+
+  /// commit_undo() of the outermost epoch that keeps its journal as a frame
+  /// instead of dropping it, so the edit can be undone after later epochs
+  /// have come and gone.
+  UndoFrame commit_undo_frame();
+  /// Undo a kept frame's edit inside the innermost active epoch: the frame
+  /// must be the latest edit still standing (frames rewind in LIFO order).
+  /// The restore is journaled like any other mutation, so touched_nodes()
+  /// reports exactly the nodes it changes and rollback_undo() undoes it;
+  /// `f` itself stays intact.  A frame whose epoch appended nodes (the node
+  /// array shrinks back, so ids match a replay) or replaced the network
+  /// wholesale is journaled wholesale, and touched_nodes() reports `all`.
+  void restore_frame(const UndoFrame& f);
+  /// The innermost active epoch's journal, or nullptr when none is active.
+  const UndoLog* undo_log() const {
+    return undo_.empty() ? nullptr : undo_.back().get();
+  }
+
+ private:
   /// Journal node n's pre-image on its first mutation in the innermost
   /// epoch (no-op for nodes created after that epoch's begin_undo, or once
   /// it holds a wholesale pre-image).  Outer epochs need no entry: a
@@ -297,6 +321,9 @@ class Netlist {
   }
   void touch_io();   // journal PI/PO lists + name on first change
   void touch_all();  // journal a wholesale pre-image (assignment, compact)
+  // Rewind to the state `u` was begun on; `consume` moves the images out
+  // (rollback_undo), otherwise they are copied (restore_frame).
+  void rewind(UndoLog& u, bool consume);
 
   void link_fanin(NodeId user, NodeId used);
   void unlink_fanin(NodeId user, NodeId used);

@@ -73,6 +73,33 @@ std::string find_cycle(const Netlist& net) {
   return "(cycle nodes not recovered)";
 }
 
+// Primary outputs: in range, alive, names unique.
+void check_outputs(const Netlist& net, diag::DiagEngine& eng) {
+  const std::size_t n = net.size();
+  auto err = [&](std::string msg) { eng.error(std::move(msg)); };
+  const auto& outs = net.outputs();
+  const auto& names = net.output_names();
+  if (outs.size() != names.size())
+    err("outputs/output_names size mismatch: " + std::to_string(outs.size()) +
+        " vs " + std::to_string(names.size()));
+  std::unordered_map<std::string, std::size_t> seen;
+  for (std::size_t k = 0; k < outs.size() && !eng.saturated(); ++k) {
+    NodeId o = outs[k];
+    if (o >= n)
+      err("primary output " + std::to_string(k) + " node id " +
+          std::to_string(o) + " out of range");
+    else if (net.node(o).dead)
+      err("primary output " + (k < names.size() ? names[k] : "?") +
+          " driven by dead node " + node_desc(net, o));
+    if (k < names.size()) {
+      auto [it, fresh] = seen.emplace(names[k], k);
+      if (!fresh)
+        err("duplicate primary output name \"" + names[k] + "\" (slots " +
+            std::to_string(it->second) + " and " + std::to_string(k) + ")");
+    }
+  }
+}
+
 }  // namespace
 
 std::size_t validate(const Netlist& net, diag::DiagEngine& eng) {
@@ -167,31 +194,7 @@ std::size_t validate(const Netlist& net, diag::DiagEngine& eng) {
     }
   }
 
-  // Primary outputs: in range, alive, names unique.
-  if (!eng.saturated()) {
-    const auto& outs = net.outputs();
-    const auto& names = net.output_names();
-    if (outs.size() != names.size())
-      err("outputs/output_names size mismatch: " +
-          std::to_string(outs.size()) + " vs " + std::to_string(names.size()));
-    std::unordered_map<std::string, std::size_t> seen;
-    for (std::size_t k = 0; k < outs.size() && !eng.saturated(); ++k) {
-      NodeId o = outs[k];
-      if (o >= n)
-        err("primary output " + std::to_string(k) + " node id " +
-            std::to_string(o) + " out of range");
-      else if (net.node(o).dead)
-        err("primary output " + (k < names.size() ? names[k] : "?") +
-            " driven by dead node " + node_desc(net, o));
-      if (k < names.size()) {
-        auto [it, fresh] = seen.emplace(names[k], k);
-        if (!fresh)
-          err("duplicate primary output name \"" + names[k] +
-              "\" (slots " + std::to_string(it->second) + " and " +
-              std::to_string(k) + ")");
-      }
-    }
-  }
+  if (!eng.saturated()) check_outputs(net, eng);
 
   // Combinational acyclicity — only meaningful once references are sane.
   if (refs_ok && !eng.saturated()) {
@@ -204,8 +207,9 @@ std::size_t validate(const Netlist& net, diag::DiagEngine& eng) {
         pos[order[k]] = static_cast<int>(k);
       for (NodeId v : order) {
         if (net.node(v).type == GateType::Dff) continue;
+        // `>=`: a gate that reads itself is a cycle of length one.
         for (NodeId f : net.node(v).fanins)
-          if (pos[f] > pos[v]) {
+          if (pos[f] >= pos[v]) {
             err("combinational cycle through " + node_desc(net, v) + " and " +
                 node_desc(net, f));
             break;
@@ -222,6 +226,102 @@ std::vector<diag::Diagnostic> validate(const Netlist& net,
   diag::DiagEngine eng(max_diags);
   validate(net, eng);
   return eng.diagnostics();
+}
+
+bool validate_edit(const Netlist& net) {
+  const Netlist::UndoLog* u = net.undo_log();
+  if (!u || u->full_saved || (u->io_saved && u->inputs != net.inputs())) {
+    diag::DiagEngine eng(1);
+    return validate(net, eng) == 0;
+  }
+  const std::size_t n = net.size();
+  // The edited nodes with their pre-images (nullptr: created this epoch).
+  std::vector<std::pair<NodeId, const Node*>> edited;
+  edited.reserve(u->node_images.size() + (n - u->base_nodes));
+  for (const auto& [id, img] : u->node_images) edited.emplace_back(id, &img);
+  for (NodeId id = static_cast<NodeId>(u->base_nodes); id < n; ++id)
+    edited.emplace_back(id, nullptr);
+
+  // Fanin/fanout bookkeeping of one (user, used) pair: the use count is
+  // mirrored, and only live nodes use each other.  A pair can only break
+  // when one side was edited, and then that side's old or new fanin or
+  // fanout list names the other.
+  auto pair_ok = [&](NodeId user, NodeId used) {
+    if (user >= n || used >= n) return false;
+    const Node& a = net.node(user);
+    const Node& b = net.node(used);
+    auto uses = std::count(a.fanins.begin(), a.fanins.end(), used);
+    auto mirrored = std::count(b.fanouts.begin(), b.fanouts.end(), user);
+    return uses == mirrored && (uses == 0 || (!a.dead && !b.dead));
+  };
+  bool any_dead = false;
+  std::vector<NodeId> roots;  // fanins reached over an edge the edit added
+  for (auto [id, old] : edited) {
+    const Node& cur = net.node(id);
+    if (cur.dead) {
+      if (!cur.fanins.empty() || !cur.fanouts.empty()) return false;
+      any_dead = true;
+    } else if (cur.fanins.size() < gate_min_arity(cur.type) ||
+               cur.fanins.size() > gate_max_arity(cur.type)) {
+      return false;
+    }
+    // The PI list is unchanged, so a node listed there must stay a live
+    // Input and no other node may become one.
+    bool was_input = old && !old->dead && old->type == GateType::Input;
+    if (was_input != (!cur.dead && cur.type == GateType::Input)) return false;
+    for (NodeId f : cur.fanins)
+      if (!pair_ok(id, f)) return false;
+    for (NodeId v : cur.fanouts)
+      if (!pair_ok(v, id)) return false;
+    if (old) {
+      for (NodeId f : old->fanins)
+        if (!pair_ok(id, f)) return false;
+      for (NodeId v : old->fanouts)
+        if (!pair_ok(v, id)) return false;
+    }
+    if (cur.dead || cur.type == GateType::Dff) continue;
+    bool all_new = !old || old->dead || old->type == GateType::Dff;
+    for (NodeId f : cur.fanins)
+      if (all_new || std::find(old->fanins.begin(), old->fanins.end(), f) ==
+                         old->fanins.end())
+        roots.push_back(f);
+  }
+
+  // The PO list, when it changed or a node it may name died.
+  if ((u->io_saved && (u->outputs != net.outputs() ||
+                       u->output_names != net.output_names())) ||
+      any_dead) {
+    diag::DiagEngine eng(1);
+    check_outputs(net, eng);
+    if (!eng.ok()) return false;
+  }
+
+  // The network was acyclic before, so a new cycle runs through an added
+  // edge: search the fanin cones of those edges' fanins (Dff D/EN pins
+  // close sequential loops legally and are not followed).
+  std::vector<std::uint8_t> state(roots.empty() ? 0 : n, 0);  // 1 open, 2 done
+  std::vector<std::pair<NodeId, std::size_t>> stack;
+  for (NodeId r : roots) {
+    if (state[r]) continue;
+    state[r] = 1;
+    stack.push_back({r, 0});
+    while (!stack.empty()) {
+      auto& [v, next] = stack.back();
+      const Node& nd = net.node(v);
+      if (nd.type != GateType::Dff && next < nd.fanins.size()) {
+        NodeId f = nd.fanins[next++];
+        if (state[f] == 1) return false;
+        if (state[f] == 0) {
+          state[f] = 1;
+          stack.push_back({f, 0});
+        }
+        continue;
+      }
+      state[v] = 2;
+      stack.pop_back();
+    }
+  }
+  return true;
 }
 
 }  // namespace lps

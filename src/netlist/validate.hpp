@@ -30,6 +30,15 @@ namespace lps {
 /// early once the engine saturates).  Returns the number of errors found.
 std::size_t validate(const Netlist& net, diag::DiagEngine& eng);
 
+/// validate()'s verdict for the innermost undo epoch's edit, at a cost that
+/// scales with the edit, given that the network passed validate() at that
+/// epoch's begin_undo().  Only the edited nodes and their old and new
+/// neighbours are checked, the PO list only when it changed or a node
+/// died, and cycles only through the edges the edit added.  With no
+/// active epoch, a wholesale pre-image or a changed PI list, this is the
+/// full validate().
+bool validate_edit(const Netlist& net);
+
 /// Convenience: all violations as a vector (up to `max_diags`).
 std::vector<diag::Diagnostic> validate(const Netlist& net,
                                        std::size_t max_diags = 64);

@@ -241,7 +241,10 @@ const Analysis& IncrementalAnalyzer::reanalyze(
         for (NodeId f : net.node(g).fanins) slots.push_back(f);
       std::sort(slots.begin(), slots.end());
       slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
-      core::AlignedWords val(net.size() * B, 0);
+      // Only slot words are read, each after it is written, so the block
+      // is kept across updates and never cleared.
+      core::AlignedWords& val = block_.words;
+      if (val.size() < net.size() * B) val.assign(net.size() * B, 0);
       std::uint64_t* v = val.data();
       for (std::size_t f0 = 0; f0 < n_frames; f0 += B) {
         core::poll_cancel(opt_.cancel);

@@ -38,6 +38,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/aligned.hpp"
 #include "netlist/netlist.hpp"
 #include "power/activity.hpp"
 #include "sim/compiled.hpp"
@@ -188,6 +189,16 @@ class IncrementalAnalyzer {
   std::optional<Snapshot> snap_;
   // Scratch: retired snapshot columns, reused across candidate probes.
   std::vector<std::vector<std::uint64_t>> col_pool_;
+  // Scratch: the blocked cone sweep's node-major value block (n * kSimBlock
+  // words), reused across updates instead of allocated per call.  Its
+  // contents never outlive an update, so a copy starts empty.
+  struct Block {
+    core::AlignedWords words;
+    Block() = default;
+    Block(const Block&) {}
+    Block& operator=(const Block&) { return *this; }
+  };
+  Block block_;
 };
 
 }  // namespace lps::power

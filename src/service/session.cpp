@@ -10,6 +10,7 @@
 #include "core/flows.hpp"
 #include "core/metrics.hpp"
 #include "netlist/blif.hpp"
+#include "netlist/validate.hpp"
 #include "power/activity.hpp"
 
 namespace lps::service {
@@ -86,6 +87,18 @@ NodeId resolve_node(const Netlist& net, const Json* j, std::string& err,
   }
   err = std::string("'") + what + "' must be a node id or a node name";
   return kNoNode;
+}
+
+// Parse a journal base BLIF into net.  Returns error text or empty.
+std::string parse_base(const std::string& blif, Netlist& net) {
+  diag::DiagEngine eng(8);
+  auto parsed = blif::parse_string(blif, eng, "<journal-base>");
+  if (!parsed) {
+    const diag::Diagnostic* d = eng.first_error();
+    return "journal base BLIF failed to parse: " + (d ? d->str() : eng.str());
+  }
+  net = std::move(*parsed);
+  return {};
 }
 
 }  // namespace
@@ -251,13 +264,6 @@ std::string Session::apply_record(Netlist& net, const Json& record,
 
 std::string Session::replay(Netlist& net, std::size_t n_records,
                             const core::CancelToken* cancel) {
-  diag::DiagEngine eng(8);
-  auto parsed = blif::parse_string(base_blif_, eng, "<journal-base>");
-  if (!parsed) {
-    const diag::Diagnostic* d = eng.first_error();
-    return "journal base BLIF failed to parse: " + (d ? d->str() : eng.str());
-  }
-  net = std::move(*parsed);
   for (std::size_t i = 0; i < n_records && i < records_.size(); ++i) {
     core::poll_cancel(cancel);
     std::string err = apply_record(net, records_[i], cancel);
@@ -300,6 +306,23 @@ void Session::rebuild_analyzer(const core::CancelToken* cancel) {
   update_cache_bytes();
 }
 
+void Session::advance_analyzer(const core::CancelToken* cancel) {
+  analyzer_->set_cancel(cancel);  // bound only for this update
+  try {
+    analyzer_->reanalyze(net_.touched_nodes());
+  } catch (const core::CancelledError&) {
+    analyzer_->set_cancel(nullptr);
+    throw;
+  } catch (...) {
+    // Degradation ladder: the estimate is advisory for an edit — drop the
+    // analyzer (caches already self-restored) and keep the edit.
+    analyzer_.reset();
+    metrics::count("service.analyzer_fallback");
+    return;
+  }
+  analyzer_->set_cancel(nullptr);
+}
+
 void Session::update_cache_bytes() {
   std::size_t b = 0;
   if (analyzer_) {
@@ -309,17 +332,40 @@ void Session::update_cache_bytes() {
     std::size_t frames = power::zero_delay_frames(cfg_.vectors);
     b = net_.size() * (frames + 2) * sizeof(std::uint64_t) + net_.size() * 64;
   }
-  cache_bytes_.store(b, std::memory_order_relaxed);
+  cache_bytes_.store(b + frame_bytes_, std::memory_order_relaxed);
 }
 
 void Session::evict_caches() {
   analyzer_.reset();
+  drop_frames();
   evicted_ = true;
   cache_bytes_.store(0, std::memory_order_relaxed);
   metrics::count("service.evictions");
 }
 
+void Session::push_frame(Netlist::UndoFrame f) {
+  frame_bytes_ += f->bytes();
+  frames_.push_back(std::move(f));
+}
+
+void Session::drop_frames() {
+  frames_.clear();
+  frame_bytes_ = 0;
+}
+
 // ---- journal I/O -----------------------------------------------------------
+
+void Session::set_base(const std::string& blif, std::uint64_t hash) {
+  base_blif_ = blif;
+  base_hash_ = hash;
+  // The base hash is of the *parsed* base BLIF, which replays start from —
+  // not of net_ (committed records may follow the base).
+  Json base;
+  base.set("type", Json("base"));
+  base.set("hash", Json(format_hash(hash)));
+  base.set("blif", Json(blif));
+  base_line_ = base.dump();
+}
 
 bool Session::journal_rewrite() {
   if (journal_path_.empty()) return true;
@@ -327,16 +373,7 @@ bool Session::journal_rewrite() {
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     if (!os) return false;
-    // The base hash is of the *parsed* base BLIF, which replays start
-    // from — not of net_ (committed records may follow the base).
-    diag::DiagEngine eng(2);
-    auto parsed = blif::parse_string(base_blif_, eng);
-    if (!parsed) return false;
-    Json base;
-    base.set("type", Json("base"));
-    base.set("hash", Json(format_hash(structural_hash(*parsed))));
-    base.set("blif", Json(base_blif_));
-    os << base.dump() << '\n';
+    os << base_line_ << '\n';
     for (const Json& r : records_) os << r.dump() << '\n';
     os.flush();
     if (!os) return false;
@@ -378,20 +415,21 @@ OpResult Session::load(const std::string& blif_text, std::size_t vectors,
   // The journal base is the text we just parsed — replaying it trivially
   // reproduces net_ (re-serializing would gratuitously depend on writer
   // round-trip fidelity).
-  base_blif_ = blif_text;
+  set_base(blif_text, hash_);
   records_.clear();
+  drop_frames();
   loaded_ = true;
   poisoned_.store(false, std::memory_order_relaxed);
   poison_reason_.clear();
   est_cached_ = est_full_ = est_degraded_ = 0;
+  if (!journal_rewrite())
+    metrics::count("service.journal_write_failed");
   if (build_analyzer)
     rebuild_analyzer(cancel);  // CancelledError propagates; state stays valid
   else {
     analyzer_.reset();
     update_cache_bytes();
   }
-  if (!journal_rewrite())
-    metrics::count("service.journal_write_failed");
   JsonObject payload;
   payload.emplace_back("gates", Json(net_.num_live()));
   payload.emplace_back("inputs", Json(net_.inputs().size()));
@@ -409,7 +447,9 @@ OpResult Session::mutate(const Json& ops, const core::CancelToken* cancel) {
 
   net_.begin_undo();
   std::string err = apply_ops(net_, ops, nullptr);
-  if (err.empty()) {
+  // The committed state passed the check, so the edit's scope decides;
+  // the full check words the rejection.
+  if (err.empty() && !validate_edit(net_)) {
     err = net_.check();
     if (!err.empty()) err = "edit script breaks invariants: " + err;
   }
@@ -422,26 +462,17 @@ OpResult Session::mutate(const Json& ops, const core::CancelToken* cancel) {
   // (deadline) the analyzer restores its own caches and we roll the netlist
   // back, leaving the session exactly as before the request — a cancelled
   // mutate is all-or-nothing, like a killed one.
-  auto touched = net_.touched_nodes();
   if (analyzer_) {
-    analyzer_->set_cancel(cancel);  // bound only for this update
     try {
-      analyzer_->reanalyze(touched);
-      analyzer_->set_cancel(nullptr);
+      advance_analyzer(cancel);
     } catch (const core::CancelledError&) {
-      analyzer_->set_cancel(nullptr);
       net_.rollback_undo();
       return OpResult::error(ErrorCode::Deadline,
                              "deadline exceeded during re-estimate; "
                              "mutation rolled back");
-    } catch (...) {
-      // Degradation ladder: the estimate is advisory for a mutate — drop
-      // the analyzer (caches already self-restored) and keep the edit.
-      analyzer_.reset();
-      metrics::count("service.analyzer_fallback");
     }
   }
-  net_.commit_undo();
+  push_frame(net_.commit_undo_frame());
   hash_ = structural_hash(net_);
   update_cache_bytes();
 
@@ -578,10 +609,13 @@ OpResult Session::optimize(const Json& params, const core::CancelToken* cancel) 
   }
 
   double before = res.stages.empty() ? 0.0 : res.stages.front().power_w;
-  net_ = std::move(res.circuit);
+  net_.begin_undo();
+  net_ = std::move(res.circuit);  // journals the whole pre-image
+  push_frame(net_.commit_undo_frame());
   hash_ = structural_hash(net_);
-  rebuild_analyzer(cancel);
 
+  // Journal before the re-baseline, so a deadline there cannot leave a
+  // committed circuit without its record.
   Json record;
   record.set("type", Json("optimize"));
   record.set("flow", Json(flow));
@@ -589,6 +623,7 @@ OpResult Session::optimize(const Json& params, const core::CancelToken* cancel) 
   records_.push_back(record);
   if (!journal_append(record))
     metrics::count("service.journal_write_failed");
+  rebuild_analyzer(cancel);
 
   const core::StageReport* last = res.last_kept_stage();
   JsonObject payload;
@@ -609,16 +644,67 @@ OpResult Session::rollback(const core::CancelToken* cancel) {
   if (records_.empty())
     return OpResult::error(ErrorCode::NothingToDo,
                            "journal has no committed records to roll back");
+  if (!frames_.empty())
+    if (auto r = rollback_frame(cancel)) return std::move(*r);
+  metrics::count("service.rollback.replay");
   Netlist rebuilt;
-  std::string err = replay(rebuilt, records_.size() - 1, cancel);
+  std::string err = parse_base(base_blif_, rebuilt);
+  if (err.empty()) err = replay(rebuilt, records_.size() - 1, cancel);
   if (!err.empty())
     return OpResult::error(ErrorCode::Internal, "rollback replay: " + err);
   records_.pop_back();
   net_ = std::move(rebuilt);
   hash_ = structural_hash(net_);
-  rebuild_analyzer(cancel);
+  // Journal before the re-baseline, so a deadline there cannot leave the
+  // popped record on disk.
   if (!journal_rewrite())
     metrics::count("service.journal_write_failed");
+  rebuild_analyzer(cancel);
+  return rollback_payload();
+}
+
+std::optional<OpResult> Session::rollback_frame(
+    const core::CancelToken* cancel) {
+  std::optional<std::uint64_t> want = base_hash_;
+  if (records_.size() >= 2) {
+    const Json* h = records_[records_.size() - 2].find("hash");
+    want = h ? parse_hash(*h) : std::nullopt;
+  }
+  const bool had_analyzer = analyzer_.has_value();
+  net_.begin_undo();
+  net_.restore_frame(frames_.back());
+  try {
+    if (had_analyzer)
+      advance_analyzer(cancel);
+    else
+      rebuild_analyzer(cancel);
+  } catch (const core::CancelledError&) {
+    net_.rollback_undo();  // the analyzer already restored its caches
+    throw;
+  }
+  const std::uint64_t h = structural_hash(net_);
+  if (h != want) {
+    metrics::count("service.rollback.undo_mismatch");
+    if (!had_analyzer) analyzer_.reset();
+    else if (analyzer_) analyzer_->revert_last();
+    net_.rollback_undo();
+    drop_frames();
+    update_cache_bytes();
+    return std::nullopt;
+  }
+  net_.commit_undo();
+  metrics::count("service.rollback.undo");
+  frame_bytes_ -= frames_.back()->bytes();
+  frames_.pop_back();
+  records_.pop_back();
+  hash_ = h;
+  update_cache_bytes();
+  if (!journal_rewrite())
+    metrics::count("service.journal_write_failed");
+  return rollback_payload();
+}
+
+OpResult Session::rollback_payload() const {
   JsonObject payload;
   payload.emplace_back("gates", Json(net_.num_live()));
   payload.emplace_back("hash", Json(format_hash(hash_)));
@@ -681,23 +767,21 @@ OpResult Session::recover(const core::CancelToken* cancel) {
     return OpResult::error(ErrorCode::Internal,
                            "journal base record malformed");
 
-  base_blif_ = blif_j->as_string();
+  Netlist base;
+  if (std::string err = parse_base(blif_j->as_string(), base); !err.empty())
+    return OpResult::error(ErrorCode::Internal,
+                           "journal base replay failed: " + err);
+  set_base(blif_j->as_string(), structural_hash(base));
   records_.assign(lines.begin() + 1, lines.end());
+  drop_frames();
 
   // Replay; a failing or hash-mismatching record truncates the journal at
   // that point (replay() validated everything before it), so retry with
-  // progressively shorter prefixes.
+  // progressively shorter prefixes.  The empty prefix always replays.
   std::size_t keep = records_.size();
-  Netlist rebuilt;
-  std::string err;
-  for (;;) {
-    err = replay(rebuilt, keep, cancel);
-    if (err.empty()) break;
-    if (keep == 0) {
-      records_.clear();
-      return OpResult::error(ErrorCode::Internal,
-                             "journal base replay failed: " + err);
-    }
+  Netlist rebuilt = base;
+  while (!replay(rebuilt, keep, cancel).empty()) {
+    rebuilt = base;
     --keep;
     torn = true;
   }

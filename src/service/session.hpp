@@ -31,6 +31,15 @@
 //   Optimize records are only journaled when the flow ran to completion
 //   without a cancellation, keeping replay deterministic.
 //
+// Rollback
+//   Rollback pops an undo frame; replay is the fallback.  Each committed
+//   record keeps its undo frame (Netlist::commit_undo_frame) on a stack
+//   that counts in cache_bytes and is dropped by eviction.  Popping one
+//   restores it in a new epoch, advances the analyzer over the nodes it
+//   touched and checks one structural_hash against the record below.  A
+//   record without a frame (after an eviction or a recovery), or a hash
+//   mismatch, replays the journal prefix from the base instead.
+//
 // Failure model
 //   Expected failures (bad BLIF, rejected edit scripts, deadline
 //   cancellations) roll the netlist and analyzer back and report
@@ -111,8 +120,12 @@ class Session {
   /// it.
   OpResult optimize(const Json& params, const core::CancelToken* cancel);
 
-  /// Exclusive.  Revert the most recent committed mutate/optimize by
-  /// replaying the journal prefix; verifies the replayed structural hash.
+  /// Exclusive.  Revert the most recent committed mutate/optimize: pops
+  /// its undo frame and re-analyzes only what the undo touched; replay of
+  /// the journal prefix is the fallback when no frame is held (after an
+  /// eviction or a recovery) or the undone hash disagrees with the journal.
+  /// Either way the result is verified against the journaled hash.  A
+  /// deadline leaves the session, its journal and its frames unchanged.
   OpResult rollback(const core::CancelToken* cancel);
 
   /// Shared.  Session statistics (never fails).
@@ -125,12 +138,14 @@ class Session {
   /// an error only when no valid base record exists.
   OpResult recover(const core::CancelToken* cancel);
 
-  /// Exclusive.  Drop the analyzer caches (LRU eviction under the global
-  /// memory cap).  The netlist and journal stay; estimates degrade to full
-  /// analyze() until the next exclusive op rebuilds the baseline.
+  /// Exclusive.  Drop the analyzer caches and the undo frames (LRU eviction
+  /// under the global memory cap).  The netlist and journal stay; estimates
+  /// degrade to full analyze() until the next exclusive op rebuilds the
+  /// baseline, and rollbacks of the records committed so far replay.
   void evict_caches();
 
-  /// Approximate bytes held by the analyzer caches (trace + tape).
+  /// Approximate bytes held by the analyzer caches (trace + tape) and the
+  /// undo frames.
   std::size_t cache_bytes() const {
     return cache_bytes_.load(std::memory_order_relaxed);
   }
@@ -168,16 +183,29 @@ class Session {
   std::string apply_record(Netlist& net, const Json& record,
                            const core::CancelToken* cancel);
 
-  // Rebuild net from base_blif_ + records_[0..n_records); verifies each
-  // record's hash.  Returns error text or empty.
+  // Apply records_[0..n_records) to net, which holds the parsed base;
+  // verifies each record's hash.  Returns error text or empty.
   std::string replay(Netlist& net, std::size_t n_records,
                      const core::CancelToken* cancel);
+  // Rollback by popping the top undo frame; nullopt when the undone hash
+  // disagrees with the journal (the session is then unchanged and the
+  // frames dropped, so the caller replays).
+  std::optional<OpResult> rollback_frame(const core::CancelToken* cancel);
+  OpResult rollback_payload() const;
+  void push_frame(Netlist::UndoFrame f);
+  void drop_frames();
 
   // Analyzer lifecycle (exclusive contexts only).
   void rebuild_analyzer(const core::CancelToken* cancel);  // may leave null
+  // Advance the analyzer over the open epoch's touched nodes.  Any failure
+  // but a deadline drops the analyzer and lets the edit stand;
+  // CancelledError propagates with the caches restored, and the caller
+  // rolls the epoch back.
+  void advance_analyzer(const core::CancelToken* cancel);
   void update_cache_bytes();
 
   // Journal I/O.
+  void set_base(const std::string& blif, std::uint64_t hash);
   bool journal_rewrite();          // base + records_ -> file (atomic-ish)
   bool journal_append(const Json& record);
 
@@ -192,7 +220,15 @@ class Session {
   std::optional<power::IncrementalAnalyzer> analyzer_;
 
   std::string base_blif_;
-  std::vector<Json> records_;  // committed mutate/optimize records
+  std::uint64_t base_hash_ = 0;  // structural_hash of the parsed base
+  std::string base_line_;        // the journal's dumped base record
+  std::vector<Json> records_;    // committed mutate/optimize records
+  // Undo frames of the newest frames_.size() records, oldest first: an
+  // optimize or strash frame is a whole-netlist pre-image, a mutate frame
+  // its edit's node pre-images.  Records below them (recovered or evicted)
+  // roll back by replay.
+  std::vector<Netlist::UndoFrame> frames_;
+  std::size_t frame_bytes_ = 0;
 
   std::atomic<std::size_t> cache_bytes_{0};
   std::atomic<std::uint64_t> last_used_{0};

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
 #include <stdexcept>
 
 #include "core/diag.hpp"
@@ -218,6 +219,134 @@ TEST(TouchedNodes, WholesaleReplaceForcesFull) {
   net = strash(net);
   EXPECT_TRUE(net.touched_nodes().all);
   net.rollback_undo();
+}
+
+// ---- undo frames ------------------------------------------------------------
+
+// Element-wise equality: ids, tombstones, wiring, parameters and PI/PO lists.
+bool same_netlist(const Netlist& a, const Netlist& b) {
+  if (a.size() != b.size() || a.inputs() != b.inputs() ||
+      a.outputs() != b.outputs() || a.output_names() != b.output_names())
+    return false;
+  for (NodeId i = 0; i < a.size(); ++i) {
+    const Node& x = a.node(i);
+    const Node& y = b.node(i);
+    if (x.type != y.type || x.fanins != y.fanins || x.fanouts != y.fanouts ||
+        x.name != y.name || x.size != y.size || x.delay != y.delay ||
+        x.init_value != y.init_value || x.dead != y.dead)
+      return false;
+  }
+  return true;
+}
+
+TEST(UndoFrame, RestoreRewindsInLifoOrderAndReportsTouched) {
+  auto net = bench::alu(4);
+  const Netlist n0 = net.clone();
+  const NodeId g = net.outputs()[0], pi = net.inputs()[1];
+  ASSERT_FALSE(net.node(g).fanins.empty());
+  const NodeId old_fanin = net.node(g).fanins[0];
+  ASSERT_NE(old_fanin, pi);
+
+  net.begin_undo();
+  net.replace_fanin(g, 0, pi);
+  auto f1 = net.commit_undo_frame();
+  const Netlist n1 = net.clone();
+  const NodeId sized = net.outputs()[1];
+  net.begin_undo();
+  net.node(sized).size = 3.0;
+  auto f2 = net.commit_undo_frame();
+  EXPECT_FALSE(net.undo_active());
+
+  // A size-only frame touches one node and seeds no re-simulation.
+  net.begin_undo();
+  net.restore_frame(f2);
+  auto t2 = net.touched_nodes();
+  EXPECT_FALSE(t2.all);
+  EXPECT_EQ(t2.ids, std::vector<NodeId>{sized});
+  EXPECT_TRUE(t2.value_roots.empty());
+  net.commit_undo();
+  EXPECT_TRUE(same_netlist(net, n1));
+
+  // The rewire frame touches the gate and both fanins; only the gate's
+  // value changes.  Rolling the restore back leaves the frame reusable.
+  net.begin_undo();
+  net.restore_frame(f1);
+  auto t1 = net.touched_nodes();
+  EXPECT_FALSE(t1.all);
+  std::vector<NodeId> want{g, old_fanin, pi};
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(t1.ids, want);
+  EXPECT_EQ(t1.value_roots, std::vector<NodeId>{g});
+  EXPECT_TRUE(same_netlist(net, n0));
+  net.rollback_undo();
+  EXPECT_TRUE(same_netlist(net, n1));
+  net.begin_undo();
+  net.restore_frame(f1);
+  net.commit_undo();
+  EXPECT_TRUE(same_netlist(net, n0));
+}
+
+TEST(UndoFrame, AppendingOrWholesaleFrameShrinksBackAndReportsAll) {
+  auto net = bench::alu(4);
+  const Netlist n0 = net.clone();
+  net.begin_undo();
+  NodeId x = net.add_not(net.inputs()[0]);
+  net.replace_fanin(net.outputs()[0], 0, x);
+  auto appended = net.commit_undo_frame();
+  net.begin_undo();
+  net.restore_frame(appended);
+  EXPECT_TRUE(net.touched_nodes().all);
+  net.commit_undo();
+  EXPECT_EQ(net.size(), n0.size());  // ids match a replay of the prefix
+  EXPECT_TRUE(same_netlist(net, n0));
+
+  net.begin_undo();
+  net = strash(net);
+  auto wholesale = net.commit_undo_frame();
+  net.begin_undo();
+  net.restore_frame(wholesale);
+  EXPECT_TRUE(net.touched_nodes().all);
+  net.rollback_undo();  // a rolled-back restore keeps the strashed state
+  EXPECT_FALSE(same_netlist(net, n0));
+  net.begin_undo();
+  net.restore_frame(wholesale);
+  net.commit_undo();
+  EXPECT_TRUE(same_netlist(net, n0));
+}
+
+// Popping frames with cone-scoped re-analysis tracks a fresh full analysis
+// bit for bit, all the way back to the original netlist.
+TEST(UndoFrame, AnalyzerFollowsRestoresExactly) {
+  auto net = bench::random_dag(16, 200, 3);
+  const Netlist n0 = net.clone();
+  power::AnalysisOptions ao;
+  ao.mode = power::ActivityMode::ZeroDelay;
+  ao.n_vectors = 512;
+  power::IncrementalAnalyzer inc(net, ao);
+  std::vector<NodeId> gates;
+  for (NodeId id = 0; id < net.size(); ++id)
+    if (!net.is_dead(id) && !net.node(id).fanins.empty()) gates.push_back(id);
+  std::mt19937 rng(5);
+  std::vector<Netlist::UndoFrame> frames;
+  for (int e = 0; e < 20; ++e) {
+    NodeId g = gates[rng() % gates.size()];
+    net.begin_undo();
+    net.replace_fanin(g, rng() % net.node(g).fanins.size(),
+                      net.inputs()[rng() % net.inputs().size()]);
+    inc.reanalyze(net.touched_nodes());
+    frames.push_back(net.commit_undo_frame());
+  }
+  while (!frames.empty()) {
+    net.begin_undo();
+    net.restore_frame(frames.back());
+    inc.reanalyze(net.touched_nodes());
+    net.commit_undo();
+    frames.pop_back();
+    EXPECT_EQ(inc.analysis().report.breakdown.total_w(),
+              power::analyze(net, ao).report.breakdown.total_w())
+        << frames.size() << " frames left";
+  }
+  EXPECT_TRUE(same_netlist(net, n0));
 }
 
 // ---- eval_cone_into splicing ----------------------------------------------

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <sstream>
 
 #include "netlist/benchmarks.hpp"
 #include "netlist/blif.hpp"
 #include "netlist/netlist.hpp"
+#include "netlist/validate.hpp"
 #include "sim/logicsim.hpp"
 
 namespace lps {
@@ -284,6 +286,120 @@ TEST(Benchmarks, DecoderOneHot) {
     for (int m = 0; m < 8; ++m)
       EXPECT_EQ((f[n.outputs()[m]] & 1) != 0, m == v);
   }
+}
+
+// validate_edit() against the full checker on random edits of valid
+// networks (combinational and sequential).  Illegal edits cover the
+// checker's classes: cycles through replace_fanin and substitute,
+// duplicate PO names, killing a node that still has fanouts or drives a
+// PO, raw bookkeeping and arity corruption, and the unscoped cases
+// (strash, add_input, removing an input).
+TEST(ValidateEdit, ScopeMatchesFullCheck) {
+  std::mt19937 rng(0xC0DE);
+  int agreed_valid = 0, agreed_invalid = 0;
+  for (Netlist net : {bench::random_dag(8, 60, 7), bench::alu(3),
+                      bench::counter(4), bench::shift_register(4)}) {
+    const Netlist start = net.clone();
+    int fresh = 0;
+    auto any_live = [&] {
+      for (;;) {
+        NodeId id = static_cast<NodeId>(rng() % net.size());
+        if (!net.is_dead(id)) return id;
+      }
+    };
+    auto live_with_fanins = [&]() -> NodeId {
+      for (int tries = 0; tries < 100; ++tries) {
+        NodeId id = any_live();
+        if (!net.node(id).fanins.empty()) return id;
+      }
+      return kNoNode;
+    };
+    // One random edit; true when it was a raw corruption, which ends the
+    // script (the mutators assume a sane network).
+    std::string script;  // the trial's op kinds, for a failure message
+    auto edit = [&]() -> bool {
+      const int op = static_cast<int>(rng() % 12);
+      script += std::to_string(op) + ' ';
+      switch (op) {
+        case 0:
+        case 1: {  // rewire, possibly into a cycle
+          NodeId g = live_with_fanins();
+          if (g != kNoNode)
+            net.replace_fanin(g, rng() % net.node(g).fanins.size(),
+                              any_live());
+          return false;
+        }
+        case 2: {  // substitute, possibly by a node in its own fanout
+          NodeId a = any_live(), b = any_live();
+          if (a != b) net.substitute(a, b);
+          return false;
+        }
+        case 3:
+          net.add_gate(rng() % 2 ? GateType::And : GateType::Xor,
+                       {any_live(), any_live()});
+          return false;
+        case 4: {  // fresh or duplicate PO name
+          std::string name = rng() % 2 && !net.output_names().empty()
+                                 ? net.output_names()[0]
+                                 : "po_x" + std::to_string(fresh++);
+          net.add_output(any_live(), name);
+          return false;
+        }
+        case 5: {  // remove a fanout-free node (it may drive a PO)
+          NodeId a = any_live();
+          if (net.node(a).fanouts.empty()) net.remove(a);
+          return false;
+        }
+        case 6:  // kill a node in place, fanouts and all
+          net.node(any_live()).dead = true;
+          return true;
+        case 7: {  // one-sided bookkeeping
+          NodeId g = live_with_fanins();
+          if (g != kNoNode) net.node(g).fanins.push_back(any_live());
+          return true;
+        }
+        case 8: {  // arity
+          NodeId g = live_with_fanins();
+          if (g != kNoNode) net.node(g).type = GateType::Not;
+          return true;
+        }
+        case 9:
+          net.node(any_live()).size = 2.0;
+          return false;
+        case 10:  // strash needs an acyclic network
+          if (!net.check().empty()) return false;
+          if (rng() % 4 == 0) net = strash(net);
+          else net.sweep();
+          return false;
+        default:
+          net.add_input("pi_x" + std::to_string(fresh++));
+          return false;
+      }
+    };
+    for (int trial = 0; trial < 400; ++trial) {
+      script.clear();
+      if (net.num_gates() < 4) net = start;  // sweeps and strash shrink it
+      net.begin_undo();
+      try {
+        for (int k = 1 + static_cast<int>(rng() % 3); k > 0 && !edit(); --k) {
+        }
+      } catch (const diag::CheckError&) {  // a mutator refused the edit
+        net.rollback_undo();
+        continue;
+      }
+      const bool full = net.check().empty();
+      ASSERT_EQ(validate_edit(net), full)
+          << "trial " << trial << ", ops " << script << ": " << net.check();
+      (full ? agreed_valid : agreed_invalid)++;
+      // Walk through valid states; the scoped check assumes a valid start.
+      if (full && rng() % 2)
+        net.commit_undo();
+      else
+        net.rollback_undo();
+    }
+  }
+  EXPECT_GT(agreed_valid, 300);
+  EXPECT_GT(agreed_invalid, 300);
 }
 
 TEST(Netlist, PrintDoesNotCrash) {

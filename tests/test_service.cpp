@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <random>
@@ -895,6 +896,379 @@ TEST(ServiceJournal, GarbageJournalIsSkippedNotFatal) {
   EXPECT_EQ(svc.recover_sessions(), 0u);
   // The daemon is fine; the broken name is still loadable fresh.
   EXPECT_TRUE(resp_ok(roundtrip(svc, load_frame("bad", bench_blif()))));
+}
+
+// ---------------------------------------------------------------------------
+// Rollback by undo frame, differential against journal replay.
+
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+// A stat response less what a session recovered from the same journal
+// legitimately lacks: the cache size and the estimate counters (they count
+// the requests a session served, and recovery starts them afresh).
+std::string session_state(const Json& stat) {
+  JsonObject kept;
+  for (const auto& [k, v] : stat.as_object())
+    if (k != "cache_bytes" && k.rfind("estimates_", 0) != 0)
+      kept.emplace_back(k, v);
+  return Json(kept).dump();
+}
+
+std::string verb_frame(const std::string& verb, const std::string& session,
+                       JsonObject extra = {}) {
+  Json req;
+  req.set("verb", Json(verb));
+  req.set("session", Json(session));
+  for (auto& [k, v] : extra) req.set(k, v);
+  return req.dump();
+}
+
+// Seeded edit scripts over the bench netlist's node names and the names the
+// scripts add: mostly legal edits, mixed with cycles (replace_fanin,
+// substitute), duplicate PO names, removal of used or PO-driving nodes,
+// sweep, strash and add_input.
+class EditScripts {
+ public:
+  explicit EditScripts(std::uint64_t seed) : rng_(seed) {
+    Netlist net = bench_net();
+    for (NodeId id = 0; id < net.size(); ++id)
+      if (!net.is_dead(id) && !net.node(id).name.empty())
+        names_.push_back(net.node(id).name);
+    po_name_ = net.output_names().front();
+  }
+
+  Json next() {
+    JsonArray ops;
+    for (int n = 1 + static_cast<int>(rng_() % 3); n > 0; --n)
+      ops.push_back(op());
+    return Json(std::move(ops));
+  }
+
+ private:
+  Json node() { return Json(names_[rng_() % names_.size()]); }
+  std::string fresh(const char* prefix) {
+    names_.push_back(prefix + std::to_string(fresh_++));
+    return names_.back();
+  }
+
+  Json op() {
+    Json o;
+    switch (rng_() % 12) {
+      case 0:
+      case 1:
+        o.set("op", Json("replace_fanin"));
+        o.set("node", node());
+        o.set("index", Json(static_cast<int>(rng_() % 2)));
+        o.set("with", node());
+        break;
+      case 2:
+        o.set("op", Json("substitute"));
+        o.set("old", node());
+        o.set("with", node());
+        break;
+      case 3:
+      case 4:
+        o.set("op", Json("add_gate"));
+        o.set("type", Json(rng_() % 2 ? "and" : "xor"));
+        o.set("fanins", Json(JsonArray{node(), node()}));
+        o.set("name", Json(fresh("g")));
+        break;
+      case 5:
+        o.set("op", Json("add_input"));
+        o.set("name", Json(fresh("pi")));
+        break;
+      case 6:
+        o.set("op", Json("add_output"));
+        o.set("node", node());
+        o.set("name", Json(rng_() % 2 ? po_name_
+                                      : "po" + std::to_string(fresh_++)));
+        break;
+      case 7:
+        o.set("op", Json("remove"));
+        o.set("node", node());
+        break;
+      case 8:
+      case 9:
+        o.set("op", Json(rng_() % 2 ? "set_size" : "set_delay"));
+        o.set("node", node());
+        o.set("value", Json(1 + static_cast<int>(rng_() % 4)));
+        break;
+      default:
+        o.set("op", Json(rng_() % 3 ? "sweep" : "strash"));
+        break;
+    }
+    return o;
+  }
+
+  std::mt19937_64 rng_;
+  std::vector<std::string> names_;
+  std::string po_name_;
+  int fresh_ = 0;
+};
+
+// After a rollback of session "main": a session recovered by replay from a
+// copy of its journal agrees with it on state, on the rollback's answer and
+// on cached and seeded estimate responses, byte for byte.
+void expect_matches_replay(service::Service& svc, const std::string& journal,
+                           const Json& rolled_back) {
+  std::string dir = temp_dir("replay_ref");
+  std::filesystem::copy_file(journal, dir + "/main.journal");
+  service::ServiceOptions so;
+  so.journal_dir = dir;
+  service::Service ref(so);
+  ASSERT_EQ(ref.recover_sessions(), 1u);
+  Json want = roundtrip(ref, verb_frame("stat", "main"));
+  EXPECT_EQ(session_state(roundtrip(svc, verb_frame("stat", "main"))),
+            session_state(want));
+  for (const char* k : {"hash", "gates", "journal_records"})
+    EXPECT_EQ(rolled_back.find(k)->dump(), want.find(k)->dump()) << k;
+  for (const std::string& est :
+       {verb_frame("estimate", "main"),
+        verb_frame("estimate", "main", {{"seed", Json(7)}})})
+    EXPECT_EQ(svc.dispatch(est), ref.dispatch(est));
+  std::filesystem::remove_all(dir);
+}
+
+// Seeded scripts of mutate, optimize, estimate, rollback, eviction and
+// recovery.  After every rollback the session matches a replayed twin, and
+// its journal is byte for byte the file it had when it last held that many
+// records — what a replaying rollback rewrites.
+TEST(ServiceRollback, UndoMatchesReplay) {
+  const double undo0 = core::metrics::value("service.rollback.undo");
+  const double replay0 = core::metrics::value("service.rollback.replay");
+  int rollbacks = 0;
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::string dir = temp_dir("undo");
+    const std::string journal = dir + "/main.journal";
+    service::ServiceOptions so;
+    so.journal_dir = dir;
+    so.memory_cap_bytes = 1;  // a request on "pad" evicts "main"
+    service::Service svc(so);
+    ASSERT_TRUE(resp_ok(roundtrip(svc, load_frame("main", bench_blif()))));
+    ASSERT_TRUE(resp_ok(roundtrip(svc, load_frame("pad", bench_blif()))));
+    {  // The base record: the parsed base's hash, then the BLIF text.
+      Json base;
+      base.set("type", Json("base"));
+      base.set("hash",
+               Json(service::format_hash(structural_hash(bench_net()))));
+      base.set("blif", Json(bench_blif()));
+      EXPECT_EQ(read_file(journal), base.dump() + "\n");
+    }
+    std::vector<std::string> journal_at{read_file(journal)};  // by #records
+    auto committed = [&](const Json& r) {
+      std::size_t k = static_cast<std::size_t>(
+          r.find("journal_records")->as_number());
+      ASSERT_EQ(journal_at.size(), k);
+      journal_at.push_back(read_file(journal));
+    };
+    EditScripts scripts(seed);
+    std::mt19937_64 rng(seed);
+    bool optimized = false;
+    for (int step = 0; step < 90; ++step) {
+      const int kind = static_cast<int>(rng() % 20);
+      if (kind < 8) {
+        JsonObject ops{{"ops", scripts.next()}};
+        Json r = roundtrip(svc, verb_frame("mutate", "main", ops));
+        if (resp_ok(r)) committed(r);
+        else EXPECT_EQ(read_file(journal), journal_at.back());
+      } else if (kind < 13) {
+        Json r = roundtrip(svc, verb_frame("rollback", "main"));
+        if (journal_at.size() == 1) {
+          EXPECT_EQ(err_code(r), "nothing_to_do");
+          continue;
+        }
+        ASSERT_TRUE(resp_ok(r)) << r.dump();
+        ++rollbacks;
+        journal_at.pop_back();
+        EXPECT_EQ(read_file(journal), journal_at.back());
+        ASSERT_NO_FATAL_FAILURE(expect_matches_replay(svc, journal, r));
+      } else if (kind < 15) {
+        JsonObject seeded{{"seed", Json(static_cast<int>(rng() % 100))}};
+        EXPECT_TRUE(resp_ok(roundtrip(
+            svc, verb_frame("estimate", "main", kind == 13 ? JsonObject{}
+                                                           : seeded))));
+      } else if (kind < 17) {
+        EXPECT_TRUE(resp_ok(roundtrip(svc, verb_frame("estimate", "pad"))));
+      } else if (kind < 19) {
+        EXPECT_EQ(svc.recover_sessions(), 2u);
+      } else if (!optimized) {
+        optimized = true;
+        Json r = roundtrip(svc, verb_frame("optimize", "main"));
+        ASSERT_TRUE(resp_ok(r)) << r.dump();
+        committed(r);
+      }
+    }
+    std::filesystem::remove_all(dir);
+  }
+  EXPECT_GE(rollbacks, 40);
+  // Both paths ran: frames, and replay after an eviction or a recovery.
+  EXPECT_GT(core::metrics::value("service.rollback.undo"), undo0);
+  EXPECT_GT(core::metrics::value("service.rollback.replay"), replay0);
+  EXPECT_EQ(core::metrics::value("service.rollback.undo_mismatch"), 0);
+}
+
+// A deadline inside the undo's re-analysis leaves the session, its journal
+// and its frame as they were; the retry then pops the same frame.
+TEST(ServiceRollback, CancelledRollbackLeavesEverythingUnchanged) {
+  const std::string dir = temp_dir("rb_cancel");
+  const std::string journal = dir + "/s.journal";
+  service::Session s("s", journal);
+  ASSERT_TRUE(s.load(bench_blif(), 2048, 0xC0FFEE, true, nullptr).status.is_ok());
+  const std::uint64_t hash0 = s.hash();
+  auto ops = service::json_parse(
+      R"([{"op":"replace_fanin","node":"n17","index":0,"with":"a3"}])");
+  ASSERT_TRUE(s.mutate(*ops, nullptr).status.is_ok());
+  const std::uint64_t hash1 = s.hash();
+  const std::string journal1 = read_file(journal);
+  Json none;
+  const std::string est1 = Json(s.estimate(none, nullptr).payload).dump();
+  const std::string stat1 = Json(s.stat()).dump();
+  const double undo0 = core::metrics::value("service.rollback.undo");
+  const double replay0 = core::metrics::value("service.rollback.replay");
+
+  for (int budget : {0, 1}) {  // pre-fired, then mid-sweep
+    core::CancelToken t;
+    if (budget == 0) t.cancel();
+    else t.cancel_after(budget);
+    EXPECT_THROW(s.rollback(&t), core::CancelledError) << budget;
+    EXPECT_EQ(s.hash(), hash1);
+    EXPECT_EQ(s.journal_records(), 1u);
+    EXPECT_EQ(read_file(journal), journal1);
+    EXPECT_EQ(Json(s.stat()).dump(), stat1);
+  }
+  // The analyzer's caches still describe the edited netlist.
+  EXPECT_EQ(Json(s.estimate(none, nullptr).payload).dump(), est1);
+  EXPECT_EQ(core::metrics::value("service.rollback.undo"), undo0);
+
+  auto r = s.rollback(nullptr);
+  ASSERT_TRUE(r.status.is_ok());
+  EXPECT_EQ(s.hash(), hash0);
+  EXPECT_EQ(core::metrics::value("service.rollback.undo"), undo0 + 1);
+  EXPECT_EQ(core::metrics::value("service.rollback.replay"), replay0);
+  std::filesystem::remove_all(dir);
+}
+
+// An optimize frame is the whole pre-optimize netlist: rolling it back runs
+// no flow stage, and the estimate matches the loaded netlist's.
+TEST(ServiceRollback, OptimizeRollbackDoesNotRerunTheFlow) {
+  service::Service svc;
+  ASSERT_TRUE(resp_ok(roundtrip(svc, load_frame("s1", bench_blif(), 256))));
+  ASSERT_TRUE(resp_ok(roundtrip(svc, verb_frame("optimize", "s1"))));
+  ASSERT_TRUE(resp_ok(roundtrip(
+      svc, verb_frame("mutate", "s1",
+                      {{"ops", *service::json_parse(
+                                   R"([{"op":"sweep"},{"op":"strash"}])")}}))));
+  const std::size_t stages = core::metrics::Registry::global().stages().size();
+  const double undo0 = core::metrics::value("service.rollback.undo");
+  ASSERT_TRUE(resp_ok(roundtrip(svc, verb_frame("rollback", "s1"))));
+  Json rb = roundtrip(svc, verb_frame("rollback", "s1"));
+  ASSERT_TRUE(resp_ok(rb));
+  EXPECT_EQ(core::metrics::Registry::global().stages().size(), stages);
+  EXPECT_EQ(core::metrics::value("service.rollback.undo"), undo0 + 2);
+  EXPECT_EQ(rb.find("hash")->as_string(),
+            service::format_hash(structural_hash(bench_net())));
+  power::AnalysisOptions ao;
+  ao.mode = power::ActivityMode::ZeroDelay;
+  ao.n_vectors = 256;
+  Json est = roundtrip(svc, verb_frame("estimate", "s1"));
+  EXPECT_TRUE(est.find("cached")->as_bool());
+  EXPECT_EQ(est.find("power_w")->as_number(),
+            power::analyze(bench_net(), ao).report.breakdown.total_w());
+}
+
+// Every rollback path is counted: frames while they stand, replay after an
+// eviction or a recovery dropped them, and never a silent mismatch.
+TEST(ServiceRollback, PathCountsAreExact) {
+  const std::string dir = temp_dir("rb_counts");
+  service::Session s("s", dir + "/s.journal");
+  ASSERT_TRUE(s.load(bench_blif(), 2048, 0xC0FFEE, true, nullptr).status.is_ok());
+  int size = 0;
+  auto mutate = [&] {
+    JsonArray ops;
+    Json op;
+    op.set("op", Json("set_size"));
+    op.set("node", Json("n17"));
+    op.set("value", Json(2 + size++));
+    ops.push_back(op);
+    ASSERT_TRUE(s.mutate(Json(ops), nullptr).status.is_ok());
+  };
+  auto rollback = [&] { ASSERT_TRUE(s.rollback(nullptr).status.is_ok()); };
+  auto counts = [] {
+    return std::vector<double>{
+        core::metrics::value("service.rollback.undo"),
+        core::metrics::value("service.rollback.replay"),
+        core::metrics::value("service.rollback.undo_mismatch")};
+  };
+  const auto c0 = counts();
+  mutate(), mutate(), mutate();
+  rollback(), rollback();  // 2 undo; m1 stands
+  mutate(), mutate();      // frames: m1 m4 m5
+  s.evict_caches();        // drops them
+  rollback();              // replay
+  mutate();                // frame: m6
+  rollback();              // undo
+  rollback();              // replay (m4 has no frame)
+  mutate();
+  ASSERT_TRUE(s.recover(nullptr).status.is_ok());  // drops the frame
+  rollback(), rollback();  // replay, replay
+  EXPECT_EQ(s.journal_records(), 0u);
+  const auto c1 = counts();
+  EXPECT_EQ(c1[0] - c0[0], 3);
+  EXPECT_EQ(c1[1] - c0[1], 4);
+  EXPECT_EQ(c1[2] - c0[2], 0);
+  std::filesystem::remove_all(dir);
+}
+
+// Shared estimates on one session overlap exclusive mutate/rollback cycles
+// on another: every estimate equals its serialized reference, and the
+// rolled-back session ends where it started.
+TEST(ServiceRollback, EstimatesOverlapRollbackOnAnotherSession) {
+  auto estimate_frame = [](int seed) {
+    return verb_frame("estimate", "est", {{"seed", Json(seed)}});
+  };
+  const std::string mutate_frame = verb_frame(
+      "mutate", "rb",
+      {{"ops", *service::json_parse(
+                   R"([{"op":"replace_fanin","node":"n17","index":0,"with":"a3"}])")}});
+  service::Service svc;
+  ASSERT_TRUE(resp_ok(roundtrip(svc, load_frame("est", bench_blif(), 256))));
+  ASSERT_TRUE(resp_ok(roundtrip(svc, load_frame("rb", bench_blif(), 256))));
+  constexpr int kSeeds = 4;
+  std::vector<std::string> expect;
+  for (int seed = 1; seed <= kSeeds; ++seed)
+    expect.push_back(svc.dispatch(estimate_frame(seed)));
+  const std::string hash0 =
+      roundtrip(svc, verb_frame("stat", "rb")).find("hash")->as_string();
+
+  std::atomic<bool> editing{true};
+  std::thread editor([&] {
+    for (int i = 0; i < 20; ++i) {
+      svc.dispatch(mutate_frame);
+      svc.dispatch(verb_frame("rollback", "rb"));
+    }
+    editing.store(false);
+  });
+  std::vector<std::thread> readers;
+  std::vector<std::vector<std::string>> got(2);
+  for (int t = 0; t < 2; ++t)
+    readers.emplace_back([&, t] {
+      do {
+        for (int seed = 1; seed <= kSeeds; ++seed)
+          got[t].push_back(svc.dispatch(estimate_frame(seed)));
+      } while (editing.load());
+    });
+  editor.join();
+  for (auto& th : readers) th.join();
+  for (const auto& g : got)
+    for (std::size_t i = 0; i < g.size(); ++i)
+      EXPECT_EQ(g[i], expect[i % kSeeds]) << "estimate " << i;
+  Json st = roundtrip(svc, verb_frame("stat", "rb"));
+  EXPECT_EQ(st.find("hash")->as_string(), hash0);
+  EXPECT_EQ(st.find("journal_records")->as_number(), 0);
 }
 
 // ---------------------------------------------------------------------------
