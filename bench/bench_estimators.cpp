@@ -281,11 +281,12 @@ void report_simd() {
 }
 
 double weighted_cap(const Netlist& net, const std::vector<double>& toggles) {
-  power::PowerParams pp;
+  const std::vector<double> cap =
+      power::node_capacitances(net, power::PowerParams{});
   double c = 0;
   for (NodeId id = 0; id < net.size(); ++id) {
     if (net.is_dead(id)) continue;
-    c += power::node_capacitance(net, id, pp) * 1e15 * toggles[id];
+    c += cap[id] * 1e15 * toggles[id];
   }
   return c;
 }

@@ -4,6 +4,9 @@
 // switched capacitance before/after across a delay-budget sweep.
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "circuit/sizing.hpp"
@@ -52,6 +55,33 @@ void report() {
   }
   t.print(std::cout);
   benchx::claim("E3.saving_min", saving_min);
+
+  // Scale: one timing pass per move makes the loop superlinear; a per-node
+  // PO scan inside the timer would add another factor of the PO count
+  // (random_dag exposes every fanout-free node as an output).
+  double ms[2];
+  for (int i = 0; i < 2; ++i) {
+    auto base = bench::random_dag(64, 1000 << i, 1);
+    power::AnalysisOptions ao;
+    ao.n_vectors = 512;
+    auto tg = power::analyze(base, ao).toggles_per_cycle;
+    std::vector<double> runs;
+    for (int rep = 0; rep < 3; ++rep) {
+      auto net = base.clone();
+      auto t0 = std::chrono::steady_clock::now();
+      circuit::size_for_power(net, tg);
+      auto t1 = std::chrono::steady_clock::now();
+      runs.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
+    }
+    std::sort(runs.begin(), runs.end());
+    ms[i] = runs[1];
+  }
+  double slope = std::log2(ms[1] / ms[0]);
+  std::cout << "\nsize_for_power on random_dag(64, N), median of 3: N=1000 "
+            << core::Table::num(ms[0], 1) << " ms, N=2000 "
+            << core::Table::num(ms[1], 1) << " ms (log2 ratio "
+            << core::Table::num(slope, 2) << ")\n";
+  benchx::claim("E3.sizing_slope_1k_2k", slope);
   std::cout << '\n';
 }
 

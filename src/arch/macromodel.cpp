@@ -24,12 +24,12 @@ double gate_level_cap_ff(const Netlist& module, const StatPoint& probs,
     throw std::invalid_argument("gate_level_cap_ff: stat width mismatch");
   auto st = sim::measure_activity(module, std::max<std::size_t>(2, n_vectors / 64),
                                   seed, probs);
-  power::PowerParams pp;
+  const std::vector<double> node_cap =
+      power::node_capacitances(module, power::PowerParams{});
   double cap = 0.0;
   for (NodeId id = 0; id < module.size(); ++id) {
     if (module.is_dead(id)) continue;
-    cap += power::node_capacitance(module, id, pp) * 1e15 *
-           st.transition_prob[id];
+    cap += node_cap[id] * 1e15 * st.transition_prob[id];
   }
   return cap;
 }

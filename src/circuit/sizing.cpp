@@ -7,21 +7,14 @@ namespace lps::circuit {
 
 namespace {
 
-double gate_delay(const Netlist& net, NodeId id, const power::PowerParams& pp,
-                  const SizingParams& sp) {
-  const Node& n = net.node(id);
-  if (is_source(n.type) || n.type == GateType::Dff) return 0.0;
-  double c_ff = power::node_capacitance(net, id, pp) * 1e15;
-  return sp.d0 * (sp.alpha + c_ff / (n.size * sp.c0_ff));
-}
-
 double activity_cap_ff(const Netlist& net,
                        const std::vector<double>& toggles,
                        const power::PowerParams& pp) {
+  const std::vector<double> cap = power::node_capacitances(net, pp);
   double t = 0.0;
   for (NodeId id = 0; id < net.size(); ++id) {
     if (net.is_dead(id)) continue;
-    t += power::node_capacitance(net, id, pp) * 1e15 * toggles[id];
+    t += cap[id] * 1e15 * toggles[id];
   }
   return t;
 }
@@ -32,12 +25,14 @@ std::vector<double> sized_arrival_times(const Netlist& net,
                                         const power::PowerParams& pp,
                                         const SizingParams& sp) {
   std::vector<double> at(net.size(), 0.0);
+  const std::vector<double> cap = power::node_capacitances(net, pp);
   for (NodeId id : net.topo_order()) {
     const Node& n = net.node(id);
     if (is_source(n.type) || n.type == GateType::Dff) continue;
     double m = 0.0;
     for (NodeId f : n.fanins) m = std::max(m, at[f]);
-    at[id] = m + gate_delay(net, id, pp, sp);
+    // Gate delay d0 * (alpha + C_load / (size * c0)), C_load in fF.
+    at[id] = m + sp.d0 * (sp.alpha + cap[id] * 1e15 / (n.size * sp.c0_ff));
   }
   return at;
 }

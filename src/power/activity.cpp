@@ -1,6 +1,7 @@
 #include "power/activity.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "sim/simd.hpp"
 
@@ -8,29 +9,23 @@ namespace lps::power {
 
 namespace {
 
-// True when some register has a load-enable pin — only then do enable
-// duties differ from 1.0 and gating cells exist.
-bool has_enabled_dff(const Netlist& net) {
-  for (NodeId d : net.dffs())
-    if (net.node(d).fanins.size() == 2) return true;
-  return false;
-}
-
-// Gating-aware clock-pin power: free-running registers see two clock-pin
-// transitions per cycle; a register with a load-enable pin is clock-gated
-// by it, so its pin toggles 2*P(EN=1), plus one gating cell per distinct
-// enable signal sees the raw clock.
-double clock_power(const Netlist& net,
-                   const std::vector<double>& enable_duty,
+// Gating-aware clock-pin power over the live registers `dffs`:
+// free-running registers see two clock-pin transitions per cycle; a
+// register with a load-enable pin is clock-gated by it, so its pin toggles
+// 2*P(EN=1) (from `signal_prob`, which may be null only when no register
+// has an enable), plus one gating cell per distinct enable signal sees the
+// raw clock.
+double clock_power(const Netlist& net, const std::vector<NodeId>& dffs,
+                   const std::vector<double>* signal_prob,
                    const PowerParams& p) {
   double cap_toggles_ff = 0.0;  // fF-toggles per cycle
   // Distinct enable signals, deduplicated by sort+unique (a per-call
   // std::set costs one allocation per register).
   std::vector<NodeId> enables;
-  for (NodeId d : net.dffs()) {
+  for (NodeId d : dffs) {
     const Node& nd = net.node(d);
     if (nd.fanins.size() == 2) {
-      cap_toggles_ff += p.clock_pin_ff * 2.0 * enable_duty[d];
+      cap_toggles_ff += p.clock_pin_ff * 2.0 * (*signal_prob)[nd.fanins[1]];
       enables.push_back(nd.fanins[1]);
     } else {
       cap_toggles_ff += p.clock_pin_ff * 2.0;
@@ -42,17 +37,6 @@ double clock_power(const Netlist& net,
   return 0.5 * cap_toggles_ff * 1e-15 * p.vdd * p.vdd * p.freq;
 }
 
-// Duty of each register's enable: P(EN = 1), from signal probabilities.
-std::vector<double> enable_duties(const Netlist& net,
-                                  const std::vector<double>& signal_prob) {
-  std::vector<double> duty(net.size(), 1.0);
-  for (NodeId d : net.dffs()) {
-    const Node& nd = net.node(d);
-    if (nd.fanins.size() == 2) duty[d] = signal_prob[nd.fanins[1]];
-  }
-  return duty;
-}
-
 }  // namespace
 
 namespace detail {
@@ -62,8 +46,7 @@ Analysis assemble_zero_delay(const Netlist& net, const sim::ActivityStats& st,
   Analysis a;
   a.toggles_per_cycle = st.transition_prob;
   a.report = compute_power(net, a.toggles_per_cycle, opt.params);
-  a.clock_power_w =
-      clock_power(net, enable_duties(net, st.signal_prob), opt.params);
+  a.clock_power_w = clock_power(net, net.dffs(), &st.signal_prob, opt.params);
   a.report.breakdown.switching_w += a.clock_power_w;
   a.vectors_used = st.patterns;
   // Stamped here — the one assembly point both analyze() and the
@@ -116,16 +99,17 @@ Analysis analyze(const Netlist& net, const AnalysisOptions& opt) {
                                   opt.pi_one_prob, opt.cancel),
       opt.params);
   // Clock power: enable duties from a quick zero-delay probability run —
-  // skipped entirely when no register has a load-enable pin, since every
-  // duty is then 1.0 regardless of the signal probabilities.
-  std::vector<double> duty(net.size(), 1.0);
-  if (has_enabled_dff(net))
-    duty = enable_duties(
-        net, sim::measure_activity(net, zero_delay_frames(opt.n_vectors),
-                                   opt.seed, opt.pi_one_prob, nullptr,
-                                   opt.cancel)
-                 .signal_prob);
-  a.clock_power_w = clock_power(net, duty, opt.params);
+  // skipped entirely when no register has a load-enable pin, since no duty
+  // is read then.
+  const std::vector<NodeId> dffs = net.dffs();
+  std::optional<sim::ActivityStats> zd;
+  if (std::any_of(dffs.begin(), dffs.end(), [&](NodeId d) {
+        return net.node(d).fanins.size() == 2;
+      }))
+    zd = sim::measure_activity(net, zero_delay_frames(opt.n_vectors), opt.seed,
+                               opt.pi_one_prob, nullptr, opt.cancel);
+  a.clock_power_w =
+      clock_power(net, dffs, zd ? &zd->signal_prob : nullptr, opt.params);
   a.report.breakdown.switching_w += a.clock_power_w;
   return a;
 }

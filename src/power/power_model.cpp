@@ -1,28 +1,38 @@
 #include "power/power_model.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 namespace lps::power {
 
-double node_capacitance(const Netlist& net, NodeId id, const PowerParams& p) {
-  const Node& n = net.node(id);
-  double c_ff = p.cself_ff * n.size;
-  for (NodeId fo : n.fanouts) {
-    // A load-enable pin is not a per-register input: the enable net drives
-    // one integrated clock-gating cell per bank, charged separately in the
-    // clock-power term.  Skip it here (the D pin is still counted).
-    const Node& fon = net.node(fo);
-    if (fon.type == GateType::Dff && fon.fanins.size() == 2 &&
-        fon.fanins[1] == id && fon.fanins[0] != id)
-      continue;
-    c_ff += p.cwire_ff;
-    c_ff += p.cin_ff * fon.size;
+std::vector<double> node_capacitances(const Netlist& net, const PowerParams& p) {
+  // PO occurrences per node, counted once: a node listed k times as an
+  // output carries k off-block pin loads.
+  std::vector<std::uint32_t> po_count(net.size(), 0);
+  for (NodeId o : net.outputs()) ++po_count[o];
+  std::vector<double> cap(net.size());
+  for (NodeId id = 0; id < net.size(); ++id) {
+    const Node& n = net.node(id);
+    double c_ff = p.cself_ff * n.size;
+    for (NodeId fo : n.fanouts) {
+      // A load-enable pin is not a per-register input: the enable net
+      // drives one integrated clock-gating cell per bank, charged
+      // separately in the clock-power term.  Skip it here (the D pin is
+      // still counted).
+      const Node& fon = net.node(fo);
+      if (fon.type == GateType::Dff && fon.fanins.size() == 2 &&
+          fon.fanins[1] == id && fon.fanins[0] != id)
+        continue;
+      c_ff += p.cwire_ff;
+      c_ff += p.cin_ff * fon.size;
+    }
+    // Primary outputs drive an off-block load comparable to one pin, added
+    // once per occurrence (not k * cin_ff, which rounds differently).
+    for (std::uint32_t k = po_count[id]; k > 0; --k) c_ff += p.cin_ff;
+    cap[id] = c_ff * 1e-15;
   }
-  // Primary outputs drive an off-block load comparable to one pin.
-  for (NodeId o : net.outputs())
-    if (o == id) c_ff += p.cin_ff;
-  return c_ff * 1e-15;
+  return cap;
 }
 
 int transistor_count(const Node& n) {
@@ -61,10 +71,11 @@ PowerReport compute_power(const Netlist& net,
   PowerReport r;
   r.node_switching_w.assign(net.size(), 0.0);
   r.node_power_w.assign(net.size(), 0.0);
+  const std::vector<double> cap = node_capacitances(net, p);
   for (NodeId id = 0; id < net.size(); ++id) {
     if (net.is_dead(id)) continue;
     const Node& n = net.node(id);
-    double c = node_capacitance(net, id, p);
+    double c = cap[id];
     r.total_cap_f += c;
     double activity_charge = c * toggles[id];  // C * N, per cycle
     r.weighted_activity += activity_charge;

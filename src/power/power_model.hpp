@@ -56,8 +56,14 @@ struct PowerBreakdown {
   }
 };
 
-/// Capacitive load switched when node `id` toggles, in farads.
-double node_capacitance(const Netlist& net, NodeId id, const PowerParams& p);
+/// Capacitive load switched when each node toggles, in farads, indexed by
+/// NodeId: self capacitance, plus wire and pin load per fanout (a register's
+/// load-enable pin excepted), plus one pin load per primary-output
+/// occurrence.  One pass, O(nodes + edges + POs): PO occurrences are counted
+/// up front instead of scanning the output list per node.  Every consumer of
+/// C (compute_power, sizing's timer, macromodel calibration) takes its
+/// values from here, once per pass over the netlist.
+std::vector<double> node_capacitances(const Netlist& net, const PowerParams& p);
 
 /// CMOS transistor count of a gate (2 per input for simple static gates,
 /// richer for XOR/MUX); 0 for sources and registers' storage is counted as

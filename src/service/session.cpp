@@ -363,6 +363,9 @@ void Session::set_base(const std::string& blif, std::uint64_t hash) {
   Json base;
   base.set("type", Json("base"));
   base.set("hash", Json(format_hash(hash)));
+  // The analyzer options replay and the rebuilt analyzer depend on.
+  base.set("vectors", Json(cfg_.vectors));
+  base.set("seed", Json(format_hash(cfg_.seed)));
   base.set("blif", Json(blif));
   base_line_ = base.dump();
 }
@@ -668,7 +671,7 @@ std::optional<OpResult> Session::rollback_frame(
   std::optional<std::uint64_t> want = base_hash_;
   if (records_.size() >= 2) {
     const Json* h = records_[records_.size() - 2].find("hash");
-    want = h ? parse_hash(*h) : std::nullopt;
+    want = parse_hash(h ? *h : Json());
   }
   const bool had_analyzer = analyzer_.has_value();
   net_.begin_undo();
@@ -762,10 +765,18 @@ OpResult Session::recover(const core::CancelToken* cancel) {
                            "journal has no valid base record");
   const Json* type = lines[0].find("type");
   const Json* blif_j = lines[0].find("blif");
+  // A base record without "vectors"/"seed" predates them: the defaults.
+  const Json* vectors_j = lines[0].find("vectors");
+  const Json* seed_j = lines[0].find("seed");
+  const AnalyzerConfig defaults;
+  double vectors = vectors_j ? vectors_j->as_number(0) : defaults.vectors;
+  auto seed = seed_j ? parse_hash(*seed_j) : defaults.seed;
   if (!type || !type->is_string() || type->as_string() != "base" || !blif_j ||
-      !blif_j->is_string())
+      !blif_j->is_string() || !(vectors >= 1 && vectors <= 1e15) ||
+      vectors != std::floor(vectors) || !seed)
     return OpResult::error(ErrorCode::Internal,
                            "journal base record malformed");
+  cfg_ = {static_cast<std::size_t>(vectors), *seed};
 
   Netlist base;
   if (std::string err = parse_base(blif_j->as_string(), base); !err.empty())

@@ -18,7 +18,9 @@
 //
 // Durability model (crash recovery)
 //   The journal file holds one JSON line per *committed* state transition:
-//     {"type":"base","blif":...,"hash":...}          (load)
+//     {"type":"base","hash":...,"vectors":...,"seed":...,"blif":...}
+//                                                    (load; the seed is
+//                                                    hex, like the hashes)
 //     {"type":"mutate","ops":[...],"hash":...}       (committed mutate)
 //     {"type":"optimize","flow":...,"hash":...}      (kept optimize)
 //   A record is appended only after the in-memory commit succeeded, and

@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "circuit/complex_gate.hpp"
 #include "circuit/reordering.hpp"
 #include "circuit/sizing.hpp"
 #include "netlist/benchmarks.hpp"
 #include "power/activity.hpp"
+#include "power_reference.hpp"
 #include "sim/logicsim.hpp"
 
 namespace lps::circuit {
@@ -132,6 +136,34 @@ TEST(Sizing, MeetsDelayBudgetAndCutsCap) {
   }
   EXPECT_TRUE(some_min);
   EXPECT_TRUE(some_big);
+}
+
+// The one-pass capacitance timer makes the same moves as the per-node-scan
+// reference: same result, bit for bit, and the same final sizes.
+TEST(Sizing, MatchesReference) {
+  std::vector<bench::NamedNetlist> cases = bench::default_suite();
+  for (int gates : {250, 500, 1000})
+    cases.push_back({"rand64x" + std::to_string(gates),
+                     bench::random_dag(64, gates, 1)});
+  for (const auto& [name, net0] : cases) {
+    power::AnalysisOptions ao;
+    ao.n_vectors = 256;
+    auto tg = power::analyze(net0, ao).toggles_per_cycle;
+    auto got_net = net0.clone();
+    auto want_net = net0.clone();
+    auto got = size_for_power(got_net, tg);
+    auto want = reference::size_for_power(want_net, tg);
+    EXPECT_EQ(got.delay_before, want.delay_before) << name;
+    EXPECT_EQ(got.delay_after, want.delay_after) << name;
+    EXPECT_EQ(got.delay_budget, want.delay_budget) << name;
+    EXPECT_EQ(got.cap_before_ff, want.cap_before_ff) << name;
+    EXPECT_EQ(got.cap_after_ff, want.cap_after_ff) << name;
+    EXPECT_EQ(got.sizes, want.sizes) << name;
+    EXPECT_EQ(got.downsizing_moves, want.downsizing_moves) << name;
+    for (NodeId id = 0; id < got_net.size(); ++id)
+      EXPECT_EQ(got_net.node(id).size, want_net.node(id).size)
+          << name << " node " << id;
+  }
 }
 
 TEST(Sizing, TighterBudgetKeepsMoreDrive) {

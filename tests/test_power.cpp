@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
+#include <string>
+#include <utility>
 
 #include "netlist/benchmarks.hpp"
+#include "netlist/blif.hpp"
 #include "power/activity.hpp"
 #include "power/power_model.hpp"
 #include "power/probability.hpp"
+#include "power_reference.hpp"
 #include "sim/logicsim.hpp"
 
 namespace lps::power {
@@ -20,8 +25,8 @@ TEST(PowerModel, CapacitanceGrowsWithFanout) {
   NodeId g2 = n.add_not(a);
   NodeId g3 = n.add_and(g1, g2);
   n.add_output(g3, "y");
-  PowerParams p;
-  EXPECT_GT(node_capacitance(n, a, p), node_capacitance(n, g3, p));
+  auto cap = node_capacitances(n, PowerParams{});
+  EXPECT_GT(cap[a], cap[g3]);
 }
 
 TEST(PowerModel, SizingScalesInputCap) {
@@ -30,9 +35,100 @@ TEST(PowerModel, SizingScalesInputCap) {
   NodeId g = n.add_not(a);
   n.add_output(g, "y");
   PowerParams p;
-  double before = node_capacitance(n, a, p);
+  double before = node_capacitances(n, p)[a];
   n.node(g).size = 4.0;
-  EXPECT_GT(node_capacitance(n, a, p), before);
+  EXPECT_GT(node_capacitances(n, p)[a], before);
+}
+
+// Every capacitance and every PowerReport field equal to the per-node-scan
+// reference, bit for bit, under the default constants and under constants
+// whose sums round (where k * cin_ff and k additions of cin_ff differ).
+void expect_matches_reference(const Netlist& net, const std::string& what) {
+  PowerParams odd;
+  odd.cin_ff = 10.3;
+  odd.cwire_ff = 4.7;
+  odd.cself_ff = 5.1;
+  std::mt19937_64 rng(net.size());
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::vector<double> tg(net.size());
+  for (double& t : tg) t = u(rng);
+  for (const PowerParams& p : {PowerParams{}, odd}) {
+    auto cap = node_capacitances(net, p);
+    ASSERT_EQ(cap.size(), net.size()) << what;
+    for (NodeId id = 0; id < net.size(); ++id)
+      EXPECT_EQ(cap[id], reference::node_capacitance(net, id, p))
+          << what << " node " << id;
+    auto got = compute_power(net, tg, p);
+    auto want = reference::compute_power(net, tg, p);
+    EXPECT_EQ(got.node_switching_w, want.node_switching_w) << what;
+    EXPECT_EQ(got.node_power_w, want.node_power_w) << what;
+    EXPECT_EQ(got.breakdown.switching_w, want.breakdown.switching_w) << what;
+    EXPECT_EQ(got.breakdown.short_circuit_w, want.breakdown.short_circuit_w)
+        << what;
+    EXPECT_EQ(got.breakdown.leakage_w, want.breakdown.leakage_w) << what;
+    EXPECT_EQ(got.total_cap_f, want.total_cap_f) << what;
+    EXPECT_EQ(got.weighted_activity, want.weighted_activity) << what;
+  }
+}
+
+TEST(PowerModel, CapacitancesMatchReference) {
+  for (const auto& [name, net] : bench::default_suite())
+    expect_matches_reference(net, name);
+
+  // The lpsd-style session net: random_dag exposes every fanout-free node
+  // as an output, so the parsed BLIF carries hundreds of POs.
+  diag::DiagEngine eng(8);
+  auto session = blif::parse_string(
+      blif::write_string(bench::random_dag(64, 2000, 1)), eng, "<rand>");
+  ASSERT_TRUE(session.has_value()) << eng.str();
+  ASSERT_GT(session->outputs().size(), 100u);
+  expect_matches_reference(*session, "rand64x2000");
+  std::mt19937 rng(7);
+  for (NodeId id = 0; id < session->size(); ++id)
+    if (!is_source(session->node(id).type))
+      session->node(id).size = 1.0 + 0.25 * static_cast<double>(rng() % 13);
+  expect_matches_reference(*session, "rand64x2000 resized");
+
+  // Nodes listed several times as POs.  Under the rounding constants, 3
+  // loads on a size-1.5 gate and 4 on a size-1 gate round differently when
+  // added as k * cin_ff than one at a time.
+  Netlist multi;
+  NodeId a = multi.add_input("a");
+  NodeId b = multi.add_input("b");
+  NodeId g2 = multi.add_and(a, b);
+  NodeId g3 = multi.add_or(a, b);
+  NodeId g4 = multi.add_xor(a, b);
+  multi.node(g3).size = 1.5;
+  for (auto [g, k] : {std::pair{g2, 2}, {g3, 3}, {g4, 4}})
+    for (int i = 0; i < k; ++i)
+      multi.add_output(g, "y" + std::to_string(g) + "_" + std::to_string(i));
+  multi.add_output(a, "ya");
+  expect_matches_reference(multi, "po repeated");
+
+  // A node that is both a PO and a register's load enable, and a register
+  // whose D and EN are the same node.
+  Netlist regs;
+  NodeId x = regs.add_input("x");
+  NodeId y = regs.add_input("y");
+  NodeId en = regs.add_or(x, y);
+  NodeId d1 = regs.add_dff(regs.add_xor(x, y));
+  regs.set_dff_enable(d1, en);
+  regs.add_output(en, "en");
+  NodeId same = regs.add_nand(x, y);
+  NodeId d2 = regs.add_dff(same);
+  regs.set_dff_enable(d2, same);
+  regs.add_output(regs.add_and(d1, d2), "q");
+  expect_matches_reference(regs, "po enable / d == en");
+
+  // Dead nodes after sweep.
+  Netlist swept;
+  NodeId p = swept.add_input("p");
+  NodeId q = swept.add_input("q");
+  NodeId live = swept.add_xor(p, q);
+  swept.add_or(swept.add_not(live), q);  // dangling cone
+  swept.add_output(live, "z");
+  ASSERT_GT(swept.sweep(), 0u);
+  expect_matches_reference(swept, "swept");
 }
 
 TEST(PowerModel, BreakdownArithmetic) {

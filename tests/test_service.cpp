@@ -845,6 +845,53 @@ TEST(ServiceJournal, RecoverReproducesCommittedState) {
       resp_ok(roundtrip(svc2, R"({"verb":"rollback","session":"s1"})")));
 }
 
+TEST(ServiceJournal, RecoverKeepsLoadVectorsAndSeed) {
+  // The analyzer options of `load` are part of the base record: the
+  // optimize replays with them, and the rebuilt analyzer estimates with
+  // them, so the recovered session answers exactly as before the crash.
+  std::string dir = temp_dir("recover_cfg");
+  std::string hash_after;
+  double power_before = 0.0;
+  {
+    service::ServiceOptions so;
+    so.journal_dir = dir;
+    service::Service svc(so);
+    Json load;
+    load.set("verb", Json("load"));
+    load.set("session", Json("s1"));
+    load.set("blif", Json(bench_blif()));
+    load.set("vectors", Json(256));
+    load.set("seed", Json(4242));
+    ASSERT_TRUE(resp_ok(roundtrip(svc, load.dump())));
+    ASSERT_TRUE(resp_ok(roundtrip(
+        svc,
+        R"({"verb":"optimize","session":"s1","flow":"combinational"})")));
+    Json mut = roundtrip(
+        svc,
+        R"({"verb":"mutate","session":"s1","ops":[{"op":"add_gate","type":"not","fanins":["a0"],"name":"a0_inv"},{"op":"add_output","node":"a0_inv"}]})");
+    ASSERT_TRUE(resp_ok(mut));
+    hash_after = mut.find("hash")->as_string();
+    Json est = roundtrip(svc, R"({"verb":"estimate","session":"s1"})");
+    ASSERT_TRUE(resp_ok(est));
+    ASSERT_EQ(est.find("vectors_used")->as_number(), 256);
+    power_before = est.find("power_w")->as_number();
+  }
+
+  service::ServiceOptions so;
+  so.journal_dir = dir;
+  service::Service svc2(so);
+  EXPECT_EQ(svc2.recover_sessions(), 1u);
+  Json stat = roundtrip(svc2, R"({"verb":"stat","session":"s1"})");
+  ASSERT_TRUE(resp_ok(stat));
+  EXPECT_EQ(stat.find("hash")->as_string(), hash_after);
+  EXPECT_EQ(stat.find("journal_records")->as_number(), 2);
+  Json est = roundtrip(svc2, R"({"verb":"estimate","session":"s1"})");
+  ASSERT_TRUE(resp_ok(est));
+  EXPECT_TRUE(est.find("cached")->as_bool());
+  EXPECT_EQ(est.find("vectors_used")->as_number(), 256);
+  EXPECT_EQ(est.find("power_w")->as_number(), power_before);
+}
+
 TEST(ServiceJournal, TornFinalRecordTruncatesToCommittedPrefix) {
   std::string dir = temp_dir("torn");
   std::string hash_mid;
@@ -1050,11 +1097,14 @@ TEST(ServiceRollback, UndoMatchesReplay) {
     service::Service svc(so);
     ASSERT_TRUE(resp_ok(roundtrip(svc, load_frame("main", bench_blif()))));
     ASSERT_TRUE(resp_ok(roundtrip(svc, load_frame("pad", bench_blif()))));
-    {  // The base record: the parsed base's hash, then the BLIF text.
+    {  // The base record: the parsed base's hash, the load's analyzer
+       // options (default here), then the BLIF text.
       Json base;
       base.set("type", Json("base"));
       base.set("hash",
                Json(service::format_hash(structural_hash(bench_net()))));
+      base.set("vectors", Json(2048));
+      base.set("seed", Json(service::format_hash(0xC0FFEE)));
       base.set("blif", Json(bench_blif()));
       EXPECT_EQ(read_file(journal), base.dump() + "\n");
     }
