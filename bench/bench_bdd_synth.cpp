@@ -335,6 +335,7 @@ void report() {
       core::FlowOptions fo;
       fo.estimate_mode = power::ActivityMode::ZeroDelay;
       fo.opt_workers = workers;
+      fo.run_bdd_synth = true;
       auto res = core::optimize_combinational(input, fo);
       hashes.push_back(structural_hash(res.circuit));
       finals.push_back(res.stages.back().power_w);

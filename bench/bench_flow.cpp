@@ -4,7 +4,8 @@
 // flow (strash -> ODC rewriting -> window resynthesis -> datapath rewriting
 // -> BDD synthesis -> path balancing -> in-place sizing, each stage measured
 // and reverted if it loses) across the benchmark suite and reports the
-// composed savings with stage attribution.
+// composed savings with stage attribution.  BDD synthesis is opt-in in the
+// library flow; this bench turns it on so the full ladder is measured.
 
 #include <algorithm>
 
@@ -33,6 +34,7 @@ void report() {
     if (net.num_gates() > 300) continue;  // keep the sweep quick
     core::FlowOptions opt;
     opt.sim_vectors = 1024;
+    opt.run_bdd_synth = true;  // E20 measures the full ladder
     auto r = core::optimize_combinational(net, opt);
     int kept = 0;
     for (const auto& s : r.stages)
@@ -85,6 +87,7 @@ void bm_flow_workers(benchmark::State& state, int workers) {
   core::FlowOptions opt;
   opt.sim_vectors = 256;
   opt.opt_workers = workers;
+  opt.run_bdd_synth = true;
   for (auto _ : state) {
     auto r = core::optimize_combinational(net, opt);
     benchmark::DoNotOptimize(r.stages.size());

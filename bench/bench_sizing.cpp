@@ -65,19 +65,20 @@ void report() {
     power::AnalysisOptions ao;
     ao.n_vectors = 512;
     auto tg = power::analyze(base, ao).toggles_per_cycle;
-    std::vector<double> runs;
-    for (int rep = 0; rep < 3; ++rep) {
+    // Min of 5: host load only ever adds time, so the fastest run is the
+    // least disturbed estimate of each size's cost.
+    ms[i] = 1e300;
+    for (int rep = 0; rep < 5; ++rep) {
       auto net = base.clone();
       auto t0 = std::chrono::steady_clock::now();
       circuit::size_for_power(net, tg);
       auto t1 = std::chrono::steady_clock::now();
-      runs.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
+      ms[i] = std::min(
+          ms[i], std::chrono::duration<double, std::milli>(t1 - t0).count());
     }
-    std::sort(runs.begin(), runs.end());
-    ms[i] = runs[1];
   }
   double slope = std::log2(ms[1] / ms[0]);
-  std::cout << "\nsize_for_power on random_dag(64, N), median of 3: N=1000 "
+  std::cout << "\nsize_for_power on random_dag(64, N), min of 5: N=1000 "
             << core::Table::num(ms[0], 1) << " ms, N=2000 "
             << core::Table::num(ms[1], 1) << " ms (log2 ratio "
             << core::Table::num(slope, 2) << ")\n";

@@ -3,7 +3,7 @@
 // The survey's thesis is that savings compose across abstraction levels.
 // These flows chain the library's passes the way a 1995 CAD system would:
 //   combinational: strash -> don't-care opt -> resynthesis -> datapath
-//   rewriting -> hybrid BDD synthesis -> path balancing -> sizing,
+//   rewriting -> [hybrid BDD synthesis, opt-in] -> path balancing -> sizing,
 //   sequential (FSM): low-power encoding -> synthesis -> self-loop clock
 //   gating, with Eqn. (1) power measured between every stage.
 //
@@ -34,8 +34,10 @@ struct FlowOptions {
   /// Hybrid BDD→MUX extraction (logicopt/bdd_synth.hpp): per-cone BDDs on
   /// the complement-edge manager, activity-weighted sifting, kept per cone
   /// only when the MUX form beats the current structure on power.  Runs
-  /// after datapath rewriting, before balancing.
-  bool run_bdd_synth = true;
+  /// after datapath rewriting, before balancing.  Off by default: inside
+  /// the flow it keeps no cone on the benchmark suites yet was the costliest
+  /// stage of a random-logic flow.  E20 and E27 turn it on.
+  bool run_bdd_synth = false;
   bool run_balance = true;
   bool run_sizing = true;
   /// Activity source for the between-stage estimates, each one full
@@ -84,7 +86,8 @@ struct FlowResult {
 
 /// The flows' stage ladder, one pass per enabled stage, configured from
 /// `opt`: dontcare, resynth (both under run_dontcare), datapath,
-/// bdd_synth, balance, sizing, then selfloop-gate when `gate_self_loops`.
+/// bdd_synth (opt-in), balance, sizing, then selfloop-gate when
+/// `gate_self_loops`.
 std::vector<std::unique_ptr<Pass>> flow_stages(const FlowOptions& opt,
                                                bool gate_self_loops = false);
 

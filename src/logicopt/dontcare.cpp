@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <random>
+#include <span>
 
 #include "bdd/bdd_netlist.hpp"
+#include "core/aligned.hpp"
 #include "core/metrics.hpp"
-#include "sim/logicsim.hpp"
+#include "sim/compiled.hpp"
 
 namespace lps::logicopt {
 
@@ -17,47 +19,17 @@ constexpr std::size_t kFilterVectors = 512;
 constexpr std::size_t kFilterWords = kFilterVectors / 64;
 constexpr std::uint64_t kFilterSeed = 0xD0C0FFEEull;
 
-// Transitive fanout mask of n (combinational; Dff boundaries cut).
-std::vector<bool> tfo_of(const Netlist& net, NodeId n) {
-  std::vector<bool> mask(net.size(), false);
-  std::vector<NodeId> stack{n};
-  mask[n] = true;
-  while (!stack.empty()) {
-    NodeId x = stack.back();
-    stack.pop_back();
-    for (NodeId fo : net.node(x).fanouts) {
-      if (net.node(fo).type == GateType::Dff) continue;
-      if (!mask[fo]) {
-        mask[fo] = true;
-        stack.push_back(fo);
-      }
-    }
-  }
-  return mask;
-}
-
-// The TFO nodes a change is observed through: the observation points
-// (bdd_netlist.hpp) inside the TFO.
-std::vector<NodeId> observed_roots(const std::vector<NodeId>& points,
-                                   const std::vector<bool>& tfo) {
-  std::vector<NodeId> roots;
-  for (NodeId p : points)
-    if (tfo[p]) roots.push_back(p);
-  return roots;
-}
-
 // Rebuild functions of n's transitive fanout with node n replaced by var y;
-// returns the function of every node under that substitution.  The TFO
-// stops at registers, so besides n it holds only logic gates.  Auto-GC is
-// off in build_bdds' manager, so nothing here is rooted.
+// returns the function of every node under that substitution.  `tfo` is
+// n's TFO without n, in topological order; it stops at registers, so it
+// holds only logic gates.  Auto-GC is off in build_bdds' manager, so
+// nothing here is rooted.
 std::vector<bdd::Ref> with_fresh_var(bdd::NetlistBdds& b, const Netlist& net,
-                                     const std::vector<NodeId>& order,
                                      NodeId n, unsigned y,
-                                     const std::vector<bool>& tfo) {
+                                     std::span<const NodeId> tfo) {
   std::vector<bdd::Ref> fn = b.node_fn;
   fn[n] = b.mgr.var(y);
-  for (NodeId id : order)
-    if (id != n && tfo[id]) fn[id] = bdd::lower_gate(b.mgr, net.node(id), fn);
+  for (NodeId id : tfo) fn[id] = bdd::lower_gate(b.mgr, net.node(id), fn);
   return fn;
 }
 
@@ -67,72 +39,123 @@ std::vector<bdd::Ref> with_fresh_var(bdd::NetlistBdds& b, const Netlist& net,
 // vector on which complementing n changes a root lies in n's exact care
 // set.  Hence a rewrite the BDD admits (the replacement agrees with n on
 // the whole care set) also agrees on every simulated care vector — a
-// disagreement refutes a candidate without any BDD work.
+// disagreement refutes a candidate without any BDD work.  The vectors
+// replay on the compiled tape, kFilterWords words per node (node-major).
 class SimulatedCare {
  public:
   explicit SimulatedCare(const Netlist& net)
-      : sim_(net), base_(kFilterWords) {
+      : net_(net), sim_(net), points_(bdd::observation_points(net)),
+        base_(net.size() * kFilterWords), in_tfo_(net.size(), 0) {
     std::mt19937_64 rng(kFilterSeed);
-    std::vector<std::uint64_t> pi(net.inputs().size());
-    std::vector<std::uint64_t> q(net.dffs().size());
-    for (auto& frame : base_) {
-      for (auto& w : pi) w = rng();
-      for (auto& w : q) w = rng();
-      sim_.eval_into(frame, pi, q);
-    }
-    work_ = base_;
-  }
-
-  /// The scan order: the netlist's topological order.
-  const std::vector<NodeId>& order() const { return sim_.order(); }
-
-  /// Care mask of n: complement n's words, resimulate its TFO and mark the
-  /// vectors on which any root differs.  `cone` is n's TFO without n.
-  void compute(NodeId n, const std::vector<bool>& cone,
-               const std::vector<NodeId>& roots) {
-    const sim::ConeSchedule sched = sim_.cone_schedule(cone);
     for (std::size_t w = 0; w < kFilterWords; ++w) {
-      const sim::Frame& b = base_[w];
-      sim::Frame& f = work_[w];
-      f[n] = ~b[n];
-      sim_.eval_cone_into(f, sched);
-      std::uint64_t care = 0;
-      for (NodeId r : roots) care |= f[r] ^ b[r];
-      care_[w] = care;
-      f[n] = b[n];
-      for (NodeId id : sched.gates) f[id] = b[id];
+      for (NodeId pi : net.inputs()) base_[at(pi) + w] = rng();
+      for (NodeId q : sim_.dffs()) base_[at(q) + w] = rng();
     }
+    sim_.exec_all(base_.data(), kFilterWords);
+    work_.assign(base_.size(), 0);
+    std::copy(base_.begin(), base_.end(), work_.begin());
   }
+
+  /// The scan order: the tape's gates in topological order.
+  const std::vector<NodeId>& order() const { return sim_.order(); }
+  /// The last computed node's TFO (registers cut), itself included.
+  bool in_tfo(NodeId g) const { return in_tfo_[g] != 0; }
+  /// That TFO without the node, in topological order.
+  std::span<const NodeId> tfo_gates() const { return gates_; }
+  /// The observation points inside that TFO.
+  const std::vector<NodeId>& roots() const { return roots_; }
+
+  /// Care mask of n = order()[pos]: complement n's words, replay its TFO
+  /// and mark the vectors on which any root differs.
+  void compute(std::size_t pos) {
+    const NodeId n = order()[pos];
+    for (NodeId x : tfo_) in_tfo_[x] = 0;
+    tfo_.assign(1, n);
+    in_tfo_[n] = 1;
+    for (std::size_t i = 0; i < tfo_.size(); ++i)
+      for (NodeId fo : net_.node(tfo_[i]).fanouts)
+        if (!in_tfo_[fo] && net_.node(fo).type != GateType::Dff) {
+          in_tfo_[fo] = 1;
+          tfo_.push_back(fo);
+        }
+    // The rest of the TFO follows n in topological order.
+    gates_.clear();
+    for (std::size_t i = pos + 1;
+         i < order().size() && gates_.size() + 1 < tfo_.size(); ++i)
+      if (in_tfo_[order()[i]]) gates_.push_back(order()[i]);
+    roots_.clear();
+    for (NodeId p : points_)
+      if (in_tfo_[p]) roots_.push_back(p);
+
+    const std::uint64_t* b = base_.data();
+    std::uint64_t* f = work_.data();
+    for (std::size_t w = 0; w < kFilterWords; ++w) f[at(n) + w] = ~b[at(n) + w];
+    sim_.exec_gates(f, kFilterWords, gates_);
+    care_.fill(0);
+    for (NodeId r : roots_)
+      for (std::size_t w = 0; w < kFilterWords; ++w)
+        care_[w] |= f[at(r) + w] ^ b[at(r) + w];
+    std::copy_n(b + at(n), kFilterWords, f + at(n));
+    for (NodeId id : gates_) std::copy_n(b + at(id), kFilterWords, f + at(id));
+  }
+
+  /// The last computed care mask.
+  const std::array<std::uint64_t, kFilterWords>& care() const { return care_; }
 
   /// n equals the constant `value` on every simulated care vector.
   bool may_be_const(NodeId n, bool value) const {
     const std::uint64_t c = value ? ~0ULL : 0ULL;
     for (std::size_t w = 0; w < kFilterWords; ++w)
-      if ((base_[w][n] ^ c) & care_[w]) return false;
+      if ((base_[at(n) + w] ^ c) & care_[w]) return false;
     return true;
   }
 
   /// n and g agree on every simulated care vector.
   bool may_merge(NodeId n, NodeId g) const {
     for (std::size_t w = 0; w < kFilterWords; ++w)
-      if ((base_[w][n] ^ base_[w][g]) & care_[w]) return false;
+      if ((base_[at(n) + w] ^ base_[at(g) + w]) & care_[w]) return false;
     return true;
   }
 
  private:
-  sim::LogicSim sim_;
-  std::vector<sim::Frame> base_;  // per word: every node's value
-  std::vector<sim::Frame> work_;  // scratch equal to base_ between calls
+  static std::size_t at(NodeId id) { return id * kFilterWords; }
+
+  const Netlist& net_;
+  sim::CompiledSim sim_;
+  std::vector<NodeId> points_;  // observation points (bdd_netlist.hpp)
+  core::AlignedWords base_;     // node-major: every node's words
+  core::AlignedWords work_;     // scratch equal to base_ between calls
+  std::vector<std::uint8_t> in_tfo_;  // cleared through tfo_
+  std::vector<NodeId> tfo_, gates_, roots_;
   std::array<std::uint64_t, kFilterWords> care_{};
 };
 
 }  // namespace
+
+namespace detail {
+
+std::vector<std::uint64_t> simulated_care_masks(const Netlist& net) {
+  std::vector<std::uint64_t> masks(net.size() * kFilterWords, 0);
+  SimulatedCare sc(net);
+  for (std::size_t pos = 0; pos < sc.order().size(); ++pos) {
+    if (is_source(net.node(sc.order()[pos]).type)) continue;
+    sc.compute(pos);
+    std::copy(sc.care().begin(), sc.care().end(),
+              masks.begin() + sc.order()[pos] * kFilterWords);
+  }
+  return masks;
+}
+
+}  // namespace detail
 
 DontCareResult optimize_dontcare(Netlist& net,
                                  const std::vector<double>& toggles,
                                  const DontCareOptions& opt) {
   DontCareResult res;
   res.gates_before = net.num_gates();
+  // Reads go through a const view: inside an undo epoch the mutable
+  // node() would journal a pre-image of every node the scan looks at.
+  const Netlist& cnet = net;
   // The netlist grows (fresh constant nodes) while `toggles` stays at its
   // original size; nodes added during optimization carry zero activity.
   auto tog = [&toggles](NodeId id) {
@@ -142,6 +165,7 @@ DontCareResult optimize_dontcare(Netlist& net,
   std::size_t exact_checks = 0, sim_pruned = 0, survivor_rejected = 0;
   bool changed = true;
   int rewrites = 0;
+  std::vector<NodeId> eligible, merge_targets;
   try {
   while (changed && rewrites < opt.max_rewrites) {
     changed = false;
@@ -149,33 +173,28 @@ DontCareResult optimize_dontcare(Netlist& net,
     auto& m = bdds.mgr;
     unsigned y = m.add_var();
     SimulatedCare sim_care(net);
-    const std::vector<NodeId> points = bdd::observation_points(net);
-    std::vector<NodeId> merge_targets;
+    // Merge targets are existing signals: live, not constant, outside
+    // the TFO of the node they replace.
+    eligible.clear();
+    for (NodeId g = 0; g < cnet.size(); ++g)
+      if (!cnet.is_dead(g) && cnet.node(g).type != GateType::Const0 &&
+          cnet.node(g).type != GateType::Const1)
+        eligible.push_back(g);
 
     const auto& order = sim_care.order();
-    for (NodeId n : order) {
-      if (net.is_dead(n)) continue;
-      const Node& nd = net.node(n);
-      if (is_source(nd.type) || nd.type == GateType::Dff) continue;
-
-      auto tfo = tfo_of(net, n);
-      const auto roots = observed_roots(points, tfo);
-      tfo[n] = false;
-      sim_care.compute(n, tfo, roots);
-      tfo[n] = true;
+    for (std::size_t pos = 0; pos < order.size(); ++pos) {
+      const NodeId n = order[pos];
+      if (is_source(cnet.node(n).type)) continue;
+      sim_care.compute(pos);
 
       // Prefilter: keep only the candidates no simulated care vector
-      // refutes.  Merge targets are existing signals outside the TFO.
+      // refutes.
       const bool may_const0 = sim_care.may_be_const(n, false);
       const bool may_const1 = sim_care.may_be_const(n, true);
       merge_targets.clear();
-      for (NodeId g = 0; g < net.size(); ++g) {
-        if (g == n || net.is_dead(g) || tfo[g]) continue;
-        if (net.node(g).type == GateType::Const0 ||
-            net.node(g).type == GateType::Const1)
-          continue;
-        if (sim_care.may_merge(n, g)) merge_targets.push_back(g);
-      }
+      for (NodeId g : eligible)
+        if (!sim_care.in_tfo(g) && sim_care.may_merge(n, g))
+          merge_targets.push_back(g);
       if (!may_const0 && !may_const1 && merge_targets.empty()) {
         ++sim_pruned;
         continue;
@@ -187,11 +206,11 @@ DontCareResult optimize_dontcare(Netlist& net,
       // scaffolding once it gets heavy instead of growing to bdd_limit.
       if (m.live_nodes() >= opt.bdd_limit / 2) m.gc();
 
-      auto fn_y = with_fresh_var(bdds, net, order, n, y, tfo);
+      auto fn_y = with_fresh_var(bdds, cnet, n, y, sim_care.tfo_gates());
 
       // Care set: some root distinguishes y=0 from y=1.
       bdd::Ref odc = bdd::kTrue;
-      for (NodeId root : roots) {
+      for (NodeId root : sim_care.roots()) {
         bdd::Ref f = fn_y[root];
         bdd::Ref f0 = m.cofactor(f, y, false);
         bdd::Ref f1 = m.cofactor(f, y, true);
@@ -229,8 +248,8 @@ DontCareResult optimize_dontcare(Netlist& net,
       if (replacement != kNoNode) {
         net.substitute(n, replacement);
         net.sweep();
-        if (net.node(replacement).type == GateType::Const0 ||
-            net.node(replacement).type == GateType::Const1)
+        if (cnet.node(replacement).type == GateType::Const0 ||
+            cnet.node(replacement).type == GateType::Const1)
           ++res.const_replacements;
         else
           ++res.merges;

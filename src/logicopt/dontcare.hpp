@@ -18,18 +18,21 @@
 // pin, the load enable included.
 //
 // Most nodes admit no rewrite, so a simulation prefilter runs first: 512
-// random vectors, n complemented and its fanout resimulated, give a care
-// mask, and a candidate survives only if it agrees with n on every care
-// vector.  That is a necessary condition for the exact check to pass, so
-// the filter never drops an admissible rewrite; the BDD check still
-// decides every rewrite, and only nodes with a surviving candidate build
-// the BDD care set.  The counters logicopt.dontcare.{exact_checks,
-// sim_pruned, sim_survivor_rejected} record how often the filter settles
-// a node and how many of its survivors the BDD rejects.
+// random vectors, n complemented and its fanout replayed on the compiled
+// tape (sim/compiled.hpp), give a care mask, and a candidate survives only
+// if it agrees with n on every care vector.  That is a necessary condition
+// for the exact check to pass, so the filter never drops an admissible
+// rewrite; the BDD check still decides every rewrite, and only nodes with
+// a surviving candidate build the BDD care set.  The counters
+// logicopt.dontcare.{exact_checks, sim_pruned, sim_survivor_rejected}
+// record how often the filter settles a node and how many of its
+// survivors the BDD rejects.
 
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "netlist/netlist.hpp"
 
@@ -61,5 +64,11 @@ struct DontCareResult {
 DontCareResult optimize_dontcare(Netlist& net,
                                  const std::vector<double>& toggles_per_cycle,
                                  const DontCareOptions& opt = {});
+
+namespace detail {
+/// The prefilter's care masks on `net` as first scanned: 512 vectors, 8
+/// words per node id (zero for sources, registers and dead nodes).
+std::vector<std::uint64_t> simulated_care_masks(const Netlist& net);
+}  // namespace detail
 
 }  // namespace lps::logicopt

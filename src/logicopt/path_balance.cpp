@@ -32,15 +32,17 @@ BalanceResult full_balance(Netlist& net) {
   // up to the latest one.  After the pass, every path from sources to any
   // gate input has equal delay, so no gate can glitch (single switching
   // wave per cycle under the pure-delay model).
+  const Netlist& cnet = net;  // reads must not journal (see netlist.hpp)
   auto order = net.topo_order();
   for (NodeId id : order) {
-    const Node& nd = net.node(id);
+    const Node& nd = cnet.node(id);
     if (is_source(nd.type) || nd.type == GateType::Dff) continue;
     auto at = net.arrival_times();  // recompute; padding changes times
     int latest = 0;
     for (NodeId f : nd.fanins) latest = std::max(latest, at[f]);
-    for (std::size_t k = 0; k < net.node(id).fanins.size(); ++k) {
-      int lag = latest - at[net.node(id).fanins[k]];
+    // pad_fanin appends nodes, so re-fetch id's fanins after each pad.
+    for (std::size_t k = 0; k < cnet.node(id).fanins.size(); ++k) {
+      int lag = latest - at[cnet.node(id).fanins[k]];
       if (lag > 0) {
         pad_fanin(net, id, k, lag);
         r.buffers_inserted += lag;
@@ -54,6 +56,7 @@ BalanceResult full_balance(Netlist& net) {
 BalanceResult partial_balance(Netlist& net, int buffer_budget) {
   BalanceResult r;
   r.critical_delay_before = net.critical_delay();
+  const Netlist& cnet = net;  // reads must not journal (see netlist.hpp)
   while (r.buffers_inserted < buffer_budget) {
     auto at = net.arrival_times();
     // Find the fanin slot with the largest skew, weighted by the fanout
@@ -64,7 +67,7 @@ BalanceResult partial_balance(Netlist& net, int buffer_budget) {
     std::size_t best_slot = 0;
     for (NodeId id = 0; id < net.size(); ++id) {
       if (net.is_dead(id)) continue;
-      const Node& nd = net.node(id);
+      const Node& nd = cnet.node(id);
       if (is_source(nd.type) || nd.type == GateType::Dff ||
           nd.type == GateType::Buf)
         continue;
@@ -85,9 +88,9 @@ BalanceResult partial_balance(Netlist& net, int buffer_budget) {
     if (best_node == kNoNode) break;  // fully balanced
     auto at2 = net.arrival_times();
     int latest = 0;
-    for (NodeId f : net.node(best_node).fanins)
+    for (NodeId f : cnet.node(best_node).fanins)
       latest = std::max(latest, at2[f]);
-    int lag = latest - at2[net.node(best_node).fanins[best_slot]];
+    int lag = latest - at2[cnet.node(best_node).fanins[best_slot]];
     lag = std::min(lag, buffer_budget - r.buffers_inserted);
     pad_fanin(net, best_node, best_slot, lag);
     r.buffers_inserted += lag;

@@ -264,6 +264,9 @@ ResynthResult resynthesize_windows(Netlist& net,
                                    const ResynthOptions& opt) {
   ResynthResult res;
   res.gates_before = net.num_gates();
+  // Reads go through a const view: inside an undo epoch the mutable
+  // node() would journal a pre-image of every node examined.
+  const Netlist& cnet = net;
   const int workers = speculate::resolve_workers(opt.workers);
   res.workers_used = workers;
 
@@ -370,11 +373,11 @@ ResynthResult resynthesize_windows(Netlist& net,
     const unsigned k = static_cast<unsigned>(plan.boundary.size());
     // Replacement-cost baseline: the node's own literals plus those of
     // interior helpers that exist only for this node (single fanout).
-    int window_lits = static_cast<int>(net.node(n).fanins.size());
+    int window_lits = static_cast<int>(cnet.node(n).fanins.size());
     for (NodeId w : scratch.interior) {
       if (w == n) continue;
-      if (net.node(w).fanouts.size() == 1)
-        window_lits += static_cast<int>(net.node(w).fanins.size());
+      if (cnet.node(w).fanouts.size() == 1)
+        window_lits += static_cast<int>(cnet.node(w).fanins.size());
     }
 
     // Controllability DC: boundary patterns no PI assignment realizes.
@@ -443,7 +446,7 @@ ResynthResult resynthesize_windows(Netlist& net,
     std::vector<NodeId> candidates;
     for (NodeId n = 0; n < net.size(); ++n) {
       if (net.is_dead(n)) continue;
-      const Node& nd = net.node(n);
+      const Node& nd = cnet.node(n);
       if (is_source(nd.type) || nd.type == GateType::Dff) continue;
       candidates.push_back(n);
     }

@@ -6,6 +6,9 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "netlist/validate.hpp"
@@ -381,43 +384,44 @@ Netlist read_file(const std::string& path) {
   return std::move(*n);
 }
 
-namespace {
-
-std::string node_ref(const Netlist& n, NodeId id) {
-  const Node& nd = n.node(id);
-  if (!nd.name.empty()) return nd.name;
-  // Generated fallback names must not collide with an *explicit* name of a
-  // different node, or the emitted file redefines that signal and fails to
-  // re-parse (write -> parse -> write round trips hit this whenever a parse
-  // assigned "n<k>" names and a later edit renumbered the nodes).
-  std::string ref = "n" + std::to_string(id);
-  while (true) {
-    auto other = n.find(ref);
-    if (!other || *other == id) return ref;
-    ref += "_";
-  }
-}
-
-}  // namespace
-
 void write(std::ostream& os, const Netlist& n) {
+  // Signal names: a node's own name, else a generated "n<id>" fallback.
+  // Fallbacks must not collide with an *explicit* name of a different
+  // node, or the emitted file redefines that signal and fails to re-parse
+  // (write -> parse -> write round trips hit this whenever a parse assigned
+  // "n<k>" names and a later edit renumbered the nodes).  The name -> first
+  // live id index is built once, so a write is O(n).
+  std::unordered_map<std::string_view, NodeId> first;
+  for (NodeId i = 0; i < n.size(); ++i)
+    if (!n.is_dead(i) && !n.node(i).name.empty())
+      first.emplace(n.node(i).name, i);
+  auto node_ref = [&](NodeId id) {
+    const Node& nd = n.node(id);
+    if (!nd.name.empty()) return nd.name;
+    std::string ref = "n" + std::to_string(id);
+    while (true) {
+      auto other = first.find(ref);
+      if (other == first.end() || other->second == id) return ref;
+      ref += "_";
+    }
+  };
   os << ".model " << (n.name().empty() ? "lps" : n.name()) << "\n.inputs";
-  for (NodeId i : n.inputs()) os << ' ' << node_ref(n, i);
+  for (NodeId i : n.inputs()) os << ' ' << node_ref(i);
   os << "\n.outputs";
   for (const auto& name : n.output_names()) os << ' ' << name;
   os << '\n';
   for (NodeId d : n.dffs()) {
     const Node& nd = n.node(d);
-    std::string din = node_ref(n, nd.fanins[0]);
+    std::string din = node_ref(nd.fanins[0]);
     if (nd.fanins.size() == 2) {
       // Load-enabled register: emit the hold mux explicitly, since BLIF
       // latches have no enable pin.  next = EN ? D : Q.
-      std::string mux = node_ref(n, d) + "_le";
-      os << ".names " << node_ref(n, nd.fanins[1]) << ' ' << din << ' '
-         << node_ref(n, d) << ' ' << mux << "\n11- 1\n0-1 1\n";
+      std::string mux = node_ref(d) + "_le";
+      os << ".names " << node_ref(nd.fanins[1]) << ' ' << din << ' '
+         << node_ref(d) << ' ' << mux << "\n11- 1\n0-1 1\n";
       din = mux;
     }
-    os << ".latch " << din << ' ' << node_ref(n, d) << ' '
+    os << ".latch " << din << ' ' << node_ref(d) << ' '
        << (nd.init_value ? 1 : 0) << '\n';
   }
 
@@ -425,8 +429,8 @@ void write(std::ostream& os, const Netlist& n) {
     const Node& nd = n.node(id);
     if (is_source(nd.type) || nd.type == GateType::Dff) continue;
     os << ".names";
-    for (NodeId f : nd.fanins) os << ' ' << node_ref(n, f);
-    os << ' ' << node_ref(n, id) << '\n';
+    for (NodeId f : nd.fanins) os << ' ' << node_ref(f);
+    os << ' ' << node_ref(id) << '\n';
     std::size_t k = nd.fanins.size();
     switch (nd.type) {
       case GateType::Buf:
@@ -481,15 +485,15 @@ void write(std::ostream& os, const Netlist& n) {
   for (NodeId id : n.topo_order()) {
     const Node& nd = n.node(id);
     if (nd.type == GateType::Const1)
-      os << ".names " << node_ref(n, id) << "\n1\n";
+      os << ".names " << node_ref(id) << "\n1\n";
     else if (nd.type == GateType::Const0)
-      os << ".names " << node_ref(n, id) << "\n";
+      os << ".names " << node_ref(id) << "\n";
   }
   // Outputs that alias internal signals with a different name.
   const auto& outs = n.outputs();
   for (std::size_t i = 0; i < outs.size(); ++i) {
-    if (n.output_names()[i] != node_ref(n, outs[i]))
-      os << ".names " << node_ref(n, outs[i]) << ' ' << n.output_names()[i]
+    if (n.output_names()[i] != node_ref(outs[i]))
+      os << ".names " << node_ref(outs[i]) << ' ' << n.output_names()[i]
          << "\n1 1\n";
   }
   os << ".end\n";

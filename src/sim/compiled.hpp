@@ -170,7 +170,7 @@ class CompiledSim {
   /// walk restricted to the mask — O(cone + its edges), never O(netlist)
   /// like a full topo sort, and correct on patched tapes whose global
   /// order() is stale (new nodes are scheduled by the DFS).  Gate order
-  /// may differ from LogicSim::cone_schedule's (both are valid topological
+  /// may differ from the netlist's topo_order() (both are valid topological
   /// orders, so evaluated words are bit-identical).
   ConeSchedule cone_schedule(const std::vector<bool>& mask) const;
 

@@ -15,8 +15,7 @@ LogicSim::LogicSim(const Netlist& net)
 
 namespace {
 
-// Shared per-gate word evaluation of eval_into and eval_cone_into: both
-// must produce bit-identical words for the incremental splice to hold.
+// Per-gate word evaluation of eval_into.
 inline void eval_gate_word(const Node& nd, NodeId id, Frame& f) {
   switch (nd.type) {
     case GateType::Input:
@@ -78,27 +77,6 @@ void LogicSim::eval_into(Frame& f, std::span<const std::uint64_t> pi_words,
                           : dff_words[i];
   }
   for (NodeId id : order_) eval_gate_word(n.node(id), id, f);
-}
-
-ConeSchedule LogicSim::cone_schedule(const std::vector<bool>& mask) const {
-  if (mask.size() != net_->size())
-    throw std::invalid_argument("LogicSim::cone_schedule: mask size mismatch");
-  ConeSchedule s;
-  for (NodeId id : order_) {
-    if (!mask[id]) continue;
-    const Node& nd = net_->node(id);
-    if (nd.type == GateType::Input) continue;
-    if (nd.type == GateType::Dff)
-      s.dffs.push_back(id);
-    else
-      s.gates.push_back(id);
-  }
-  return s;
-}
-
-void LogicSim::eval_cone_into(Frame& f, const ConeSchedule& sched) const {
-  const Netlist& n = *net_;
-  for (NodeId id : sched.gates) eval_gate_word(n.node(id), id, f);
 }
 
 Frame LogicSim::eval(std::span<const std::uint64_t> pi_words,

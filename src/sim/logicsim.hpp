@@ -1,8 +1,7 @@
 // logicsim.hpp — 64-way bit-parallel zero-delay logic simulation.
 //
 // LogicSim is the per-gate interpreter the optimization passes drive
-// directly (don't-care cone replays, resynthesis reachability batches,
-// sequential-module probes).  This header also declares the Monte Carlo
+// directly (resynthesis reachability batches, sequential-module probes).  This header also declares the Monte Carlo
 // activity driver (measure_activity: exact zero-delay switching activity,
 // §I Eqn. 1 factor N, and signal/transition probabilities under arbitrary
 // input statistics) and the equivalence checks (functional_trace,
@@ -32,9 +31,8 @@ using Frame = std::vector<std::uint64_t>;
 
 /// Precomputed evaluation schedule for one cone of the network: the cone's
 /// logic gates in topological order plus its registers.  Built once per
-/// dirty set (LogicSim::cone_schedule() for the don't-care prefilter,
-/// CompiledSim::cone_schedule() for incremental power re-estimation) and
-/// replayed over every cached frame.
+/// dirty set (CompiledSim::cone_schedule() for incremental power
+/// re-estimation) and replayed over every cached frame.
 struct ConeSchedule {
   std::vector<NodeId> gates;  // live non-source, non-Dff cone nodes, topo order
   std::vector<NodeId> dffs;   // live cone registers (state stepped by caller)
@@ -59,21 +57,6 @@ class LogicSim {
   /// capacity across frames.
   void eval_into(Frame& f, std::span<const std::uint64_t> pi_words,
                  std::span<const std::uint64_t> dff_words = {}) const;
-
-  /// Restrict this netlist's topological order to the nodes set in `mask`
-  /// (sized net.size(); dead nodes and primary inputs are dropped).  The
-  /// don't-care prefilter (logicopt/dontcare.cpp) replays such cones over
-  /// its random frames through eval_cone_into().
-  ConeSchedule cone_schedule(const std::vector<bool>& mask) const;
-
-  /// Cone-restricted re-evaluation: recompute exactly `sched.gates` (in
-  /// order) in place in `f`, reading every fanin from `f` itself.  `f` must
-  /// be a full-network frame whose outside-the-cone entries already hold
-  /// valid values — the caller supplies PI and register words (including
-  /// the cone's registers) before the call.  Evaluating a cone inside a
-  /// frame whose complement is up to date yields bit-identical words to a
-  /// full eval_into() pass.
-  void eval_cone_into(Frame& f, const ConeSchedule& sched) const;
 
   /// Values at the primary outputs extracted from a frame.
   std::vector<std::uint64_t> outputs_of(const Frame& f) const;

@@ -8,13 +8,20 @@
 // Dff pin, the load enable included, observed as a root).  Since the
 // prefilter is a necessary-condition test, both must keep the same rewrite
 // sequence: same structure, same const/merge counts.
+//
+// simulated_care_masks is the prefilter's care-mask computation on the
+// per-word LogicSim interpreter, as the pass ran it before the masks moved
+// onto the compiled tape: the tape's masks must equal it bit for bit.
 
 #pragma once
 
+#include <cstdint>
+#include <random>
 #include <vector>
 
 #include "bdd/bdd_netlist.hpp"
 #include "logicopt/dontcare.hpp"
+#include "sim/logicsim.hpp"
 
 namespace lps::reference {
 
@@ -88,6 +95,51 @@ inline std::vector<bdd::Ref> with_fresh_var(bdd::NetlistBdds& b,
 }
 
 }  // namespace detail
+
+/// The prefilter's care masks on the interpreter: 512 vectors drawn word by
+/// word (PIs, then registers), n complemented and its TFO re-evaluated, a
+/// vector marked when any observation point in the TFO differs.  8 words
+/// per node id; zero for sources, registers and dead nodes.
+inline std::vector<std::uint64_t> simulated_care_masks(const Netlist& net) {
+  constexpr std::size_t kWords = 8;
+  sim::LogicSim sim(net);
+  std::mt19937_64 rng(0xD0C0FFEEull);
+  std::vector<sim::Frame> base(kWords);
+  std::vector<std::uint64_t> pi(net.inputs().size());
+  std::vector<std::uint64_t> q(net.dffs().size());
+  for (auto& frame : base) {
+    for (auto& w : pi) w = rng();
+    for (auto& w : q) w = rng();
+    sim.eval_into(frame, pi, q);
+  }
+  const std::vector<NodeId> points = bdd::observation_points(net);
+  std::vector<std::uint64_t> masks(net.size() * kWords, 0);
+  for (NodeId n : sim.order()) {
+    const Node& nd = net.node(n);
+    if (net.is_dead(n) || is_source(nd.type) || nd.type == GateType::Dff)
+      continue;
+    auto cone = detail::tfo_of(net, n);
+    std::vector<NodeId> roots;
+    for (NodeId p : points)
+      if (cone[p]) roots.push_back(p);
+    std::vector<NodeId> gates;  // the TFO without n, in topological order
+    for (NodeId id : sim.order())
+      if (id != n && cone[id]) gates.push_back(id);
+    for (std::size_t w = 0; w < kWords; ++w) {
+      sim::Frame f = base[w];
+      f[n] = ~f[n];
+      for (NodeId id : gates) {
+        std::vector<std::uint64_t> fin;
+        for (NodeId fi : net.node(id).fanins) fin.push_back(f[fi]);
+        f[id] = eval_gate(net.node(id).type, fin);
+      }
+      std::uint64_t care = 0;
+      for (NodeId r : roots) care |= f[r] ^ base[w][r];
+      masks[n * kWords + w] = care;
+    }
+  }
+  return masks;
+}
 
 /// optimize_dontcare without the simulation prefilter.
 inline logicopt::DontCareResult optimize_dontcare(

@@ -140,6 +140,7 @@ TEST(BddSynth, FlowIsBitIdenticalAcrossWorkerCounts) {
   for (int workers : {1, 4}) {
     core::FlowOptions fo;
     fo.opt_workers = workers;
+    fo.run_bdd_synth = true;  // the stage under test is opt-in
     auto res = core::optimize_combinational(input, fo);
     bool saw_stage = false;
     for (const auto& s : res.stages) saw_stage |= s.stage.rfind("bdd_synth", 0) == 0;

@@ -6,6 +6,8 @@
 #include "netlist/blif.hpp"
 #include "sim/logicsim.hpp"
 
+#include "blif_reference.hpp"
+
 namespace lps {
 namespace {
 
@@ -52,6 +54,39 @@ TEST(Blif, RoundTripCombinational) {
     EXPECT_EQ(back.outputs().size(), net.outputs().size()) << name;
     EXPECT_TRUE(sim::equivalent_random(net, back, 64, 7)) << name;
   }
+}
+
+// The writer's name index emits exactly the text of the linear-scan
+// reference.
+TEST(Blif, WriterMatchesReference) {
+  for (std::uint32_t seed = 1; seed <= 5; ++seed) {
+    const Netlist net = bench::random_dag(64, 2000, seed);
+    EXPECT_EQ(blif::write_string(net), reference::blif_write_string(net))
+        << "seed " << seed;
+  }
+  const Netlist mult = bench::array_multiplier(16);
+  EXPECT_EQ(blif::write_string(mult), reference::blif_write_string(mult));
+  for (const auto& [name, net] : bench::default_suite())
+    EXPECT_EQ(blif::write_string(net), reference::blif_write_string(net))
+        << name;
+}
+
+// An unnamed node's fallback "n<id>" must step around explicit names of
+// other nodes ("n2", then "n2_"), or the file redefines those signals.
+TEST(Blif, FallbackNamesAvoidExplicitNames) {
+  Netlist net("clash");
+  const NodeId a = net.add_input("a");
+  const NodeId b = net.add_input("b");
+  const NodeId x = net.add_and(a, b);  // id 2, unnamed
+  ASSERT_EQ(x, 2u);
+  const NodeId y = net.add_gate(GateType::Or, {x, a}, "n2");
+  const NodeId z = net.add_gate(GateType::Xor, {y, b}, "n2_");
+  net.add_output(net.add_nand(z, x), "out");
+  const std::string text = blif::write_string(net);
+  EXPECT_EQ(text, reference::blif_write_string(net));
+  EXPECT_NE(text.find(" n2__"), std::string::npos);
+  const Netlist back = blif::read_string(text);
+  EXPECT_TRUE(sim::equivalent_random(net, back, 64, 3));
 }
 
 TEST(Blif, RoundTripSequential) {

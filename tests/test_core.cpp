@@ -379,6 +379,45 @@ TEST(Flows, ResynthRescoresOnTheFlowSeed) {
   EXPECT_NE(pipeline(5).second.back().summary, reports.back().summary);
 }
 
+// BDD synthesis is opt-in: the default ladder has no bdd_synth row.  Where
+// the full ladder's bdd_synth stage keeps no cone, turning it on changes
+// neither the final circuit nor its power; where it keeps one (one of the
+// twelve random circuits below), the default gives up under 0.5% power.
+TEST(Flows, DefaultLadderOmitsBddSynth) {
+  auto expect_same = [](const std::string& name, const Netlist& net) {
+    FlowOptions with;
+    with.run_bdd_synth = true;
+    const FlowResult dflt = optimize_combinational(net);
+    const FlowResult full = optimize_combinational(net, with);
+    for (const auto& s : dflt.stages)
+      EXPECT_NE(s.stage.rfind("bdd_synth", 0), 0u) << name;
+    bool kept_cone = false;
+    for (const auto& s : full.stages)
+      if (s.stage.rfind("bdd_synth", 0) == 0 && s.status == "kept")
+        kept_cone = s.summary.rfind("kept 0/", 0) != 0;
+    ASSERT_NE(dflt.last_kept_stage(), nullptr) << name;
+    ASSERT_NE(full.last_kept_stage(), nullptr) << name;
+    const double p_dflt = dflt.last_kept_stage()->power_w;
+    const double p_full = full.last_kept_stage()->power_w;
+    if (kept_cone) {
+      EXPECT_LT(p_dflt, p_full * 1.005) << name;
+      return;
+    }
+    EXPECT_EQ(structural_hash(dflt.circuit), structural_hash(full.circuit))
+        << name;
+    EXPECT_EQ(p_dflt, p_full) << name;
+  };
+  for (const auto& [name, net] : bench::default_suite())
+    if (net.num_gates() <= 300) expect_same(name, net);
+  // The flow_random benchmark's generator seeds, all four strata.
+  for (std::uint32_t seed :
+       {1535578286u, 2653335377u, 961978839u, 1476624210u, 374703215u,
+        1433102928u, 1901963766u, 3814778373u, 4151018557u, 4059216129u,
+        2054710263u, 164471577u})
+    expect_same("rand32x150_s" + std::to_string(seed),
+                bench::random_dag(32, 150, seed));
+}
+
 TEST(Flows, StagesAreLabelled) {
   auto net = bench::comparator_gt(6);
   FlowOptions opt;

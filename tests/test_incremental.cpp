@@ -6,7 +6,7 @@
 // re-simulating only the touched fanout cone.  Supporting layers are pinned
 // too: Netlist::fanout_cone_of / cone_of on reconvergent, multi-output and
 // register-crossing topologies, touched_nodes() across undo epochs,
-// LogicSim::eval_cone_into splicing, and the flow/pass integration
+// compiled-tape cone splicing, and the flow/pass integration
 // (every runner estimate must equal a full analysis exactly).
 
 #include <gtest/gtest.h>
@@ -24,6 +24,7 @@
 #include "netlist/benchmarks.hpp"
 #include "power/incremental.hpp"
 #include "seq/encoding.hpp"
+#include "sim/compiled.hpp"
 #include "sim/logicsim.hpp"
 
 namespace {
@@ -349,11 +350,12 @@ TEST(UndoFrame, AnalyzerFollowsRestoresExactly) {
   EXPECT_TRUE(same_netlist(net, n0));
 }
 
-// ---- eval_cone_into splicing ----------------------------------------------
+// ---- cone splicing ---------------------------------------------------------
 
 TEST(EvalCone, SpliceMatchesFullEval) {
   auto net = bench::random_dag(8, 120, 42);
   sim::LogicSim sim(net);
+  sim::CompiledSim tape(net);
   std::vector<std::uint64_t> pis(net.inputs().size());
   for (std::size_t i = 0; i < pis.size(); ++i)
     pis[i] = 0x9E3779B97F4A7C15ULL * (i + 1);
@@ -364,10 +366,10 @@ TEST(EvalCone, SpliceMatchesFullEval) {
   while (net.is_dead(root) || net.node(root).type == GateType::Input) ++root;
   NodeId roots[] = {root};
   auto mask = net.fanout_cone_of(roots, true);
-  auto sched = sim.cone_schedule(mask);
+  auto sched = tape.cone_schedule(mask);
   auto f = full;
   for (NodeId id : sched.gates) f[id] = ~f[id];
-  sim.eval_cone_into(f, sched);
+  tape.exec_gates(f.data(), 1, sched.gates);
   EXPECT_EQ(f, full);
 }
 

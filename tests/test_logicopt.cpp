@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "bdd/bdd_netlist.hpp"
@@ -11,6 +12,7 @@
 #include "logicopt/library.hpp"
 #include "logicopt/path_balance.hpp"
 #include "logicopt/power_factor.hpp"
+#include "logicopt/resynth.hpp"
 #include "logicopt/techmap.hpp"
 #include "netlist/benchmarks.hpp"
 #include "power/activity.hpp"
@@ -139,10 +141,80 @@ TEST(DontCare, MatchesReference) {
   for (std::uint32_t seed : {1u, 2u, 3u, 4u, 5u, 6u})
     expect_match("rand32x150_s" + std::to_string(seed),
                  bench::random_dag(32, 150, seed), dflt);
+  for (std::uint32_t seed : {1u, 2u, 3u})
+    expect_match("rand16x60_s" + std::to_string(seed),
+                 bench::random_dag(16, 60, seed), dflt);
   expect_match("rand16x60", bench::random_dag(16, 60, 7), dflt);
   expect_match("enabled_regs", with_enabled_registers(11), dflt);
   expect_match("rand16x60 area", bench::random_dag(16, 60, 8), area);
   expect_match("rand32x150 capped", bench::random_dag(32, 150, 9), capped);
+}
+
+// Every GateType, a 70-fanin gate inside other gates' fanout, constants
+// feeding MUXes, and a load-enabled register whose pins are observed.
+Netlist every_gate_type() {
+  Netlist net("every_type");
+  std::vector<NodeId> pis;
+  for (int i = 0; i < 70; ++i)
+    pis.push_back(net.add_input("i" + std::to_string(i)));
+  const NodeId c0 = net.add_const(false), c1 = net.add_const(true);
+  std::vector<NodeId> mid;
+  int k = 0;
+  for (GateType t : {GateType::And, GateType::Or, GateType::Nand,
+                     GateType::Nor, GateType::Xor, GateType::Xnor}) {
+    mid.push_back(net.add_gate(t, {pis[k], pis[k + 6], pis[k + 12]}));
+    ++k;
+  }
+  mid.push_back(net.add_buf(mid[0]));
+  mid.push_back(net.add_not(mid[1]));
+  mid.push_back(net.add_mux(mid[2], mid[3], c1));
+  mid.push_back(net.add_mux(pis[20], c0, mid[4]));
+  std::vector<NodeId> wide(pis.begin() + 10, pis.end());  // 60 PIs
+  wide.insert(wide.end(), mid.begin(), mid.end());        // + 10 gates
+  const NodeId wide_xnor = net.add_gate(GateType::Xnor, wide);
+  const NodeId wide_or = net.add_gate(GateType::Or, std::move(wide));
+  net.add_output(net.add_and(wide_or, mid[5]), "y0");
+  net.add_output(wide_xnor, "y1");
+  const NodeId q = net.add_dff(mid[6], true, "q");
+  net.set_dff_enable(q, mid[7]);
+  net.add_output(net.add_xor(q, mid[8]), "y2");
+  net.add_output(mid[9], "y3");
+  return net;
+}
+
+// The prefilter's care masks on the compiled tape equal the interpreter's
+// bit for bit, so the pass keeps the same verdicts and rewrite sequence.
+TEST(DontCare, CareMasksMatchInterpreter) {
+  auto expect_match = [](const std::string& name, const Netlist& net) {
+    const auto tape = detail::simulated_care_masks(net);
+    const auto ref = reference::simulated_care_masks(net);
+    ASSERT_EQ(tape.size(), ref.size()) << name;
+    EXPECT_TRUE(std::any_of(tape.begin(), tape.end(),
+                            [](std::uint64_t w) { return w != 0; }))
+        << name;
+    for (std::size_t i = 0; i < tape.size(); ++i)
+      ASSERT_EQ(tape[i], ref[i]) << name << " node " << i / 8 << " word "
+                                 << i % 8;
+  };
+  for (const auto& [name, net] : bench::default_suite())
+    if (net.num_gates() <= 300) expect_match(name, net);
+  expect_match("enabled_regs", with_enabled_registers(11));
+  expect_match("every_gate_type", every_gate_type());
+}
+
+// A pass that rewrites nothing journals nothing: its reads go through the
+// const node() view, which never copies a pre-image.
+TEST(DontCare, NoOpRunsJournalNoNodes) {
+  Netlist net = bench::parity_tree(8);
+  const auto act = sim::measure_activity(net, 64, 1).transition_prob;
+  net.begin_undo();
+  auto dc = optimize_dontcare(net, act);
+  EXPECT_EQ(dc.const_replacements + dc.merges, 0);
+  EXPECT_EQ(net.undo_entries(), 0u);
+  auto rs = resynthesize_windows(net, act);
+  EXPECT_EQ(rs.nodes_rewritten, 0);
+  EXPECT_EQ(net.undo_entries(), 0u);
+  net.rollback_undo();
 }
 
 TEST(Balance, EliminatesGlitchesPreservesDelayAndFunction) {
