@@ -199,7 +199,7 @@ bool plain_build_throws_and_substrate_completes() {
     }
     return f;
   };
-  bdd::Config plain = bdd::default_config();
+  bdd::Config plain;
   plain.complement_edges = false;
   plain.auto_gc = true;
   plain.node_limit = 96;
@@ -210,7 +210,7 @@ bool plain_build_throws_and_substrate_completes() {
   } catch (const bdd::NodeLimitExceeded&) {
     plain_threw = true;
   }
-  bdd::Config cfg = bdd::default_config();
+  bdd::Config cfg;
   cfg.auto_gc = true;
   cfg.node_limit = 96;
   bdd::Manager m(40, cfg);
@@ -300,10 +300,10 @@ void report() {
     picks.push_back(&net);
     num_vars = std::max(num_vars, static_cast<unsigned>(net.inputs().size()));
   }
-  bdd::Config seed_cfg = bdd::default_config();
+  bdd::Config seed_cfg;
   seed_cfg.complement_edges = false;
   seed_cfg.auto_gc = false;
-  bdd::Config sub_cfg = bdd::default_config();
+  bdd::Config sub_cfg;
   sub_cfg.auto_gc = true;
   sub_cfg.gc_trigger = 1u << 12;
   std::size_t peak_seed = suite_rebuild_peak(seed_cfg, num_vars, picks);

@@ -1,7 +1,6 @@
 #include "bdd/bdd.hpp"
 
 #include "core/diag.hpp"
-#include "core/env.hpp"
 #include "core/metrics.hpp"
 
 #include <algorithm>
@@ -16,14 +15,6 @@ constexpr std::size_t kMinUniqueSlots = 1u << 10;
 constexpr std::size_t kMinIteEntries = 1u << 12;  // 2-way: 2^11 sets
 constexpr std::size_t kMaxIteEntries = 1u << 20;
 }  // namespace
-
-Config default_config() {
-  static const long trigger =
-      core::env_long_or("LPS_BDD_GC_TRIGGER", 1L << 8, 1L << 26, 1L << 15);
-  Config c;
-  c.gc_trigger = static_cast<std::size_t>(trigger);
-  return c;
-}
 
 // Public operations pin their arguments and may collect at the outermost
 // entry only: a nested call (ite inside exists, mk inside sift) must never
@@ -61,7 +52,7 @@ Manager::Manager(unsigned num_vars, const Config& config)
 
 Manager::Manager(unsigned num_vars, std::size_t node_limit)
     : Manager(num_vars, [node_limit] {
-        Config c = default_config();
+        Config c;
         c.node_limit = node_limit;
         c.auto_gc = false;
         return c;

@@ -79,11 +79,10 @@ struct NodeLimitExceeded : std::runtime_error {
   NodeLimitExceeded() : std::runtime_error("BDD node limit exceeded") {}
 };
 
-/// Manager construction knobs.  default_config() seeds gc_trigger from the
-/// LPS_BDD_GC_TRIGGER environment knob (parsed once through core/env);
-/// complement_edges = false selects the plain encoding; auto_gc always
-/// defaults to off — opting in is the caller's promise that it roots
-/// everything it holds across public calls (build_bdds does).
+/// Manager construction knobs.  complement_edges = false selects the
+/// plain encoding; auto_gc always defaults to off — opting in is the
+/// caller's promise that it roots everything it holds across public calls
+/// (build_bdds does).
 struct Config {
   /// Bounds *live* nodes (free-listed ones don't count).
   std::size_t node_limit = 4u << 20;
@@ -92,13 +91,11 @@ struct Config {
   /// Live-node threshold that arms automatic collection.
   std::size_t gc_trigger = std::size_t{1} << 15;
 };
-/// Environment-seeded defaults (LPS_BDD_GC_TRIGGER).
-Config default_config();
 
 class Manager {
  public:
   explicit Manager(unsigned num_vars, const Config& config);
-  /// Historical constructor: default_config() with `node_limit` overridden
+  /// Historical constructor: Config{} with `node_limit` overridden
   /// (complement edges, no auto-GC).
   explicit Manager(unsigned num_vars, std::size_t node_limit = 4u << 20);
   /// Flushes the bdd.* counters (see header comment) and counts

@@ -111,7 +111,7 @@ NetlistBdds build_bdds(const Netlist& net, std::size_t node_limit,
   // Collect construction garbage while the build runs (the per-node
   // functions are rooted as they are produced, so only dead ITE scaffolding
   // is swept).
-  Config cfg = default_config();
+  Config cfg;
   cfg.node_limit = node_limit;
   cfg.auto_gc = true;
   out.mgr =

@@ -1,15 +1,15 @@
 // env.hpp — hardened environment-knob parsing.
 //
 // Every process knob in this library (LPS_THREADS, LPS_SIM_WIDTH,
-// LPS_SIM_PIN, LPS_OPT_WORKERS, LPS_BDD_GC_TRIGGER, and the service's
-// LPS_SOAK_MS) used to be parsed ad hoc at its sampling site, and
-// malformed values were swallowed silently: "LPS_THREADS=8x" or
-// "LPS_SIM_WIDTH=banana" behaved exactly like the variable being unset,
-// which is the worst failure mode for an operator debugging a misconfigured
-// daemon.  This module centralizes the parsing with the same contract the
-// file parsers follow: a malformed value is *rejected with a positioned
-// diagnostic* (the SourceLoc names the variable and the column of the
-// first offending character) and the knob falls back to its documented
+// LPS_SIM_PIN, LPS_OPT_WORKERS, and the service bench's LPS_SOAK_MS) used
+// to be parsed ad hoc at its sampling site, and malformed values were
+// swallowed silently: "LPS_THREADS=8x" or "LPS_SIM_WIDTH=banana" behaved
+// exactly like the variable being unset, which is the worst failure mode
+// for an operator debugging a misconfigured daemon.  This module
+// centralizes the parsing with the same contract the file parsers follow:
+// a malformed value is *rejected with a positioned diagnostic* (the
+// SourceLoc names the variable and the column of the first offending
+// character) and the knob falls back to its documented
 // default — never to a half-parsed value.
 //
 // The sampling sites print the diagnostic to stderr once (knobs are sampled

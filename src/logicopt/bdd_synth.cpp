@@ -88,7 +88,7 @@ BddSynthResult synthesize_bdd_cones(Netlist& net, const BddSynthOptions& opt) {
       continue;
     }
 
-    bdd::Config cfg = bdd::default_config();
+    bdd::Config cfg;
     cfg.node_limit = opt.node_limit;
     cfg.auto_gc = true;
     bdd::Manager m(static_cast<unsigned>(sources.size()), cfg);

@@ -28,7 +28,7 @@
 //      place of the root as one candidate of the shared candidate kernel
 //      (logicopt/candidate.hpp): nested undo epoch, cone-scoped oracle
 //      score, keep only a strict switching-power win whose proof (PO
-//      digest + a 256-frame interpreter trace) passes — losers roll back
+//      digest + a 256-frame functional trace) passes — losers roll back
 //      in O(edit), and a failed proof counts `unsound`.
 //
 // Determinism: the engine is sequential and owns a private ZeroDelay

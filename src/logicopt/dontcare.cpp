@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <random>
 #include <span>
 
 #include "bdd/bdd_netlist.hpp"
@@ -39,19 +38,14 @@ std::vector<bdd::Ref> with_fresh_var(bdd::NetlistBdds& b, const Netlist& net,
 // vector on which complementing n changes a root lies in n's exact care
 // set.  Hence a rewrite the BDD admits (the replacement agrees with n on
 // the whole care set) also agrees on every simulated care vector — a
-// disagreement refutes a candidate without any BDD work.  The vectors
-// replay on the compiled tape, kFilterWords words per node (node-major).
+// disagreement refutes a candidate without any BDD work.  The batch is
+// sim::free_source_batch: kFilterWords words per node (node-major).
 class SimulatedCare {
  public:
   explicit SimulatedCare(const Netlist& net)
       : net_(net), sim_(net), points_(bdd::observation_points(net)),
-        base_(net.size() * kFilterWords), in_tfo_(net.size(), 0) {
-    std::mt19937_64 rng(kFilterSeed);
-    for (std::size_t w = 0; w < kFilterWords; ++w) {
-      for (NodeId pi : net.inputs()) base_[at(pi) + w] = rng();
-      for (NodeId q : sim_.dffs()) base_[at(q) + w] = rng();
-    }
-    sim_.exec_all(base_.data(), kFilterWords);
+        base_(sim::free_source_batch(sim_, kFilterWords, kFilterSeed)),
+        in_tfo_(net.size(), 0) {
     work_.assign(base_.size(), 0);
     std::copy(base_.begin(), base_.end(), work_.begin());
   }

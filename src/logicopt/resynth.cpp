@@ -6,13 +6,12 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <random>
 
 #include "bdd/bdd_netlist.hpp"
 #include "core/metrics.hpp"
 #include "logicopt/speculate.hpp"
 #include "power/incremental.hpp"
-#include "sim/logicsim.hpp"
+#include "sim/compiled.hpp"
 #include "sop/factoring.hpp"
 #include "sop/minimize.hpp"
 #include "sop/truth_table.hpp"
@@ -215,20 +214,8 @@ class MinimizeMemo {
 class SimulatedReach {
  public:
   explicit SimulatedReach(const Netlist& net)
-      : words_(net.size() * kReachWords) {
-    sim::LogicSim sim(net);
-    std::mt19937_64 rng(kReachSeed);
-    std::vector<std::uint64_t> pi(net.inputs().size());
-    std::vector<std::uint64_t> q(net.dffs().size());
-    sim::Frame f;
-    for (std::size_t w = 0; w < kReachWords; ++w) {
-      for (auto& x : pi) x = rng();
-      for (auto& x : q) x = rng();
-      sim.eval_into(f, pi, q);
-      for (std::size_t id = 0; id < f.size(); ++id)
-        words_[id * kReachWords + w] = f[id];
-    }
-  }
+      : words_(sim::free_source_batch(sim::CompiledSim(net), kReachWords,
+                                      kReachSeed)) {}
 
   /// The patterns of `boundary` (variable i = boundary[i]) the batch hits.
   TruthTable seen(const std::vector<NodeId>& boundary) const {
@@ -254,7 +241,7 @@ class SimulatedReach {
   }
 
  private:
-  std::vector<std::uint64_t> words_;  // node-major: kReachWords per node
+  core::AlignedWords words_;  // node-major: kReachWords per node
 };
 
 }  // namespace

@@ -1,8 +1,6 @@
 #include "seq/clock_gating.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <random>
 #include <set>
 
 #include "sim/logicsim.hpp"
@@ -57,26 +55,14 @@ ClockActivityReport clock_activity(const Netlist& net,
                                    std::size_t n_vectors,
                                    std::uint64_t seed) {
   ClockActivityReport r;
-  auto dffs = net.dffs();
-  r.ff_count = static_cast<double>(dffs.size());
+  r.ff_count = static_cast<double>(net.dffs().size());
   std::size_t frames = std::max<std::size_t>(1, n_vectors / 64);
   r.cycles = static_cast<double>(frames * 64);
 
-  // Measure enable one-probabilities by simulation.
-  sim::LogicSim lsim(net);
-  std::mt19937_64 rng(seed);
-  std::vector<std::uint64_t> pi(net.inputs().size());
-  std::vector<std::uint64_t> state(dffs.size());
-  for (std::size_t i = 0; i < dffs.size(); ++i)
-    state[i] = net.node(dffs[i]).init_value ? ~0ULL : 0ULL;
-  std::vector<double> en_ones(ps.size(), 0.0);
-  for (std::size_t fr = 0; fr < frames; ++fr) {
-    for (auto& w : pi) w = rng();
-    auto f = lsim.eval(pi, state);
-    for (std::size_t k = 0; k < ps.size(); ++k)
-      en_ones[k] += std::popcount(f[ps[k].enable]);
-    state = lsim.next_state_of(f);
-  }
+  // Enable one-probabilities: the serial activity stream (one shard, as
+  // the net is sequential) from `seed`.
+  std::vector<double> p_one;
+  if (!ps.empty()) p_one = sim::measure_activity(net, frames, seed).signal_prob;
 
   r.clock_toggles_ungated = 2.0 * r.ff_count * r.cycles;
   // Ungated FFs keep toggling their clock pins.
@@ -87,7 +73,7 @@ ClockActivityReport clock_activity(const Netlist& net,
   double duty_sum = 0.0;
   std::set<NodeId> distinct_enables;
   for (std::size_t k = 0; k < ps.size(); ++k) {
-    double p1 = en_ones[k] / r.cycles;
+    double p1 = p_one[ps[k].enable];
     duty_sum += p1;
     r.clock_toggles_gated += 2.0 * p1 * r.cycles;
     distinct_enables.insert(ps[k].enable);

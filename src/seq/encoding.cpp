@@ -21,6 +21,48 @@ int min_bits(int num_states) {
   return b;
 }
 
+// Literals of a state code on the state variables, which follow the inputs
+// in the variable order (inputs..., state bits...).
+void add_code_literals(sop::Cube& c, const Stg& stg, const Encoding& enc,
+                       std::uint32_t code) {
+  for (int b = 0; b < enc.bits; ++b) {
+    if (code >> b & 1)
+      c.set_pos(stg.num_inputs() + b);
+    else
+      c.set_neg(stg.num_inputs() + b);
+  }
+}
+
+// A transition's cube: its input literals and its source state's code.
+sop::Cube transition_cube(const Stg& stg, const Encoding& enc,
+                          const StgTransition& t) {
+  sop::Cube c(static_cast<unsigned>(stg.num_inputs() + enc.bits));
+  for (int i = 0; i < stg.num_inputs(); ++i) {
+    if (t.input[i] == '1') c.set_pos(i);
+    if (t.input[i] == '0') c.set_neg(i);
+  }
+  add_code_literals(c, stg, enc, enc.codes[t.from]);
+  return c;
+}
+
+// The unassigned state codes as don't-care cubes: unreachable from reset,
+// so minimizing against them leaves behaviour from reset unchanged.  Past
+// 2^30 codes the enumeration is skipped (an empty set).
+sop::Sop unused_code_dc(const Stg& stg, const Encoding& enc) {
+  const auto nv = static_cast<unsigned>(stg.num_inputs() + enc.bits);
+  sop::Sop dc(nv);
+  if (enc.bits >= 30) return dc;
+  std::vector<bool> used(1u << enc.bits, false);
+  for (auto code : enc.codes) used[code] = true;
+  for (std::uint32_t code = 0; code < (1u << enc.bits); ++code) {
+    if (used[code]) continue;
+    sop::Cube c(nv);
+    add_code_literals(c, stg, enc, code);
+    dc.add_cube(c);
+  }
+  return dc;
+}
+
 }  // namespace
 
 double Encoding::weighted_switching(const Stg& stg) const {
@@ -205,37 +247,7 @@ Netlist synthesize_fsm(const Stg& stg, const Encoding& enc,
   // reset is unchanged), and share identical product terms across
   // functions when building gates.
   unsigned nv = static_cast<unsigned>(stg.num_inputs() + enc.bits);
-  auto transition_cube = [&](const StgTransition& t) {
-    sop::Cube c(nv);
-    for (int i = 0; i < stg.num_inputs(); ++i) {
-      if (t.input[i] == '1') c.set_pos(i);
-      if (t.input[i] == '0') c.set_neg(i);
-    }
-    std::uint32_t code = enc.codes[t.from];
-    for (int b = 0; b < enc.bits; ++b) {
-      if (code >> b & 1)
-        c.set_pos(stg.num_inputs() + b);
-      else
-        c.set_neg(stg.num_inputs() + b);
-    }
-    return c;
-  };
-  sop::Sop dc(nv);
-  if (enc.bits < 30) {
-    std::vector<bool> used(1u << enc.bits, false);
-    for (auto code : enc.codes) used[code] = true;
-    for (std::uint32_t code = 0; code < (1u << enc.bits); ++code) {
-      if (used[code]) continue;
-      sop::Cube c(nv);
-      for (int b = 0; b < enc.bits; ++b) {
-        if (code >> b & 1)
-          c.set_pos(stg.num_inputs() + b);
-        else
-          c.set_neg(stg.num_inputs() + b);
-      }
-      dc.add_cube(c);
-    }
-  }
+  const sop::Sop dc = unused_code_dc(stg, enc);
 
   // Shared leaves: the var -> signal mapping for cube-to-gate expansion.
   std::vector<NodeId> leaf(nv);
@@ -277,13 +289,14 @@ Netlist synthesize_fsm(const Stg& stg, const Encoding& enc,
   for (int b = 0; b < enc.bits; ++b) {
     sop::Sop f(nv);
     for (const auto& t : stg.transitions())
-      if (enc.codes[t.to] >> b & 1) f.add_cube(transition_cube(t));
+      if (enc.codes[t.to] >> b & 1)
+        f.add_cube(transition_cube(stg, enc, t));
     n.replace_fanin(st[b], 0, build_cover(sop::minimize(f, dc)));
   }
   for (int j = 0; j < stg.num_outputs(); ++j) {
     sop::Sop f(nv);
     for (const auto& t : stg.transitions())
-      if (t.output[j] == '1') f.add_cube(transition_cube(t));
+      if (t.output[j] == '1') f.add_cube(transition_cube(stg, enc, t));
     n.add_output(build_cover(sop::minimize(f, dc)), "o" + std::to_string(j));
   }
   n.sweep();
@@ -296,7 +309,7 @@ Stg extract_stg(const Netlist& net, int max_state_bits) {
   int ni = static_cast<int>(net.inputs().size());
   if (nb > max_state_bits || ni > 20)
     throw std::invalid_argument("extract_stg: state/input space too large");
-  sim::LogicSim lsim(net);
+  const sim::CompiledSim cs(net);
 
   auto code_name = [&](std::uint32_t code) {
     std::string s(nb, '0');
@@ -316,7 +329,8 @@ Stg extract_stg(const Netlist& net, int max_state_bits) {
   g.set_reset_state(0);
 
   std::vector<std::uint64_t> pi_words(net.inputs().size());
-  std::vector<std::uint64_t> ff_words(dffs.size());
+  std::vector<std::uint64_t> ff_words(dffs.size()), ns(dffs.size());
+  sim::Frame f;
   while (!frontier.empty()) {
     std::uint32_t code = frontier.back();
     frontier.pop_back();
@@ -324,9 +338,8 @@ Stg extract_stg(const Netlist& net, int max_state_bits) {
     for (std::uint32_t m = 0; m < (1u << ni); ++m) {
       for (int i = 0; i < ni; ++i) pi_words[i] = (m >> i & 1) ? ~0ULL : 0;
       for (int b = 0; b < nb; ++b) ff_words[b] = (code >> b & 1) ? ~0ULL : 0;
-      auto f = lsim.eval(pi_words, ff_words);
-      auto ns = lsim.next_state_of(f);
-      auto po = lsim.outputs_of(f);
+      cs.eval_into(f, pi_words, ff_words);
+      sim::clock_registers(net, dffs, f.data(), ns);
       std::uint32_t next = 0;
       for (int b = 0; b < nb; ++b)
         if (ns[b] & 1) next |= 1u << b;
@@ -338,8 +351,8 @@ Stg extract_stg(const Netlist& net, int max_state_bits) {
       for (int i = 0; i < ni; ++i)
         if (m >> i & 1) cube[i] = '1';
       std::string out(net.outputs().size(), '0');
-      for (std::size_t j = 0; j < po.size(); ++j)
-        if (po[j] & 1) out[j] = '1';
+      for (std::size_t j = 0; j < out.size(); ++j)
+        if (f[net.outputs()[j]] & 1) out[j] = '1';
       g.add_transition(cube, from, state_of_code[next], out);
     }
   }
@@ -354,40 +367,11 @@ int gate_self_loops_from_stg(Netlist& net, const Stg& stg,
   unsigned nv = static_cast<unsigned>(stg.num_inputs() + enc.bits);
   // Self-loop cover over (inputs..., state bits...).
   sop::Sop self_cover(nv);
-  for (const auto& t : stg.transitions()) {
-    if (t.from != t.to) continue;
-    sop::Cube c(nv);
-    for (int i = 0; i < stg.num_inputs(); ++i) {
-      if (t.input[i] == '1') c.set_pos(i);
-      if (t.input[i] == '0') c.set_neg(i);
-    }
-    std::uint32_t code = enc.codes[t.from];
-    for (int b = 0; b < enc.bits; ++b) {
-      if (code >> b & 1)
-        c.set_pos(stg.num_inputs() + b);
-      else
-        c.set_neg(stg.num_inputs() + b);
-    }
-    self_cover.add_cube(c);
-  }
+  for (const auto& t : stg.transitions())
+    if (t.from == t.to) self_cover.add_cube(transition_cube(stg, enc, t));
   if (self_cover.empty()) return 0;
   // Unassigned codes are free: minimize against them.
-  sop::Sop dc(nv);
-  if (enc.bits < 30) {
-    std::vector<bool> used(1u << enc.bits, false);
-    for (auto code : enc.codes) used[code] = true;
-    for (std::uint32_t code = 0; code < (1u << enc.bits); ++code) {
-      if (used[code]) continue;
-      sop::Cube c(nv);
-      for (int b = 0; b < enc.bits; ++b) {
-        if (code >> b & 1)
-          c.set_pos(stg.num_inputs() + b);
-        else
-          c.set_neg(stg.num_inputs() + b);
-      }
-      dc.add_cube(c);
-    }
-  }
+  const sop::Sop dc = unused_code_dc(stg, enc);
   auto cover = sop::minimize(self_cover, dc);
 
   std::vector<NodeId> leaf(nv);

@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "seq/seq_circuit.hpp"
-#include "sim/logicsim.hpp"
+#include "sim/compiled.hpp"
 
 namespace lps::seq {
 
@@ -178,9 +178,9 @@ PrecomputeResult apply_precomputation(const Netlist& comb,
   }
   // Registered outputs, with reset value f(all-zero inputs) to match the
   // baseline's trace from cycle 0.
-  sim::LogicSim ls(comb);
-  std::vector<std::uint64_t> zeros(comb.inputs().size(), 0);
-  auto frame = ls.eval(zeros);
+  sim::Frame frame;
+  sim::CompiledSim(comb).eval_into(
+      frame, std::vector<std::uint64_t>(comb.inputs().size(), 0));
   const auto& outs = comb.outputs();
   for (std::size_t i = 0; i < outs.size(); ++i) {
     bool init = (frame[outs[i]] & 1ULL) != 0;

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "sim/logicsim.hpp"
+#include "sim/compiled.hpp"
 
 namespace lps::seq {
 
@@ -35,9 +35,9 @@ Netlist registered(const Netlist& comb, int extra_output_ranks) {
   // Output registers reset to the settled all-zero response so the wrapped
   // circuit's trace is well-defined from cycle 0 (and comparable with the
   // precomputation architecture, which uses the same convention).
-  sim::LogicSim ls(comb);
-  std::vector<std::uint64_t> zeros(comb.inputs().size(), 0);
-  auto frame = ls.eval(zeros);
+  sim::Frame frame;
+  sim::CompiledSim(comb).eval_into(
+      frame, std::vector<std::uint64_t>(comb.inputs().size(), 0));
   const auto& outs = comb.outputs();
   for (std::size_t i = 0; i < outs.size(); ++i) {
     NodeId q = map[outs[i]];

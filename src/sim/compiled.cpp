@@ -1,6 +1,7 @@
 #include "sim/compiled.hpp"
 
 #include <algorithm>
+#include <random>
 #include <stdexcept>
 #include <utility>
 
@@ -283,6 +284,9 @@ void CompiledSim::eval_into(Frame& f, std::span<const std::uint64_t> pi_words,
   // dff_list_ goes stale after patches; re-derive in that case.
   const std::vector<NodeId> fresh = compact_ ? std::vector<NodeId>{} : n.dffs();
   const std::vector<NodeId>& dffs = compact_ ? dff_list_ : fresh;
+  if (!dff_words.empty() && dff_words.size() != dffs.size())
+    throw std::invalid_argument(
+        "CompiledSim::eval: register word count mismatch");
   for (std::size_t i = 0; i < dffs.size(); ++i) {
     const Node& d = n.node(dffs[i]);
     f[dffs[i]] =
@@ -296,6 +300,19 @@ void CompiledSim::eval_into(Frame& f, std::span<const std::uint64_t> pi_words,
     auto sched = cone_schedule(mask);
     exec_gates(f.data(), 1, sched.gates);
   }
+}
+
+core::AlignedWords free_source_batch(const CompiledSim& cs, std::size_t words,
+                                     std::uint64_t seed) {
+  const Netlist& n = cs.net();
+  core::AlignedWords val(n.size() * words, 0);
+  std::mt19937_64 rng(seed);
+  for (std::size_t w = 0; w < words; ++w) {
+    for (NodeId pi : n.inputs()) val[pi * words + w] = rng();
+    for (NodeId q : cs.dffs()) val[q * words + w] = rng();
+  }
+  cs.exec_all(val.data(), words);
+  return val;
 }
 
 }  // namespace lps::sim

@@ -1,26 +1,24 @@
 // compiled.hpp — flat-tape compiled zero-delay simulation.
 //
-// LogicSim evaluates one gate at a time through Node::fanins (a heap
-// vector per gate) and eval_gate (a second switch over a span) — two
-// indirections and two dispatches per gate per frame.  CompiledSim lowers
-// the topological order once into one contiguous instruction tape: packed
-// {opcode, n_fanins, output slot, operand slots} records in a flat
-// std::uint32_t array, with specialized opcodes for the dominant one- and
-// two-input gates (NOT/BUF/AND2/OR2/NAND2/NOR2/XOR2/XNOR2/MUX) and a
-// generic n-ary fallback that folds wide gates operand-by-operand without
-// any scratch buffer.  The Monte Carlo drivers then replay the tape with
-// multi-word frame blocking: B 64-bit words (64*B patterns) are evaluated
-// per tape step, so each instruction decode is amortized over up to 1024
-// vectors and the inner per-record loops autovectorize.
+// CompiledSim is the one zero-delay evaluator: it lowers the topological
+// order once into one contiguous instruction tape — packed {opcode,
+// n_fanins, output slot, operand slots} records in a flat std::uint32_t
+// array, with specialized opcodes for the dominant one- and two-input gates
+// (NOT/BUF/AND2/OR2/NAND2/NOR2/XOR2/XNOR2/MUX) and a generic n-ary fallback
+// that folds wide gates operand-by-operand without any scratch buffer —
+// instead of chasing Node::fanins and switching on the gate type per gate
+// per frame.  The Monte Carlo drivers (sim/logicsim.hpp) replay the tape
+// with multi-word frame blocking: B 64-bit words (64*B patterns) are
+// evaluated per tape step, so each instruction decode is amortized over up
+// to 1024 vectors and the inner per-record loops autovectorize.  The
+// resynthesis, don't-care and sequential probes replay it too.
 //
 // Bit-equality contract: for identical input words a tape replay produces
 // exactly the words eval_gate computes — every opcode is the same bitwise
-// expression, folded in the same fanin order — so CompiledSim frames are
-// bit-identical to LogicSim frames.  tests/test_compiled.cpp enforces this
-// differentially across the benchmark suite against the per-gate reference
-// driver in tests/activity_reference.hpp; the tape is the only Monte Carlo
-// engine of measure_activity (sim/logicsim.cpp) and the incremental
-// analyzer (power/incremental.cpp).
+// expression, folded in the same fanin order.  tests/test_compiled.cpp
+// enforces this differentially across the benchmark suite against the
+// per-gate interpreter kept as a test reference
+// (tests/logicsim_reference.hpp, tests/activity_reference.hpp).
 //
 // Mutation support: optimization loops edit a handful of nodes per
 // candidate move.  update() patches the tape from the same
@@ -38,11 +36,27 @@
 #include <span>
 #include <vector>
 
+#include "core/aligned.hpp"
 #include "netlist/netlist.hpp"
-#include "sim/logicsim.hpp"
 #include "sim/simd.hpp"
 
 namespace lps::sim {
+
+/// One simulation frame: value word per node (64 parallel patterns).
+using Frame = std::vector<std::uint64_t>;
+
+/// Precomputed evaluation schedule for one cone of the network: the cone's
+/// logic gates in topological order plus its registers.  Built once per
+/// dirty set (CompiledSim::cone_schedule() for incremental power
+/// re-estimation) and replayed over every cached frame.
+struct ConeSchedule {
+  std::vector<NodeId> gates;  // live non-source, non-Dff cone nodes, topo order
+  std::vector<NodeId> dffs;   // live cone registers (state stepped by caller)
+  /// Live cone nodes whose per-frame values must be (re)computed: gates +
+  /// dffs.  Primary inputs are excluded — their value stream is fixed by
+  /// the seed and input position, never by netlist edits.
+  std::size_t resim_nodes() const { return gates.size() + dffs.size(); }
+};
 
 /// 64-bit frame words the Monte Carlo drivers evaluate per tape step
 /// (combinational streams; sequential ones step one frame at a time).
@@ -110,8 +124,8 @@ class ScopedSimOptions {
 /// with block == 1 a plain Frame (std::vector<std::uint64_t> indexed by
 /// node id) is a valid value array.  Source slots (primary inputs, register
 /// outputs) are written by the caller before exec; dead-node slots are
-/// never written and must be zeroed once by the caller (matching
-/// LogicSim's f.assign contract).
+/// never written and must be zeroed once by the caller (they read 0, as
+/// eval_into's frames do).
 class CompiledSim {
  public:
   explicit CompiledSim(const Netlist& net);
@@ -174,10 +188,12 @@ class CompiledSim {
   /// orders, so evaluated words are bit-identical).
   ConeSchedule cone_schedule(const std::vector<bool>& mask) const;
 
-  /// Drop-in equivalent of LogicSim::eval_into (block == 1): full-network
-  /// evaluation producing a bit-identical Frame.  On patched tapes this
-  /// builds a full-network schedule per call (O(netlist)) — the hot paths
-  /// use exec_all / exec_gates instead.
+  /// Full-network evaluation of one frame (block == 1): `pi_words[i]` is
+  /// net.inputs()[i]'s word, `dff_words[i]` register i's output (empty =
+  /// reset values; otherwise one word per register, or invalid_argument).
+  /// Dead slots read 0.  On patched tapes this builds a full-network
+  /// schedule per call (O(netlist)) — the hot paths use exec_all /
+  /// exec_gates instead.
   void eval_into(Frame& f, std::span<const std::uint64_t> pi_words,
                  std::span<const std::uint64_t> dff_words = {}) const;
 
@@ -198,5 +214,14 @@ class CompiledSim {
   std::size_t base_words_ = 0;  // tape size at last rebuild (garbage bound)
   bool compact_ = true;
 };
+
+/// One batch of free-source random stimulus on a compact tape: for each of
+/// `words` words (a supported block, see normalize_block) every primary
+/// input and then every register output draws one mt19937_64(seed) word,
+/// and the whole tape replays once over the block.  Registers are free
+/// variables here, not clocked.  Returns the node-major value block (node
+/// n's words at [n * words, (n + 1) * words); dead slots read 0).
+core::AlignedWords free_source_batch(const CompiledSim& cs, std::size_t words,
+                                     std::uint64_t seed);
 
 }  // namespace lps::sim

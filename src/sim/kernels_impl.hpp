@@ -86,7 +86,7 @@ struct ScalarOps {
 // pointer past the record.  W::kWords must divide B.  Each opcode is the
 // same bitwise expression eval_gate (netlist.cpp) computes, with n-ary
 // operands folded in fanin order — this is what makes tape frames
-// bit-identical to LogicSim's at any vector width.
+// bit-identical to the per-gate interpreter's at any vector width.
 template <typename W, unsigned B>
 inline const std::uint32_t* exec_record_v(const std::uint32_t* p,
                                           std::uint64_t* val) {

@@ -1,7 +1,6 @@
 #include "sim/logicsim.hpp"
 
 #include <random>
-#include <stdexcept>
 
 #include "core/aligned.hpp"
 #include "core/metrics.hpp"
@@ -9,44 +8,6 @@
 #include "sim/compiled.hpp"
 
 namespace lps::sim {
-
-LogicSim::LogicSim(const Netlist& net)
-    : net_(&net), order_(net.topo_order()), dff_list_(net.dffs()) {}
-
-namespace {
-
-// Per-gate word evaluation of eval_into.
-inline void eval_gate_word(const Node& nd, NodeId id, Frame& f) {
-  switch (nd.type) {
-    case GateType::Input:
-    case GateType::Dff:
-      break;
-    case GateType::Const0:
-      f[id] = 0;
-      break;
-    case GateType::Const1:
-      f[id] = ~0ULL;
-      break;
-    default: {
-      std::uint64_t fin[64];
-      std::size_t k = nd.fanins.size();
-      if (k <= 64) {
-        for (std::size_t j = 0; j < k; ++j) fin[j] = f[nd.fanins[j]];
-        f[id] = eval_gate(nd.type, {fin, k});
-      } else {
-        // One LogicSim instance is shared read-only across shard threads,
-        // so the wide-gate scratch cannot live in the object; thread_local
-        // reuses the allocation across gates and frames without racing.
-        static thread_local std::vector<std::uint64_t> big;
-        big.resize(k);
-        for (std::size_t j = 0; j < k; ++j) big[j] = f[nd.fanins[j]];
-        f[id] = eval_gate(nd.type, big);
-      }
-    }
-  }
-}
-
-}  // namespace
 
 void clock_registers(const Netlist& net, std::span<const NodeId> dffs,
                      const std::uint64_t* val,
@@ -60,43 +21,6 @@ void clock_registers(const Netlist& net, std::span<const NodeId> dffs,
     }
     state[i] = next;
   }
-}
-
-void LogicSim::eval_into(Frame& f, std::span<const std::uint64_t> pi_words,
-                         std::span<const std::uint64_t> dff_words) const {
-  const Netlist& n = *net_;
-  if (pi_words.size() != n.inputs().size())
-    throw std::invalid_argument("LogicSim::eval: PI word count mismatch");
-  f.assign(n.size(), 0);
-  for (std::size_t i = 0; i < pi_words.size(); ++i)
-    f[n.inputs()[i]] = pi_words[i];
-  for (std::size_t i = 0; i < dff_list_.size(); ++i) {
-    const Node& d = n.node(dff_list_[i]);
-    f[dff_list_[i]] = dff_words.empty()
-                          ? (d.init_value ? ~0ULL : 0ULL)
-                          : dff_words[i];
-  }
-  for (NodeId id : order_) eval_gate_word(n.node(id), id, f);
-}
-
-Frame LogicSim::eval(std::span<const std::uint64_t> pi_words,
-                     std::span<const std::uint64_t> dff_words) const {
-  Frame f;
-  eval_into(f, pi_words, dff_words);
-  return f;
-}
-
-std::vector<std::uint64_t> LogicSim::outputs_of(const Frame& f) const {
-  std::vector<std::uint64_t> r;
-  r.reserve(net_->outputs().size());
-  for (NodeId o : net_->outputs()) r.push_back(f[o]);
-  return r;
-}
-
-std::vector<std::uint64_t> LogicSim::next_state_of(const Frame& f) const {
-  std::vector<std::uint64_t> r(dff_list_.size());
-  clock_registers(*net_, dff_list_, f.data(), r);
-  return r;
 }
 
 namespace {
@@ -137,80 +61,81 @@ struct ActivityScratch {
 // latency for single-shard (sequential) streams without measurable cost.
 constexpr std::size_t kCancelBatchFrames = 32;
 
-// One shard of the Monte Carlo stream on the compiled tape.  Combinational
-// streams evaluate `block` 64-pattern words per tape replay (PI words are
+// Frames per tape replay: kSimBlock, or one when register state carries
+// from frame to frame.
+std::size_t stream_block(const CompiledSim& cs) {
+  return cs.dffs().empty() ? kSimBlock : 1;
+}
+
+// The stimulus loop of every Monte Carlo driver: one stream of `n_frames`
+// frames from mt19937_64(seed) on the compiled tape.  Combinational streams
+// evaluate B = kSimBlock 64-pattern words per tape replay (PI words are
 // drawn frame-major — lane j fully before lane j+1 — so the per-frame
 // stream does not depend on the block factor); sequential streams carry
-// register state frame to frame and run with block == 1.  Each of the 64
-// bit lanes carries an independent trajectory; transitions are counted
-// per lane between consecutive frames, which is exact for sequential
-// circuits and, with iid inputs, for combinational ones too.
-void simulate_activity_shard(const Netlist& net, const CompiledSim& cs,
-                             std::size_t block, std::size_t n_frames,
-                             std::uint64_t seed,
-                             std::span<const double> pi_one_prob,
-                             Frame* capture_frames, ActivityAccum& a,
-                             ActivityScratch& sc,
-                             const core::CancelToken* cancel) {
+// register state frame to frame and run with B = 1.  Tail blocks evaluate
+// all B lanes but draw only the first `b`; the stale trailing lanes are
+// inert, and `on_block(f0, b)` reads just frames f0 .. f0+b-1 of `val`
+// (node-major, n * B words, dead slots zeroed by the caller).
+template <class OnBlock>
+void replay_stream(const Netlist& net, const CompiledSim& cs,
+                   std::size_t n_frames, std::uint64_t seed,
+                   std::span<const double> pi_one_prob, std::uint64_t* val,
+                   std::vector<std::uint64_t>& state,
+                   const core::CancelToken* cancel, OnBlock&& on_block) {
   const auto& pis = net.inputs();
-  const auto& live = cs.live();
   const auto& dffs = cs.dffs();
-  a.frames += n_frames;
-  a.seams += n_frames > 1 ? n_frames - 1 : 0;
-
+  const std::size_t B = stream_block(cs);
   std::mt19937_64 rng(seed);
   auto pi_word = [&](std::size_t i) {
     double p = pi_one_prob.empty() ? 0.5 : pi_one_prob[i];
     return (p == 0.5) ? rng() : biased_word(rng, p);
   };
-  std::uint64_t* val = sc.val.data();
-  std::uint64_t* last = sc.last.data();
-
-  if (dffs.empty()) {
-    const std::size_t B = block;
-    for (std::size_t f0 = 0; f0 < n_frames; f0 += B) {
-      if ((f0 / B) % kCancelBatchFrames == 0) core::poll_cancel(cancel);
-      // Tail blocks evaluate all B lanes but only the first `b` are drawn,
-      // counted and captured; stale trailing lanes are inert.
-      const std::size_t b = std::min(B, n_frames - f0);
-      for (std::size_t j = 0; j < b; ++j)
-        for (std::size_t i = 0; i < pis.size(); ++i)
-          val[static_cast<std::size_t>(pis[i]) * B + j] = pi_word(i);
-      cs.exec_all(val, B);
-      // Counting dominates the compiled path (the replay itself amortizes
-      // to near-memory speed), so it goes through the dispatched per-ISA
-      // kernel: identical integer counts, hardware POPCNT where available.
-      count_columns(val, live, B, b, f0 == 0, a.ones.data(), a.toggles.data(),
-                    last);
-      if (capture_frames)
-        for (std::size_t j = 0; j < b; ++j) {
-          Frame& fr = capture_frames[f0 + j];
-          fr.assign(net.size(), 0);
-          for (NodeId id : live)
-            fr[id] = val[static_cast<std::size_t>(id) * B + j];
-        }
-    }
-  } else {
-    // Sequential: one symbolic trajectory, state stepped per frame.
-    sc.state.resize(dffs.size());
-    for (std::size_t i = 0; i < dffs.size(); ++i)
-      sc.state[i] = net.node(dffs[i]).init_value ? ~0ULL : 0ULL;
-    for (std::size_t fr = 0; fr < n_frames; ++fr) {
-      if (fr % kCancelBatchFrames == 0) core::poll_cancel(cancel);
-      for (std::size_t i = 0; i < pis.size(); ++i) val[pis[i]] = pi_word(i);
-      for (std::size_t i = 0; i < dffs.size(); ++i)
-        val[dffs[i]] = sc.state[i];
-      cs.exec_all(val, 1);
-      count_columns(val, live, 1, 1, fr == 0, a.ones.data(), a.toggles.data(),
-                    last);
-      if (capture_frames) {
-        Frame& cf = capture_frames[fr];
-        cf.assign(net.size(), 0);
-        for (NodeId id : live) cf[id] = val[id];
-      }
-      clock_registers(net, dffs, val, sc.state);
-    }
+  state.resize(dffs.size());
+  for (std::size_t i = 0; i < dffs.size(); ++i)
+    state[i] = net.node(dffs[i]).init_value ? ~0ULL : 0ULL;
+  for (std::size_t f0 = 0; f0 < n_frames; f0 += B) {
+    if ((f0 / B) % kCancelBatchFrames == 0) core::poll_cancel(cancel);
+    const std::size_t b = std::min(B, n_frames - f0);
+    for (std::size_t j = 0; j < b; ++j)
+      for (std::size_t i = 0; i < pis.size(); ++i)
+        val[static_cast<std::size_t>(pis[i]) * B + j] = pi_word(i);
+    for (std::size_t i = 0; i < dffs.size(); ++i) val[dffs[i]] = state[i];
+    cs.exec_all(val, B);
+    on_block(f0, b);
+    clock_registers(net, dffs, val, state);
   }
+}
+
+// One shard of the activity stream: each of the 64 bit lanes carries an
+// independent trajectory; transitions are counted per lane between
+// consecutive frames, which is exact for sequential circuits and, with iid
+// inputs, for combinational ones too.
+void simulate_activity_shard(const Netlist& net, const CompiledSim& cs,
+                             std::size_t n_frames, std::uint64_t seed,
+                             std::span<const double> pi_one_prob,
+                             Frame* capture_frames, ActivityAccum& a,
+                             ActivityScratch& sc,
+                             const core::CancelToken* cancel) {
+  const auto& live = cs.live();
+  const std::size_t B = stream_block(cs);
+  a.frames += n_frames;
+  a.seams += n_frames > 1 ? n_frames - 1 : 0;
+  std::uint64_t* val = sc.val.data();
+  replay_stream(net, cs, n_frames, seed, pi_one_prob, val, sc.state, cancel,
+                [&](std::size_t f0, std::size_t b) {
+    // Counting dominates the compiled path (the replay itself amortizes to
+    // near-memory speed), so it goes through the dispatched per-ISA
+    // kernel: identical integer counts, hardware POPCNT where available.
+    count_columns(val, live, B, b, f0 == 0, a.ones.data(), a.toggles.data(),
+                  sc.last.data());
+    if (capture_frames)
+      for (std::size_t j = 0; j < b; ++j) {
+        Frame& fr = capture_frames[f0 + j];
+        fr.assign(net.size(), 0);
+        for (NodeId id : live)
+          fr[id] = val[static_cast<std::size_t>(id) * B + j];
+      }
+  });
 }
 
 }  // namespace
@@ -237,14 +162,13 @@ ActivityStats measure_activity(const Netlist& net, std::size_t n_frames,
                                std::span<const double> pi_one_prob,
                                ActivityTrace* capture,
                                const core::CancelToken* cancel) {
-  auto dffs = net.dffs();
-  // Sequential streams carry state frame to frame: no lane blocking.
-  const std::size_t block = dffs.empty() ? kSimBlock : 1;
+  const CompiledSim csim(net);
+  const std::size_t block = stream_block(csim);
 
   // Sequential nets form one continuous state trajectory — one shard.
   // Combinational frame streams are iid and shard freely; the plan depends
   // only on n_frames, so results are thread-count independent.
-  auto plan = core::plan_shards(dffs.empty() ? n_frames : 0, 64);
+  auto plan = core::plan_shards(csim.dffs().empty() ? n_frames : 0, 64);
   if (capture) {
     capture->frames.assign(n_frames, Frame{});
     capture->shard_start.assign(n_frames, 0);
@@ -255,8 +179,6 @@ ActivityStats measure_activity(const Netlist& net, std::size_t n_frames,
         capture->shard_start[plan.begin(s)] = 1;
     }
   }
-
-  const CompiledSim csim(net);
 
   // Dispatch grain: up to two pool indices per execution lane
   // (core::plan_chunks — oversubscription evens out lane load imbalance),
@@ -275,8 +197,8 @@ ActivityStats measure_activity(const Netlist& net, std::size_t n_frames,
     ActivityScratch& sc = scratch[c];
     // First-touch placement: the worker that runs the chunk writes its
     // accumulators and value block first, so their pages land on that
-    // worker's NUMA node.  Dead slots must read 0 (LogicSim's f.assign
-    // contract); records never write them, so zeroing once suffices.
+    // worker's NUMA node.  Dead slots must read 0 (as eval_into's frames
+    // do); records never write them, so zeroing once suffices.
     a.ones.assign(net.size(), 0);
     a.toggles.assign(net.size(), 0);
     sc.val.assign(net.size() * block, 0);
@@ -290,7 +212,7 @@ ActivityStats measure_activity(const Netlist& net, std::size_t n_frames,
       const std::size_t shard_frames = solo ? n_frames : plan.count(s);
       Frame* cap =
           capture ? capture->frames.data() + plan.begin(s) : nullptr;
-      simulate_activity_shard(net, csim, block, shard_frames, sseed,
+      simulate_activity_shard(net, csim, shard_frames, sseed,
                               pi_one_prob, cap, a, sc, cancel);
     }
   };
@@ -343,30 +265,20 @@ SimTrace functional_trace(const Netlist& net, std::size_t n_frames,
   t.frames = n_frames;
   t.seed = seed;
 
-  // kSimBlock frames per tape replay (one on sequential nets), PI words
-  // drawn and outputs mixed frame by frame: a per-frame loop's digest.
+  // The activity stream's loop with one shard and uniform inputs; outputs
+  // are mixed frame by frame, so the digest is a per-frame loop's.
   const CompiledSim cs(net);
-  const auto& pis = net.inputs();
-  const auto& dffs = cs.dffs();
-  t.n_dffs = dffs.size();
-  const std::size_t B = dffs.empty() ? kSimBlock : 1;
+  t.n_dffs = cs.dffs().size();
+  const std::size_t B = stream_block(cs);
   core::AlignedWords val(net.size() * B, 0);
-  std::vector<std::uint64_t> q(dffs.size());
-  for (std::size_t i = 0; i < dffs.size(); ++i)
-    q[i] = net.node(dffs[i]).init_value ? ~0ULL : 0ULL;
-  std::mt19937_64 rng(seed);
+  std::vector<std::uint64_t> state;
   std::uint64_t digest = 0x5CA1AB1Eu;
-  for (std::size_t f0 = 0; f0 < n_frames; f0 += B) {
-    const std::size_t b = std::min(B, n_frames - f0);
-    for (std::size_t j = 0; j < b; ++j)
-      for (NodeId pi : pis) val[static_cast<std::size_t>(pi) * B + j] = rng();
-    for (std::size_t i = 0; i < dffs.size(); ++i) val[dffs[i]] = q[i];
-    cs.exec_all(val.data(), B);
+  replay_stream(net, cs, n_frames, seed, {}, val.data(), state, nullptr,
+                [&](std::size_t, std::size_t b) {
     for (std::size_t j = 0; j < b; ++j)
       for (NodeId o : net.outputs())
         digest = core::mix64(digest ^ val[static_cast<std::size_t>(o) * B + j]);
-    clock_registers(net, dffs, val.data(), q);
-  }
+  });
   t.digest = digest;
   return t;
 }

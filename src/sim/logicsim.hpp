@@ -1,12 +1,13 @@
-// logicsim.hpp — 64-way bit-parallel zero-delay logic simulation.
+// logicsim.hpp — 64-way bit-parallel zero-delay Monte Carlo drivers.
 //
-// LogicSim is the per-gate interpreter the optimization passes drive
-// directly (resynthesis reachability batches, sequential-module probes).  This header also declares the Monte Carlo
-// activity driver (measure_activity: exact zero-delay switching activity,
-// §I Eqn. 1 factor N, and signal/transition probabilities under arbitrary
-// input statistics) and the equivalence checks (functional_trace,
-// equivalent_random), which run on the compiled tape (sim/compiled.hpp).
-// Each std::uint64_t word carries 64 independent patterns.
+// The drivers that replay random stimulus on the compiled tape
+// (sim/compiled.hpp): measure_activity (exact zero-delay switching
+// activity, §I Eqn. 1 factor N, and signal/transition probabilities under
+// arbitrary input statistics) and the equivalence checks (functional_trace,
+// equivalent_random).  Both run one stimulus loop — the same draw order,
+// block size, tail-lane limit and register stepping — and differ only in
+// what they read off each evaluated block.  Each std::uint64_t word
+// carries 64 independent patterns.
 //
 // Monte Carlo drivers shard their frame stream across the shared thread
 // pool (core/parallel.hpp).  The decomposition and per-shard seeds depend
@@ -23,53 +24,9 @@
 
 #include "core/parallel.hpp"
 #include "netlist/netlist.hpp"
+#include "sim/compiled.hpp"
 
 namespace lps::sim {
-
-/// One simulation frame: value word per node (64 parallel patterns).
-using Frame = std::vector<std::uint64_t>;
-
-/// Precomputed evaluation schedule for one cone of the network: the cone's
-/// logic gates in topological order plus its registers.  Built once per
-/// dirty set (CompiledSim::cone_schedule() for incremental power
-/// re-estimation) and replayed over every cached frame.
-struct ConeSchedule {
-  std::vector<NodeId> gates;  // live non-source, non-Dff cone nodes, topo order
-  std::vector<NodeId> dffs;   // live cone registers (state stepped by caller)
-  /// Live cone nodes whose per-frame values must be (re)computed: gates +
-  /// dffs.  Primary inputs are excluded — their value stream is fixed by
-  /// the seed and input position, never by netlist edits.
-  std::size_t resim_nodes() const { return gates.size() + dffs.size(); }
-};
-
-/// Zero-delay combinational evaluator bound to one netlist.
-class LogicSim {
- public:
-  explicit LogicSim(const Netlist& net);
-
-  /// Evaluate the full network for one frame of PI values; `pi_words[i]`
-  /// corresponds to net.inputs()[i].  `dff_words` supplies register outputs
-  /// (empty = use reset values).  Returns a per-node value frame.
-  Frame eval(std::span<const std::uint64_t> pi_words,
-             std::span<const std::uint64_t> dff_words = {}) const;
-
-  /// Allocation-free variant for hot loops: evaluates into `f`, reusing its
-  /// capacity across frames.
-  void eval_into(Frame& f, std::span<const std::uint64_t> pi_words,
-                 std::span<const std::uint64_t> dff_words = {}) const;
-
-  /// Values at the primary outputs extracted from a frame.
-  std::vector<std::uint64_t> outputs_of(const Frame& f) const;
-  /// Next-state values (Dff D inputs, EN = 0 holds) from a frame.
-  std::vector<std::uint64_t> next_state_of(const Frame& f) const;
-
-  const std::vector<NodeId>& order() const { return order_; }
-
- private:
-  const Netlist* net_;
-  std::vector<NodeId> order_;
-  std::vector<NodeId> dff_list_;
-};
 
 /// Statistics accumulated over a (possibly multi-frame) simulation run.
 struct ActivityStats {

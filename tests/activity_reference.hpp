@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "logicsim_reference.hpp"
 #include "core/parallel.hpp"
 #include "sim/logicsim.hpp"
 
@@ -43,7 +44,7 @@ struct Counters {
   std::size_t frames = 0, seams = 0;
 };
 
-inline void simulate_shard(const Netlist& net, const sim::LogicSim& sim,
+inline void simulate_shard(const Netlist& net, const reference::LogicSim& sim,
                            std::span<const NodeId> dffs, std::size_t n_frames,
                            std::uint64_t seed,
                            std::span<const double> pi_one_prob,
@@ -98,7 +99,7 @@ inline sim::ActivityStats measure_activity(
     }
   }
 
-  const sim::LogicSim sim(net);
+  const reference::LogicSim sim(net);
   detail::Counters a;
   a.ones.assign(net.size(), 0);
   a.toggles.assign(net.size(), 0);

@@ -19,6 +19,7 @@
 #include <random>
 #include <vector>
 
+#include "logicsim_reference.hpp"
 #include "bdd/bdd_netlist.hpp"
 #include "logicopt/dontcare.hpp"
 #include "sim/logicsim.hpp"
@@ -102,7 +103,7 @@ inline std::vector<bdd::Ref> with_fresh_var(bdd::NetlistBdds& b,
 /// per node id; zero for sources, registers and dead nodes.
 inline std::vector<std::uint64_t> simulated_care_masks(const Netlist& net) {
   constexpr std::size_t kWords = 8;
-  sim::LogicSim sim(net);
+  reference::LogicSim sim(net);
   std::mt19937_64 rng(0xD0C0FFEEull);
   std::vector<sim::Frame> base(kWords);
   std::vector<std::uint64_t> pi(net.inputs().size());

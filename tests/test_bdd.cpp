@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <random>
 
+#include "logicsim_reference.hpp"
 #include "bdd/bdd.hpp"
 #include "bdd/bdd_netlist.hpp"
 #include "core/metrics.hpp"
@@ -137,7 +138,7 @@ TEST(Bdd, ComplementEdgeConstantTimeNegation) {
 // functions in both modes, and the complement-edge pool must never be
 // larger (node sharing across polarities only merges, never splits).
 TEST(Bdd, ComplementDifferentialAgainstPlainBuild) {
-  bdd::Config plain = bdd::default_config();
+  bdd::Config plain;
   plain.complement_edges = false;
   plain.auto_gc = false;
   bdd::Manager mc(8), mp(8, plain);
@@ -189,7 +190,7 @@ TEST(Bdd, ComplementDifferentialAgainstPlainBuild) {
 }
 
 TEST(Bdd, GcChurnReusesFreedNodes) {
-  bdd::Config cfg = bdd::default_config();
+  bdd::Config cfg;
   cfg.auto_gc = false;
   bdd::Manager m(16, cfg);
   bdd::Manager m_nogc(16, cfg);  // same build, never collected
@@ -226,7 +227,7 @@ TEST(Bdd, GcChurnReusesFreedNodes) {
 }
 
 TEST(Bdd, AutoGcCollectsDuringRootedBuild) {
-  bdd::Config cfg = bdd::default_config();
+  bdd::Config cfg;
   cfg.auto_gc = true;
   cfg.gc_trigger = 1u << 8;  // the configurable floor
   bdd::Manager m(12, cfg);
@@ -344,14 +345,14 @@ TEST(Bdd, HalvedNodeLimitSucceedsWithComplementAndGc) {
     }
     return f;
   };
-  bdd::Config plain = bdd::default_config();
+  bdd::Config plain;
   plain.complement_edges = false;
   plain.auto_gc = true;
   plain.node_limit = 96;
   bdd::Manager mp(40, plain);
   EXPECT_THROW(build_parity(mp), bdd::NodeLimitExceeded);
 
-  bdd::Config cfg = bdd::default_config();
+  bdd::Config cfg;
   cfg.auto_gc = true;
   cfg.node_limit = 96;
   bdd::Manager m(40, cfg);
@@ -369,7 +370,7 @@ TEST(BddNetlist, AgreesWithSimulation) {
   for (const auto& [name, net] : bench::default_suite()) {
     if (!net.dffs().empty() || net.inputs().size() > 24) continue;
     auto b = bdd::build_bdds(net);
-    sim::LogicSim s(net);
+    reference::LogicSim s(net);
     std::vector<std::uint64_t> pi(net.inputs().size());
     std::mt19937_64 rng(5);
     for (int round = 0; round < 4; ++round) {

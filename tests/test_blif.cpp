@@ -7,6 +7,7 @@
 #include "sim/logicsim.hpp"
 
 #include "blif_reference.hpp"
+#include "logicsim_reference.hpp"
 
 namespace lps {
 namespace {
@@ -152,7 +153,7 @@ TEST(Blif, OffsetTable) {
 .end
 )";
   Netlist n = blif::read_string(text);
-  sim::LogicSim s(n);
+  reference::LogicSim s(n);
   std::vector<std::uint64_t> pi{0b0011, 0b0101};  // a, b patterns
   auto f = s.eval(pi);
   EXPECT_EQ(f[n.outputs()[0]] & 0xF, 0b1110u);  // !(a&b)
@@ -169,7 +170,7 @@ TEST(Blif, ConstantTables) {
 .end
 )";
   Netlist n = blif::read_string(text);
-  sim::LogicSim s(n);
+  reference::LogicSim s(n);
   std::vector<std::uint64_t> pi{0};
   auto f = s.eval(pi);
   EXPECT_EQ(f[n.outputs()[0]], ~0ULL);

@@ -1,12 +1,13 @@
 // test_compiled.cpp — compiled-tape simulation differential suite.
 //
 // The contract under test (sim/compiled.hpp): CompiledSim is a pure
-// performance substitution for LogicSim — every frame it evaluates, every
-// activity counter derived from it, and every cone splice through it must
-// be bit-identical to the per-gate interpreter's, at any blocking factor
-// and any thread count.  The suite checks the tape against LogicSim frame
-// by frame and the Monte Carlo driver against the interpreter reference
-// driver (tests/activity_reference.hpp) over the benchmark circuits
+// performance substitution for the per-gate interpreter — every frame it
+// evaluates, every activity counter derived from it, every free-source
+// batch and every cone splice through it must be bit-identical to the
+// interpreter's, at any blocking factor and any thread count.  The suite
+// checks the tape against the interpreter (tests/logicsim_reference.hpp)
+// frame by frame and the Monte Carlo driver against the interpreter
+// reference driver (tests/activity_reference.hpp) over the benchmark circuits
 // (including the shapes the tape specializes: 2-input gates, constants,
 // MUXes, >64-fanin folds, load-enabled registers), patches the tape
 // through mutation undo epochs, and pins the SimOptions plumbing.
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "activity_reference.hpp"
+#include "logicsim_reference.hpp"
 #include "core/parallel.hpp"
 #include "netlist/benchmarks.hpp"
 #include "power/incremental.hpp"
@@ -51,11 +53,47 @@ void expect_stats_identical(const sim::ActivityStats& a,
   }
 }
 
+// Every n-ary GateType over 100 fanins (wider than any 64-word buffer),
+// both constants, MUXes and constant-fed gates.
+Netlist wide_net() {
+  Netlist net("wide");
+  std::vector<NodeId> pis;
+  for (int i = 0; i < 100; ++i)
+    pis.push_back(net.add_input("i" + std::to_string(i)));
+  NodeId c0 = net.add_const(false);
+  NodeId c1 = net.add_const(true);
+  for (GateType t : {GateType::And, GateType::Or, GateType::Nand,
+                     GateType::Nor, GateType::Xor, GateType::Xnor}) {
+    std::vector<NodeId> fi = pis;  // 100 fanins: exceeds the stack buffer
+    net.add_output(net.add_gate(t, std::move(fi)),
+                   std::string("w") + std::to_string(static_cast<int>(t)));
+  }
+  net.add_output(net.add_mux(pis[0], pis[1], c0), "m0");
+  net.add_output(net.add_mux(pis[2], c1, pis[3]), "m1");
+  net.add_output(net.add_buf(c0), "b0");
+  net.add_output(net.add_not(c1), "n1");
+  return net;
+}
+
+// A load-enabled register bank: one register loads on EN, one on !EN.
+Netlist load_enabled_net() {
+  Netlist net("le");
+  NodeId d0 = net.add_input("d0");
+  NodeId d1 = net.add_input("d1");
+  NodeId en = net.add_input("en");
+  NodeId q0 = net.add_dff(d0, /*init=*/true, "q0");
+  NodeId q1 = net.add_dff(net.add_xor(d1, q0), false, "q1");
+  net.set_dff_enable(q0, en);
+  net.set_dff_enable(q1, net.add_not(en));
+  net.add_output(net.add_and(q0, q1), "o");
+  return net;
+}
+
 // ---- frame-level equality -------------------------------------------------
 
 TEST(Compiled, EvalIntoMatchesLogicSimOnSuite) {
   for (auto& [name, net] : bench::default_suite()) {
-    sim::LogicSim ref(net);
+    reference::LogicSim ref(net);
     sim::CompiledSim cs(net);
     std::mt19937_64 rng(7);
     std::vector<std::uint64_t> pi(net.inputs().size());
@@ -73,7 +111,7 @@ TEST(Compiled, ExecAllBlockedMatchesPerFrameEval) {
   // One tape replay over B lanes must equal B independent eval_into calls,
   // for every supported blocking factor.
   auto net = bench::alu(4);
-  sim::LogicSim ref(net);
+  reference::LogicSim ref(net);
   sim::CompiledSim cs(net);
   for (std::size_t B : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                         std::size_t{8}, std::size_t{16}}) {
@@ -98,27 +136,10 @@ TEST(Compiled, ExecAllBlockedMatchesPerFrameEval) {
 }
 
 TEST(Compiled, WideGatesConstantsAndMux) {
-  // >64-fanin folds take the n-ary opcodes and, interpreted, the heap
-  // scratch path of eval_gate_word; constants and MUX have dedicated
-  // opcodes.  All must agree with eval_gate exactly.
-  Netlist net("wide");
-  std::vector<NodeId> pis;
-  for (int i = 0; i < 100; ++i)
-    pis.push_back(net.add_input("i" + std::to_string(i)));
-  NodeId c0 = net.add_const(false);
-  NodeId c1 = net.add_const(true);
-  for (GateType t : {GateType::And, GateType::Or, GateType::Nand,
-                     GateType::Nor, GateType::Xor, GateType::Xnor}) {
-    std::vector<NodeId> fi = pis;  // 100 fanins: exceeds the stack buffer
-    net.add_output(net.add_gate(t, std::move(fi)),
-                   std::string("w") + std::to_string(static_cast<int>(t)));
-  }
-  net.add_output(net.add_mux(pis[0], pis[1], c0), "m0");
-  net.add_output(net.add_mux(pis[2], c1, pis[3]), "m1");
-  net.add_output(net.add_buf(c0), "b0");
-  net.add_output(net.add_not(c1), "n1");
-
-  sim::LogicSim ref(net);
+  // >64-fanin folds take the n-ary opcodes; constants and MUX have
+  // dedicated opcodes.  All must agree with eval_gate exactly.
+  const Netlist net = wide_net();
+  reference::LogicSim ref(net);
   sim::CompiledSim cs(net);
   std::mt19937_64 rng(13);
   std::vector<std::uint64_t> pi(net.inputs().size());
@@ -133,6 +154,60 @@ TEST(Compiled, WideGatesConstantsAndMux) {
   auto a = measure_with(net, false, 64, 5);
   auto b = measure_with(net, true, 64, 5);
   expect_stats_identical(a, b);
+}
+
+
+TEST(Compiled, EvalIntoRejectsRegisterWordCountMismatch) {
+  // A non-empty register span must carry one word per register, as the PI
+  // span must per input; a short span used to be read past its end.
+  auto net = bench::counter(4);
+  const std::size_t nq = net.dffs().size();
+  ASSERT_GE(nq, 2u);
+  const std::vector<std::uint64_t> pi(net.inputs().size(), 0);
+  const std::vector<std::uint64_t> short_q(nq - 1, 0), long_q(nq + 1, 0),
+      exact_q(nq, 0);
+  sim::Frame f;
+  sim::CompiledSim cs(net);
+  EXPECT_THROW(cs.eval_into(f, pi, short_q), std::invalid_argument);
+  EXPECT_THROW(cs.eval_into(f, pi, long_q), std::invalid_argument);
+  EXPECT_NO_THROW(cs.eval_into(f, pi, exact_q));
+  EXPECT_NO_THROW(cs.eval_into(f, pi));
+}
+
+// ---- the shared free-source batch ------------------------------------------
+
+// sim::free_source_batch against the interpreter, word for word: per word,
+// every PI and then every register draws from one mt19937_64(seed), and
+// the word is one interpreted frame.
+void expect_batch_matches_interpreter(const std::string& name,
+                                      const Netlist& net, std::size_t words,
+                                      std::uint64_t seed) {
+  const sim::CompiledSim cs(net);
+  const core::AlignedWords val = sim::free_source_batch(cs, words, seed);
+  ASSERT_EQ(val.size(), net.size() * words) << name;
+  reference::LogicSim ref(net);
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint64_t> pi(net.inputs().size()), q(net.dffs().size());
+  sim::Frame f;
+  for (std::size_t w = 0; w < words; ++w) {
+    for (auto& x : pi) x = rng();
+    for (auto& x : q) x = rng();
+    ref.eval_into(f, pi, q);
+    for (NodeId id = 0; id < net.size(); ++id)
+      ASSERT_EQ(val[static_cast<std::size_t>(id) * words + w], f[id])
+          << name << " words=" << words << " word " << w << " node " << id;
+  }
+}
+
+TEST(Compiled, FreeSourceBatchMatchesInterpreter) {
+  auto nets = bench::default_suite();
+  nets.push_back({"counter8", bench::counter(8)});
+  nets.push_back({"le", load_enabled_net()});
+  nets.push_back({"wide", wide_net()});
+  for (const auto& [name, net] : nets)
+    for (std::size_t words : {std::size_t{1}, std::size_t{8},
+                              std::size_t{16}})
+      expect_batch_matches_interpreter(name, net, words, 0xD0C0FFEEull);
 }
 
 // ---- activity-driver equality --------------------------------------------
@@ -173,15 +248,7 @@ TEST(Compiled, SequentialAndLoadEnabledDffsIdentical) {
                            measure_with(net, true, 96, 3));
   }
   // Load-enabled register bank: EN recirculation must match exactly.
-  Netlist net("le");
-  NodeId d0 = net.add_input("d0");
-  NodeId d1 = net.add_input("d1");
-  NodeId en = net.add_input("en");
-  NodeId q0 = net.add_dff(d0, /*init=*/true, "q0");
-  NodeId q1 = net.add_dff(net.add_xor(d1, q0), false, "q1");
-  net.set_dff_enable(q0, en);
-  net.set_dff_enable(q1, net.add_not(en));
-  net.add_output(net.add_and(q0, q1), "o");
+  const Netlist net = load_enabled_net();
   expect_stats_identical(measure_with(net, false, 64, 17),
                          measure_with(net, true, 64, 17));
 }
@@ -287,7 +354,7 @@ TEST(Compiled, ConeSliceAfterMutationMatchesFullEval) {
   EXPECT_GT(sched.gates.size(), 0u);
   cs.exec_gates(f.data(), 1, sched.gates);
 
-  sim::LogicSim ref(net);
+  reference::LogicSim ref(net);
   sim::Frame full;
   ref.eval_into(full, pi);
   ASSERT_EQ(f, full);

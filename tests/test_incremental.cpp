@@ -21,6 +21,7 @@
 #include "core/metrics.hpp"
 #include "core/pass.hpp"
 #include "flow_reference.hpp"
+#include "logicsim_reference.hpp"
 #include "netlist/benchmarks.hpp"
 #include "power/incremental.hpp"
 #include "seq/encoding.hpp"
@@ -354,7 +355,7 @@ TEST(UndoFrame, AnalyzerFollowsRestoresExactly) {
 
 TEST(EvalCone, SpliceMatchesFullEval) {
   auto net = bench::random_dag(8, 120, 42);
-  sim::LogicSim sim(net);
+  reference::LogicSim sim(net);
   sim::CompiledSim tape(net);
   std::vector<std::uint64_t> pis(net.inputs().size());
   for (std::size_t i = 0; i < pis.size(); ++i)

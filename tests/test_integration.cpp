@@ -5,6 +5,7 @@
 
 #include <random>
 
+#include "logicsim_reference.hpp"
 #include "bdd/bdd_netlist.hpp"
 #include "coding/bus_invert.hpp"
 #include "core/flows.hpp"
@@ -66,7 +67,7 @@ TEST(Integration, Figure1EndToEnd) {
   auto base = seq::registered_baseline(comb);
 
   // Cycle-accurate equality on 2000 random cycles.
-  sim::LogicSim sa(base), sb(pre.circuit);
+  reference::LogicSim sa(base), sb(pre.circuit);
   auto da = base.dffs(), db = pre.circuit.dffs();
   std::vector<std::uint64_t> qa(da.size()), qb(db.size());
   for (std::size_t i = 0; i < da.size(); ++i)

@@ -5,6 +5,7 @@
 #include <random>
 #include <sstream>
 
+#include "logicsim_reference.hpp"
 #include "netlist/benchmarks.hpp"
 #include "netlist/blif.hpp"
 #include "netlist/netlist.hpp"
@@ -204,7 +205,7 @@ TEST(Benchmarks, SuiteIsWellFormed) {
 
 TEST(Benchmarks, AdderAddsCorrectly) {
   auto n = bench::ripple_carry_adder(8);
-  sim::LogicSim s(n);
+  reference::LogicSim s(n);
   // a=100, b=55, cin=1 -> 156.
   std::vector<std::uint64_t> pi(n.inputs().size(), 0);
   for (int i = 0; i < 8; ++i) {
@@ -222,7 +223,7 @@ TEST(Benchmarks, AdderAddsCorrectly) {
 
 TEST(Benchmarks, MultiplierMultipliesCorrectly) {
   auto n = bench::array_multiplier(4);
-  sim::LogicSim s(n);
+  reference::LogicSim s(n);
   for (int a = 0; a < 16; ++a) {
     for (int b = 0; b < 16; ++b) {
       std::vector<std::uint64_t> pi(8, 0);
@@ -241,7 +242,7 @@ TEST(Benchmarks, MultiplierMultipliesCorrectly) {
 
 TEST(Benchmarks, ComparatorComparesCorrectly) {
   auto n = bench::comparator_gt(6);
-  sim::LogicSim s(n);
+  reference::LogicSim s(n);
   for (int c = 0; c < 64; c += 3) {
     for (int d = 0; d < 64; d += 5) {
       std::vector<std::uint64_t> pi(12, 0);
@@ -257,7 +258,7 @@ TEST(Benchmarks, ComparatorComparesCorrectly) {
 
 TEST(Benchmarks, CounterCounts) {
   auto n = bench::counter(4);
-  sim::LogicSim s(n);
+  reference::LogicSim s(n);
   std::vector<std::uint64_t> en{~0ULL};
   std::vector<std::uint64_t> state(4, 0);
   for (int step = 1; step <= 20; ++step) {
@@ -278,7 +279,7 @@ TEST(Benchmarks, CarrySelectEqualsRipple) {
 
 TEST(Benchmarks, DecoderOneHot) {
   auto n = bench::decoder(3);
-  sim::LogicSim s(n);
+  reference::LogicSim s(n);
   for (int v = 0; v < 8; ++v) {
     std::vector<std::uint64_t> pi(3);
     for (int i = 0; i < 3; ++i) pi[i] = (v >> i & 1) ? ~0ULL : 0;

@@ -5,6 +5,7 @@
 
 #include <random>
 
+#include "logicsim_reference.hpp"
 #include "bdd/bdd_netlist.hpp"
 #include "coding/bus_invert.hpp"
 #include "logicopt/path_balance.hpp"
@@ -113,7 +114,7 @@ TEST_P(PrecomputeProperty, ComparatorAllWidths) {
   auto pre = seq::apply_precomputation(comb, sel.subset);
   auto base = seq::registered_baseline(comb);
   // Trace equivalence.
-  sim::LogicSim sa(base), sb(pre.circuit);
+  reference::LogicSim sa(base), sb(pre.circuit);
   std::vector<std::uint64_t> qa(base.dffs().size()),
       qb(pre.circuit.dffs().size());
   auto da = base.dffs();
@@ -166,7 +167,7 @@ TEST_P(AdderProperty, RippleEqualsCarrySelectEqualsArithmetic) {
   auto csa = bench::carry_select_adder(w, std::max(1, w / 3));
   EXPECT_TRUE(bdd::equivalent_bdd(rca, csa));
   // Arithmetic spot check on lane-parallel random patterns.
-  sim::LogicSim s(rca);
+  reference::LogicSim s(rca);
   std::mt19937_64 rng(w * 7u);
   std::vector<std::uint64_t> pi(rca.inputs().size());
   for (auto& x : pi) x = rng();

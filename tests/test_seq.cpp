@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <random>
+#include <set>
 #include <sstream>
 
+#include "logicsim_reference.hpp"
 #include "seq/clock_gating.hpp"
 #include "seq/encoding.hpp"
 #include "seq/guarded_eval.hpp"
@@ -25,7 +28,7 @@ bool same_traces(const Netlist& a, const Netlist& b, int cycles,
                  std::uint64_t seed) {
   if (a.inputs().size() != b.inputs().size()) return false;
   if (a.outputs().size() != b.outputs().size()) return false;
-  sim::LogicSim sa(a), sb(b);
+  reference::LogicSim sa(a), sb(b);
   auto da = a.dffs(), db = b.dffs();
   std::vector<std::uint64_t> qa(da.size()), qb(db.size());
   for (std::size_t i = 0; i < da.size(); ++i)
@@ -124,7 +127,7 @@ TEST(Encoding, SynthesizedFsmMatchesStgBehaviour) {
   Netlist net = synthesize_fsm(g, enc);
   EXPECT_EQ(net.check(), "");
   // Walk the STG and the netlist side by side on a random input stream.
-  sim::LogicSim sim_(net);
+  reference::LogicSim sim_(net);
   auto dffs = net.dffs();
   std::vector<std::uint64_t> state(dffs.size());
   for (std::size_t i = 0; i < dffs.size(); ++i)
@@ -243,6 +246,93 @@ TEST(ClockGating, ActivityReportScalesWithDuty) {
   EXPECT_LT(rep.clock_power_saving_fraction(), 1.0);
 }
 
+// clock_activity as it ran before it read measure_activity: its own
+// per-frame loop on the interpreter, PI words drawn per frame, registers
+// stepped from each frame.
+ClockActivityReport per_frame_clock_activity(
+    const Netlist& net, const std::vector<HoldPattern>& ps,
+    std::size_t n_vectors, std::uint64_t seed) {
+  ClockActivityReport r;
+  auto dffs = net.dffs();
+  r.ff_count = static_cast<double>(dffs.size());
+  std::size_t frames = std::max<std::size_t>(1, n_vectors / 64);
+  r.cycles = static_cast<double>(frames * 64);
+  reference::LogicSim lsim(net);
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint64_t> pi(net.inputs().size());
+  std::vector<std::uint64_t> state(dffs.size());
+  for (std::size_t i = 0; i < dffs.size(); ++i)
+    state[i] = net.node(dffs[i]).init_value ? ~0ULL : 0ULL;
+  std::vector<double> en_ones(ps.size(), 0.0);
+  for (std::size_t fr = 0; fr < frames; ++fr) {
+    for (auto& w : pi) w = rng();
+    auto f = lsim.eval(pi, state);
+    for (std::size_t k = 0; k < ps.size(); ++k)
+      en_ones[k] += std::popcount(f[ps[k].enable]);
+    state = lsim.next_state_of(f);
+  }
+  r.clock_toggles_ungated = 2.0 * r.ff_count * r.cycles;
+  std::set<NodeId> gated;
+  for (const auto& p : ps) gated.insert(p.dff);
+  r.clock_toggles_gated =
+      2.0 * (r.ff_count - static_cast<double>(gated.size())) * r.cycles;
+  double duty_sum = 0.0;
+  std::set<NodeId> distinct_enables;
+  for (std::size_t k = 0; k < ps.size(); ++k) {
+    double p1 = en_ones[k] / r.cycles;
+    duty_sum += p1;
+    r.clock_toggles_gated += 2.0 * p1 * r.cycles;
+    distinct_enables.insert(ps[k].enable);
+  }
+  r.clock_toggles_gated +=
+      2.0 * static_cast<double>(distinct_enables.size()) * r.cycles;
+  r.enable_one_prob_mean = ps.empty() ? 0.0 : duty_sum / ps.size();
+  return r;
+}
+
+TEST(ClockGating, ActivityMatchesPerFrameLoop) {
+  // Recirculating-mux register files, the same files once gated, an
+  // STG-derived machine with self-loop gating, and a register whose load
+  // enable is another register (a toggle flip-flop), so its duty is read
+  // off the stepped state.
+  std::vector<std::pair<std::string, Netlist>> nets;
+  Netlist tog("toggle_en");
+  NodeId d = tog.add_input("d");
+  NodeId t = tog.add_dff(tog.add_const(false), false, "t");
+  tog.replace_fanin(t, 0, tog.add_not(t));
+  NodeId q = tog.add_dff(d, false, "q");
+  tog.set_dff_enable(q, t);
+  tog.add_output(q, "o");
+  nets.emplace_back("toggle_en", std::move(tog));
+  for (auto [words, width] : {std::pair{4, 4}, std::pair{8, 8}}) {
+    auto rf = register_file(words, width);
+    nets.emplace_back("rf", rf);
+    apply_clock_gating(rf, detect_hold_patterns(rf));
+    nets.emplace_back("rf_gated", std::move(rf));
+  }
+  auto stg = polling_fsm(6);
+  auto enc = binary_encoding(stg);
+  auto fsm = synthesize_fsm(stg, enc, "poll6");
+  gate_self_loops_from_stg(fsm, stg, enc);
+  nets.emplace_back("poll6_gated", std::move(fsm));
+  for (const auto& [name, net] : nets) {
+    const auto ps = detect_hold_patterns(net);
+    ASSERT_FALSE(ps.empty()) << name;
+    for (std::size_t vectors : {std::size_t{64}, std::size_t{1000},
+                                std::size_t{4096}})
+      for (std::uint64_t seed : {std::uint64_t{7}, std::uint64_t{17}}) {
+        const auto a = clock_activity(net, ps, vectors, seed);
+        const auto b = per_frame_clock_activity(net, ps, vectors, seed);
+        SCOPED_TRACE(name + " vectors=" + std::to_string(vectors));
+        EXPECT_EQ(a.cycles, b.cycles);
+        EXPECT_EQ(a.ff_count, b.ff_count);
+        EXPECT_EQ(a.clock_toggles_ungated, b.clock_toggles_ungated);
+        EXPECT_EQ(a.clock_toggles_gated, b.clock_toggles_gated);
+        EXPECT_EQ(a.enable_one_prob_mean, b.enable_one_prob_mean);
+      }
+  }
+}
+
 TEST(ClockGating, ApplyRemovesMuxes) {
   auto rf = register_file(4, 4);
   auto ps = detect_hold_patterns(rf);
@@ -346,7 +436,7 @@ TEST(SeqCircuit, RegisteredWrapsWithLatencyOne) {
   EXPECT_EQ(net.dffs().size(), 5u);  // 4 input + 1 output registers
   // Latency: output at cycle t reflects inputs at t-2 (in+out ranks)... the
   // output register adds 1, input registers add 1.
-  sim::LogicSim s(net);
+  reference::LogicSim s(net);
   std::vector<std::uint64_t> pi(4, 0);
   std::vector<std::uint64_t> st(5, 0);
   pi[0] = ~0ULL;  // parity becomes 1

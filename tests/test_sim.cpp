@@ -7,6 +7,7 @@
 #include <string>
 
 #include "eventsim_reference.hpp"
+#include "logicsim_reference.hpp"
 #include "core/flows.hpp"
 #include "core/metrics.hpp"
 #include "netlist/benchmarks.hpp"
@@ -65,7 +66,7 @@ TEST(LogicSim, EquivalenceCatchesDifferences) {
 
 TEST(LogicSim, SequentialStateAdvances) {
   auto n = bench::shift_register(3);
-  sim::LogicSim s(n);
+  reference::LogicSim s(n);
   std::vector<std::uint64_t> state(3, 0);
   std::vector<std::uint64_t> one{~0ULL};
   // Push a 1 through the 3-deep shift register.
@@ -344,7 +345,7 @@ sim::SimTrace interpreter_trace(const Netlist& net, std::size_t n_frames,
   t.n_outputs = net.outputs().size();
   t.frames = n_frames;
   t.seed = seed;
-  sim::LogicSim sim(net);
+  reference::LogicSim sim(net);
   auto dffs = net.dffs();
   t.n_dffs = dffs.size();
   std::mt19937_64 rng(seed);

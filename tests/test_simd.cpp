@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "activity_reference.hpp"
+#include "logicsim_reference.hpp"
 #include "core/aligned.hpp"
 #include "core/env.hpp"
 #include "core/parallel.hpp"
@@ -257,7 +258,7 @@ TEST(Simd, PatchedTapeExecGatesIdenticalAcrossWidths) {
     auto touched = splice_po_driver(net);
     cs.update(touched);
     ASSERT_FALSE(cs.compact());
-    sim::LogicSim ref(net);
+    reference::LogicSim ref(net);
     std::mt19937_64 rng(3);
     std::vector<std::uint64_t> pi(net.inputs().size());
     sim::Frame fa, fb;

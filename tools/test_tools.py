@@ -337,10 +337,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 class KnobInventoryTest(unittest.TestCase):
     """A knob added to or deleted from src/ without the docs fails CI."""
 
-    def src_knobs(self):
+    def src_knobs(self, tree="src"):
         read = re.compile(r'env_(?:long|bool|choice)_or\(\s*"(LPS_[A-Z0-9_]+)"')
         knobs = set()
-        for dirpath, _, files in os.walk(os.path.join(ROOT, "src")):
+        for dirpath, _, files in os.walk(os.path.join(ROOT, tree)):
             for name in files:
                 if name.endswith((".cpp", ".hpp")):
                     with open(os.path.join(dirpath, name)) as f:
@@ -352,10 +352,22 @@ class KnobInventoryTest(unittest.TestCase):
         with open(os.path.join(ROOT, "README.md")) as f:
             return set(row.findall(f.read()))
 
+    def design_knobs(self):
+        with open(os.path.join(ROOT, "DESIGN.md")) as f:
+            para = re.search(r"^\*\*Env knobs\.\*\*.*?(?=\n\n)", f.read(),
+                             re.MULTILINE | re.DOTALL)
+        self.assertIsNotNone(para, "DESIGN.md lost its Env knobs paragraph")
+        return set(re.findall(r"LPS_[A-Z0-9_]+", para.group(0)))
+
     def test_src_knobs_match_readme_table(self):
         src = self.src_knobs()
         self.assertIn("LPS_THREADS", src)  # the scan itself still works
         self.assertEqual(sorted(src), sorted(self.readme_knobs()))
+
+    def test_design_paragraph_names_src_and_bench_knobs(self):
+        read = self.src_knobs() | self.src_knobs("bench")
+        self.assertIn("LPS_SOAK_MS", read)  # bench knobs are scanned too
+        self.assertEqual(sorted(read), sorted(self.design_knobs()))
 
 
 if __name__ == "__main__":
