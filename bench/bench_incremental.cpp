@@ -2,13 +2,16 @@
 // of §III re-estimate power after every local rewrite; re-running the full
 // Monte Carlo per candidate move makes activity-driven synthesis scale as
 // O(netlist x vectors) per stage.  IncrementalAnalyzer re-simulates only
-// the touched fanout cone over the cached frame stream and splices exact
+// the touched fanout cone over the cached value blocks and splices exact
 // integer counters, so the estimate is bit-identical to a fresh full
 // power::analyze while evaluating a fraction of the nodes.  This bench
 // pins the equality across the generated suite (the CI equality gate) and
 // reports the node-evaluation reduction and wall-clock speedup.
 
 #include <algorithm>
+#include <chrono>
+#include <random>
+#include <vector>
 
 #include "../tests/flow_reference.hpp"
 #include "bench_util.hpp"
@@ -141,6 +144,39 @@ void report() {
   benchx::claim("E21.eval_reduction_max", reduction_max);
   benchx::claim("E21.vectors_used", static_cast<double>(vectors_used));
 
+  // ---- per-update wall clock on the lpsd rand shape ---------------------
+  // Median reanalyze() of 400 seeded replace_fanin edits (each rolled back
+  // and reverted) on random_dag(64, 2000).  Reported without a band: a
+  // wall-clock reading on a shared runner is a trend, not a gate.
+  {
+    Netlist net = bench::random_dag(64, 2000, 11);
+    power::IncrementalAnalyzer inc(net, ao);
+    const Netlist& cn = net;
+    std::vector<NodeId> gates;
+    for (NodeId id = 0; id < cn.size(); ++id)
+      if (!cn.is_dead(id) && !cn.node(id).fanins.empty()) gates.push_back(id);
+    std::mt19937_64 rng(5);
+    std::vector<double> ms;
+    for (int e = 0; e < 400; ++e) {
+      const NodeId g = gates[rng() % gates.size()];
+      net.begin_undo();
+      net.replace_fanin(g, rng() % cn.node(g).fanins.size(),
+                        cn.inputs()[rng() % cn.inputs().size()]);
+      const auto touched = net.touched_nodes();
+      const auto t0 = std::chrono::steady_clock::now();
+      inc.reanalyze(touched);
+      const auto t1 = std::chrono::steady_clock::now();
+      ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
+      net.rollback_undo();
+      inc.revert_last();
+    }
+    std::nth_element(ms.begin(), ms.begin() + ms.size() / 2, ms.end());
+    std::cout << "reanalyze per replace_fanin edit, random_dag(64,2000): "
+              << core::Table::num(ms[ms.size() / 2], 4) << " ms (median of "
+              << ms.size() << ")\n";
+    benchx::claim("reanalyze_ms_rand4k", ms[ms.size() / 2]);
+  }
+
   std::cout << '\n';
 }
 
@@ -198,10 +234,9 @@ BENCHMARK(bm_reestimate_counter_full);
 BENCHMARK(bm_reestimate_counter_inc);
 
 // Width-paired incremental updates: <base>_wide_scalar / <base>_wide_<isa>
-// feed the SIMD speedup column in aggregate_bench.py.  The blocked cone
-// driver gathers boundary words, replays the cone under the selected
-// kernels and scatters the gate columns back; the lane width must change
-// only the wall clock.  Unsupported widths are skipped with an error so
+// feed the SIMD speedup column in aggregate_bench.py.  The cone driver
+// replays the cone in place over the cached value blocks under the
+// selected kernels; the lane width must change only the wall clock.  Unsupported widths are skipped with an error so
 // the JSON omits them.
 template <typename Make>
 void bm_inc_width(benchmark::State& state, Make make, sim::SimdWidth w) {

@@ -25,6 +25,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <iostream>
@@ -58,11 +59,22 @@ void hard_assert(bool cond, const std::string& what) {
   }
 }
 
-std::string make_temp_dir() {
-  char tmpl[] = "/tmp/lps_bench_service_XXXXXX";
-  hard_assert(::mkdtemp(tmpl) != nullptr, "mkdtemp failed");
-  return tmpl;
-}
+// A fresh journal directory, removed with everything in it when the guard
+// goes out of scope.
+struct TempDir {
+  std::string path;
+  TempDir() {
+    char tmpl[] = "/tmp/lps_bench_service_XXXXXX";
+    hard_assert(::mkdtemp(tmpl) != nullptr, "mkdtemp failed");
+    path = tmpl;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+};
 
 std::string bench_blif() {
   return blif::write_string(bench::ripple_carry_adder(8));
@@ -474,7 +486,8 @@ void report() {
 
   long soak_ms = core::env_long_or("LPS_SOAK_MS", 100, 3600000, 2000);
   int threads = 4;
-  std::string dir = make_temp_dir();
+  const TempDir tmp;
+  const std::string& dir = tmp.path;
   std::cout << "soak " << soak_ms << " ms, " << threads
             << " storm threads, journals in " << dir << "\n\n";
 

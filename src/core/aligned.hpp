@@ -27,10 +27,9 @@
 namespace lps::core {
 
 /// std::vector<std::uint64_t> replacement whose data() is 64-byte aligned.
-/// Deliberately minimal: the simulation scratch only needs assign / resize
-/// / indexing.  Grows like a vector (capacity doubling) so repeated
-/// assign() calls of the same size — the per-chunk reuse pattern in the
-/// Monte Carlo drivers — allocate exactly once.
+/// Deliberately minimal: the simulation scratch and cached traces need only
+/// assign / resize / indexing / copies.  Grows like a vector (capacity
+/// doubling) so repeated same-size assign() calls allocate exactly once.
 class AlignedWords {
  public:
   static constexpr std::size_t kAlign = 64;  // cache line / AVX-512 vector
@@ -52,8 +51,15 @@ class AlignedWords {
     }
     return *this;
   }
-  AlignedWords(const AlignedWords&) = delete;
-  AlignedWords& operator=(const AlignedWords&) = delete;
+  AlignedWords(const AlignedWords& o) { *this = o; }
+  AlignedWords& operator=(const AlignedWords& o) {
+    if (this != &o) {
+      reserve(o.size_);
+      size_ = o.size_;
+      std::copy(o.begin(), o.end(), data_);
+    }
+    return *this;
+  }
 
   std::uint64_t* data() { return data_; }
   const std::uint64_t* data() const { return data_; }

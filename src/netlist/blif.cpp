@@ -2,8 +2,6 @@
 
 #include <bit>
 #include <fstream>
-#include <map>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -16,6 +14,14 @@
 namespace lps::blif {
 
 namespace {
+
+// One symbol-table entry: where the signal is defined (0: nowhere) and,
+// once built, its node.
+struct Signal {
+  int def_line = 0;
+  NodeId node = kNoNode;
+  bool output = false;  // listed in .outputs
+};
 
 struct NamesTable {
   std::vector<std::string> signals;  // inputs..., output last
@@ -30,16 +36,19 @@ struct LatchDecl {
   int line = 0;
 };
 
-// Tokenize one logical line (with '\' continuations already folded).
-std::vector<std::string> split(const std::string& line) {
-  std::vector<std::string> toks;
-  std::istringstream is(line);
-  std::string t;
-  while (is >> t) toks.push_back(t);
-  return toks;
+// Tokenize one logical line (with '\' continuations already folded) at
+// the whitespace `std::istream >> std::string` splits on: ' ', \t..\r.
+void split(std::string_view line, std::vector<std::string_view>& toks) {
+  auto space = [](char c) { return c == ' ' || (c >= '\t' && c <= '\r'); };
+  toks.clear();
+  for (std::size_t i = 0, j; i < line.size(); i = j) {
+    while (i < line.size() && space(line[i])) ++i;
+    for (j = i; j < line.size() && !space(line[j]);) ++j;
+    if (j > i) toks.push_back(line.substr(i, j - i));
+  }
 }
 
-bool valid_mask(const std::string& m, std::size_t* bad_pos) {
+bool valid_mask(std::string_view m, std::size_t* bad_pos) {
   for (std::size_t i = 0; i < m.size(); ++i)
     if (m[i] != '0' && m[i] != '1' && m[i] != '-') {
       *bad_pos = i;
@@ -57,7 +66,8 @@ std::optional<Netlist> parse(std::istream& is, diag::DiagEngine& eng,
   std::vector<NamesTable> tables;
   std::vector<LatchDecl> latches;
 
-  std::string raw, line;
+  std::string raw, line, cur;  // `toks` view `cur`
+  std::vector<std::string_view> toks;
   int lineno = 0, first_lineno = 0;
   bool saw_anything = false, saw_end = false;
   NamesTable* open_table = nullptr;
@@ -82,12 +92,13 @@ std::optional<Netlist> parse(std::istream& is, diag::DiagEngine& eng,
     } else if (line.empty()) {
       break;  // EOF with nothing pending
     }
-    auto toks = split(line);
+    std::swap(cur, line);
     line.clear();
+    split(cur, toks);
     if (toks.empty()) continue;
     saw_anything = true;
 
-    const std::string& kw = toks[0];
+    const std::string_view kw = toks[0];
     if (kw == ".model") {
       if (toks.size() >= 2) model = toks[1];
       open_table = nullptr;
@@ -121,12 +132,12 @@ std::optional<Netlist> parse(std::istream& is, diag::DiagEngine& eng,
       l.line = first_lineno;
       // Optional: [type] [control] [init]; init is the last numeric token.
       if (toks.size() > 3) {
-        const std::string& last = toks.back();
+        const std::string_view last = toks.back();
         if (last == "1")
           l.init = true;
         else if (last != "0" && last != "2" && last != "3" &&
                  toks.size() == 4)
-          eng.warning(".latch init value \"" + last +
+          eng.warning(".latch init value \"" + std::string(last) +
                           "\" is not 0/1/2/3; treating as 0",
                       loc());
       }
@@ -139,7 +150,8 @@ std::optional<Netlist> parse(std::istream& is, diag::DiagEngine& eng,
     } else {
       // Cube row inside an open .names.
       if (!open_table) {
-        eng.error("table row \"" + kw + "\" outside any .names", loc());
+        eng.error("table row \"" + std::string(kw) + "\" outside any .names",
+                  loc());
         continue;
       }
       std::size_t nin = open_table->signals.size() - 1;
@@ -159,10 +171,10 @@ std::optional<Netlist> parse(std::istream& is, diag::DiagEngine& eng,
           continue;
         }
         if (toks[0].size() != nin) {
-          eng.error("cube width mismatch: mask \"" + toks[0] + "\" has " +
-                        std::to_string(toks[0].size()) + " columns, .names \"" +
-                        open_table->signals.back() + "\" has " +
-                        std::to_string(nin) + " inputs",
+          eng.error("cube width mismatch: mask \"" + std::string(toks[0]) +
+                        "\" has " + std::to_string(toks[0].size()) +
+                        " columns, .names \"" + open_table->signals.back() +
+                        "\" has " + std::to_string(nin) + " inputs",
                     loc());
           continue;
         }
@@ -174,12 +186,12 @@ std::optional<Netlist> parse(std::istream& is, diag::DiagEngine& eng,
           continue;
         }
         if (toks[1] != "0" && toks[1] != "1") {
-          eng.error("cube output value must be 0 or 1, got \"" + toks[1] +
-                        "\"",
+          eng.error("cube output value must be 0 or 1, got \"" +
+                        std::string(toks[1]) + "\"",
                     loc(static_cast<int>(toks[0].size() + 2)));
           continue;
         }
-        open_table->cubes.push_back(toks[0]);
+        open_table->cubes.emplace_back(toks[0]);
         open_table->out_values.push_back(toks[1][0]);
       }
     }
@@ -198,13 +210,16 @@ std::optional<Netlist> parse(std::istream& is, diag::DiagEngine& eng,
   // Each signal may be defined exactly once: as a PI, a latch output, or a
   // .names output.  Duplicate drivers are the classic silent-corruption bug
   // this parser used to have (last definition quietly won).
-  std::map<std::string, int> def_line;  // signal -> first definition line
+  // One table for definitions and, in the build phase, nodes: keyed by
+  // views of the declarations' names, which stay put from here on.
+  std::unordered_map<std::string_view, Signal> sig;
+  sig.reserve(inputs.size() + latches.size() + tables.size() + 1);
   auto define = [&](const std::string& name, int at, const char* what) {
-    auto [it, fresh] = def_line.emplace(name, at);
+    auto [it, fresh] = sig.try_emplace(name, Signal{at});
     if (!fresh)
       eng.error(std::string("signal \"") + name + "\" redefined as " + what +
-                    " (first defined at line " + std::to_string(it->second) +
-                    ")",
+                    " (first defined at line " +
+                    std::to_string(it->second.def_line) + ")",
                 diag::SourceLoc{filename, at, 0});
   };
   for (const auto& [name, at] : inputs) define(name, at, "a primary input");
@@ -223,33 +238,31 @@ std::optional<Netlist> parse(std::istream& is, diag::DiagEngine& eng,
       }
     // Undefined table inputs.
     for (std::size_t i = 0; i + 1 < t.signals.size(); ++i)
-      if (!def_line.count(t.signals[i]))
+      if (!sig.count(t.signals[i]))
         eng.error("table for \"" + t.signals.back() +
                       "\" reads undefined signal \"" + t.signals[i] + "\"",
                   diag::SourceLoc{filename, t.line, 0});
   }
   for (const auto& l : latches)
-    if (!def_line.count(l.input))
+    if (!sig.count(l.input))
       eng.error("latch \"" + l.output + "\" reads undefined signal \"" +
                     l.input + "\"",
                 diag::SourceLoc{filename, l.line, 0});
-  {
-    std::set<std::string> seen_outputs;
-    for (const auto& [name, at] : outputs) {
-      if (!def_line.count(name))
-        eng.error("primary output \"" + name + "\" is never defined",
-                  diag::SourceLoc{filename, at, 0});
-      if (!seen_outputs.insert(name).second)
-        eng.error("primary output \"" + name + "\" listed twice",
-                  diag::SourceLoc{filename, at, 0});
-    }
+  for (const auto& [name, at] : outputs) {
+    Signal& s = sig[name];  // an undefined name gets def_line 0
+    if (s.def_line == 0)
+      eng.error("primary output \"" + name + "\" is never defined",
+                diag::SourceLoc{filename, at, 0});
+    if (s.output)
+      eng.error("primary output \"" + name + "\" listed twice",
+                diag::SourceLoc{filename, at, 0});
+    s.output = true;
   }
   if (!eng.ok()) return std::nullopt;
 
   // ---- build phase --------------------------------------------------------
   Netlist n(model);
-  std::map<std::string, NodeId> sig;
-  for (const auto& [name, at] : inputs) sig[name] = n.add_input(name);
+  for (const auto& [name, at] : inputs) sig[name].node = n.add_input(name);
 
   // Pre-create latch outputs so logic can reference them; D patched later.
   NodeId scratch = kNoNode;
@@ -258,7 +271,7 @@ std::optional<Netlist> parse(std::istream& is, diag::DiagEngine& eng,
     return scratch;
   };
   for (const auto& l : latches)
-    sig[l.output] = n.add_dff(get_scratch(), l.init, l.output);
+    sig[l.output].node = n.add_dff(get_scratch(), l.init, l.output);
 
   // Build tables in dependency order (iterate until all resolved).  Each
   // sweep resolves at least one table or stops, so this terminates in at
@@ -273,7 +286,7 @@ std::optional<Netlist> parse(std::istream& is, diag::DiagEngine& eng,
       std::size_t nin = tab.signals.size() - 1;
       bool ready = true;
       for (std::size_t i = 0; i < nin; ++i)
-        if (!sig.count(tab.signals[i])) {
+        if (sig[tab.signals[i]].node == kNoNode) {
           ready = false;
           break;
         }
@@ -285,7 +298,7 @@ std::optional<Netlist> parse(std::istream& is, diag::DiagEngine& eng,
         std::vector<NodeId> and_terms;
         for (std::size_t i = 0; i < cube.size(); ++i) {
           if (cube[i] == '-') continue;
-          NodeId s = sig.at(tab.signals[i]);
+          NodeId s = sig[tab.signals[i]].node;
           and_terms.push_back(cube[i] == '1' ? s : n.add_not(s));
         }
         if (and_terms.empty())
@@ -306,7 +319,7 @@ std::optional<Netlist> parse(std::istream& is, diag::DiagEngine& eng,
       const std::string& oname = tab.signals.back();
       if (n.node(out).name.empty() && n.node(out).type != GateType::Input)
         n.node(out).name = oname;
-      sig[oname] = out;
+      sig[oname].node = out;
       done[t] = true;
       --remaining;
       progress = true;
@@ -332,8 +345,8 @@ std::optional<Netlist> parse(std::istream& is, diag::DiagEngine& eng,
 
   // Patch latch D inputs (input signals validated above).
   for (const auto& l : latches)
-    n.replace_fanin(sig.at(l.output), 0, sig.at(l.input));
-  for (const auto& [name, at] : outputs) n.add_output(sig.at(name), name);
+    n.replace_fanin(sig[l.output].node, 0, sig[l.input].node);
+  for (const auto& [name, at] : outputs) n.add_output(sig[name].node, name);
   n.sweep();
 
   // Defensive: anything the checks above missed must not escape as a

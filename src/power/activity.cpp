@@ -1,7 +1,7 @@
 #include "power/activity.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <span>
 
 #include "sim/simd.hpp"
 
@@ -12,12 +12,11 @@ namespace {
 // Gating-aware clock-pin power over the live registers `dffs`:
 // free-running registers see two clock-pin transitions per cycle; a
 // register with a load-enable pin is clock-gated by it, so its pin toggles
-// 2*P(EN=1) (from `signal_prob`, which may be null only when no register
+// 2*P(EN=1) (from `signal_prob`, which may be empty only when no register
 // has an enable), plus one gating cell per distinct enable signal sees the
 // raw clock.
-double clock_power(const Netlist& net, const std::vector<NodeId>& dffs,
-                   const std::vector<double>* signal_prob,
-                   const PowerParams& p) {
+double clock_power(const Netlist& net, std::span<const NodeId> dffs,
+                   std::span<const double> signal_prob, const PowerParams& p) {
   double cap_toggles_ff = 0.0;  // fF-toggles per cycle
   // Distinct enable signals, deduplicated by sort+unique (a per-call
   // std::set costs one allocation per register).
@@ -25,7 +24,7 @@ double clock_power(const Netlist& net, const std::vector<NodeId>& dffs,
   for (NodeId d : dffs) {
     const Node& nd = net.node(d);
     if (nd.fanins.size() == 2) {
-      cap_toggles_ff += p.clock_pin_ff * 2.0 * (*signal_prob)[nd.fanins[1]];
+      cap_toggles_ff += p.clock_pin_ff * 2.0 * signal_prob[nd.fanins[1]];
       enables.push_back(nd.fanins[1]);
     } else {
       cap_toggles_ff += p.clock_pin_ff * 2.0;
@@ -41,13 +40,20 @@ double clock_power(const Netlist& net, const std::vector<NodeId>& dffs,
 
 namespace detail {
 
+void price_zero_delay(const Netlist& net, std::span<const double> signal_prob,
+                      std::span<const double> cap, std::span<const NodeId> dffs,
+                      const PowerParams& p, Analysis& a) {
+  compute_power(net, a.toggles_per_cycle, cap, p, a.report);
+  a.clock_power_w = clock_power(net, dffs, signal_prob, p);
+  a.report.breakdown.switching_w += a.clock_power_w;
+}
+
 Analysis assemble_zero_delay(const Netlist& net, const sim::ActivityStats& st,
                              const AnalysisOptions& opt) {
   Analysis a;
   a.toggles_per_cycle = st.transition_prob;
-  a.report = compute_power(net, a.toggles_per_cycle, opt.params);
-  a.clock_power_w = clock_power(net, net.dffs(), &st.signal_prob, opt.params);
-  a.report.breakdown.switching_w += a.clock_power_w;
+  price_zero_delay(net, st.signal_prob, node_capacitances(net, opt.params),
+                   net.dffs(), opt.params, a);
   a.vectors_used = st.patterns;
   // Stamped here — the one assembly point both analyze() and the
   // incremental analyzer share — so full and incremental results report
@@ -74,8 +80,10 @@ Analysis assemble_timed(const Netlist& net, const sim::TimedStats& ts,
     a.toggles_per_cycle[id] = ts.total_toggles[id] / nv;
     functional[id] = ts.functional_toggles[id] / nv;
   }
-  a.report = compute_power(net, a.toggles_per_cycle, params);
-  auto func_report = compute_power(net, functional, params);
+  const std::vector<double> cap = node_capacitances(net, params);
+  compute_power(net, a.toggles_per_cycle, cap, params, a.report);
+  PowerReport func_report;
+  compute_power(net, functional, cap, params, func_report);
   a.glitch_power_w =
       a.report.breakdown.switching_w - func_report.breakdown.switching_w;
   a.glitch_fraction = a.report.breakdown.switching_w > 0
@@ -102,14 +110,13 @@ Analysis analyze(const Netlist& net, const AnalysisOptions& opt) {
   // skipped entirely when no register has a load-enable pin, since no duty
   // is read then.
   const std::vector<NodeId> dffs = net.dffs();
-  std::optional<sim::ActivityStats> zd;
+  sim::ActivityStats zd;
   if (std::any_of(dffs.begin(), dffs.end(), [&](NodeId d) {
         return net.node(d).fanins.size() == 2;
       }))
     zd = sim::measure_activity(net, zero_delay_frames(opt.n_vectors), opt.seed,
                                opt.pi_one_prob, nullptr, opt.cancel);
-  a.clock_power_w =
-      clock_power(net, dffs, zd ? &zd->signal_prob : nullptr, opt.params);
+  a.clock_power_w = clock_power(net, dffs, zd.signal_prob, opt.params);
   a.report.breakdown.switching_w += a.clock_power_w;
   return a;
 }

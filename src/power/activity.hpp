@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,10 +69,13 @@ inline std::size_t zero_delay_frames(std::size_t n_vectors) {
 }
 
 namespace detail {
+/// Price `a.toggles_per_cycle` in place (capacitances `cap`, live registers
+/// `dffs` ascending): analyze() and the incremental re-estimator
+/// (power/incremental.hpp) both do, and bit-equality depends on it.
+void price_zero_delay(const Netlist& net, std::span<const double> signal_prob,
+                      std::span<const double> cap, std::span<const NodeId> dffs,
+                      const PowerParams& p, Analysis& a);
 /// Assemble the ZeroDelay Analysis from measured activity statistics.
-/// Shared between analyze() and the incremental re-estimator
-/// (power/incremental.hpp) so both derive the final report through
-/// identical arithmetic — the bit-equality contract depends on it.
 Analysis assemble_zero_delay(const Netlist& net, const sim::ActivityStats& st,
                              const AnalysisOptions& opt);
 }  // namespace detail

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -45,10 +44,7 @@ IncrementalAnalyzer::IncrementalAnalyzer(const Netlist& net,
 
 IncrementalAnalyzer::IncrementalAnalyzer(CloneTag, const Netlist& net,
                                          const IncrementalAnalyzer& src)
-    : net_(&net),
-      opt_(src.opt_),
-      analysis_(src.analysis_),
-      trace_(src.trace_) {
+    : net_(&net), opt_(src.opt_), analysis_(src.analysis_), cache_(src.cache_) {
   // No compiled tape: it binds to the source netlist.  The first
   // reanalyze() on the clone compiles one lazily against `net`.
 }
@@ -59,35 +55,45 @@ IncrementalAnalyzer IncrementalAnalyzer::clone_for(const Netlist& net) const {
 }
 
 const Analysis& IncrementalAnalyzer::previous_analysis() const {
-  if (!snap_)
+  if (!pending_)
     throw std::logic_error(
         "IncrementalAnalyzer::previous_analysis: no update pending");
-  return snap_->analysis;
+  return snap_.analysis;
 }
 
 std::uint64_t IncrementalAnalyzer::outputs_digest() const {
+  const sim::ActivityTrace& t = cache_.trace;
   std::uint64_t d = 0x9E3779B97F4A7C15ull;
   const auto& outs = net_->outputs();
-  for (const sim::Frame& f : trace_.frames)
-    for (std::size_t j = 0; j < outs.size(); ++j)
-      d = core::mix64(d ^ (f[outs[j]] + 0x9E3779B97F4A7C15ull * (j + 1)));
+  for (std::size_t k = 0; k < t.blocks(); ++k)
+    for (std::size_t lane = 0; lane < t.lanes[k]; ++lane)
+      for (std::size_t j = 0; j < outs.size(); ++j)
+        d = core::mix64(d ^ (t.block_words(k)[outs[j] * t.block + lane] +
+                             0x9E3779B97F4A7C15ull * (j + 1)));
   return d;
 }
 
 void IncrementalAnalyzer::run_full() {
+  const Netlist& net = *net_;
   try {
     // Same frames/seed/arithmetic as analyze()'s ZeroDelay branch, plus the
     // raw trace capture the cone updates replay against.
-    auto st = sim::measure_activity(*net_, zero_delay_frames(opt_.n_vectors),
-                                    opt_.seed, opt_.pi_one_prob, &trace_,
-                                    opt_.cancel);
-    analysis_ = detail::assemble_zero_delay(*net_, st, opt_);
+    auto st = sim::measure_activity(net, zero_delay_frames(opt_.n_vectors),
+                                    opt_.seed, opt_.pi_one_prob,
+                                    &cache_.trace, opt_.cancel);
+    analysis_ = detail::assemble_zero_delay(net, st, opt_);
+    cache_.signal_prob = std::move(st.signal_prob);
+    cache_.cap = node_capacitances(net, opt_.params);
+    cache_.dffs = net.dffs();
+    cache_.outputs = net.outputs();
+    cache_.po_count.assign(net.size(), 0);
+    for (NodeId o : cache_.outputs) ++cache_.po_count[o];
   } catch (...) {
     // A cancelled or failed baseline leaves no usable cache: the capture
     // buffer was partially overwritten, so forget it wholesale rather than
     // risk splicing against garbage.  reanalyze() restores its own snapshot
     // on top of this.
-    trace_ = {};
+    cache_ = {};
     csim_.reset();
     throw;
   }
@@ -96,34 +102,42 @@ void IncrementalAnalyzer::run_full() {
   if (csim_)
     csim_->rebuild();
   else
-    csim_.emplace(*net_);
+    csim_.emplace(net);
 }
 
 const Analysis& IncrementalAnalyzer::reanalyze(
     const Netlist::TouchedNodes& touched) {
   const Netlist& net = *net_;
+  sim::ActivityTrace& trace = cache_.trace;
   last_ = {};
   last_.live_nodes = net.num_live();
   core::metrics::count("power.inc.updates");
 
-  std::size_t n_frames = trace_.frames.size();
-  bool cone_ok = !touched.all && net.size() >= trace_.ones.size();
+  bool cone_ok = !touched.all && net.size() >= trace.ones.size();
+
+  // An edit that adds or removes a register re-baselines: the register
+  // list is cached, and a first register or a last one changes the shard
+  // plan and block layout analyze() runs.  Only a value root can do it.
+  for (NodeId id : touched.value_roots)
+    if ((!net.is_dead(id) && net.node(id).type == GateType::Dff) !=
+        std::binary_search(cache_.dffs.begin(), cache_.dffs.end(), id))
+      cone_ok = false;
 
   // Dirty set: transitive fanout of the *value-relevant* touched nodes,
   // crossing registers (a changed D/EN driver changes the register's value
   // stream from the next frame on).  Touched nodes whose pre-image differs
   // only in fanouts/size/delay/name seed nothing — their value streams are
-  // unchanged, and capacitance is recomputed from the live netlist below.
+  // unchanged; only capacitances are re-priced below.
   //
   // The compiled tape persists across updates and is patched from the
   // same touched-node report (O(edit)).  A patch failure degrades the
   // update to the full re-baseline below: the tape may be partially
   // patched and can no longer be trusted to mirror the netlist, so it is
   // dropped (run_full compiles a fresh one) and the failure is counted.
-  std::vector<bool> mask;
   sim::ConeSchedule sched;
   if (cone_ok) {
-    mask = net.fanout_cone_of(touched.value_roots, /*through_dffs=*/true);
+    std::vector<bool> mask =
+        net.fanout_cone_of(touched.value_roots, /*through_dffs=*/true);
     try {
       if (detail::consume_forced_tape_failure())
         throw std::runtime_error("injected compiled-tape failure (chaos)");
@@ -139,12 +153,15 @@ const Analysis& IncrementalAnalyzer::reanalyze(
       core::metrics::count("power.inc.tape_fallback");
     }
   }
+  // The in-flight snapshot: fresh, but keeping its big buffers' capacity.
+  Snapshot& s = work_;
+  s = {.analysis = std::move(s.analysis), .columns = std::move(s.columns)};
+  s.columns.clear();
   if (!cone_ok) {
     // Full fallback: the old cache moves wholesale into the snapshot (no
     // copies), then the baseline is rebuilt for the mutated netlist.
-    Snapshot s;
     s.full = true;
-    s.trace = std::move(trace_);
+    s.cache = std::move(cache_);
     s.analysis = std::move(analysis_);
     try {
       run_full();
@@ -153,226 +170,198 @@ const Analysis& IncrementalAnalyzer::reanalyze(
       // state): once the caller rolls back its netlist mutation the
       // analyzer is bit-for-bit consistent again.  The compiled tape was
       // dropped; it is recompiled lazily.
-      trace_ = std::move(s.trace);
+      cache_ = std::move(s.cache);
       analysis_ = std::move(s.analysis);
       throw;
     }
-    if (snap_) recycle(*snap_);  // retire the superseded snapshot's buffers
-    snap_ = std::move(s);
+    std::swap(snap_, work_);
+    pending_ = true;
     last_.full_rebaseline = true;
     last_.resim_nodes = last_.live_nodes;
     core::metrics::count("power.inc.fallback_full");
     double evals = static_cast<double>(last_.live_nodes) *
-                   static_cast<double>(trace_.frames.size());
+                   static_cast<double>(cache_.trace.patterns / 64);
     core::metrics::count("power.inc.node_evals", evals);
     core::metrics::count("power.inc.node_evals_full", evals);
     return analysis_;
   }
 
   // ---- Cone-scoped update -------------------------------------------------
-  Snapshot s;
-  s.full = false;
-  s.old_size = trace_.ones.size();
+  s.old_size = trace.ones.size();
   s.patched.assign(touched.value_roots.begin(), touched.value_roots.end());
-  s.analysis = analysis_;
-
-  // Grow the cache for appended nodes (cone path never shrinks: compact()
-  // and wholesale restores report `all` and take the fallback above).
-  if (net.size() > s.old_size) {
-    trace_.ones.resize(net.size(), 0);
-    trace_.toggles.resize(net.size(), 0);
-    for (auto& f : trace_.frames) f.resize(net.size(), 0);
-  }
-
-  // Count-update set: every non-input cone node.  Gates and registers get
-  // re-simulated; cone nodes that are now dead just have their counters
-  // zeroed (full analysis skips dead nodes).  Inputs never change value.
-  for (NodeId id = 0; id < net.size(); ++id) {
-    if (!mask[id] || net.node(id).type == GateType::Input) continue;
-    if (id < s.old_size) {
-      s.count_ids.push_back(id);
-      s.counts.emplace_back(trace_.ones[id], trace_.toggles[id]);
-    }
-    trace_.ones[id] = 0;
-    trace_.toggles[id] = 0;
-  }
-
-  // Snapshot the frame columns the sweep will overwrite.  Buffers come from
-  // the scratch pool when a prior probe retired some, so a candidate loop
-  // stops paying one allocation per cone node per candidate.
-  auto snapshot_column = [&](NodeId id) {
-    if (id >= s.old_size) return;  // truncated away on revert
-    s.resim_ids.push_back(id);
-    std::vector<std::uint64_t> col;
-    if (!col_pool_.empty()) {
-      col = std::move(col_pool_.back());
-      col_pool_.pop_back();
-      col.clear();
-    }
-    col.reserve(n_frames);
-    for (std::size_t fr = 0; fr < n_frames; ++fr)
-      col.push_back(trace_.frames[fr][id]);
-    s.columns.push_back(std::move(col));
+  s.analysis = analysis_;  // copy-assign: reuses the snapshot's buffers
+  const std::size_t K = trace.blocks(), B = trace.block;
+  // Keep a node's counters, P(1) and C from before their first change.
+  auto save = [&](NodeId id) {
+    if (id < s.old_size)
+      s.nodes.push_back({id, trace.ones[id], trace.toggles[id],
+                         cache_.signal_prob[id], cache_.cap[id]});
   };
-  for (NodeId id : sched.gates) snapshot_column(id);
-  for (NodeId id : sched.dffs) snapshot_column(id);
-
-  // In-place sweep.  frames[fr-1] is already updated when frame fr is
-  // processed, so register stepping and toggle counting read the new value
-  // stream exactly as a full re-simulation would.  The sweep polls the
-  // cancellation token per frame (per block on the blocked path); on any
-  // throw the snapshot just built is played back immediately, so partially
-  // rewritten columns never escape — the exception-safety contract in the
-  // header.
-  //
-  // Register-free cones take a blocked drive: kSimBlock frames' worth of
-  // cone-boundary words are gathered node-major into an aligned value
-  // block, one exec_gates replay evaluates all lanes with the SIMD
-  // kernels, and the gate columns are scattered back.  Each lane is an
-  // independent frame of a combinational cone, so lane j's words equal the
-  // frame-by-frame path's words exactly; the counting pass below then
-  // reads identical frames either way.
   try {
-    if (sched.dffs.empty() && n_frames > 1) {
-      const std::size_t B = sim::kSimBlock;
-      // Slots a replay touches: the cone gates and every boundary fanin.
-      std::vector<NodeId> slots(sched.gates.begin(), sched.gates.end());
-      for (NodeId g : sched.gates)
-        for (NodeId f : net.node(g).fanins) slots.push_back(f);
-      std::sort(slots.begin(), slots.end());
-      slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
-      // Only slot words are read, each after it is written, so the block
-      // is kept across updates and never cleared.
-      core::AlignedWords& val = block_.words;
-      if (val.size() < net.size() * B) val.assign(net.size() * B, 0);
-      std::uint64_t* v = val.data();
-      for (std::size_t f0 = 0; f0 < n_frames; f0 += B) {
-        core::poll_cancel(opt_.cancel);
-        // Tail blocks evaluate all B lanes but only the first `b` carry
-        // real frames; stale trailing lanes are inert (never scattered).
-        const std::size_t b = std::min(B, n_frames - f0);
-        for (NodeId s : slots) {
-          std::uint64_t* w = v + static_cast<std::size_t>(s) * B;
-          for (std::size_t j = 0; j < b; ++j) w[j] = trace_.frames[f0 + j][s];
-        }
-        csim_->exec_gates(v, B, sched.gates);
-        for (NodeId g : sched.gates) {
-          const std::uint64_t* w = v + static_cast<std::size_t>(g) * B;
-          for (std::size_t j = 0; j < b; ++j) trace_.frames[f0 + j][g] = w[j];
-        }
-      }
-      // Counting pass over the now-updated frames — same arithmetic, same
-      // order as the frame-by-frame path (no registers in this cone).
-      for (std::size_t fr = 0; fr < n_frames; ++fr) {
-        const sim::Frame& f = trace_.frames[fr];
-        const sim::Frame* prev =
-            trace_.shard_start[fr] ? nullptr : &trace_.frames[fr - 1];
-        for (NodeId id : sched.gates) {
-          trace_.ones[id] += std::popcount(f[id]);
-          if (prev) trace_.toggles[id] += std::popcount(f[id] ^ (*prev)[id]);
-        }
-      }
-    } else {
-      for (std::size_t fr = 0; fr < n_frames; ++fr) {
-        core::poll_cancel(opt_.cancel);
-        sim::Frame& f = trace_.frames[fr];
-        const sim::Frame* prev =
-            trace_.shard_start[fr] ? nullptr : &trace_.frames[fr - 1];
-        for (NodeId d : sched.dffs) {
-          const Node& nd = net.node(d);
-          if (!prev) {
-            f[d] = nd.init_value ? ~0ULL : 0ULL;
-          } else {
-            std::uint64_t next = (*prev)[nd.fanins[0]];
-            if (nd.fanins.size() == 2) {
-              std::uint64_t en = (*prev)[nd.fanins[1]];
-              next = (en & next) | (~en & (*prev)[d]);  // hold on EN = 0
-            }
-            f[d] = next;
-          }
-        }
-        csim_->exec_gates(f.data(), 1, sched.gates);
-        auto count = [&](NodeId id) {
-          trace_.ones[id] += std::popcount(f[id]);
-          if (prev) trace_.toggles[id] += std::popcount(f[id] ^ (*prev)[id]);
-        };
-        for (NodeId id : sched.dffs) count(id);
-        for (NodeId id : sched.gates) count(id);
-      }
+    // Grow the cache for appended nodes (cone path never shrinks: compact()
+    // and wholesale restores report `all` and take the fallback above).
+    // The blocks are re-laid out with slack, so a run of appending edits
+    // pays that O(trace) copy once per quarter growth.
+    const std::size_t n = net.size();
+    if (n > trace.stride) {
+      const std::size_t stride = std::max(n, trace.stride + trace.stride / 4);
+      core::AlignedWords words(K * stride * B, 0);
+      for (std::size_t k = 0; k < K; ++k)
+        std::copy_n(trace.block_words(k), trace.stride * B,
+                    words.data() + k * stride * B);
+      trace.words = std::move(words);
+      trace.stride = stride;
+    }
+    trace.ones.resize(n, 0);
+    trace.toggles.resize(n, 0);
+    cache_.signal_prob.resize(n, 0.0);
+    cache_.cap.resize(n, 0.0);
+    cache_.po_count.resize(n, 0);
+    analysis_.toggles_per_cycle.resize(n, 0.0);
+    if (last_words_.size() < n) last_words_.resize(n);
+
+    // Count-update set: every non-input cone node.  Gates and registers
+    // get re-simulated; dead cone nodes (value roots: nothing reaches a
+    // dead node) just have their counters zeroed, as analyze() skips them.
+    recount_.assign(sched.gates.begin(), sched.gates.end());
+    recount_.insert(recount_.end(), sched.dffs.begin(), sched.dffs.end());
+    for (NodeId id : touched.value_roots)
+      if (net.is_dead(id)) recount_.push_back(id);
+    for (NodeId id : recount_) {
+      save(id);
+      trace.ones[id] = 0;
+      trace.toggles[id] = 0;
     }
 
-    // Splice: derive the report from the updated integer counters through
-    // the exact arithmetic analyze() uses.
-    auto st = sim::stats_from_counts(trace_.ones, trace_.toggles,
-                                     trace_.patterns, trace_.seam_patterns);
-    analysis_ = detail::assemble_zero_delay(net, st, opt_);
+    // Snapshot the cone columns the sweep overwrites (contiguous lanes).
+    for (const auto* list : {&sched.gates, &sched.dffs})
+      for (NodeId id : *list)
+        if (id < s.old_size) {  // later ids are truncated away on revert
+          s.resim_ids.push_back(id);
+          for (std::size_t k = 0; k < K; ++k)
+            s.columns.insert(s.columns.end(), trace.block_words(k) + id * B,
+                             trace.block_words(k) + (id + 1) * B);
+        }
+
+    // In-place sweep over the cached blocks in stream order: exec_gates
+    // evaluates all lanes of a block, count_columns adds the cone's
+    // popcounts.  Registers exist only in sequential traces (a block per
+    // frame) and step from the previous, already updated frame, as a full
+    // re-simulation would.  The sweep polls the cancellation token per
+    // block; on any throw the snapshot just built is played back, so
+    // partially rewritten columns never escape (the header's contract).
+    regs_.resize(sched.dffs.size());
+    for (std::size_t k = 0; k < K; ++k) {
+      core::poll_cancel(opt_.cancel);
+      std::uint64_t* v = trace.block_words(k);
+      const bool first = trace.shard_start[k];
+      for (std::size_t i = 0; i < sched.dffs.size(); ++i)
+        v[sched.dffs[i]] = !first ? regs_[i]
+                           : net.node(sched.dffs[i]).init_value ? ~0ULL : 0ULL;
+      csim_->exec_gates(v, B, sched.gates);
+      for (const auto* list : {&sched.dffs, &sched.gates})
+        sim::count_columns(v, *list, B, trace.lanes[k], first,
+                           trace.ones.data(), trace.toggles.data(),
+                           last_words_.data());
+      sim::clock_registers(net, sched.dffs, v, regs_);
+    }
+
+    // Splice: probabilities of the recounted nodes, capacitances of the
+    // nodes whose load changed, then one pricing pass in node order.
+    for (NodeId id : recount_) {
+      cache_.signal_prob[id] = sim::per_pattern(trace.ones[id], trace.patterns);
+      analysis_.toggles_per_cycle[id] =
+          sim::per_pattern(trace.toggles[id], trace.seam_patterns);
+    }
+    auto reprice = [&](NodeId id) {
+      save(id);
+      cache_.cap[id] = node_capacitance(net, id, cache_.po_count[id],
+                                        opt_.params);
+    };
+    // A node's C reads its size, fanouts (their size, type and pins) and
+    // PO count.  An edit journals the node and every node whose fanout list
+    // it changes (old and new fanins), so the touched nodes and their
+    // current fanins cover all but PO-list changes, which touched_nodes()
+    // does not report.
+    if (net.outputs() != cache_.outputs) {
+      s.outputs = std::move(cache_.outputs);
+      cache_.outputs = net.outputs();
+      for (NodeId o : *s.outputs) --cache_.po_count[o];
+      for (NodeId o : cache_.outputs) ++cache_.po_count[o];
+      for (NodeId o : *s.outputs) reprice(o);
+      for (NodeId o : cache_.outputs) reprice(o);
+    }
+    for (NodeId id : touched.ids) {
+      reprice(id);
+      for (NodeId f : net.node(id).fanins) reprice(f);
+    }
+    detail::price_zero_delay(net, cache_.signal_prob, cache_.cap, cache_.dffs,
+                             opt_.params, analysis_);
   } catch (...) {
     // The patched tape reflects the mutated netlist, which the caller is
     // about to roll back — a revert_to() replay would re-read the still-
     // mutated nodes, so drop the tape instead (recompiled lazily).
     csim_.reset();
     restore_cone(s);
-    recycle(s);
     throw;
   }
-  if (snap_) recycle(*snap_);  // retire the superseded snapshot's buffers
-  snap_ = std::move(s);
+  std::swap(snap_, work_);
+  pending_ = true;
 
   last_.resim_nodes = sched.resim_nodes();
-  core::metrics::count(
-      "power.inc.node_evals",
-      static_cast<double>(last_.resim_nodes) * static_cast<double>(n_frames));
-  core::metrics::count(
-      "power.inc.node_evals_full",
-      static_cast<double>(last_.live_nodes) * static_cast<double>(n_frames));
+  const double frames = static_cast<double>(trace.patterns / 64);
+  core::metrics::count("power.inc.node_evals",
+                       static_cast<double>(last_.resim_nodes) * frames);
+  core::metrics::count("power.inc.node_evals_full",
+                       static_cast<double>(last_.live_nodes) * frames);
   return analysis_;
 }
 
 void IncrementalAnalyzer::revert_last() {
-  if (!snap_)
+  if (!pending_)
     throw std::logic_error(
         "IncrementalAnalyzer::revert_last: no update to revert");
-  Snapshot s = std::move(*snap_);
-  snap_.reset();
+  pending_ = false;
   core::metrics::count("power.inc.reverts");
-  if (s.full) {
-    trace_ = std::move(s.trace);
-    analysis_ = std::move(s.analysis);
+  if (snap_.full) {
+    cache_ = std::move(snap_.cache);
+    analysis_ = std::move(snap_.analysis);
     // The netlist was restored wholesale; recompile against it.
     if (csim_) csim_->rebuild();
     return;
   }
   // Truncate nodes appended by the reverted mutation, restore the cone's
-  // old frame words and counters.  The compiled tape re-emits the patch
+  // old words, counters and prices.  The compiled tape re-emits the patch
   // roots' records from the restored netlist (O(edit)).
-  if (csim_) csim_->revert_to(s.old_size, s.patched);
-  restore_cone(s);
-  recycle(s);
-}
-
-void IncrementalAnalyzer::recycle(Snapshot& s) {
-  constexpr std::size_t kPoolCap = 1024;
-  for (auto& col : s.columns) {
-    if (col_pool_.size() >= kPoolCap) break;
-    col_pool_.push_back(std::move(col));
-  }
-  s.columns.clear();
+  if (csim_) csim_->revert_to(snap_.old_size, snap_.patched);
+  restore_cone(snap_);
 }
 
 void IncrementalAnalyzer::restore_cone(Snapshot& s) {
-  trace_.ones.resize(s.old_size);
-  trace_.toggles.resize(s.old_size);
-  for (auto& f : trace_.frames) f.resize(s.old_size);
-  for (std::size_t i = 0; i < s.resim_ids.size(); ++i) {
-    NodeId id = s.resim_ids[i];
-    for (std::size_t fr = 0; fr < trace_.frames.size(); ++fr)
-      trace_.frames[fr][id] = s.columns[i][fr];
+  sim::ActivityTrace& trace = cache_.trace;
+  if (s.outputs) {
+    for (NodeId o : cache_.outputs) --cache_.po_count[o];
+    cache_.outputs = std::move(*s.outputs);
+    for (NodeId o : cache_.outputs) ++cache_.po_count[o];
   }
-  for (std::size_t i = 0; i < s.count_ids.size(); ++i) {
-    trace_.ones[s.count_ids[i]] = s.counts[i].first;
-    trace_.toggles[s.count_ids[i]] = s.counts[i].second;
+  trace.ones.resize(s.old_size);
+  trace.toggles.resize(s.old_size);
+  cache_.signal_prob.resize(s.old_size);
+  cache_.cap.resize(s.old_size);
+  cache_.po_count.resize(s.old_size);
+  const std::size_t K = trace.blocks(), B = trace.block;
+  const std::uint64_t* col = s.columns.data();
+  for (NodeId id : s.resim_ids)
+    for (std::size_t k = 0; k < K; ++k, col += B)
+      std::copy_n(col, B, trace.block_words(k) + id * B);
+  // Reverse order: a node saved twice recorded its true old state first.
+  for (auto it = s.nodes.rbegin(); it != s.nodes.rend(); ++it) {
+    trace.ones[it->id] = it->ones;
+    trace.toggles[it->id] = it->toggles;
+    cache_.signal_prob[it->id] = it->p1;
+    cache_.cap[it->id] = it->cap;
   }
-  analysis_ = std::move(s.analysis);
+  std::swap(analysis_, s.analysis);
 }
 
 double IncrementalAnalyzer::score_candidate(

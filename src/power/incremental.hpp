@@ -8,29 +8,30 @@
 // (core/pass.hpp) pays one full analysis per stage instead: that is cheap
 // beside a stage, and its default Timed estimate has no per-frame cache.
 // IncrementalAnalyzer is ZeroDelay only and caches the raw simulation record
-// of one full baseline run — the per-frame value words and the exact
-// integer toggle counters behind the ActivityStats doubles — and after a
-// mutation re-evaluates only the transitive fanout cone of the touched
-// nodes over the *same* cached frames: same seed, same frame count, same
-// shard seams.  The updated per-node counters are spliced into the cached
-// totals, and the final report is assembled through the same arithmetic
-// `analyze()` uses (power::detail::assemble_zero_delay), so the result is
-// bit-identical to a fresh full analysis of the mutated netlist.
+// of one full baseline run — the value words in the tape's block layout
+// and the exact integer toggle counters behind the ActivityStats doubles —
+// and after a mutation re-evaluates only the transitive fanout cone of the
+// touched nodes over the *same* cached blocks: same seed, same frame count,
+// same shard seams.  Only the changed counters, probabilities and
+// capacitances are spliced in, and the report is re-priced in place through
+// the arithmetic `analyze()` uses (power::detail::price_zero_delay), so the
+// result is bit-identical to a fresh full analysis of the mutated netlist.
 //
 // Why the splice is exact: primary-input value words depend only on the
 // seed and the input's position in `inputs()` (never on netlist edits), so
 // everything outside the fanout cone of the touched set replays to the
-// very same words — the cached frame already holds them.  Re-evaluating
-// the cone in place inside such a frame (CompiledSim::exec_gates over the
-// persistent, patched tape) then produces word-for-word what a full
-// re-simulation would, and integer popcount splicing introduces no
-// floating-point divergence.
+// very same words — the cached block already holds them.  Re-evaluating
+// the cone in place inside such a block (CompiledSim::exec_gates over the
+// persistent, patched tape, all lanes at once) then produces word-for-word
+// what a full re-simulation would, and integer popcount splicing
+// introduces no floating-point divergence.
 //
 // Cache invalidation rule — fall back to a full re-baseline when the
 // touched-node report says `all` (no journal, wholesale restore such as
 // compact()/assignment, or a PI-list change that re-maps the input→stream
-// binding), or when patching the compiled tape fails.  Fallbacks are full
-// analyze() runs, so correctness never depends on the cone path applying.
+// binding), when the edit adds or removes a register, or when patching the
+// compiled tape fails.  Fallbacks are full analyze() runs, so correctness
+// never depends on the cone path applying.
 
 #pragma once
 
@@ -128,8 +129,8 @@ class IncrementalAnalyzer {
   /// Fork a scoring oracle bound to `net`, which must be an element-wise
   /// clone of this analyzer's netlist in its current state (same node ids,
   /// same tombstones — Netlist::clone() of the bound net after every
-  /// mutation was reported here).  The clone copies the cached frame
-  /// stream, counters and analysis — no re-simulation — and starts with no
+  /// mutation was reported here).  The clone copies the cached blocks,
+  /// counters and analysis — no re-simulation — and starts with no
   /// pending snapshot; its compiled tape is built lazily against `net` on
   /// first reanalyze().  Used by logicopt/speculate.cpp to score candidate
   /// batches on worker threads without touching the primary oracle.
@@ -148,57 +149,61 @@ class IncrementalAnalyzer {
   /// binding.
   std::uint64_t outputs_digest() const;
 
+  /// The cached capacitances: always power::node_capacitances() of the net.
+  const std::vector<double>& capacitances() const { return cache_.cap; }
+
  private:
   struct CloneTag {};
   IncrementalAnalyzer(CloneTag, const Netlist& net,
                       const IncrementalAnalyzer& src);
+
+  // Everything the report is priced from.
+  struct Cache {
+    sim::ActivityTrace trace;          // value blocks + exact counters
+    std::vector<double> signal_prob;   // per node, from trace.ones
+    std::vector<double> cap;           // per node, node_capacitances()
+    std::vector<NodeId> dffs;          // live registers, ascending
+    std::vector<NodeId> outputs;       // the PO list `cap` is priced with
+    std::vector<std::uint32_t> po_count;  // per node: count in `outputs`
+  };
   struct Snapshot {
     bool full = false;  // snapshot of a whole pre-fallback cache
-    // full == true: the entire previous trace (moved, so cost-free).
-    sim::ActivityTrace trace;
+    Analysis analysis;
+    // full == true: the entire previous cache (moved, so cost-free).
+    Cache cache;
     // full == false: per-node deltas, all ids < old_size.
     std::size_t old_size = 0;
-    std::vector<NodeId> resim_ids;  // columns[i] = old frame words of id i
-    std::vector<std::vector<std::uint64_t>> columns;
-    std::vector<NodeId> count_ids;  // old (ones, toggles) per id
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> counts;
+    std::vector<NodeId> resim_ids;  // cone nodes re-evaluated in place
+    std::vector<std::uint64_t> columns;  // their old words, block by block
+    struct Saved { NodeId id; std::uint64_t ones, toggles; double p1, cap; };
+    std::vector<Saved> nodes;  // old per-node state, in save order
+    std::optional<std::vector<NodeId>> outputs;  // when the PO list changed
     // Tape-patch roots of the reverted mutation: revert_to() re-emits
     // their records from the restored netlist.
     std::vector<NodeId> patched;
-    Analysis analysis;
   };
 
-  void run_full();  // (re)build trace_ + analysis_ from scratch
-  // Restore trace/counter/analysis state from a cone snapshot (the shared
-  // tail of revert_last() and the in-flight exception restore).
+  void run_full();  // (re)build cache_ + analysis_ from scratch
+  // Restore cache/analysis state from a cone snapshot (the shared tail of
+  // revert_last() and the in-flight exception restore).
   void restore_cone(Snapshot& s);
-  // Return a retired snapshot's column buffers to the scratch pool so the
-  // next reanalyze() reuses their capacity instead of reallocating
-  // per candidate (bounded; excess is freed).
-  void recycle(Snapshot& s);
 
   const Netlist* net_;
   AnalysisOptions opt_;
   Analysis analysis_;
-  sim::ActivityTrace trace_;  // frame/counter cache
+  Cache cache_;
   // Persistent compiled tape: patched in place from each mutation's
   // touched-node report instead of recompiled, so a pass loop pays
   // O(edit) per candidate, not O(netlist).
   std::optional<sim::CompiledSim> csim_;
   UpdateStats last_;
-  std::optional<Snapshot> snap_;
-  // Scratch: retired snapshot columns, reused across candidate probes.
-  std::vector<std::vector<std::uint64_t>> col_pool_;
-  // Scratch: the blocked cone sweep's node-major value block (n * kSimBlock
-  // words), reused across updates instead of allocated per call.  Its
-  // contents never outlive an update, so a copy starts empty.
-  struct Block {
-    core::AlignedWords words;
-    Block() = default;
-    Block(const Block&) {}
-    Block& operator=(const Block&) { return *this; }
-  };
-  Block block_;
+  // The pending update's snapshot, and the one the next update builds in;
+  // they swap on success, so both keep their buffers' capacity.
+  Snapshot snap_, work_;
+  bool pending_ = false;
+  // Scratch of one update: count-update ids, seam words, register steps.
+  std::vector<NodeId> recount_;
+  std::vector<std::uint64_t> last_words_, regs_;
 };
 
 }  // namespace lps::power

@@ -6,32 +6,36 @@
 
 namespace lps::power {
 
+double node_capacitance(const Netlist& net, NodeId id, std::uint32_t po_count,
+                        const PowerParams& p) {
+  const Node& n = net.node(id);
+  double c_ff = p.cself_ff * n.size;
+  for (NodeId fo : n.fanouts) {
+    // A load-enable pin is not a per-register input: the enable net
+    // drives one integrated clock-gating cell per bank, charged
+    // separately in the clock-power term.  Skip it here (the D pin is
+    // still counted).
+    const Node& fon = net.node(fo);
+    if (fon.type == GateType::Dff && fon.fanins.size() == 2 &&
+        fon.fanins[1] == id && fon.fanins[0] != id)
+      continue;
+    c_ff += p.cwire_ff;
+    c_ff += p.cin_ff * fon.size;
+  }
+  // Primary outputs drive an off-block load comparable to one pin, added
+  // once per occurrence (not k * cin_ff, which rounds differently).
+  for (; po_count > 0; --po_count) c_ff += p.cin_ff;
+  return c_ff * 1e-15;
+}
+
 std::vector<double> node_capacitances(const Netlist& net, const PowerParams& p) {
   // PO occurrences per node, counted once: a node listed k times as an
   // output carries k off-block pin loads.
   std::vector<std::uint32_t> po_count(net.size(), 0);
   for (NodeId o : net.outputs()) ++po_count[o];
   std::vector<double> cap(net.size());
-  for (NodeId id = 0; id < net.size(); ++id) {
-    const Node& n = net.node(id);
-    double c_ff = p.cself_ff * n.size;
-    for (NodeId fo : n.fanouts) {
-      // A load-enable pin is not a per-register input: the enable net
-      // drives one integrated clock-gating cell per bank, charged
-      // separately in the clock-power term.  Skip it here (the D pin is
-      // still counted).
-      const Node& fon = net.node(fo);
-      if (fon.type == GateType::Dff && fon.fanins.size() == 2 &&
-          fon.fanins[1] == id && fon.fanins[0] != id)
-        continue;
-      c_ff += p.cwire_ff;
-      c_ff += p.cin_ff * fon.size;
-    }
-    // Primary outputs drive an off-block load comparable to one pin, added
-    // once per occurrence (not k * cin_ff, which rounds differently).
-    for (std::uint32_t k = po_count[id]; k > 0; --k) c_ff += p.cin_ff;
-    cap[id] = c_ff * 1e-15;
-  }
+  for (NodeId id = 0; id < net.size(); ++id)
+    cap[id] = node_capacitance(net, id, po_count[id], p);
   return cap;
 }
 
@@ -63,15 +67,15 @@ int transistor_count(const Node& n) {
   return 2 * k;
 }
 
-PowerReport compute_power(const Netlist& net,
-                          std::span<const double> toggles,
-                          const PowerParams& p) {
-  if (toggles.size() != net.size())
-    throw std::invalid_argument("compute_power: toggle vector size mismatch");
-  PowerReport r;
+void compute_power(const Netlist& net, std::span<const double> toggles,
+                   std::span<const double> cap, const PowerParams& p,
+                   PowerReport& r) {
+  if (toggles.size() != net.size() || cap.size() != net.size())
+    throw std::invalid_argument("compute_power: per-node vector size mismatch");
+  r.breakdown = {};
+  r.total_cap_f = r.weighted_activity = 0.0;
   r.node_switching_w.assign(net.size(), 0.0);
   r.node_power_w.assign(net.size(), 0.0);
-  const std::vector<double> cap = node_capacitances(net, p);
   for (NodeId id = 0; id < net.size(); ++id) {
     if (net.is_dead(id)) continue;
     const Node& n = net.node(id);
@@ -88,7 +92,6 @@ PowerReport compute_power(const Netlist& net,
     r.breakdown.short_circuit_w += sc;
     r.breakdown.leakage_w += lk;
   }
-  return r;
 }
 
 }  // namespace lps::power

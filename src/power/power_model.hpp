@@ -15,6 +15,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -65,6 +66,10 @@ struct PowerBreakdown {
 /// values from here, once per pass over the netlist.
 std::vector<double> node_capacitances(const Netlist& net, const PowerParams& p);
 
+/// node_capacitances()[id] of a node listed `po_count` times as an output.
+double node_capacitance(const Netlist& net, NodeId id, std::uint32_t po_count,
+                        const PowerParams& p);
+
 /// CMOS transistor count of a gate (2 per input for simple static gates,
 /// richer for XOR/MUX); 0 for sources and registers' storage is counted as
 /// 8 transistors per Dff.
@@ -86,10 +91,11 @@ struct PowerReport {
 };
 
 /// Combine a per-node toggle rate (expected transitions per clock cycle,
-/// from any estimator in activity.hpp / probability.hpp) with the Eqn. (1)
-/// model.
-PowerReport compute_power(const Netlist& net,
-                          std::span<const double> toggles_per_cycle,
-                          const PowerParams& p = {});
+/// from any estimator in activity.hpp / probability.hpp) and capacitance
+/// (node_capacitances()) with the Eqn. (1) model, into `r` in place.
+void compute_power(const Netlist& net,
+                   std::span<const double> toggles_per_cycle,
+                   std::span<const double> cap, const PowerParams& p,
+                   PowerReport& r);
 
 }  // namespace lps::power

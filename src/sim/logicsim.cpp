@@ -1,5 +1,6 @@
 #include "sim/logicsim.hpp"
 
+#include <algorithm>
 #include <random>
 
 #include "core/aligned.hpp"
@@ -47,8 +48,8 @@ struct alignas(64) ActivityAccum {
   std::size_t seams = 0;  // consecutive-frame boundaries counted
 };
 
-// Scratch buffers reused across every shard of one chunk (one allocation
-// per worker per run instead of per shard).  The compiled value block is
+// Scratch buffers a thread's runs reuse, grown to the largest net seen
+// instead of allocated per run.  The compiled value block is
 // cache-line aligned (core/aligned.hpp) so the SIMD kernels' vector
 // accesses of any node block never straddle a line.
 struct ActivityScratch {
@@ -56,6 +57,18 @@ struct ActivityScratch {
   core::AlignedWords last;  // previous frame's word per node
   std::vector<std::uint64_t> state;  // register values (sequential nets)
 };
+
+// The calling thread's scratch for `net`, B words per node.  Runs write each
+// live slot before reading it; dead slots are re-zeroed to read 0.
+ActivityScratch& thread_scratch(const Netlist& net, std::size_t B) {
+  thread_local ActivityScratch sc;
+  if (sc.val.size() < net.size() * B) sc.val.resize(net.size() * B);
+  if (sc.last.size() < net.size()) sc.last.resize(net.size());
+  for (NodeId id = 0; id < net.size(); ++id)
+    if (net.is_dead(id))
+      std::fill_n(sc.val.data() + static_cast<std::size_t>(id) * B, B, 0);
+  return sc;
+}
 
 // Frames between cancellation polls inside one shard: bounds cancellation
 // latency for single-shard (sequential) streams without measurable cost.
@@ -109,11 +122,12 @@ void replay_stream(const Netlist& net, const CompiledSim& cs,
 // One shard of the activity stream: each of the 64 bit lanes carries an
 // independent trajectory; transitions are counted per lane between
 // consecutive frames, which is exact for sequential circuits and, with iid
-// inputs, for combinational ones too.
+// inputs, for combinational ones too.  `capture`, when set, receives the
+// shard's evaluated blocks back to back (ActivityTrace layout).
 void simulate_activity_shard(const Netlist& net, const CompiledSim& cs,
                              std::size_t n_frames, std::uint64_t seed,
                              std::span<const double> pi_one_prob,
-                             Frame* capture_frames, ActivityAccum& a,
+                             std::uint64_t* capture, ActivityAccum& a,
                              ActivityScratch& sc,
                              const core::CancelToken* cancel) {
   const auto& live = cs.live();
@@ -128,34 +142,28 @@ void simulate_activity_shard(const Netlist& net, const CompiledSim& cs,
     // kernel: identical integer counts, hardware POPCNT where available.
     count_columns(val, live, B, b, f0 == 0, a.ones.data(), a.toggles.data(),
                   sc.last.data());
-    if (capture_frames)
-      for (std::size_t j = 0; j < b; ++j) {
-        Frame& fr = capture_frames[f0 + j];
-        fr.assign(net.size(), 0);
-        for (NodeId id : live)
-          fr[id] = val[static_cast<std::size_t>(id) * B + j];
-      }
+    if (capture)
+      std::copy_n(val, net.size() * B, capture + f0 * net.size());
   });
 }
 
-}  // namespace
-
+// The probability view of a run's exact counters.
 ActivityStats stats_from_counts(std::span<const std::uint64_t> ones,
                                 std::span<const std::uint64_t> toggles,
                                 std::size_t patterns,
                                 std::size_t seam_patterns) {
   ActivityStats st;
-  st.signal_prob.assign(ones.size(), 0.0);
-  st.transition_prob.assign(ones.size(), 0.0);
-  double total = static_cast<double>(patterns);
-  double seams = static_cast<double>(seam_patterns);
+  st.signal_prob.resize(ones.size());
+  st.transition_prob.resize(ones.size());
   st.patterns = patterns;
   for (std::size_t id = 0; id < ones.size(); ++id) {
-    st.signal_prob[id] = total > 0 ? ones[id] / total : 0.0;
-    st.transition_prob[id] = seams > 0 ? toggles[id] / seams : 0.0;
+    st.signal_prob[id] = per_pattern(ones[id], patterns);
+    st.transition_prob[id] = per_pattern(toggles[id], seam_patterns);
   }
   return st;
 }
+
+}  // namespace
 
 ActivityStats measure_activity(const Netlist& net, std::size_t n_frames,
                                std::uint64_t seed,
@@ -167,53 +175,51 @@ ActivityStats measure_activity(const Netlist& net, std::size_t n_frames,
 
   // Sequential nets form one continuous state trajectory — one shard.
   // Combinational frame streams are iid and shard freely; the plan depends
-  // only on n_frames, so results are thread-count independent.
+  // only on n_frames, so results are thread-count independent.  A
+  // single-shard plan keeps the legacy RNG stream (`seed` itself) and runs
+  // all frames (sequential plans carry total == 0).
   auto plan = core::plan_shards(csim.dffs().empty() ? n_frames : 0, 64);
+  const bool solo = plan.shards == 1;
+  auto shard_frames = [&](std::size_t s) {
+    return solo ? n_frames : plan.count(s);
+  };
+  // Every shard but the last spans the first one's blocks.
+  const std::size_t shard_blocks = (shard_frames(0) + block - 1) / block;
   if (capture) {
-    capture->frames.assign(n_frames, Frame{});
-    capture->shard_start.assign(n_frames, 0);
-    if (plan.shards == 1) {
-      if (n_frames > 0) capture->shard_start[0] = 1;
-    } else {
-      for (std::size_t s = 0; s < plan.shards; ++s)
-        capture->shard_start[plan.begin(s)] = 1;
-    }
+    *capture = {.block = block, .stride = net.size()};
+    for (std::size_t s = 0; s < plan.shards; ++s)
+      for (std::size_t f0 = 0; f0 < shard_frames(s); f0 += block) {
+        capture->lanes.push_back(std::min(block, shard_frames(s) - f0));
+        capture->shard_start.push_back(f0 == 0);
+      }
+    capture->words.assign(capture->blocks() * net.size() * block, 0);
   }
 
   // Dispatch grain: up to two pool indices per execution lane
   // (core::plan_chunks — oversubscription evens out lane load imbalance),
-  // each chunk walking a contiguous shard range serially with persistent
+  // each chunk walking a contiguous shard range serially with its thread's
   // scratch.  Chunk boundaries depend on the thread count, but per-shard
   // seeds and frame counts do not, and the chunk accumulators fold integer
   // counts of consecutive shards — so the chunk-order merge below
   // reproduces the shard-order merge exactly at any thread count.
   const std::size_t n_chunks = core::plan_chunks(plan.shards);
   std::vector<ActivityAccum> parts(n_chunks);
-  std::vector<ActivityScratch> scratch(n_chunks);
   auto run_chunk = [&](std::size_t c) {
     const std::size_t s_begin = c * plan.shards / n_chunks;
     const std::size_t s_end = (c + 1) * plan.shards / n_chunks;
     ActivityAccum& a = parts[c];
-    ActivityScratch& sc = scratch[c];
     // First-touch placement: the worker that runs the chunk writes its
-    // accumulators and value block first, so their pages land on that
-    // worker's NUMA node.  Dead slots must read 0 (as eval_into's frames
-    // do); records never write them, so zeroing once suffices.
+    // accumulators first, so their pages land on that worker's NUMA node.
     a.ones.assign(net.size(), 0);
     a.toggles.assign(net.size(), 0);
-    sc.val.assign(net.size() * block, 0);
-    sc.last.assign(net.size(), 0);
+    ActivityScratch& sc = thread_scratch(net, block);
     for (std::size_t s = s_begin; s < s_end; ++s) {
       core::poll_cancel(cancel);
-      // A single-shard plan keeps the legacy RNG stream (`seed` itself)
-      // and runs all frames (sequential plans carry total == 0).
-      const bool solo = plan.shards == 1;
       const std::uint64_t sseed = solo ? seed : core::shard_seed(seed, s);
-      const std::size_t shard_frames = solo ? n_frames : plan.count(s);
-      Frame* cap =
-          capture ? capture->frames.data() + plan.begin(s) : nullptr;
-      simulate_activity_shard(net, csim, shard_frames, sseed,
-                              pi_one_prob, cap, a, sc, cancel);
+      std::uint64_t* cap =
+          capture ? capture->block_words(s * shard_blocks) : nullptr;
+      simulate_activity_shard(net, csim, shard_frames(s), sseed, pi_one_prob,
+                              cap, a, sc, cancel);
     }
   };
   if (n_chunks == 1)
@@ -270,10 +276,10 @@ SimTrace functional_trace(const Netlist& net, std::size_t n_frames,
   const CompiledSim cs(net);
   t.n_dffs = cs.dffs().size();
   const std::size_t B = stream_block(cs);
-  core::AlignedWords val(net.size() * B, 0);
-  std::vector<std::uint64_t> state;
+  ActivityScratch& sc = thread_scratch(net, B);
+  const std::uint64_t* val = sc.val.data();
   std::uint64_t digest = 0x5CA1AB1Eu;
-  replay_stream(net, cs, n_frames, seed, {}, val.data(), state, nullptr,
+  replay_stream(net, cs, n_frames, seed, {}, sc.val.data(), sc.state, nullptr,
                 [&](std::size_t, std::size_t b) {
     for (std::size_t j = 0; j < b; ++j)
       for (NodeId o : net.outputs())

@@ -22,6 +22,7 @@
 #include <span>
 #include <vector>
 
+#include "core/aligned.hpp"
 #include "core/parallel.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/compiled.hpp"
@@ -37,27 +38,38 @@ struct ActivityStats {
 
 /// Raw simulation record behind one measure_activity() run, captured so an
 /// incremental re-estimator can later re-derive any node's value stream
-/// without re-running the untouched part of the network.  Frames are
-/// concatenated in shard order (the merge order of the determinism
-/// contract); `shard_start[fr]` marks stream seams, across which no toggle
-/// is counted.  `ones`/`toggles` are the exact per-node integer counters
-/// the ActivityStats doubles are derived from.
+/// without re-running the untouched part of the network.  Value words keep
+/// the tape replay's layout: per shard, blocks of `block` frames (kSimBlock;
+/// 1 for sequential nets), node-major — node id's lane j of block k at
+/// words[(k * stride + id) * block + j].  Blocks follow shard order (the
+/// determinism contract's merge order); `shard_start[k]` marks stream seams,
+/// across which no toggle is counted.  `ones`/`toggles` are the exact
+/// per-node counters the ActivityStats doubles derive from.
 struct ActivityTrace {
-  std::vector<Frame> frames;     // [frame][node] value words, shard order
-  std::vector<char> shard_start;  // per frame: first frame of its shard?
+  std::size_t block = 1;      // frames per block
+  std::size_t stride = 0;     // node slots per block (>= the net's size)
+  core::AlignedWords words;   // blocks() * stride * block value words
+  std::vector<std::size_t> lanes;      // per block: live frames, 1..block
+  std::vector<char> shard_start;       // per block: first of its shard?
   std::vector<std::uint64_t> ones;     // per node, summed over frames
   std::vector<std::uint64_t> toggles;  // per node, intra-shard seams only
   std::size_t patterns = 0;       // frames * 64
   std::size_t seam_patterns = 0;  // toggle-counted boundaries * 64
+
+  std::size_t blocks() const { return lanes.size(); }
+  std::uint64_t* block_words(std::size_t k) {
+    return words.data() + k * stride * block;
+  }
+  const std::uint64_t* block_words(std::size_t k) const {
+    return words.data() + k * stride * block;
+  }
 };
 
-/// Derive the probability view from a trace's exact counters — the same
-/// arithmetic measure_activity() applies, exposed so spliced counters
-/// reproduce bit-identical doubles.
-ActivityStats stats_from_counts(std::span<const std::uint64_t> ones,
-                                std::span<const std::uint64_t> toggles,
-                                std::size_t patterns,
-                                std::size_t seam_patterns);
+/// Events per pattern (0 without patterns): the arithmetic of every
+/// ActivityStats double, shared with the incremental splice.
+inline double per_pattern(std::uint64_t count, std::size_t patterns) {
+  return patterns > 0 ? count / static_cast<double>(patterns) : 0.0;
+}
 
 /// Run `n_frames` frames of random-vector simulation and measure zero-delay
 /// signal and transition probabilities per node.  `pi_one_prob` optionally
@@ -67,12 +79,11 @@ ActivityStats stats_from_counts(std::span<const std::uint64_t> ones,
 /// shard the stream across the thread pool and replay the compiled tape
 /// over kSimBlock frames at a time; results are deterministic in
 /// (n_frames, seed) and independent of the thread count.  When `capture` is
-/// non-null the full per-frame value matrix and exact counters are recorded
-/// into it (one extra frame copy per simulated frame; the statistics are
-/// unchanged).  A non-null `cancel` token is polled at shard boundaries and
-/// every frame batch within a shard; when it fires the run throws
-/// core::CancelledError and all partial counts are discarded — cancellation
-/// never yields a truncated (and therefore wrong) statistic.
+/// non-null every evaluated block and the exact counters are recorded into
+/// it (one copy per tape replay).  A non-null `cancel` token is polled at
+/// shard boundaries and every frame batch within a shard; when it fires the
+/// run throws core::CancelledError and all partial counts are discarded —
+/// cancellation never yields a truncated (and therefore wrong) statistic.
 ActivityStats measure_activity(const Netlist& net, std::size_t n_frames,
                                std::uint64_t seed,
                                std::span<const double> pi_one_prob = {},

@@ -5,8 +5,8 @@
 // frames with per-ISA kernels.  This driver does the same job the slow,
 // obvious way: LogicSim evaluates one frame at a time and every live node's
 // popcounts are added straight into the counters.  It keeps the production
-// driver's shard plan, shard seeds, per-input draw order, capture layout
-// and integer counters, so the two must agree bit for bit — on every
+// driver's shard plan, shard seeds, per-input draw order and integer
+// counters, and captures the same words frame by frame, so the two must agree bit for bit — on every
 // circuit, under any input bias, at any thread count and lane width.  The
 // shards run serially: the plan and seeds, not the thread count, fix the
 // result.
@@ -79,12 +79,41 @@ inline void simulate_shard(const Netlist& net, const reference::LogicSim& sim,
 
 }  // namespace detail
 
+/// A captured run in plain frame-major order: frames[fr][id] is node id's
+/// word in frame fr, and shard_start[fr] marks the first frame of a shard.
+struct FrameTrace {
+  std::vector<sim::Frame> frames;
+  std::vector<char> shard_start;
+  std::vector<std::uint64_t> ones, toggles;
+  std::size_t patterns = 0, seam_patterns = 0;
+};
+
+/// The live frames of a block-layout sim::ActivityTrace in frame-major
+/// order, `n` words per frame (dead slots included).
+inline FrameTrace frames_of(const sim::ActivityTrace& t, std::size_t n) {
+  FrameTrace f;
+  for (std::size_t k = 0; k < t.blocks(); ++k)
+    for (std::size_t j = 0; j < t.lanes[k]; ++j) {
+      sim::Frame fr(n);
+      for (std::size_t id = 0; id < n; ++id)
+        fr[id] = t.block_words(k)[id * t.block + j];
+      f.frames.push_back(std::move(fr));
+      f.shard_start.push_back(t.shard_start[k] && j == 0);
+    }
+  f.ones = t.ones;
+  f.toggles = t.toggles;
+  f.patterns = t.patterns;
+  f.seam_patterns = t.seam_patterns;
+  return f;
+}
+
 /// What sim::measure_activity(net, n_frames, seed, pi_one_prob, capture)
-/// returns, computed with the interpreter.
+/// returns, computed with the interpreter; `capture` receives the run
+/// frame by frame.
 inline sim::ActivityStats measure_activity(
     const Netlist& net, std::size_t n_frames, std::uint64_t seed,
     std::span<const double> pi_one_prob = {},
-    sim::ActivityTrace* capture = nullptr) {
+    FrameTrace* capture = nullptr) {
   auto dffs = net.dffs();
   // Sequential nets form one continuous state trajectory — one shard.
   auto plan = core::plan_shards(dffs.empty() ? n_frames : 0, 64);
@@ -115,8 +144,14 @@ inline sim::ActivityStats measure_activity(
                            cap, a);
   }
 
-  sim::ActivityStats st = sim::stats_from_counts(
-      a.ones, a.toggles, a.frames * 64, a.seams * 64);
+  sim::ActivityStats st;
+  st.patterns = a.frames * 64;
+  const double total = static_cast<double>(a.frames * 64);
+  const double seams = static_cast<double>(a.seams * 64);
+  for (NodeId id = 0; id < net.size(); ++id) {
+    st.signal_prob.push_back(total > 0 ? a.ones[id] / total : 0.0);
+    st.transition_prob.push_back(seams > 0 ? a.toggles[id] / seams : 0.0);
+  }
   if (capture) {
     capture->ones = std::move(a.ones);
     capture->toggles = std::move(a.toggles);

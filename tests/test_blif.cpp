@@ -194,6 +194,55 @@ TEST(Blif, ContinuationLines) {
   EXPECT_EQ(n.inputs().size(), 2u);
 }
 
+// The parser against the istringstream/std::map reference: the same
+// verdict, the same diagnostics at the same positions, and the same
+// netlist node for node (ids, names, tombstones, wiring, PI/PO lists).
+void expect_parse_matches_reference(const std::string& text,
+                                    const std::string& what) {
+  diag::DiagEngine got_eng(64), want_eng(64);
+  const auto got = blif::parse_string(text, got_eng, "x.blif");
+  const auto want = reference::blif_parse_string(text, want_eng, "x.blif");
+  EXPECT_EQ(got_eng.str(), want_eng.str()) << what;
+  EXPECT_EQ(got_eng.num_errors(), want_eng.num_errors()) << what;
+  EXPECT_EQ(got_eng.num_warnings(), want_eng.num_warnings()) << what;
+  ASSERT_EQ(got.has_value(), want.has_value()) << what;
+  if (!got) return;
+  const Netlist& a = *got;
+  const Netlist& b = *want;
+  EXPECT_EQ(a.name(), b.name()) << what;
+  EXPECT_EQ(a.inputs(), b.inputs()) << what;
+  EXPECT_EQ(a.outputs(), b.outputs()) << what;
+  EXPECT_EQ(a.output_names(), b.output_names()) << what;
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (NodeId i = 0; i < a.size(); ++i) {
+    const Node& x = a.node(i);
+    const Node& y = b.node(i);
+    ASSERT_TRUE(x.type == y.type && x.fanins == y.fanins &&
+                x.fanouts == y.fanouts && x.name == y.name &&
+                x.size == y.size && x.delay == y.delay &&
+                x.init_value == y.init_value && x.dead == y.dead)
+        << what << " node " << i;
+  }
+}
+
+TEST(Blif, ParserMatchesReference) {
+  expect_parse_matches_reference(
+      blif::write_string(bench::random_dag(64, 2000, 11)), "rand");
+  expect_parse_matches_reference(
+      blif::write_string(bench::array_multiplier(16)), "mult16");
+  for (const auto& [name, net] : bench::default_suite())
+    expect_parse_matches_reference(blif::write_string(net), name);
+  expect_parse_matches_reference(kC17, "c17 text");
+  // Comments, continuations (a trailing '\' joins lines, an escaped one
+  // before an empty line too), CR line ends, latches and constants.
+  expect_parse_matches_reference(
+      ".model t # c\n.inputs a \\\nb\r\n.outputs y q z\n"
+      ".names a b \\\\\n\ny\n11 1\n.latch y q re clk 1\n.names z\n1\n"
+      ".end\n",
+      "layout");
+  expect_parse_matches_reference(".inputs a\n.outputs a\n\\", "eof fold");
+}
+
 TEST(Blif, MissingFileThrows) {
   EXPECT_THROW(blif::read_file("/nonexistent/file.blif"), std::runtime_error);
 }

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "activity_reference.hpp"
@@ -35,12 +36,10 @@ using namespace lps;
 // tape driver, or the interpreter reference.
 sim::ActivityStats measure_with(const Netlist& net, bool compiled,
                                 std::size_t frames, std::uint64_t seed,
-                                std::span<const double> pi_one_prob = {},
-                                sim::ActivityTrace* cap = nullptr) {
-  return compiled
-             ? sim::measure_activity(net, frames, seed, pi_one_prob, cap)
-             : reference::measure_activity(net, frames, seed, pi_one_prob,
-                                           cap);
+                                std::span<const double> pi_one_prob = {}) {
+  return compiled ? sim::measure_activity(net, frames, seed, pi_one_prob)
+                  : reference::measure_activity(net, frames, seed,
+                                                pi_one_prob);
 }
 
 void expect_stats_identical(const sim::ActivityStats& a,
@@ -253,21 +252,80 @@ TEST(Compiled, SequentialAndLoadEnabledDffsIdentical) {
                          measure_with(net, true, 64, 17));
 }
 
+// The captured trace, read back frame by frame, must equal the
+// interpreter's frames word for word.
+void expect_capture_identical(const Netlist& net, std::size_t frames,
+                              std::uint64_t seed, const std::string& what) {
+  reference::FrameTrace want;
+  reference::measure_activity(net, frames, seed, {}, &want);
+  sim::ActivityTrace t;
+  sim::measure_activity(net, frames, seed, {}, &t);
+  const reference::FrameTrace got = reference::frames_of(t, net.size());
+  ASSERT_EQ(got.frames.size(), want.frames.size()) << what;
+  for (std::size_t fr = 0; fr < want.frames.size(); ++fr)
+    ASSERT_EQ(got.frames[fr], want.frames[fr]) << what << " frame " << fr;
+  EXPECT_EQ(got.shard_start, want.shard_start) << what;
+  EXPECT_EQ(got.ones, want.ones) << what;
+  EXPECT_EQ(got.toggles, want.toggles) << what;
+  EXPECT_EQ(got.patterns, want.patterns) << what;
+  EXPECT_EQ(got.seam_patterns, want.seam_patterns) << what;
+}
+
 TEST(Compiled, TraceCaptureIdentical) {
-  // The captured per-frame matrix feeds incremental splicing — it must be
-  // word-for-word identical, dead slots included.
-  auto net = bench::array_multiplier(4);
-  sim::ActivityTrace ta, tb;
-  measure_with(net, false, 128, 9, {}, &ta);
-  measure_with(net, true, 128, 9, {}, &tb);
-  ASSERT_EQ(ta.frames.size(), tb.frames.size());
-  for (std::size_t fr = 0; fr < ta.frames.size(); ++fr)
-    ASSERT_EQ(ta.frames[fr], tb.frames[fr]) << "frame " << fr;
-  EXPECT_EQ(ta.ones, tb.ones);
-  EXPECT_EQ(ta.toggles, tb.toggles);
-  EXPECT_EQ(ta.shard_start, tb.shard_start);
-  EXPECT_EQ(ta.patterns, tb.patterns);
-  EXPECT_EQ(ta.seam_patterns, tb.seam_patterns);
+  // The captured value blocks feed incremental splicing — every live frame
+  // must be word-for-word identical, dead slots included: one full block,
+  // a tail block, two shards whose seam falls inside a block, and a
+  // sequential (frame-major) stream.
+  for (std::size_t frames : {128u, 15u, 156u})
+    expect_capture_identical(bench::array_multiplier(4), frames, 9,
+                             "mult4/" + std::to_string(frames));
+  expect_capture_identical(load_enabled_net(), 40, 3, "load-enabled");
+}
+
+// A random DAG whose first outputs were rewired to an input and swept, so
+// it carries tombstones.
+Netlist net_with_dead_nodes() {
+  Netlist net = bench::random_dag(12, 200, 5);
+  for (std::size_t k = 0; k < 4; ++k) {
+    NodeId o = net.outputs()[k];
+    for (std::size_t i = 0; i < net.node(o).fanins.size(); ++i)
+      net.replace_fanin(o, i, net.inputs()[k]);
+  }
+  net.sweep();
+  return net;
+}
+
+TEST(Compiled, ThreadScratchReuseMatchesFreshRuns) {
+  // measure_activity keeps its value block per thread across runs.  A run
+  // on A, then on a larger B (whose live slots cover A's dead ones), then
+  // on A again must equal the first run: the same report, the same
+  // captured frames, dead slots still reading 0.
+  const Netlist a = net_with_dead_nodes();
+  ASSERT_LT(a.num_live(), a.size());
+  const Netlist b = bench::array_multiplier(8);
+  ASSERT_GT(b.size(), a.size());
+  power::AnalysisOptions ao;
+  ao.mode = power::ActivityMode::ZeroDelay;
+  ao.n_vectors = 1000;  // 15 frames: one tail block
+  core::ScopedThreads one(1);  // every run on this thread's block
+  sim::ActivityTrace t1, t3;
+  const power::Analysis a1 = power::analyze(a, ao);
+  sim::measure_activity(a, 15, ao.seed, {}, &t1);
+  power::analyze(b, ao);
+  sim::measure_activity(b, 15, ao.seed);
+  const power::Analysis a3 = power::analyze(a, ao);
+  sim::measure_activity(a, 15, ao.seed, {}, &t3);
+  EXPECT_EQ(a1.toggles_per_cycle, a3.toggles_per_cycle);
+  EXPECT_EQ(a1.report.node_power_w, a3.report.node_power_w);
+  EXPECT_EQ(a1.report.breakdown.total_w(), a3.report.breakdown.total_w());
+  const auto f1 = reference::frames_of(t1, a.size());
+  const auto f3 = reference::frames_of(t3, a.size());
+  EXPECT_EQ(f1.frames, f3.frames);
+  EXPECT_EQ(f1.ones, f3.ones);
+  EXPECT_EQ(f1.toggles, f3.toggles);
+  expect_capture_identical(a, 15, ao.seed, "after B");
+  expect_stats_identical(reference::measure_activity(a, 15, ao.seed),
+                         sim::measure_activity(a, 15, ao.seed));
 }
 
 TEST(Compiled, ThreadCountInvariance) {

@@ -7,6 +7,10 @@
 
 #include <random>
 #include <sstream>
+#include <string>
+#include <vector>
+
+#include "blif_reference.hpp"
 
 #include "core/diag.hpp"
 #include "netlist/benchmarks.hpp"
@@ -316,6 +320,41 @@ TEST(ParserFuzz, BlifSurvives1500SeededMutations) {
   // The fuzzer must actually exercise both outcomes.
   EXPECT_GT(parsed_ok, 0);
   EXPECT_GT(rejected, 0);
+}
+
+// The string_view parser against the istringstream/std::map reference on
+// the same mutations and on the malformed corpus: identical diagnostic
+// text (positions included) and identical netlists.
+TEST(ParserFuzz, BlifMatchesReferenceParser) {
+  std::vector<std::string> texts;
+  for (const auto& c : kBadBlif) texts.emplace_back(c.text);
+  Netlist seq_net("fuzzseq");
+  {
+    NodeId a = seq_net.add_input("a");
+    NodeId b = seq_net.add_input("b");
+    NodeId q = seq_net.add_dff(seq_net.add_xor(a, b), true, "q");
+    seq_net.add_output(seq_net.add_and(q, a), "y");
+  }
+  const std::string comb = blif::write_string(bench::c17());
+  const std::string seq = blif::write_string(seq_net);
+  std::mt19937 rng(0xB11F);
+  for (int i = 0; i < 1500; ++i)
+    texts.push_back(mutate(i % 2 == 0 ? comb : seq, rng));
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    diag::DiagEngine got_eng(16), want_eng(16);
+    const auto got = blif::parse_string(texts[i], got_eng, "f.blif");
+    const auto want =
+        reference::blif_parse_string(texts[i], want_eng, "f.blif");
+    ASSERT_EQ(got_eng.str(), want_eng.str()) << "text " << i;
+    ASSERT_EQ(got_eng.num_errors(), want_eng.num_errors()) << "text " << i;
+    ASSERT_EQ(got_eng.num_warnings(), want_eng.num_warnings()) << "text " << i;
+    ASSERT_EQ(got.has_value(), want.has_value()) << "text " << i;
+    if (got) {
+      ASSERT_EQ(got->size(), want->size()) << "text " << i;
+      ASSERT_EQ(blif::write_string(*got), blif::write_string(*want))
+          << "text " << i;
+    }
+  }
 }
 
 TEST(ParserFuzz, KissSurvives1500SeededMutations) {

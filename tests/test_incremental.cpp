@@ -15,11 +15,14 @@
 #include <cmath>
 #include <random>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/diag.hpp"
 #include "core/flows.hpp"
 #include "core/metrics.hpp"
 #include "core/pass.hpp"
+#include "activity_reference.hpp"
 #include "flow_reference.hpp"
 #include "logicsim_reference.hpp"
 #include "netlist/benchmarks.hpp"
@@ -699,6 +702,186 @@ TEST(FsmFlow, GatedPowerReportedIdenticallyBothPaths) {
   EXPECT_EQ(a.power_gated_w,
             power::analyze(a.circuit, ao).report.breakdown.total_w());
   EXPECT_GT(a.power_gated_w, 0.0);
+}
+
+// A combinational trace of 156 frames runs as two shards; a sequential net
+// runs as one.  An edit that adds the first register or removes the last
+// one must therefore re-baseline, not splice into the old stream.
+TEST(Incremental, RegisterSetChangeRebaselines) {
+  auto ao = zd_options(10000);
+  Netlist net = bench::random_dag(16, 200, 3);
+  const Netlist& cn = net;
+  power::IncrementalAnalyzer inc(net, ao);
+  net.begin_undo();
+  const NodeId q = net.add_dff(cn.node(cn.outputs()[0]).fanins[0]);
+  net.add_output(q, "q");
+  inc.reanalyze(net.touched_nodes());
+  net.commit_undo();
+  EXPECT_TRUE(inc.last_update().full_rebaseline);
+  expect_identical(inc.analysis(), power::analyze(cn, ao));
+
+  net.begin_undo();
+  net.substitute(q, cn.inputs()[0]);  // the only register goes away
+  inc.reanalyze(net.touched_nodes());
+  net.commit_undo();
+  EXPECT_TRUE(inc.last_update().full_rebaseline);
+  expect_identical(inc.analysis(), power::analyze(cn, ao));
+}
+
+// ---- block-layout trace under edit scripts --------------------------------
+
+// Every field of two analyses, per-node vectors included, bit for bit.
+void expect_bit_equal(const power::Analysis& a, const power::Analysis& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.toggles_per_cycle, b.toggles_per_cycle) << what;
+  EXPECT_EQ(a.report.node_switching_w, b.report.node_switching_w) << what;
+  EXPECT_EQ(a.report.node_power_w, b.report.node_power_w) << what;
+  EXPECT_EQ(a.report.breakdown.switching_w, b.report.breakdown.switching_w)
+      << what;
+  EXPECT_EQ(a.report.breakdown.short_circuit_w,
+            b.report.breakdown.short_circuit_w)
+      << what;
+  EXPECT_EQ(a.report.breakdown.leakage_w, b.report.breakdown.leakage_w)
+      << what;
+  EXPECT_EQ(a.report.total_cap_f, b.report.total_cap_f) << what;
+  EXPECT_EQ(a.report.weighted_activity, b.report.weighted_activity) << what;
+  EXPECT_EQ(a.clock_power_w, b.clock_power_w) << what;
+  EXPECT_EQ(a.vectors_used, b.vectors_used) << what;
+  EXPECT_EQ(a.engine, b.engine) << what;
+}
+
+// outputs_digest()'s formula over a fresh run of `net`, frame by frame.
+std::uint64_t frame_major_digest(const Netlist& net,
+                                 const power::AnalysisOptions& ao) {
+  sim::ActivityTrace t;
+  sim::measure_activity(net, power::zero_delay_frames(ao.n_vectors), ao.seed,
+                        ao.pi_one_prob, &t);
+  std::uint64_t d = 0x9E3779B97F4A7C15ull;
+  for (const sim::Frame& f : reference::frames_of(t, net.size()).frames)
+    for (std::size_t j = 0; j < net.outputs().size(); ++j)
+      d = core::mix64(d ^ (f[net.outputs()[j]] +
+                           0x9E3779B97F4A7C15ull * (j + 1)));
+  return d;
+}
+
+// A counter whose odd registers load only when an XOR of two state bits is
+// high, and whose register 2 loads on a primary input.
+Netlist load_enabled_counter() {
+  Netlist net = bench::counter(8);
+  const std::vector<NodeId> q = net.dffs();
+  const NodeId en = net.add_xor(q[0], q[3]);
+  for (std::size_t i = 1; i < q.size(); i += 2) net.set_dff_enable(q[i], en);
+  net.set_dff_enable(q[2], net.add_input("load"));
+  return net;
+}
+
+// A seeded script of journaled edits, each kept (its frame stacked) or
+// reverted (revert_last), with frame restores interleaved; after every
+// step the analyzer must equal a fresh analysis bit for bit, its cached
+// capacitances must equal node_capacitances(), and its output digest the
+// digest of a fresh frame-major run.
+struct ScriptCoverage {
+  int kind[6] = {};
+  int kept = 0, reverted = 0, restores = 0, cone_updates = 0;
+};
+
+void run_edit_script(Netlist net, std::size_t vectors, std::uint32_t seed,
+                     const std::string& name, ScriptCoverage& cov) {
+  const power::AnalysisOptions ao = zd_options(vectors);
+  power::IncrementalAnalyzer inc(net, ao);
+  std::mt19937 rng(seed);
+  std::vector<Netlist::UndoFrame> frames;
+  auto check = [&](const std::string& what) {
+    const Netlist& cn = net;
+    expect_bit_equal(inc.analysis(), power::analyze(cn, ao), what);
+    EXPECT_EQ(inc.capacitances(), power::node_capacitances(cn, ao.params))
+        << what;
+    EXPECT_EQ(inc.outputs_digest(), frame_major_digest(cn, ao)) << what;
+  };
+  auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  for (int step = 0; step < 24; ++step) {
+    const Netlist& cn = net;  // reads must not journal nodes
+    const std::string what =
+        name + "/" + std::to_string(vectors) + " step " + std::to_string(step);
+    if (!frames.empty() && pick(5) == 0) {
+      net.begin_undo();
+      net.restore_frame(frames.back());
+      inc.reanalyze(net.touched_nodes());
+      net.commit_undo();
+      frames.pop_back();
+      ++cov.restores;
+      check(what + " restore");
+      continue;
+    }
+    // Live gates (not registers), by id; any smaller id is a fanin that
+    // cannot close a combinational cycle, since every non-register edge
+    // runs from a smaller id to a larger one.
+    std::vector<NodeId> gates;
+    for (NodeId id = 0; id < cn.size(); ++id)
+      if (!cn.is_dead(id) && !is_source(cn.node(id).type) &&
+          cn.node(id).type != GateType::Dff && !cn.node(id).fanins.empty())
+        gates.push_back(id);
+    const NodeId g = gates[pick(gates.size())];
+    const NodeId f = static_cast<NodeId>(pick(g));
+    net.begin_undo();
+    const std::size_t kind = pick(6);
+    ++cov.kind[kind];
+    switch (kind) {
+      case 0:
+        if (!cn.is_dead(f))
+          net.replace_fanin(g, pick(cn.node(g).fanins.size()), f);
+        break;
+      case 1:
+        net.node(g).size = 1.0 + static_cast<double>(pick(4));
+        break;
+      case 2: {
+        const NodeId a = cn.inputs()[pick(cn.inputs().size())];
+        const NodeId x = net.add_gate(GateType::Nand, {a, g});
+        if (pick(2)) net.add_output(x, "x" + std::to_string(step));
+        break;
+      }
+      case 3:
+        net.add_output(g, "o" + std::to_string(step));
+        break;
+      case 4:
+        if (!cn.is_dead(f) && cn.node(f).type != GateType::Dff)
+          net.substitute(g, f);  // redirects g's uses, then removes g
+        break;
+      case 5: {
+        const NodeId x = net.add_not(g);  // dangling, then removed
+        net.remove(x);
+        break;
+      }
+    }
+    inc.reanalyze(net.touched_nodes());
+    if (!inc.last_update().full_rebaseline) ++cov.cone_updates;
+    if (pick(3) == 0) {
+      net.rollback_undo();
+      inc.revert_last();
+      ++cov.reverted;
+      check(what + " reverted");
+    } else {
+      frames.push_back(net.commit_undo_frame());
+      ++cov.kept;
+      check(what + " kept");
+    }
+  }
+}
+
+TEST(Incremental, BlockTraceEditScriptsMatchAnalyze) {
+  // 32 frames in one shard, 15 frames in one tail block, and 156 frames in
+  // two shards whose seam (frame 78) falls inside a block.
+  ScriptCoverage cov;
+  for (std::size_t vectors : {2048u, 1000u, 10000u}) {
+    run_edit_script(bench::random_dag(64, 2000, 7), vectors, 1, "rand", cov);
+    run_edit_script(bench::array_multiplier(8), vectors, 2, "mult8", cov);
+    run_edit_script(load_enabled_counter(), vectors, 3, "le-counter", cov);
+  }
+  for (int k : cov.kind) EXPECT_GT(k, 0);
+  EXPECT_GT(cov.kept, 0);
+  EXPECT_GT(cov.reverted, 0);
+  EXPECT_GT(cov.restores, 0);
+  EXPECT_GT(cov.cone_updates, cov.kept / 2);
 }
 
 // The whole generated suite: one local mutation per circuit, exact equality.

@@ -58,7 +58,8 @@ void expect_matches_reference(const Netlist& net, const std::string& what) {
     for (NodeId id = 0; id < net.size(); ++id)
       EXPECT_EQ(cap[id], reference::node_capacitance(net, id, p))
           << what << " node " << id;
-    auto got = compute_power(net, tg, p);
+    PowerReport got;
+    compute_power(net, tg, cap, p, got);
     auto want = reference::compute_power(net, tg, p);
     EXPECT_EQ(got.node_switching_w, want.node_switching_w) << what;
     EXPECT_EQ(got.node_power_w, want.node_power_w) << what;
@@ -153,7 +154,13 @@ TEST(PowerModel, SwitchingDominates) {
 TEST(PowerModel, MismatchedVectorThrows) {
   auto net = bench::c17();
   std::vector<double> wrong(3, 0.0);
-  EXPECT_THROW(compute_power(net, wrong), std::invalid_argument);
+  const auto cap = node_capacitances(net, PowerParams{});
+  PowerReport r;
+  EXPECT_THROW(compute_power(net, wrong, cap, PowerParams{}, r),
+               std::invalid_argument);
+  const std::vector<double> toggles(net.size(), 0.0);
+  EXPECT_THROW(compute_power(net, toggles, wrong, PowerParams{}, r),
+               std::invalid_argument);
 }
 
 TEST(Analyze, TimedAtLeastZeroDelayPower) {

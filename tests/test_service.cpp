@@ -46,13 +46,24 @@ using service::Json;
 using service::JsonArray;
 using service::JsonObject;
 
-std::string temp_dir(const std::string& tag) {
-  std::string d = ::testing::TempDir() + "lps_service_" + tag + "_XXXXXX";
-  std::vector<char> buf(d.begin(), d.end());
-  buf.push_back('\0');
-  EXPECT_NE(::mkdtemp(buf.data()), nullptr);
-  return std::string(buf.data());
-}
+// A fresh journal directory, removed with everything in it when the guard
+// goes out of scope.
+struct TempDir {
+  std::string path;
+  explicit TempDir(const std::string& tag) {
+    std::string d = ::testing::TempDir() + "lps_service_" + tag + "_XXXXXX";
+    std::vector<char> buf(d.begin(), d.end());
+    buf.push_back('\0');
+    EXPECT_NE(::mkdtemp(buf.data()), nullptr);
+    path = buf.data();
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+};
 
 std::string bench_blif() {
   return blif::write_string(bench::ripple_carry_adder(8));
@@ -813,7 +824,8 @@ TEST(ServiceConcurrency, OptimizeOneSessionWhileEstimatingAnother) {
 // Journal recovery.
 
 TEST(ServiceJournal, RecoverReproducesCommittedState) {
-  std::string dir = temp_dir("recover");
+  const TempDir tmp("recover");
+  const std::string& dir = tmp.path;
   std::string hash_after;
   {
     service::ServiceOptions so;
@@ -849,7 +861,8 @@ TEST(ServiceJournal, RecoverKeepsLoadVectorsAndSeed) {
   // The analyzer options of `load` are part of the base record: the
   // optimize replays with them, and the rebuilt analyzer estimates with
   // them, so the recovered session answers exactly as before the crash.
-  std::string dir = temp_dir("recover_cfg");
+  const TempDir tmp("recover_cfg");
+  const std::string& dir = tmp.path;
   std::string hash_after;
   double power_before = 0.0;
   {
@@ -893,7 +906,8 @@ TEST(ServiceJournal, RecoverKeepsLoadVectorsAndSeed) {
 }
 
 TEST(ServiceJournal, TornFinalRecordTruncatesToCommittedPrefix) {
-  std::string dir = temp_dir("torn");
+  const TempDir tmp("torn");
+  const std::string& dir = tmp.path;
   std::string hash_mid;
   {
     service::ServiceOptions so;
@@ -932,7 +946,8 @@ TEST(ServiceJournal, TornFinalRecordTruncatesToCommittedPrefix) {
 }
 
 TEST(ServiceJournal, GarbageJournalIsSkippedNotFatal) {
-  std::string dir = temp_dir("garbage");
+  const TempDir tmp("garbage");
+  const std::string& dir = tmp.path;
   {
     std::ofstream os(dir + "/bad.journal");
     os << "this is not a journal\n";
@@ -1061,7 +1076,8 @@ class EditScripts {
 // on cached and seeded estimate responses, byte for byte.
 void expect_matches_replay(service::Service& svc, const std::string& journal,
                            const Json& rolled_back) {
-  std::string dir = temp_dir("replay_ref");
+  const TempDir tmp("replay_ref");
+  const std::string& dir = tmp.path;
   std::filesystem::copy_file(journal, dir + "/main.journal");
   service::ServiceOptions so;
   so.journal_dir = dir;
@@ -1076,7 +1092,6 @@ void expect_matches_replay(service::Service& svc, const std::string& journal,
        {verb_frame("estimate", "main"),
         verb_frame("estimate", "main", {{"seed", Json(7)}})})
     EXPECT_EQ(svc.dispatch(est), ref.dispatch(est));
-  std::filesystem::remove_all(dir);
 }
 
 // Seeded scripts of mutate, optimize, estimate, rollback, eviction and
@@ -1089,7 +1104,8 @@ TEST(ServiceRollback, UndoMatchesReplay) {
   int rollbacks = 0;
   for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const std::string dir = temp_dir("undo");
+    const TempDir tmp("undo");
+    const std::string& dir = tmp.path;
     const std::string journal = dir + "/main.journal";
     service::ServiceOptions so;
     so.journal_dir = dir;
@@ -1152,7 +1168,6 @@ TEST(ServiceRollback, UndoMatchesReplay) {
         committed(r);
       }
     }
-    std::filesystem::remove_all(dir);
   }
   EXPECT_GE(rollbacks, 40);
   // Both paths ran: frames, and replay after an eviction or a recovery.
@@ -1164,7 +1179,8 @@ TEST(ServiceRollback, UndoMatchesReplay) {
 // A deadline inside the undo's re-analysis leaves the session, its journal
 // and its frame as they were; the retry then pops the same frame.
 TEST(ServiceRollback, CancelledRollbackLeavesEverythingUnchanged) {
-  const std::string dir = temp_dir("rb_cancel");
+  const TempDir tmp("rb_cancel");
+  const std::string& dir = tmp.path;
   const std::string journal = dir + "/s.journal";
   service::Session s("s", journal);
   ASSERT_TRUE(s.load(bench_blif(), 2048, 0xC0FFEE, true, nullptr).status.is_ok());
@@ -1199,7 +1215,6 @@ TEST(ServiceRollback, CancelledRollbackLeavesEverythingUnchanged) {
   EXPECT_EQ(s.hash(), hash0);
   EXPECT_EQ(core::metrics::value("service.rollback.undo"), undo0 + 1);
   EXPECT_EQ(core::metrics::value("service.rollback.replay"), replay0);
-  std::filesystem::remove_all(dir);
 }
 
 // An optimize frame is the whole pre-optimize netlist: rolling it back runs
@@ -1233,7 +1248,8 @@ TEST(ServiceRollback, OptimizeRollbackDoesNotRerunTheFlow) {
 // Every rollback path is counted: frames while they stand, replay after an
 // eviction or a recovery dropped them, and never a silent mismatch.
 TEST(ServiceRollback, PathCountsAreExact) {
-  const std::string dir = temp_dir("rb_counts");
+  const TempDir tmp("rb_counts");
+  const std::string& dir = tmp.path;
   service::Session s("s", dir + "/s.journal");
   ASSERT_TRUE(s.load(bench_blif(), 2048, 0xC0FFEE, true, nullptr).status.is_ok());
   int size = 0;
@@ -1270,7 +1286,6 @@ TEST(ServiceRollback, PathCountsAreExact) {
   EXPECT_EQ(c1[0] - c0[0], 3);
   EXPECT_EQ(c1[1] - c0[1], 4);
   EXPECT_EQ(c1[2] - c0[2], 0);
-  std::filesystem::remove_all(dir);
 }
 
 // Shared estimates on one session overlap exclusive mutate/rollback cycles
@@ -1380,7 +1395,8 @@ TEST(ServiceFuzz, MutatedFramesAlwaysGetStructuredAnswers) {
 // Sockets.
 
 TEST(ServiceSockets, RoundTripAndHostileClients) {
-  std::string dir = temp_dir("sock");
+  const TempDir tmp("sock");
+  const std::string& dir = tmp.path;
   std::string path = dir + "/d.sock";
   service::Service svc;
   service::SocketServer server(svc, path);

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -136,6 +137,10 @@ TEST(Simd, AlignedWordsAlignmentAndSemantics) {
   const std::uint64_t* p = w.data();
   w.assign(130, 1);
   EXPECT_EQ(w.data(), p);
+  // a copy is aligned and holds the same words.
+  const core::AlignedWords c = w;
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c.data()) % 64, 0u);
+  EXPECT_TRUE(std::equal(c.begin(), c.end(), w.begin(), w.end()));
   // move steals the buffer.
   core::AlignedWords v = std::move(w);
   EXPECT_EQ(v.data(), p);
