@@ -9,9 +9,10 @@
 // Delay model: gate delay d(n) = d0 * (alpha + C_load(n) / (size(n) * c0)),
 // i.e. bigger gates drive their load faster but present more input
 // capacitance to their fanins — the coupled tradeoff the survey describes.
-// The pass starts from a uniformly-sized circuit, then greedily downsizes
-// the gate with the best power-gain-per-slack-consumed ratio while the
-// critical delay stays within `delay_budget`.
+// The pass starts from a uniformly-sized circuit, sorts the gates once by
+// power gain (the activity-weighted capacitance one step of downsizing
+// removes), and shrinks each in turn while the critical delay, kept by the
+// incremental timer of netlist/timer.hpp, stays within `delay_budget`.
 
 #pragma once
 
@@ -48,16 +49,10 @@ struct SizingResult {
   int downsizing_moves = 0;
 };
 
-/// Continuous timing with the sizing delay model (uses node sizes in `net`).
-std::vector<double> sized_arrival_times(const Netlist& net,
-                                        const power::PowerParams& pp,
-                                        const SizingParams& sp);
-double sized_critical_delay(const Netlist& net, const power::PowerParams& pp,
-                            const SizingParams& sp);
-
 /// Run the slack-based downsizing loop.  Mutates Node::size in `net`.
 /// `toggles_per_cycle` weighs capacitance by activity so the power gain of a
-/// move is activity-aware (downsizing a busy gate helps more).
+/// move is activity-aware (downsizing a busy gate helps more).  Publishes
+/// the timer's re-evaluated node count as `circuit.timer.updates`.
 SizingResult size_for_power(Netlist& net,
                             const std::vector<double>& toggles_per_cycle,
                             const power::PowerParams& pp = {},

@@ -1,6 +1,7 @@
 #include "logicopt/path_balance.hpp"
 
 #include <algorithm>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -23,31 +24,43 @@ void pad_fanin(Netlist& net, NodeId user, std::size_t slot, int count) {
   net.replace_fanin(user, slot, cur);
 }
 
+// A fanin slot that arrives `lag` units before its gate's latest input,
+// scored by the lag weighted by the gate's fanout count (a skewed input on
+// a high-fanout gate spawns the most downstream glitching).
+struct Skew { double score; NodeId id; std::size_t slot; int lag; };
+
+// Every skewed slot, gate by gate in `order`, from one timing pass.
+// Padding a slot up to at most its gate's latest input moves no existing
+// node's arrival and keeps every driver's fanout count, so the list stays
+// exact while its slots are padded.
+std::vector<Skew> skews(const Netlist& net, std::span<const NodeId> order) {
+  const auto at = net.arrival_times();
+  std::vector<Skew> r;
+  for (NodeId id : order) {
+    const Node& nd = net.node(id);
+    if (is_source(nd.type) || nd.type == GateType::Dff) continue;
+    int latest = 0;
+    for (NodeId f : nd.fanins) latest = std::max(latest, at[f]);
+    for (std::size_t k = 0; k < nd.fanins.size(); ++k) {
+      int lag = latest - at[nd.fanins[k]];
+      if (lag > 0) r.push_back({lag * (1.0 + nd.fanouts.size()), id, k, lag});
+    }
+  }
+  return r;
+}
+
 }  // namespace
 
 BalanceResult full_balance(Netlist& net) {
   BalanceResult r;
   r.critical_delay_before = net.critical_delay();
-  // Process gates in topological order; at each gate pad the early fanins
-  // up to the latest one.  After the pass, every path from sources to any
-  // gate input has equal delay, so no gate can glitch (single switching
-  // wave per cycle under the pure-delay model).
-  const Netlist& cnet = net;  // reads must not journal (see netlist.hpp)
-  auto order = net.topo_order();
-  for (NodeId id : order) {
-    const Node& nd = cnet.node(id);
-    if (is_source(nd.type) || nd.type == GateType::Dff) continue;
-    auto at = net.arrival_times();  // recompute; padding changes times
-    int latest = 0;
-    for (NodeId f : nd.fanins) latest = std::max(latest, at[f]);
-    // pad_fanin appends nodes, so re-fetch id's fanins after each pad.
-    for (std::size_t k = 0; k < cnet.node(id).fanins.size(); ++k) {
-      int lag = latest - at[cnet.node(id).fanins[k]];
-      if (lag > 0) {
-        pad_fanin(net, id, k, lag);
-        r.buffers_inserted += lag;
-      }
-    }
+  // Pad every early fanin up to its gate's latest one.  After the pass,
+  // every path from sources to any gate input has equal delay, so no gate
+  // can glitch (single switching wave per cycle under the pure-delay
+  // model).
+  for (const Skew& s : skews(net, net.topo_order())) {
+    pad_fanin(net, s.id, s.slot, s.lag);
+    r.buffers_inserted += s.lag;
   }
   r.critical_delay_after = net.critical_delay();
   return r;
@@ -56,43 +69,17 @@ BalanceResult full_balance(Netlist& net) {
 BalanceResult partial_balance(Netlist& net, int buffer_budget) {
   BalanceResult r;
   r.critical_delay_before = net.critical_delay();
-  const Netlist& cnet = net;  // reads must not journal (see netlist.hpp)
-  while (r.buffers_inserted < buffer_budget) {
-    auto at = net.arrival_times();
-    // Find the fanin slot with the largest skew, weighted by the fanout
-    // count of the gate (a skewed input on a high-fanout gate spawns the
-    // most downstream glitching).
-    double best_score = 0.0;
-    NodeId best_node = kNoNode;
-    std::size_t best_slot = 0;
-    for (NodeId id = 0; id < net.size(); ++id) {
-      if (net.is_dead(id)) continue;
-      const Node& nd = cnet.node(id);
-      if (is_source(nd.type) || nd.type == GateType::Dff ||
-          nd.type == GateType::Buf)
-        continue;
-      int latest = 0;
-      for (NodeId f : nd.fanins) latest = std::max(latest, at[f]);
-      for (std::size_t k = 0; k < nd.fanins.size(); ++k) {
-        int lag = latest - at[nd.fanins[k]];
-        if (lag <= 0) continue;
-        double score =
-            static_cast<double>(lag) * (1.0 + nd.fanouts.size());
-        if (score > best_score) {
-          best_score = score;
-          best_node = id;
-          best_slot = k;
-        }
-      }
-    }
-    if (best_node == kNoNode) break;  // fully balanced
-    auto at2 = net.arrival_times();
-    int latest = 0;
-    for (NodeId f : cnet.node(best_node).fanins)
-      latest = std::max(latest, at2[f]);
-    int lag = latest - at2[cnet.node(best_node).fanins[best_slot]];
-    lag = std::min(lag, buffer_budget - r.buffers_inserted);
-    pad_fanin(net, best_node, best_slot, lag);
+  // Greedy: the highest-scored slots first (ties to the lower gate id and
+  // slot), the last one cut short when the budget runs out.
+  auto all = skews(net, net.topo_order());
+  std::sort(all.begin(), all.end(), [](const Skew& a, const Skew& b) {
+    return std::tuple(-a.score, a.id, a.slot) <
+           std::tuple(-b.score, b.id, b.slot);
+  });
+  for (const Skew& s : all) {
+    if (r.buffers_inserted >= buffer_budget) break;
+    int lag = std::min(s.lag, buffer_budget - r.buffers_inserted);
+    pad_fanin(net, s.id, s.slot, lag);
     r.buffers_inserted += lag;
   }
   r.critical_delay_after = net.critical_delay();

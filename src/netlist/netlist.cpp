@@ -8,6 +8,7 @@
 
 #include "core/diag.hpp"
 #include "core/parallel.hpp"
+#include "netlist/timer.hpp"
 #include "netlist/validate.hpp"
 
 namespace lps {
@@ -529,66 +530,12 @@ std::vector<NodeId> Netlist::topo_order() const {
   return order;
 }
 
-std::vector<int> Netlist::levels() const {
-  std::vector<int> lv(nodes_.size(), 0);
-  for (NodeId n : topo_order()) {
-    const Node& nd = nodes_[n];
-    if (is_source(nd.type) || nd.type == GateType::Dff) {
-      lv[n] = 0;
-      continue;
-    }
-    int m = 0;
-    for (NodeId f : nd.fanins) m = std::max(m, lv[f] + 1);
-    lv[n] = m;
-  }
-  return lv;
-}
-
 std::vector<int> Netlist::arrival_times() const {
-  std::vector<int> at(nodes_.size(), 0);
-  for (NodeId n : topo_order()) {
-    const Node& nd = nodes_[n];
-    if (is_source(nd.type) || nd.type == GateType::Dff) {
-      at[n] = 0;
-      continue;
-    }
-    int m = 0;
-    for (NodeId f : nd.fanins) m = std::max(m, at[f]);
-    at[n] = m + nd.delay;
-  }
-  return at;
+  return Timer(*this, [this](NodeId n) { return nodes_[n].delay; }).arrivals();
 }
 
 int Netlist::critical_delay() const {
-  auto at = arrival_times();
-  int m = 0;
-  for (NodeId o : outputs_) m = std::max(m, at[o]);
-  for (NodeId i = 0; i < nodes_.size(); ++i)
-    if (!nodes_[i].dead && nodes_[i].type == GateType::Dff)
-      for (NodeId f : nodes_[i].fanins) m = std::max(m, at[f]);
-  return m;
-}
-
-std::vector<int> Netlist::required_times(int deadline) const {
-  auto at = arrival_times();
-  if (deadline < 0) deadline = critical_delay();
-  std::vector<int> rq(nodes_.size(), INT32_MAX);
-  auto order = topo_order();
-  for (NodeId o : outputs_) rq[o] = std::min(rq[o], deadline);
-  for (NodeId i = 0; i < nodes_.size(); ++i)
-    if (!nodes_[i].dead && nodes_[i].type == GateType::Dff)
-      for (NodeId f : nodes_[i].fanins) rq[f] = std::min(rq[f], deadline);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    NodeId n = *it;
-    const Node& nd = nodes_[n];
-    if (is_source(nd.type) || nd.type == GateType::Dff) continue;
-    if (rq[n] == INT32_MAX) continue;  // dangling
-    for (NodeId f : nd.fanins) rq[f] = std::min(rq[f], rq[n] - nd.delay);
-  }
-  // Dangling nodes: required = deadline (fully slack).
-  for (NodeId i = 0; i < nodes_.size(); ++i)
-    if (!nodes_[i].dead && rq[i] == INT32_MAX) rq[i] = deadline;
-  return rq;
+  return Timer(*this, [this](NodeId n) { return nodes_[n].delay; }).critical();
 }
 
 std::vector<bool> Netlist::cone_of(std::span<const NodeId> roots) const {

@@ -175,14 +175,10 @@ class Netlist {
   /// Topological order over live nodes; Dffs are treated as sources (their
   /// D-input closes the cycle and is not followed).
   std::vector<NodeId> topo_order() const;
-  /// level[n] = longest path (in gate counts, Dff/PI = 0) from any source.
-  std::vector<int> levels() const;
-  /// arrival[n] = longest path in *delay units* using Node::delay.
+  /// arrival[n] = longest path in *delay units* using Node::delay (one
+  /// pass of the timer in netlist/timer.hpp).
   std::vector<int> arrival_times() const;
-  /// required[n] given each PO required at `deadline` (default: critical
-  /// arrival).  slack = required - arrival.
-  std::vector<int> required_times(int deadline = -1) const;
-  /// Critical (max) arrival time over POs and Dff D inputs.
+  /// Critical (max) arrival time over POs and every Dff pin (D and EN).
   int critical_delay() const;
   /// Transitive fanin cone of `roots`, as a node mask.
   std::vector<bool> cone_of(std::span<const NodeId> roots) const;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -138,32 +139,82 @@ TEST(Sizing, MeetsDelayBudgetAndCutsCap) {
   EXPECT_TRUE(some_big);
 }
 
-// The one-pass capacitance timer makes the same moves as the per-node-scan
-// reference: same result, bit for bit, and the same final sizes.
+// One sort and one cone update per move make the same moves as the
+// per-node-scan reference with a full timing pass per move: same result,
+// bit for bit, and the same final sizes, under the default parameters and
+// the flow's in-place ones.
 TEST(Sizing, MatchesReference) {
   std::vector<bench::NamedNetlist> cases = bench::default_suite();
-  for (int gates : {250, 500, 1000})
+  for (int gates : {250, 500, 1000, 2000})
     cases.push_back({"rand64x" + std::to_string(gates),
                      bench::random_dag(64, gates, 1)});
+  SizingParams in_place;
+  in_place.start_from_max = false;
+  in_place.min_size = 0.5;
+  in_place.step = 0.25;
   for (const auto& [name, net0] : cases) {
     power::AnalysisOptions ao;
     ao.n_vectors = 256;
     auto tg = power::analyze(net0, ao).toggles_per_cycle;
-    auto got_net = net0.clone();
-    auto want_net = net0.clone();
-    auto got = size_for_power(got_net, tg);
-    auto want = reference::size_for_power(want_net, tg);
-    EXPECT_EQ(got.delay_before, want.delay_before) << name;
-    EXPECT_EQ(got.delay_after, want.delay_after) << name;
-    EXPECT_EQ(got.delay_budget, want.delay_budget) << name;
-    EXPECT_EQ(got.cap_before_ff, want.cap_before_ff) << name;
-    EXPECT_EQ(got.cap_after_ff, want.cap_after_ff) << name;
-    EXPECT_EQ(got.sizes, want.sizes) << name;
-    EXPECT_EQ(got.downsizing_moves, want.downsizing_moves) << name;
-    for (NodeId id = 0; id < got_net.size(); ++id)
-      EXPECT_EQ(got_net.node(id).size, want_net.node(id).size)
-          << name << " node " << id;
+    for (const SizingParams& sp : {SizingParams{}, in_place}) {
+      const std::string label =
+          name + (sp.start_from_max ? " default" : " in-place");
+      auto got_net = net0.clone();
+      auto want_net = net0.clone();
+      auto got = size_for_power(got_net, tg, {}, sp);
+      auto want = reference::size_for_power(want_net, tg, {}, sp);
+      EXPECT_EQ(got.delay_before, want.delay_before) << label;
+      EXPECT_EQ(got.delay_after, want.delay_after) << label;
+      EXPECT_EQ(got.delay_budget, want.delay_budget) << label;
+      EXPECT_EQ(got.cap_before_ff, want.cap_before_ff) << label;
+      EXPECT_EQ(got.cap_after_ff, want.cap_after_ff) << label;
+      EXPECT_EQ(got.sizes, want.sizes) << label;
+      EXPECT_EQ(got.downsizing_moves, want.downsizing_moves) << label;
+      for (NodeId id = 0; id < got_net.size(); ++id)
+        EXPECT_EQ(got_net.node(id).size, want_net.node(id).size)
+            << label << " node " << id;
+    }
   }
+}
+
+// A register's enable pin is a timing endpoint like its D pin: a 6-gate
+// chain on EN must set the budget and still meet it after sizing, while
+// the only PO path (Q -> XOR) is one gate long.
+TEST(Sizing, TimesEnablePins) {
+  Netlist net;
+  NodeId a = net.add_input("a");
+  NodeId b = net.add_input("b");
+  NodeId en = a;
+  for (int i = 0; i < 6; ++i)
+    en = i % 2 ? net.add_and(en, b) : net.add_or(en, b);
+  NodeId q = net.add_dff(a);
+  net.set_dff_enable(q, en);
+  net.add_output(net.add_xor(q, b), "y");
+  std::vector<double> tg(net.size(), 0.5);
+  const power::PowerParams pp;
+  const SizingParams sp;
+  auto en_arrival = [&](const Netlist& n) {
+    const auto cap = power::node_capacitances(n, pp);
+    std::vector<double> at(n.size(), 0.0);
+    for (NodeId id : n.topo_order()) {
+      const Node& nd = n.node(id);
+      if (is_source(nd.type) || nd.type == GateType::Dff) continue;
+      double m = 0.0;
+      for (NodeId f : nd.fanins) m = std::max(m, at[f]);
+      at[id] = m + sp.d0 * (sp.alpha + cap[id] * 1e15 / (nd.size * sp.c0_ff));
+    }
+    return at[en];
+  };
+  Netlist fastest = net.clone();
+  for (NodeId id = 0; id < fastest.size(); ++id)
+    if (!is_source(fastest.node(id).type) &&
+        fastest.node(id).type != GateType::Dff)
+      fastest.node(id).size = sp.max_size;
+  auto r = size_for_power(net, tg, pp, sp);
+  EXPECT_EQ(r.delay_before, en_arrival(fastest));
+  EXPECT_GT(r.downsizing_moves, 0);
+  EXPECT_LE(en_arrival(net), r.delay_budget);
+  EXPECT_LE(r.delay_after, r.delay_budget);
 }
 
 TEST(Sizing, TighterBudgetKeepsMoreDrive) {

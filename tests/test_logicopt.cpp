@@ -19,6 +19,7 @@
 #include "sim/waveform.hpp"
 #include "sim/logicsim.hpp"
 
+#include "balance_reference.hpp"
 #include "dontcare_reference.hpp"
 
 namespace lps::logicopt {
@@ -243,6 +244,42 @@ TEST(Balance, PartialUsesBudgetAndReducesGlitching) {
   double total_after = sim::measure_timed_activity(net, 400, 3).sum_total();
   // Gate transitions shrink even counting the new buffers.
   EXPECT_LT(total_after, total_before * 1.05);
+}
+
+// One timing pass and one list of skewed slots pad exactly what the
+// re-timing reference pads: the same nodes in the same order, the same
+// hash, the same delays.
+TEST(Balance, MatchesReference) {
+  std::vector<bench::NamedNetlist> cases = bench::default_suite();
+  for (int gates : {250, 500, 1000})
+    cases.push_back({"rand64x" + std::to_string(gates),
+                     bench::random_dag(64, gates, 1)});
+  cases.push_back({"enabled_regs", with_enabled_registers(11)});
+  auto expect_match = [](const std::string& name, const Netlist& got_net,
+                         const Netlist& want_net, const BalanceResult& got,
+                         const BalanceResult& want) {
+    EXPECT_EQ(structural_hash(got_net), structural_hash(want_net)) << name;
+    ASSERT_EQ(got_net.size(), want_net.size()) << name;
+    for (NodeId id = 0; id < got_net.size(); ++id)
+      EXPECT_EQ(got_net.node(id).fanins, want_net.node(id).fanins)
+          << name << " node " << id;
+    EXPECT_EQ(got.buffers_inserted, want.buffers_inserted) << name;
+    EXPECT_EQ(got.critical_delay_before, want.critical_delay_before) << name;
+    EXPECT_EQ(got.critical_delay_after, want.critical_delay_after) << name;
+  };
+  for (const auto& [name, net0] : cases) {
+    Netlist got_net = net0.clone(), want_net = net0.clone();
+    auto got = full_balance(got_net);
+    auto want = reference::full_balance(want_net);
+    expect_match(name + " full", got_net, want_net, got, want);
+    for (int budget : {0, 20, 1000}) {
+      Netlist got_p = net0.clone(), want_p = net0.clone();
+      auto gp = partial_balance(got_p, budget);
+      auto wp = reference::partial_balance(want_p, budget);
+      expect_match(name + " partial " + std::to_string(budget), got_p, want_p,
+                   gp, wp);
+    }
+  }
 }
 
 TEST(Library, StandardCellsWellFormed) {

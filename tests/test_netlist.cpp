@@ -9,6 +9,7 @@
 #include "netlist/benchmarks.hpp"
 #include "netlist/blif.hpp"
 #include "netlist/netlist.hpp"
+#include "netlist/timer.hpp"
 #include "netlist/validate.hpp"
 #include "sim/logicsim.hpp"
 
@@ -82,15 +83,57 @@ TEST(Netlist, LevelsAndArrival) {
   NodeId g1 = n.add_and(a, b);
   NodeId g2 = n.add_or(g1, a);
   n.add_output(g2, "y");
-  auto lv = n.levels();
-  EXPECT_EQ(lv[a], 0);
-  EXPECT_EQ(lv[g1], 1);
-  EXPECT_EQ(lv[g2], 2);
-  EXPECT_EQ(n.critical_delay(), 2);
-  auto rq = n.required_times();
+  // Unit delays: a node's arrival is its level.
   auto at = n.arrival_times();
-  for (NodeId id = 0; id < n.size(); ++id)
-    if (!n.is_dead(id)) EXPECT_GE(rq[id], at[id]) << "negative slack";
+  EXPECT_EQ(at[a], 0);
+  EXPECT_EQ(at[g1], 1);
+  EXPECT_EQ(at[g2], 2);
+  EXPECT_EQ(n.critical_delay(), 2);
+  // A register's enable pin is an endpoint too.
+  NodeId slow = n.add_not(n.add_not(g2));
+  n.set_dff_enable(n.add_dff(a), slow);
+  EXPECT_EQ(n.critical_delay(), 4);
+}
+
+// The timer's cone update with undo tracks a seeded script of size edits
+// under a load-dependent delay: after every step each arrival equals, bit
+// for bit, a fresh full pass, and so does the critical delay.
+TEST(Timer, UpdateMatchesFullPass) {
+  Netlist net = bench::random_dag(64, 500, 3);
+  std::vector<NodeId> gates;
+  for (NodeId id : net.topo_order())
+    if (!is_source(net.node(id).type)) gates.push_back(id);
+  NodeId q = net.add_dff(gates[10]);
+  net.set_dff_enable(q, net.add_and(gates[200], gates[300]));
+  net.add_output(net.add_xor(q, gates[5]), "r");
+  const Netlist& cnet = net;
+  auto delay = [&cnet](NodeId n) {
+    double load = 0.3;
+    for (NodeId fo : cnet.node(n).fanouts) load += cnet.node(fo).size;
+    return 0.5 + load / cnet.node(n).size;
+  };
+  Timer timer(cnet, delay);
+  std::mt19937 rng(7);
+  std::vector<NodeId> edited;
+  for (int step = 0; step < 400; ++step) {
+    const NodeId g = gates[rng() % gates.size()];
+    const double old = cnet.node(g).size;
+    net.node(g).size = 0.5 * (1 + rng() % 16);
+    edited.assign(1, g);
+    edited.insert(edited.end(), cnet.node(g).fanins.begin(),
+                  cnet.node(g).fanins.end());
+    timer.update(edited);
+    if (rng() % 3 == 0) {
+      net.node(g).size = old;
+      timer.undo();
+    }
+    Timer fresh(cnet, delay);
+    ASSERT_EQ(timer.arrivals(), fresh.arrivals()) << "step " << step;
+    ASSERT_EQ(timer.critical(), fresh.critical()) << "step " << step;
+  }
+  // Cones, not whole passes.
+  EXPECT_GT(timer.updates(), 0u);
+  EXPECT_LT(timer.updates(), 400u * cnet.num_live() / 4);
 }
 
 TEST(Netlist, SubstituteRedirectsUsesAndOutputs) {
