@@ -198,11 +198,8 @@ RewriteResult rewrite_datapath(Netlist& net, const RewriteOptions& opt) {
   // just keeps the propagation from paying a full-rule-space rescore per
   // level.  The iteration bound is a backstop: each productive pass
   // retires at least one gate, so it can't loop.
-  MatchOptions fold_only;
-  fold_only.reassoc = fold_only.inv_push = fold_only.share = false;
-  fold_only.mux = fold_only.carry = fold_only.distrib = false;
   for (int pass = 0; pass < 256; ++pass) {
-    std::vector<Candidate> queue = match_rules(net, fold_only);
+    std::vector<Candidate> queue = match_rules(net, /*fold_only=*/true);
     if (queue.empty() || run_queue(std::move(queue)) == 0) break;
   }
 

@@ -1,25 +1,13 @@
 #include "logicopt/rewrite/rules.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
 #include <unordered_map>
 
 namespace lps::logicopt::rewrite {
 
 namespace {
-
-bool is_commutative(GateType t) {
-  switch (t) {
-    case GateType::And:
-    case GateType::Or:
-    case GateType::Nand:
-    case GateType::Nor:
-    case GateType::Xor:
-    case GateType::Xnor:
-      return true;
-    default:
-      return false;
-  }
-}
 
 GateType complement_of(GateType t) {
   switch (t) {
@@ -110,192 +98,169 @@ bool any_const(const Netlist& net, NodeId n) {
   return is_const(net, n, false) || is_const(net, n, true);
 }
 
+/// A matched site's bindings: the operands and gate type its rewrite is
+/// built from.  Each rule's section names what it binds; a rule that
+/// rebuilds from the target's own fanins binds nothing.
+struct Site {
+  NodeId a = kNoNode, b = kNoNode, c = kNoNode;
+  GateType t = GateType::Input;
+};
+using Match = std::optional<Site>;
+
+/// The first (i, j) with x.fanins[i] == y.fanins[j] over two binary gates,
+/// binding the shared operand and the two others; nothing when none is.
+Match common_operand(const Netlist& net, NodeId x, NodeId y, GateType t) {
+  for (int i = 0; i < 2; ++i)
+    for (int j = 0; j < 2; ++j)
+      if (net.node(x).fanins[i] == net.node(y).fanins[j])
+        return Site{net.node(x).fanins[i], net.node(x).fanins[1 - i],
+                    net.node(y).fanins[1 - j], t};
+  return std::nullopt;
+}
+
 // ---- Fold ------------------------------------------------------------------
 // variant 0: binary gate with a constant fanin (or two) folds to a constant,
 // the other operand, or its inverter; variant 1: binary gate with equal
 // fanins (And(x,x) -> x, Xor(x,x) -> 0, ...); variant 2: Buf(x) -> x and
-// Not(const) -> const; variant 3: Mux with a constant select.
+// Not(const) -> const; variant 3: Mux with a constant select.  Binds
+// nothing.
 
-bool apply_fold(Netlist& net, const Candidate& cand) {
-  NodeId n = cand.target;
-  if (!live_gate(net, n)) return false;
+Match match_fold(const Netlist& net, NodeId n, std::uint8_t v) {
   const Node& nd = net.node(n);
-  NodeId repl = kNoNode;
-  switch (cand.variant) {
-    case 0: {
-      if (!is_commutative(nd.type) || nd.fanins.size() != 2) return false;
-      NodeId f0 = nd.fanins[0], f1 = nd.fanins[1];
-      if (any_const(net, f0) && any_const(net, f1)) {
-        std::vector<std::uint64_t> w{is_const(net, f0, true) ? ~0ull : 0ull,
-                                     is_const(net, f1, true) ? ~0ull : 0ull};
-        repl = net.add_const((eval_gate(nd.type, w) & 1ull) != 0);
-      } else {
-        NodeId x = any_const(net, f0) ? f1 : f0;
-        NodeId cst = any_const(net, f0) ? f0 : f1;
-        if (!any_const(net, cst) || x == n) return false;
-        bool v = is_const(net, cst, true);
-        switch (nd.type) {
-          case GateType::And: repl = v ? x : net.add_const(false); break;
-          case GateType::Nand:
-            repl = v ? make_not(net, x, n) : net.add_const(true);
-            break;
-          case GateType::Or: repl = v ? net.add_const(true) : x; break;
-          case GateType::Nor:
-            repl = v ? net.add_const(false) : make_not(net, x, n);
-            break;
-          case GateType::Xor: repl = v ? make_not(net, x, n) : x; break;
-          case GateType::Xnor: repl = v ? x : make_not(net, x, n); break;
-          default: return false;
-        }
-      }
+  const bool binary = is_commutative(nd.type) && nd.fanins.size() == 2;
+  bool hit = false;
+  switch (v) {
+    case 0:
+      hit = binary &&
+            (any_const(net, nd.fanins[0]) || any_const(net, nd.fanins[1]));
       break;
-    }
-    case 1: {
-      if (!is_commutative(nd.type) || nd.fanins.size() != 2 ||
-          nd.fanins[0] != nd.fanins[1])
-        return false;
-      NodeId x = nd.fanins[0];
-      if (x == n) return false;
-      switch (nd.type) {
-        case GateType::And:
-        case GateType::Or: repl = x; break;
-        case GateType::Nand:
-        case GateType::Nor: repl = make_not(net, x, n); break;
-        case GateType::Xor: repl = net.add_const(false); break;
-        case GateType::Xnor: repl = net.add_const(true); break;
-        default: return false;
-      }
+    case 1: hit = binary && nd.fanins[0] == nd.fanins[1]; break;
+    case 2:
+      hit = nd.type == GateType::Buf ||
+            (nd.type == GateType::Not && any_const(net, nd.fanins[0]));
       break;
-    }
-    case 2: {
-      if (nd.type == GateType::Buf) {
-        repl = nd.fanins[0];
-      } else if (nd.type == GateType::Not && any_const(net, nd.fanins[0])) {
-        repl = net.add_const(!is_const(net, nd.fanins[0], true));
-      } else {
-        return false;
-      }
+    case 3:
+      hit = nd.type == GateType::Mux && any_const(net, nd.fanins[0]);
       break;
-    }
-    case 3: {
-      if (nd.type != GateType::Mux || !any_const(net, nd.fanins[0]))
-        return false;
-      repl = is_const(net, nd.fanins[0], true) ? nd.fanins[2] : nd.fanins[1];
-      break;
-    }
-    default:
-      return false;
   }
-  if (repl == kNoNode || repl == n) return false;
-  net.substitute(n, repl);
-  net.sweep();
-  return true;
+  return hit ? Match{Site{}} : std::nullopt;
+}
+
+NodeId build_fold(Netlist& net, NodeId n, std::uint8_t v) {
+  const GateType t = net.node(n).type;
+  const NodeId f0 = net.node(n).fanins[0];
+  if (v == 2)
+    return t == GateType::Buf ? f0
+                              : net.add_const(!is_const(net, f0, true));
+  if (v == 3)
+    return net.node(n).fanins[is_const(net, f0, true) ? 2 : 1];
+  const NodeId f1 = net.node(n).fanins[1];
+  if (v == 1) {
+    switch (t) {
+      case GateType::And:
+      case GateType::Or: return f0;
+      case GateType::Nand:
+      case GateType::Nor: return make_not(net, f0, n);
+      default: return net.add_const(t == GateType::Xnor);
+    }
+  }
+  if (any_const(net, f0) && any_const(net, f1)) {
+    std::vector<std::uint64_t> w{is_const(net, f0, true) ? ~0ull : 0ull,
+                                 is_const(net, f1, true) ? ~0ull : 0ull};
+    return net.add_const((eval_gate(t, w) & 1ull) != 0);
+  }
+  const NodeId x = any_const(net, f0) ? f1 : f0;
+  const bool one = is_const(net, any_const(net, f0) ? f0 : f1, true);
+  switch (t) {
+    case GateType::And: return one ? x : net.add_const(false);
+    case GateType::Nand: return one ? make_not(net, x, n) : net.add_const(true);
+    case GateType::Or: return one ? net.add_const(true) : x;
+    case GateType::Nor: return one ? net.add_const(false) : make_not(net, x, n);
+    case GateType::Xor: return one ? make_not(net, x, n) : x;
+    default: return one ? x : make_not(net, x, n);  // Xnor
+  }
 }
 
 // ---- Reassoc ---------------------------------------------------------------
-
 // n = OP(x, c) with x = OP(a, b), x retirable: regroup to OP(a, OP(b,c))
-// (variant 0) or OP(b, OP(a,c)) (variant 1).  Returns the chain parts via
-// out params; false when n is not a reassociation site.
-bool match_reassoc(const Netlist& net, NodeId n, NodeId& a, NodeId& b,
-                   NodeId& c, GateType& t) {
-  if (!live_gate(net, n)) return false;
-  t = net.node(n).type;
-  if (t != GateType::And && t != GateType::Or && t != GateType::Xor)
-    return false;
-  if (net.node(n).fanins.size() != 2) return false;
+// (variant 0) or OP(b, OP(a,c)) (variant 1).  Binds a, b, c and OP.
+
+Match match_reassoc(const Netlist& net, NodeId n, std::uint8_t v) {
+  const GateType t = net.node(n).type;
+  if (v > 1 || (t != GateType::And && t != GateType::Or && t != GateType::Xor))
+    return std::nullopt;
+  if (net.node(n).fanins.size() != 2) return std::nullopt;
   for (int k = 0; k < 2; ++k) {
     NodeId x = net.node(n).fanins[k];
     NodeId other = net.node(n).fanins[1 - k];
     if (x == other || !is2(net, x, t) || !retirable(net, x)) continue;
-    a = net.node(x).fanins[0];
-    b = net.node(x).fanins[1];
-    c = other;
-    if (c == a || c == b || a == b) continue;
-    return true;
+    NodeId a = net.node(x).fanins[0], b = net.node(x).fanins[1];
+    if (other == a || other == b || a == b) continue;
+    return Site{a, b, other, t};
   }
-  return false;
+  return std::nullopt;
 }
 
-bool apply_reassoc(Netlist& net, const Candidate& cand) {
-  NodeId a, b, c;
-  GateType t;
-  if (!match_reassoc(net, cand.target, a, b, c, t)) return false;
-  NodeId in0 = (cand.variant == 0) ? b : a;
-  NodeId keep = (cand.variant == 0) ? a : b;
-  NodeId inner = make_gate(net, t, {in0, c}, cand.target);
-  NodeId outer = make_gate(net, t, {keep, inner}, cand.target);
-  if (outer == cand.target) return false;
-  net.substitute(cand.target, outer);
-  net.sweep();
-  return true;
+NodeId build_reassoc(Netlist& net, NodeId n, std::uint8_t v, const Site& s) {
+  NodeId in0 = v == 0 ? s.b : s.a;
+  NodeId keep = v == 0 ? s.a : s.b;
+  return make_gate(net, s.t, {keep, make_gate(net, s.t, {in0, s.c}, n)}, n);
 }
 
 // ---- InvPush ---------------------------------------------------------------
-// variant 0/1: Xor/Xnor absorbs a Not at fanin 0/1 (parity flip);
-// variant 2: Not(Not(a)) -> a;
-// variant 3: Not(gate) -> complemented gate (retirable inner, any arity);
-// variant 4: Nand/Nor with both fanins inverted -> De Morgan dual.
+// variant 0/1: Xor/Xnor absorbs a Not at fanin 0/1 (parity flip) — binds
+// the other operand, the inverted one and the flipped type;
+// variant 2: Not(Not(a)) -> a — binds a;
+// variant 3: Not(gate) -> complemented gate (retirable inner, any arity) —
+// binds the inner gate and its complement type;
+// variant 4: Nand/Nor with both fanins inverted -> De Morgan dual — binds
+// both operands and the dual type.
 
-bool apply_inv_push(Netlist& net, const Candidate& cand) {
-  NodeId n = cand.target;
-  if (!live_gate(net, n)) return false;
+Match match_inv_push(const Netlist& net, NodeId n, std::uint8_t v) {
   const Node& nd = net.node(n);
-  if (cand.variant <= 1) {
-    if ((nd.type != GateType::Xor && nd.type != GateType::Xnor) ||
-        nd.fanins.size() != 2 || nd.fanins[0] == nd.fanins[1])
-      return false;
-    NodeId inv = nd.fanins[cand.variant];
-    NodeId other = nd.fanins[1 - cand.variant];
-    if (!is_live_not(net, inv)) return false;
-    NodeId b = net.node(inv).fanins[0];
-    if (b == other) return false;
-    GateType flipped =
-        nd.type == GateType::Xor ? GateType::Xnor : GateType::Xor;
-    NodeId repl = make_gate(net, flipped, {other, b}, n);
-    if (repl == n) return false;
-    net.substitute(n, repl);
-    net.sweep();
-    return true;
+  switch (v) {
+    case 0:
+    case 1: {
+      if ((nd.type != GateType::Xor && nd.type != GateType::Xnor) ||
+          nd.fanins.size() != 2 || nd.fanins[0] == nd.fanins[1])
+        return std::nullopt;
+      NodeId inv = nd.fanins[v], other = nd.fanins[1 - v];
+      if (!is_live_not(net, inv) || net.node(inv).fanins[0] == other)
+        return std::nullopt;
+      return Site{other, net.node(inv).fanins[0], kNoNode,
+                  complement_of(nd.type)};
+    }
+    case 2:
+      if (nd.type != GateType::Not || !is_live_not(net, nd.fanins[0]))
+        return std::nullopt;
+      return Site{net.node(nd.fanins[0]).fanins[0]};
+    case 3: {
+      if (nd.type != GateType::Not) return std::nullopt;
+      NodeId inner = nd.fanins[0];
+      if (!live_gate(net, inner) || !retirable(net, inner)) return std::nullopt;
+      GateType comp = complement_of(net.node(inner).type);
+      if (comp == GateType::Input) return std::nullopt;
+      return Site{inner, kNoNode, kNoNode, comp};
+    }
+    case 4:
+      if ((nd.type != GateType::Nand && nd.type != GateType::Nor) ||
+          nd.fanins.size() != 2 || !is_live_not(net, nd.fanins[0]) ||
+          !is_live_not(net, nd.fanins[1]))
+        return std::nullopt;
+      return Site{net.node(nd.fanins[0]).fanins[0],
+                  net.node(nd.fanins[1]).fanins[0], kNoNode,
+                  nd.type == GateType::Nand ? GateType::Or : GateType::And};
   }
-  if (cand.variant == 2) {
-    if (nd.type != GateType::Not) return false;
-    NodeId inner = nd.fanins[0];
-    if (!is_live_not(net, inner)) return false;
-    NodeId back = net.node(inner).fanins[0];
-    if (back == n) return false;
-    net.substitute(n, back);
-    net.sweep();
-    return true;
+  return std::nullopt;
+}
+
+NodeId build_inv_push(Netlist& net, NodeId n, std::uint8_t v, const Site& s) {
+  switch (v) {
+    case 2: return s.a;
+    case 3: return make_gate(net, s.t, net.node(s.a).fanins, n);
+    case 4: return s.a == s.b ? s.a : make_gate(net, s.t, {s.a, s.b}, n);
+    default: return make_gate(net, s.t, {s.a, s.b}, n);
   }
-  if (cand.variant == 3) {
-    if (nd.type != GateType::Not) return false;
-    NodeId inner = nd.fanins[0];
-    if (!live_gate(net, inner) || !retirable(net, inner)) return false;
-    GateType comp = complement_of(net.node(inner).type);
-    if (comp == GateType::Input) return false;
-    NodeId repl = make_gate(net, comp, net.node(inner).fanins, n);
-    if (repl == n) return false;
-    net.substitute(n, repl);
-    net.sweep();
-    return true;
-  }
-  if (cand.variant == 4) {
-    if ((nd.type != GateType::Nand && nd.type != GateType::Nor) ||
-        nd.fanins.size() != 2)
-      return false;
-    NodeId i0 = nd.fanins[0], i1 = nd.fanins[1];
-    if (!is_live_not(net, i0) || !is_live_not(net, i1)) return false;
-    NodeId a = net.node(i0).fanins[0];
-    NodeId b = net.node(i1).fanins[0];
-    GateType dual = nd.type == GateType::Nand ? GateType::Or : GateType::And;
-    NodeId repl = (a == b) ? a : make_gate(net, dual, {a, b}, n);
-    if (repl == n) return false;
-    net.substitute(n, repl);
-    net.sweep();
-    return true;
-  }
-  return false;
 }
 
 // ---- Share -----------------------------------------------------------------
@@ -306,11 +271,11 @@ bool apply_inv_push(Netlist& net, const Candidate& cand) {
 // live comp_t(x, y) directly (variant 2) or a live t(x, y) under an
 // inverter (variant 3) — the bridge between a butterfly's sum chain
 // (Xor(a, b)) and its difference chain (Xor(a, ~b)) that neither strash
-// nor the plain complement share can see in one step.
+// nor the plain complement share can see in one step.  Binds nothing: the
+// partner is the candidate's aux.
 
 // When n is t(x, Not(y)) with t parity, yields x and y; false otherwise.
 bool parity_thru_inv(const Netlist& net, NodeId n, NodeId& x, NodeId& y) {
-  if (!live_gate(net, n)) return false;
   const Node& nd = net.node(n);
   if ((nd.type != GateType::Xor && nd.type != GateType::Xnor) ||
       nd.fanins.size() != 2 || nd.fanins[0] == nd.fanins[1])
@@ -325,217 +290,221 @@ bool parity_thru_inv(const Netlist& net, NodeId n, NodeId& x, NodeId& y) {
   return false;
 }
 
-bool apply_share(Netlist& net, const Candidate& cand) {
-  NodeId n = cand.target, m = cand.aux;
-  if (n == m || !live_gate(net, n) || !live_gate(net, m)) return false;
-  GateType tn = net.node(n).type, tm = net.node(m).type;
-  if (cand.variant >= 2) {
-    NodeId x, y;
-    if (!parity_thru_inv(net, n, x, y)) return false;
-    std::vector<NodeId> want{x, y};
-    std::sort(want.begin(), want.end());
-    if (sorted_fanins(net, m) != want) return false;
-    GateType comp = complement_of(tn);
-    NodeId repl;
-    if (cand.variant == 2) {
-      if (tm != comp) return false;
-      repl = m;  // t(x, ~y) == comp_t(x, y): share outright
-    } else {
-      if (tm != tn) return false;
-      repl = make_not(net, m, n);
+Match match_share(const Netlist& net, NodeId n, std::uint8_t v, NodeId m) {
+  if (n == m || !live_gate(net, m)) return std::nullopt;
+  const GateType tn = net.node(n).type, tm = net.node(m).type;
+  bool hit = false;
+  switch (v) {
+    case 0:
+      hit = is_commutative(tn) && complement_of(tn) == tm &&
+            sorted_fanins(net, n) == sorted_fanins(net, m);
+      break;
+    case 1:
+      hit = tn == tm &&
+            (is_commutative(tn) ? sorted_fanins(net, n) == sorted_fanins(net, m)
+                                : net.node(n).fanins == net.node(m).fanins);
+      break;
+    case 2:
+    case 3: {
+      NodeId x, y;
+      hit = parity_thru_inv(net, n, x, y) &&
+            tm == (v == 2 ? complement_of(tn) : tn) &&
+            sorted_fanins(net, m) == std::vector<NodeId>{std::min(x, y),
+                                                         std::max(x, y)};
+      break;
     }
-    if (repl == n) return false;
-    net.substitute(n, repl);
-    net.sweep();
-    return true;
   }
-  if (sorted_fanins(net, n) != sorted_fanins(net, m)) return false;
-  if (cand.variant == 1) {
-    if (tn != tm) return false;
-    if (!is_commutative(tn) && net.node(n).fanins != net.node(m).fanins)
-      return false;
-    net.substitute(n, m);
-    net.sweep();
-    return true;
-  }
-  if (complement_of(tn) != tm || !is_commutative(tn)) return false;
-  NodeId repl = make_not(net, m, n);
-  if (repl == n) return false;
-  net.substitute(n, repl);
-  net.sweep();
-  return true;
+  return hit ? Match{Site{}} : std::nullopt;
+}
+
+NodeId build_share(Netlist& net, NodeId n, std::uint8_t v, NodeId m) {
+  return v == 0 || v == 3 ? make_not(net, m, n) : m;
 }
 
 // ---- MuxRule ---------------------------------------------------------------
 // Mux fanins are (s, a, b) computing s ? b : a.
-// variant 0: inverted select; 1: equal arms; 2: constant arm folds;
-// 3: same-select cascade in an arm; 4: common-operand arm factoring.
+// variant 0: inverted select — binds the select's input; 1: equal arms;
+// 2: constant arm folds; 3: same-select cascade in an arm (an in-place
+// fanin edit); 4: common-operand arm factoring — binds the shared
+// operand, the two others and the arms' type.
 
-bool apply_mux(Netlist& net, const Candidate& cand) {
-  NodeId n = cand.target;
-  if (!live_gate(net, n) || net.node(n).type != GateType::Mux) return false;
-  NodeId s = net.node(n).fanins[0];
-  NodeId a = net.node(n).fanins[1];
-  NodeId b = net.node(n).fanins[2];
-  switch (cand.variant) {
-    case 0: {
-      if (!is_live_not(net, s)) return false;
-      NodeId t = net.node(s).fanins[0];
-      if (t == n) return false;
-      NodeId repl = make_gate(net, GateType::Mux, {t, b, a}, n);
-      if (repl == n) return false;
-      net.substitute(n, repl);
-      net.sweep();
-      return true;
-    }
-    case 1: {
-      if (a != b || a == n) return false;
-      net.substitute(n, a);
-      net.sweep();
-      return true;
-    }
-    case 2: {
-      if (!any_const(net, a) && !any_const(net, b)) return false;
-      NodeId repl = kNoNode;
-      if (any_const(net, a) && any_const(net, b)) {
-        bool va = is_const(net, a, true), vb = is_const(net, b, true);
-        if (va == vb)
-          repl = a;
-        else if (vb)  // s ? 1 : 0 = s
-          repl = s;
-        else  // s ? 0 : 1 = ~s
-          repl = make_not(net, s, n);
-      } else if (is_const(net, a, false)) {  // s ? b : 0 = s & b
-        repl = make_gate(net, GateType::And, {s, b}, n);
-      } else if (is_const(net, a, true)) {  // s ? b : 1 = ~s | b
-        repl = make_gate(net, GateType::Or, {make_not(net, s, n), b}, n);
-      } else if (is_const(net, b, false)) {  // s ? 0 : a = ~s & a
-        repl = make_gate(net, GateType::And, {make_not(net, s, n), a}, n);
-      } else {  // s ? 1 : a = s | a
-        repl = make_gate(net, GateType::Or, {s, a}, n);
-      }
-      if (repl == n || repl == kNoNode) return false;
-      net.substitute(n, repl);
-      net.sweep();
-      return true;
-    }
-    case 3: {
-      bool changed = false;
-      if (live_gate(net, a) && net.node(a).type == GateType::Mux &&
-          net.node(a).fanins[0] == s && a != n) {
-        net.replace_fanin(n, 1, net.node(a).fanins[1]);
-        changed = true;
-      }
-      // Re-read b: the first edit never changes slot 2, but stay exact.
-      b = net.node(n).fanins[2];
-      if (live_gate(net, b) && net.node(b).type == GateType::Mux &&
-          net.node(b).fanins[0] == s && b != n) {
-        net.replace_fanin(n, 2, net.node(b).fanins[2]);
-        changed = true;
-      }
-      if (changed) net.sweep();
-      return changed;
-    }
+bool same_select_mux(const Netlist& net, NodeId arm, NodeId s) {
+  return live_gate(net, arm) && net.node(arm).type == GateType::Mux &&
+         net.node(arm).fanins[0] == s;
+}
+
+Match match_mux(const Netlist& net, NodeId n, std::uint8_t v) {
+  if (net.node(n).type != GateType::Mux) return std::nullopt;
+  const NodeId s = net.node(n).fanins[0];
+  const NodeId a = net.node(n).fanins[1];
+  const NodeId b = net.node(n).fanins[2];
+  switch (v) {
+    case 0:
+      if (!is_live_not(net, s)) return std::nullopt;
+      return Site{net.node(s).fanins[0]};
+    case 1: return a == b ? Match{Site{}} : std::nullopt;
+    case 2:
+      return any_const(net, a) || any_const(net, b) ? Match{Site{}}
+                                                    : std::nullopt;
+    case 3:
+      return same_select_mux(net, a, s) || same_select_mux(net, b, s)
+                 ? Match{Site{}}
+                 : std::nullopt;
     case 4: {
-      if (a == b || !live_gate(net, a) || !live_gate(net, b)) return false;
+      if (a == b || !live_gate(net, a) || !live_gate(net, b))
+        return std::nullopt;
       GateType op = net.node(a).type;
       if (op != GateType::And && op != GateType::Or && op != GateType::Xor)
-        return false;
-      if (net.node(b).type != op || net.node(a).fanins.size() != 2 ||
-          net.node(b).fanins.size() != 2)
-        return false;
-      if (!retirable(net, a) || !retirable(net, b)) return false;
-      for (int i = 0; i < 2; ++i) {
-        NodeId x = net.node(a).fanins[i];
-        for (int j = 0; j < 2; ++j) {
-          if (net.node(b).fanins[j] != x) continue;
-          NodeId y = net.node(a).fanins[1 - i];
-          NodeId z = net.node(b).fanins[1 - j];
-          NodeId inner = make_gate(net, GateType::Mux, {s, y, z}, n);
-          NodeId repl = make_gate(net, op, {x, inner}, n);
-          if (repl == n) return false;
-          net.substitute(n, repl);
-          net.sweep();
-          return true;
-        }
-      }
-      return false;
+        return std::nullopt;
+      if (!is2(net, a, op) || !is2(net, b, op) || !retirable(net, a) ||
+          !retirable(net, b))
+        return std::nullopt;
+      return common_operand(net, a, b, op);
     }
+  }
+  return std::nullopt;
+}
+
+/// Builds the replacement, or edits the target in place and returns kNoNode
+/// (variant 3).
+NodeId build_mux(Netlist& net, NodeId n, std::uint8_t v, const Site& st) {
+  const NodeId s = net.node(n).fanins[0];
+  const NodeId a = net.node(n).fanins[1];
+  const NodeId b = net.node(n).fanins[2];
+  switch (v) {
+    case 0: return make_gate(net, GateType::Mux, {st.a, b, a}, n);
+    case 1: return a;
+    case 2:
+      if (any_const(net, a) && any_const(net, b)) {
+        bool va = is_const(net, a, true), vb = is_const(net, b, true);
+        if (va == vb) return a;
+        return vb ? s                     // s ? 1 : 0 = s
+                  : make_not(net, s, n);  // s ? 0 : 1 = ~s
+      }
+      if (is_const(net, a, false))  // s ? b : 0 = s & b
+        return make_gate(net, GateType::And, {s, b}, n);
+      if (is_const(net, a, true))  // s ? b : 1 = ~s | b
+        return make_gate(net, GateType::Or, {make_not(net, s, n), b}, n);
+      if (is_const(net, b, false))  // s ? 0 : a = ~s & a
+        return make_gate(net, GateType::And, {make_not(net, s, n), a}, n);
+      return make_gate(net, GateType::Or, {s, a}, n);  // s ? 1 : a = s | a
+    case 3:
+      // The first edit never changes slot 2, so b stays valid.
+      if (same_select_mux(net, a, s))
+        net.replace_fanin(n, 1, net.node(a).fanins[1]);
+      if (same_select_mux(net, b, s))
+        net.replace_fanin(n, 2, net.node(b).fanins[2]);
+      return kNoNode;
     default:
-      return false;
+      return make_gate(
+          net, st.t, {st.a, make_gate(net, GateType::Mux, {s, st.b, st.c}, n)},
+          n);
   }
 }
 
 // ---- Carry -----------------------------------------------------------------
 // n = Or(And(a,b), And(x,c)).  variant 0: x = Xor(a,b) -> And((a|b), c);
 // variant 1: x = Or(a,b) -> And((a^b), c).  Both sides equal
-// majority(a,b,c) given the And(a,b) term, so the identity is exact.
+// majority(a,b,c) given the And(a,b) term, so the identity is exact.  Binds
+// the kept And(a,b), c, and the new propagate type.
 
-bool apply_carry(Netlist& net, const Candidate& cand) {
-  NodeId n = cand.target;
-  if (!is2(net, n, GateType::Or)) return false;
-  GateType from =
-      cand.variant == 0 ? GateType::Xor : GateType::Or;
-  GateType to = cand.variant == 0 ? GateType::Or : GateType::Xor;
+Match match_carry(const Netlist& net, NodeId n, std::uint8_t v) {
+  if (v > 1 || !is2(net, n, GateType::Or)) return std::nullopt;
+  const GateType from = v == 0 ? GateType::Xor : GateType::Or;
   for (int k = 0; k < 2; ++k) {
     NodeId g = net.node(n).fanins[k];      // the And(a,b) kept as-is
     NodeId h = net.node(n).fanins[1 - k];  // the And(prop, c) restructured
-    if (g == h || !is2(net, g, GateType::And) || !is2(net, h, GateType::And))
+    if (g == h || !is2(net, g, GateType::And) ||
+        !is2(net, h, GateType::And) || !retirable(net, h))
       continue;
-    if (!retirable(net, h)) continue;
     auto ab = sorted_fanins(net, g);
     if (ab[0] == ab[1]) continue;
     for (int m = 0; m < 2; ++m) {
       NodeId x = net.node(h).fanins[m];
       NodeId c = net.node(h).fanins[1 - m];
-      if (x == c || !is2(net, x, from)) continue;
-      if (sorted_fanins(net, x) != ab) continue;
-      NodeId prop = make_gate(net, to, {ab[0], ab[1]}, n);
-      NodeId new_h = make_gate(net, GateType::And, {prop, c}, n);
-      NodeId repl = make_gate(net, GateType::Or, {g, new_h}, n);
-      if (repl == n) return false;
-      net.substitute(n, repl);
-      net.sweep();
-      return true;
+      if (x != c && is2(net, x, from) && sorted_fanins(net, x) == ab)
+        return Site{g, c, kNoNode, v == 0 ? GateType::Or : GateType::Xor};
     }
   }
-  return false;
+  return std::nullopt;
+}
+
+NodeId build_carry(Netlist& net, NodeId n, const Site& s) {
+  auto ab = sorted_fanins(net, s.a);
+  NodeId prop = make_gate(net, s.t, {ab[0], ab[1]}, n);
+  NodeId new_h = make_gate(net, GateType::And, {prop, s.b}, n);
+  return make_gate(net, GateType::Or, {s.a, new_h}, n);
 }
 
 // ---- Distrib ---------------------------------------------------------------
 // Or(And(a,x), And(a,y)) -> And(a, Or(x,y)) and the And/Or dual
-// ((a|x)(a|y) = a | xy).
+// ((a|x)(a|y) = a | xy).  Binds a, x, y and the inner type.
 
-bool apply_distrib(Netlist& net, const Candidate& cand) {
-  NodeId n = cand.target;
-  GateType outer, inner;
-  if (is2(net, n, GateType::Or)) {
-    outer = GateType::Or;
+Match match_distrib(const Netlist& net, NodeId n, std::uint8_t v) {
+  GateType inner;
+  if (v != 0) return std::nullopt;
+  if (is2(net, n, GateType::Or))
     inner = GateType::And;
-  } else if (is2(net, n, GateType::And)) {
-    outer = GateType::And;
+  else if (is2(net, n, GateType::And))
     inner = GateType::Or;
-  } else {
-    return false;
-  }
+  else
+    return std::nullopt;
   NodeId p = net.node(n).fanins[0], q = net.node(n).fanins[1];
-  if (p == q || !is2(net, p, inner) || !is2(net, q, inner)) return false;
-  if (!retirable(net, p) || !retirable(net, q)) return false;
-  for (int i = 0; i < 2; ++i) {
-    NodeId a = net.node(p).fanins[i];
-    for (int j = 0; j < 2; ++j) {
-      if (net.node(q).fanins[j] != a) continue;
-      NodeId x = net.node(p).fanins[1 - i];
-      NodeId y = net.node(q).fanins[1 - j];
-      NodeId rest = (x == y) ? x : make_gate(net, outer, {x, y}, n);
-      NodeId repl = make_gate(net, inner, {a, rest}, n);
-      if (repl == n) return false;
-      net.substitute(n, repl);
-      net.sweep();
-      return true;
-    }
+  if (p == q || !is2(net, p, inner) || !is2(net, q, inner) ||
+      !retirable(net, p) || !retirable(net, q))
+    return std::nullopt;
+  return common_operand(net, p, q, inner);
+}
+
+NodeId build_distrib(Netlist& net, NodeId n, const Site& s) {
+  const GateType outer = net.node(n).type;
+  NodeId rest = s.b == s.c ? s.b : make_gate(net, outer, {s.b, s.c}, n);
+  return make_gate(net, s.t, {s.a, rest}, n);
+}
+
+/// The one structural match of every (rule, variant): enumeration and
+/// application both decide a site through it.
+Match match(const Netlist& net, const Candidate& c) {
+  if (!live_gate(net, c.target)) return std::nullopt;
+  switch (c.rule) {
+    case RuleKind::Fold: return match_fold(net, c.target, c.variant);
+    case RuleKind::Reassoc: return match_reassoc(net, c.target, c.variant);
+    case RuleKind::InvPush: return match_inv_push(net, c.target, c.variant);
+    case RuleKind::Share: return match_share(net, c.target, c.variant, c.aux);
+    case RuleKind::MuxRule: return match_mux(net, c.target, c.variant);
+    case RuleKind::Carry: return match_carry(net, c.target, c.variant);
+    case RuleKind::Distrib: return match_distrib(net, c.target, c.variant);
   }
-  return false;
+  return std::nullopt;
+}
+
+/// Share's partners: one ascending scan keys each gate on (type, sorted
+/// fanins), and a later node pairs with the first earlier holder of its
+/// duplicate (1) or complement (0) key, or — for t(x, ~y) — of a {x, y} key
+/// of the complement type (2) or the same type (3).
+void enumerate_share(const Netlist& net, std::vector<Candidate>& out) {
+  std::unordered_map<GateKey, NodeId, GateKeyHash> seen;
+  auto pair_with = [&](NodeId n, std::uint8_t v, const GateKey& key) {
+    auto it = seen.find(key);
+    if (it == seen.end()) return;
+    Candidate c{RuleKind::Share, n, v, it->second};
+    if (match(net, c)) out.push_back(c);
+  };
+  for (NodeId n = 0; n < net.size(); ++n) {
+    if (!live_gate(net, n)) continue;
+    GateType t = net.node(n).type;
+    if (!is_commutative(t) && t != GateType::Not) continue;
+    GateKey key{t, sorted_fanins(net, n)};
+    pair_with(n, 1, key);
+    pair_with(n, 0, {complement_of(t), key.fanins});
+    NodeId x, y;
+    if (parity_thru_inv(net, n, x, y)) {
+      std::vector<NodeId> xy{std::min(x, y), std::max(x, y)};
+      pair_with(n, 2, {complement_of(t), xy});
+      pair_with(n, 3, {t, std::move(xy)});
+    }
+    seen.emplace(std::move(key), n);
+  }
 }
 
 }  // namespace
@@ -553,199 +522,50 @@ std::string_view rule_name(RuleKind k) {
   return "?";
 }
 
-std::vector<Candidate> match_rules(const Netlist& net,
-                                   const MatchOptions& opt) {
+std::vector<Candidate> match_rules(const Netlist& net, bool fold_only) {
+  // Variants per rule, in RuleKind order.
+  constexpr std::uint8_t kVariants[] = {4, 2, 5, 4, 5, 2, 1};
   std::vector<Candidate> out;
-  const NodeId n_nodes = static_cast<NodeId>(net.size());
-
-  if (opt.fold) {
-    for (NodeId n = 0; n < n_nodes; ++n) {
-      if (!live_gate(net, n)) continue;
-      const Node& nd = net.node(n);
-      if (nd.type == GateType::Buf ||
-          (nd.type == GateType::Not && any_const(net, nd.fanins[0]))) {
-        out.push_back({RuleKind::Fold, n, 2, kNoNode});
-      } else if (nd.type == GateType::Mux && any_const(net, nd.fanins[0])) {
-        out.push_back({RuleKind::Fold, n, 3, kNoNode});
-      } else if (is_commutative(nd.type) && nd.fanins.size() == 2) {
-        if (any_const(net, nd.fanins[0]) || any_const(net, nd.fanins[1]))
-          out.push_back({RuleKind::Fold, n, 0, kNoNode});
-        else if (nd.fanins[0] == nd.fanins[1])
-          out.push_back({RuleKind::Fold, n, 1, kNoNode});
-      }
+  const std::size_t n_rules = fold_only ? 1 : std::size(kVariants);
+  for (std::uint8_t r = 0; r < n_rules; ++r) {
+    const auto rule = static_cast<RuleKind>(r);
+    if (rule == RuleKind::Share) {
+      enumerate_share(net, out);
+      continue;
     }
-  }
-  if (opt.reassoc) {
-    for (NodeId n = 0; n < n_nodes; ++n) {
-      NodeId a, b, c;
-      GateType t;
-      if (!match_reassoc(net, n, a, b, c, t)) continue;
-      out.push_back({RuleKind::Reassoc, n, 0, kNoNode});
-      out.push_back({RuleKind::Reassoc, n, 1, kNoNode});
-    }
-  }
-  if (opt.inv_push) {
-    for (NodeId n = 0; n < n_nodes; ++n) {
-      if (!live_gate(net, n)) continue;
-      const Node& nd = net.node(n);
-      if ((nd.type == GateType::Xor || nd.type == GateType::Xnor) &&
-          nd.fanins.size() == 2 && nd.fanins[0] != nd.fanins[1]) {
-        for (std::uint8_t k = 0; k < 2; ++k)
-          if (is_live_not(net, nd.fanins[k]) &&
-              net.node(nd.fanins[k]).fanins[0] != nd.fanins[1 - k])
-            out.push_back({RuleKind::InvPush, n, k, kNoNode});
-      } else if (nd.type == GateType::Not) {
-        NodeId inner = nd.fanins[0];
-        if (is_live_not(net, inner)) {
-          out.push_back({RuleKind::InvPush, n, 2, kNoNode});
-        } else if (live_gate(net, inner) && retirable(net, inner) &&
-                   complement_of(net.node(inner).type) != GateType::Input) {
-          out.push_back({RuleKind::InvPush, n, 3, kNoNode});
-        }
-      } else if ((nd.type == GateType::Nand || nd.type == GateType::Nor) &&
-                 nd.fanins.size() == 2 && is_live_not(net, nd.fanins[0]) &&
-                 is_live_not(net, nd.fanins[1])) {
-        out.push_back({RuleKind::InvPush, n, 4, kNoNode});
+    for (NodeId n = 0; n < net.size(); ++n) {
+      for (std::uint8_t v = 0; v < kVariants[r]; ++v) {
+        Candidate c{rule, n, v, kNoNode};
+        if (!match(net, c)) continue;
+        out.push_back(c);
+        // A node folds one way, constant fanins before equal ones; equal
+        // mux arms make the later mux variants moot.
+        if (rule == RuleKind::Fold || (rule == RuleKind::MuxRule && v == 1))
+          break;
       }
-    }
-  }
-  if (opt.share) {
-    // One ascending scan; each gate keys on (type, sorted fanins).  A later
-    // node pairs with the first earlier holder of its duplicate or
-    // complement key.
-    struct KeyHash {
-      std::size_t operator()(const std::pair<int, std::vector<NodeId>>& k)
-          const {
-        std::size_t h = static_cast<std::size_t>(k.first) * 0x9E3779B97F4A7C15ull;
-        for (NodeId f : k.second) h = h * 0x100000001B3ull ^ f;
-        return h;
-      }
-    };
-    std::unordered_map<std::pair<int, std::vector<NodeId>>, NodeId, KeyHash>
-        seen;
-    for (NodeId n = 0; n < n_nodes; ++n) {
-      if (!live_gate(net, n)) continue;
-      GateType t = net.node(n).type;
-      if (!is_commutative(t) && t != GateType::Not) continue;
-      auto fi = sorted_fanins(net, n);
-      auto dup = seen.find({static_cast<int>(t), fi});
-      if (dup != seen.end())
-        out.push_back({RuleKind::Share, n, 1, dup->second});
-      GateType comp = complement_of(t);
-      if (comp != GateType::Input) {
-        auto c = seen.find({static_cast<int>(comp), fi});
-        if (c != seen.end())
-          out.push_back({RuleKind::Share, n, 0, c->second});
-      }
-      // Parity-through-inverter: t(x, ~y) pairs with an earlier gate over
-      // {x, y} of the complement type (direct share) or the same type
-      // (share under an inverter).
-      NodeId x, y;
-      if (parity_thru_inv(net, n, x, y)) {
-        std::vector<NodeId> key{x, y};
-        std::sort(key.begin(), key.end());
-        auto direct = seen.find({static_cast<int>(comp), key});
-        if (direct != seen.end())
-          out.push_back({RuleKind::Share, n, 2, direct->second});
-        auto inv = seen.find({static_cast<int>(t), key});
-        if (inv != seen.end())
-          out.push_back({RuleKind::Share, n, 3, inv->second});
-      }
-      seen.emplace(std::pair{static_cast<int>(t), std::move(fi)}, n);
-    }
-  }
-  if (opt.mux) {
-    for (NodeId n = 0; n < n_nodes; ++n) {
-      if (!live_gate(net, n) || net.node(n).type != GateType::Mux) continue;
-      NodeId s = net.node(n).fanins[0];
-      NodeId a = net.node(n).fanins[1];
-      NodeId b = net.node(n).fanins[2];
-      if (is_live_not(net, s)) out.push_back({RuleKind::MuxRule, n, 0, kNoNode});
-      if (a == b) {
-        out.push_back({RuleKind::MuxRule, n, 1, kNoNode});
-        continue;
-      }
-      if (any_const(net, a) || any_const(net, b))
-        out.push_back({RuleKind::MuxRule, n, 2, kNoNode});
-      if ((live_gate(net, a) && net.node(a).type == GateType::Mux &&
-           net.node(a).fanins[0] == s) ||
-          (live_gate(net, b) && net.node(b).type == GateType::Mux &&
-           net.node(b).fanins[0] == s))
-        out.push_back({RuleKind::MuxRule, n, 3, kNoNode});
-      if (live_gate(net, a) && live_gate(net, b) &&
-          net.node(a).type == net.node(b).type &&
-          (net.node(a).type == GateType::And ||
-           net.node(a).type == GateType::Or ||
-           net.node(a).type == GateType::Xor) &&
-          net.node(a).fanins.size() == 2 && net.node(b).fanins.size() == 2 &&
-          retirable(net, a) && retirable(net, b)) {
-        bool common = false;
-        for (int i = 0; i < 2 && !common; ++i)
-          for (int j = 0; j < 2 && !common; ++j)
-            common = net.node(a).fanins[i] == net.node(b).fanins[j];
-        if (common) out.push_back({RuleKind::MuxRule, n, 4, kNoNode});
-      }
-    }
-  }
-  if (opt.carry) {
-    for (NodeId n = 0; n < n_nodes; ++n) {
-      if (!is2(net, n, GateType::Or)) continue;
-      for (std::uint8_t dir = 0; dir < 2; ++dir) {
-        Candidate c{RuleKind::Carry, n, dir, kNoNode};
-        // Probe the matcher without mutating: clone-free structural check.
-        GateType from = dir == 0 ? GateType::Xor : GateType::Or;
-        bool hit = false;
-        for (int k = 0; k < 2 && !hit; ++k) {
-          NodeId g = net.node(n).fanins[k];
-          NodeId h = net.node(n).fanins[1 - k];
-          if (g == h || !is2(net, g, GateType::And) ||
-              !is2(net, h, GateType::And) || !retirable(net, h))
-            continue;
-          auto ab = sorted_fanins(net, g);
-          if (ab[0] == ab[1]) continue;
-          for (int m = 0; m < 2 && !hit; ++m) {
-            NodeId x = net.node(h).fanins[m];
-            hit = x != net.node(h).fanins[1 - m] && is2(net, x, from) &&
-                  sorted_fanins(net, x) == ab;
-          }
-        }
-        if (hit) out.push_back(c);
-      }
-    }
-  }
-  if (opt.distrib) {
-    for (NodeId n = 0; n < n_nodes; ++n) {
-      GateType inner;
-      if (is2(net, n, GateType::Or))
-        inner = GateType::And;
-      else if (is2(net, n, GateType::And))
-        inner = GateType::Or;
-      else
-        continue;
-      NodeId p = net.node(n).fanins[0], q = net.node(n).fanins[1];
-      if (p == q || !is2(net, p, inner) || !is2(net, q, inner)) continue;
-      if (!retirable(net, p) || !retirable(net, q)) continue;
-      bool common = false;
-      for (int i = 0; i < 2 && !common; ++i)
-        for (int j = 0; j < 2 && !common; ++j)
-          common = net.node(p).fanins[i] == net.node(q).fanins[j];
-      if (common) out.push_back({RuleKind::Distrib, n, 0, kNoNode});
     }
   }
   return out;
 }
 
 bool apply_rule(Netlist& net, const Candidate& c) {
+  Match site = match(net, c);
+  if (!site) return false;
+  const NodeId n = c.target;
+  const std::uint8_t v = c.variant;
+  NodeId repl = kNoNode;
   switch (c.rule) {
-    case RuleKind::Fold: return apply_fold(net, c);
-    case RuleKind::Reassoc: return apply_reassoc(net, c);
-    case RuleKind::InvPush: return apply_inv_push(net, c);
-    case RuleKind::Share: return apply_share(net, c);
-    case RuleKind::MuxRule: return apply_mux(net, c);
-    case RuleKind::Carry: return apply_carry(net, c);
-    case RuleKind::Distrib: return apply_distrib(net, c);
+    case RuleKind::Fold: repl = build_fold(net, n, v); break;
+    case RuleKind::Reassoc: repl = build_reassoc(net, n, v, *site); break;
+    case RuleKind::InvPush: repl = build_inv_push(net, n, v, *site); break;
+    case RuleKind::Share: repl = build_share(net, n, v, c.aux); break;
+    case RuleKind::MuxRule: repl = build_mux(net, n, v, *site); break;
+    case RuleKind::Carry: repl = build_carry(net, n, *site); break;
+    case RuleKind::Distrib: repl = build_distrib(net, n, *site); break;
   }
-  return false;
+  if (repl != kNoNode) net.substitute(n, repl);
+  net.sweep();
+  return true;
 }
 
 }  // namespace lps::logicopt::rewrite

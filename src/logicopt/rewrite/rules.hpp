@@ -34,10 +34,12 @@
 // additionally proves each applied instance bit-identical to the original
 // circuit by differential interpreter simulation before keeping it.
 //
-// Matching and application are split so candidates can be enumerated once
-// and applied lazily: apply_rule() re-validates the full structural match
-// (sites go stale as earlier candidates are kept) and returns false
-// without mutating anything when it no longer holds.
+// Each (rule, variant) has one structural match, a pure read of the
+// netlist that yields the site's bindings or nothing.  match_rules()
+// enumerates sites by calling it; apply_rule() calls the same match again
+// (sites go stale as earlier candidates are kept), returns false without
+// mutating anything when it no longer holds, and otherwise builds the
+// replacement from the bindings.
 
 #pragma once
 
@@ -67,17 +69,7 @@ struct Candidate {
   NodeId aux = kNoNode;      // Share: the partner node to reuse
 };
 
-struct MatchOptions {
-  bool fold = true;
-  bool reassoc = true;
-  bool inv_push = true;
-  bool share = true;
-  bool mux = true;
-  bool carry = true;
-  bool distrib = true;
-};
-
-/// Deepest fanin level any matcher or apply_rule() re-validation reads,
+/// Deepest fanin level any rule's match or replacement build reads,
 /// measured from a candidate's seed nodes (target, aux).  Per-rule audit:
 /// Fold reads the target's fanins (1); Reassoc the chain gate's fanins (2);
 /// InvPush the inner inverter's / inner gate's fanins (2); Share the
@@ -90,14 +82,18 @@ struct MatchOptions {
 /// run time, but only by forcing serial re-scores).
 inline constexpr int kMaxMatchDepth = 3;
 
-/// Enumerate every rule match over the live logic of `net`, in a
-/// deterministic order (ascending target id, fixed rule order).
-std::vector<Candidate> match_rules(const Netlist& net,
-                                   const MatchOptions& opt = {});
+/// Enumerate every rule match over the live logic of `net`, rule-major in
+/// RuleKind order, then by ascending target id and variant (Share lists a
+/// node's duplicate partner before its complement).  A node gets at most
+/// one Fold variant (a constant fanin before equal fanins), and a Mux with
+/// equal arms no variant past 1.  `fold_only` enumerates Fold alone (the
+/// engine's constant-propagation prephase).
+std::vector<Candidate> match_rules(const Netlist& net, bool fold_only = false);
 
 /// Apply one candidate in place.  Returns true when the site still matched
 /// and the netlist was mutated (followed by a sweep of disconnected logic);
-/// false when the match went stale — the netlist is untouched in that case.
+/// false when the match went stale or the rule has no such variant — the
+/// netlist is untouched in that case.
 bool apply_rule(Netlist& net, const Candidate& c);
 
 }  // namespace lps::logicopt::rewrite

@@ -460,20 +460,23 @@ std::size_t Netlist::sweep() {
     stack.pop_back();
     for (NodeId f : nodes_[n].fanins) push(f);
   }
-  // Remove dead gates in reverse topological order (fanout-free first).
+  // Remove the unmarked gates in one pass: a gate goes once its last fanout
+  // has gone, so the removal of its last user pushes it onto the worklist.
+  auto removable = [&](NodeId n) {
+    const Node& nd = nodes_[n];
+    return !nd.dead && !live[n] && nd.type != GateType::Input &&
+           nd.fanouts.empty();
+  };
+  for (NodeId i = 0; i < nodes_.size(); ++i)
+    if (removable(i)) stack.push_back(i);
   std::size_t removed = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (NodeId i = 0; i < nodes_.size(); ++i) {
-      Node& nd = nodes_[i];
-      if (nd.dead || live[i] || nd.type == GateType::Input) continue;
-      if (nd.fanouts.empty()) {
-        remove(i);
-        ++removed;
-        changed = true;
-      }
-    }
+  while (!stack.empty()) {
+    NodeId n = stack.back();
+    stack.pop_back();
+    if (!removable(n)) continue;  // a fanin with users left, or a repeat
+    stack.insert(stack.end(), nodes_[n].fanins.begin(), nodes_[n].fanins.end());
+    remove(n);
+    ++removed;
   }
   return removed;
 }
@@ -643,42 +646,10 @@ std::string Netlist::check() const {
 
 Netlist Netlist::clone() const { return *this; }
 
-namespace {
-
-bool commutative(GateType t) {
-  switch (t) {
-    case GateType::And:
-    case GateType::Or:
-    case GateType::Nand:
-    case GateType::Nor:
-    case GateType::Xor:
-    case GateType::Xnor:
-      return true;
-    default:
-      return false;
-  }
-}
-
-struct StrashKey {
-  GateType type;
-  std::vector<NodeId> fanins;
-  bool operator==(const StrashKey&) const = default;
-};
-
-struct StrashKeyHash {
-  std::size_t operator()(const StrashKey& k) const {
-    std::size_t h = static_cast<std::size_t>(k.type) * 0x9E3779B97F4A7C15ull;
-    for (NodeId f : k.fanins) h = h * 0x100000001B3ull ^ f;
-    return h;
-  }
-};
-
-}  // namespace
-
 Netlist strash(const Netlist& src) {
   Netlist dst(src.name());
   std::vector<NodeId> map(src.size(), kNoNode);
-  std::unordered_map<StrashKey, NodeId, StrashKeyHash> table;
+  std::unordered_map<GateKey, NodeId, GateKeyHash> table;
   NodeId c0 = kNoNode, c1 = kNoNode;
   auto get_const = [&](bool v) -> NodeId {
     NodeId& c = v ? c1 : c0;
@@ -756,7 +727,7 @@ Netlist strash(const Netlist& src) {
         if (!invert) {
           map[n] = keep[0];
         } else {
-          StrashKey key{GateType::Not, keep};
+          GateKey key{GateType::Not, keep};
           auto it = table.find(key);
           map[n] = (it != table.end())
                        ? it->second
@@ -767,8 +738,8 @@ Netlist strash(const Netlist& src) {
       fi = std::move(keep);
     }
 
-    if (commutative(t)) std::sort(fi.begin(), fi.end());
-    StrashKey key{t, fi};
+    if (is_commutative(t)) std::sort(fi.begin(), fi.end());
+    GateKey key{t, fi};
     auto it = table.find(key);
     if (it != table.end()) {
       map[n] = it->second;

@@ -59,6 +59,11 @@ constexpr bool is_source(GateType t) {
   return t == GateType::Input || t == GateType::Const0 || t == GateType::Const1;
 }
 
+/// True for And/Or/Nand/Nor/Xor/Xnor, whose fanin order does not matter.
+constexpr bool is_commutative(GateType t) {
+  return t >= GateType::And && t <= GateType::Xnor;
+}
+
 /// Legal fanin-count range per gate type (gate_max_arity returns SIZE_MAX
 /// for the unbounded n-ary gates).  Shared by add_gate, the invariant
 /// checker (validate.hpp) and the fault-injection harness.
@@ -331,6 +336,23 @@ class Netlist {
   std::vector<std::string> output_names_;
   std::vector<std::unique_ptr<UndoLog>> undo_;  // epoch stack; back() is innermost
   std::size_t undo_rollbacks_ = 0;
+};
+
+/// A gate's structural key: its type and fanin list, the list sorted by the
+/// caller for commutative types.  strash() and the rewrite rules' Share
+/// scan hash gates by it.
+struct GateKey {
+  GateType type;
+  std::vector<NodeId> fanins;
+  bool operator==(const GateKey&) const = default;
+};
+
+struct GateKeyHash {
+  std::size_t operator()(const GateKey& k) const {
+    std::size_t h = static_cast<std::size_t>(k.type) * 0x9E3779B97F4A7C15ull;
+    for (NodeId f : k.fanins) h = h * 0x100000001B3ull ^ f;
+    return h;
+  }
 };
 
 /// Structural hashing: rebuilds the network bottom-up, merging structurally

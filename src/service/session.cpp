@@ -263,17 +263,21 @@ std::string Session::apply_record(Netlist& net, const Json& record,
 }
 
 std::string Session::replay(Netlist& net, std::size_t n_records,
-                            const core::CancelToken* cancel) {
+                            const core::CancelToken* cancel, std::size_t* good,
+                            bool* dirty) {
   for (std::size_t i = 0; i < n_records && i < records_.size(); ++i) {
     core::poll_cancel(cancel);
     std::string err = apply_record(net, records_[i], cancel);
-    if (!err.empty())
-      return "journal record " + std::to_string(i + 1) + ": " + err;
-    if (const Json* h = records_[i].find("hash")) {
+    bool applied = err.empty();
+    if (const Json* h = records_[i].find("hash"); applied && h) {
       auto want = parse_hash(*h);
       if (!want || *want != structural_hash(net))
-        return "journal record " + std::to_string(i + 1) +
-               ": structural hash mismatch after replay";
+        err = "structural hash mismatch after replay";
+    }
+    if (!err.empty()) {
+      if (good) *good = i;
+      if (dirty) *dirty = applied;
+      return "journal record " + std::to_string(i + 1) + ": " + err;
     }
   }
   return {};
@@ -787,14 +791,15 @@ OpResult Session::recover(const core::CancelToken* cancel) {
   drop_frames();
 
   // Replay; a failing or hash-mismatching record truncates the journal at
-  // that point (replay() validated everything before it), so retry with
-  // progressively shorter prefixes.  The empty prefix always replays.
+  // that point (replay() validated everything before it).  A record that
+  // applied and then failed its hash check left its edit behind, so the
+  // kept prefix replays once more.
   std::size_t keep = records_.size();
+  bool dirty = false;
   Netlist rebuilt = base;
-  while (!replay(rebuilt, keep, cancel).empty()) {
+  if (!replay(rebuilt, keep, cancel, &keep, &dirty).empty() && dirty) {
     rebuilt = base;
-    --keep;
-    torn = true;
+    replay(rebuilt, keep, cancel);
   }
   bool truncated = torn || keep != records_.size();
   records_.resize(keep);

@@ -186,9 +186,13 @@ class Session {
                            const core::CancelToken* cancel);
 
   // Apply records_[0..n_records) to net, which holds the parsed base;
-  // verifies each record's hash.  Returns error text or empty.
+  // verifies each record's hash.  Returns error text or empty.  On an
+  // error, *good (when given) is the index of the failing record; net
+  // holds the records before it, unless that record applied and then
+  // failed its hash check (*dirty).
   std::string replay(Netlist& net, std::size_t n_records,
-                     const core::CancelToken* cancel);
+                     const core::CancelToken* cancel,
+                     std::size_t* good = nullptr, bool* dirty = nullptr);
   // Rollback by popping the top undo frame; nullopt when the undone hash
   // disagrees with the journal (the session is then unchanged and the
   // frames dropped, so the caller replays).

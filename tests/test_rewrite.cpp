@@ -6,7 +6,12 @@
 //    fuzzer applies every rule at every match site of the generated
 //    adder/multiplier/ALU family and random DAGs and checks the
 //    interpreter's functional trace (sim::functional_trace) bit for bit;
-//  * apply_rule() on a stale candidate mutates nothing;
+//  * apply_rule() on a stale candidate mutates nothing, and a variant past
+//    a rule's last is stale;
+//  * match_rules() and apply_rule() agree with the two-copy matcher they
+//    replaced (tests/rules_reference.hpp) candidate for candidate, on the
+//    suite, its strashed forms, random DAGs and the datapath family, also
+//    after every kept rewrite of an engine run;
 //  * the engine's scoring is live: a kept rewrite re-scores later
 //    candidates (A flipping B's profitability is decided correctly);
 //  * Netlist undo epochs nest (candidate epochs inside a stage epoch);
@@ -16,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "core/flows.hpp"
@@ -27,16 +34,19 @@
 #include "logicopt/rewrite/engine.hpp"
 #include "netlist/benchmarks.hpp"
 #include "power/incremental.hpp"
+#include "rules_reference.hpp"
 #include "sim/compiled.hpp"
 #include "sim/logicsim.hpp"
 
 namespace {
 
 using namespace lps;
+using logicopt::rewrite::apply_rule;
 using logicopt::rewrite::Candidate;
 using logicopt::rewrite::match_rules;
 using logicopt::rewrite::RewriteOptions;
 using logicopt::rewrite::rewrite_datapath;
+using logicopt::rewrite::RuleKind;
 
 sim::SimTrace interp_trace(const Netlist& net, std::size_t frames = 64,
                            std::uint64_t seed = 33) {
@@ -96,6 +106,172 @@ TEST(RewriteRules, ChainedApplicationStaysExactAndStaleMatchesDontMutate) {
     }
     ASSERT_EQ(work.check(), "") << name;
     EXPECT_EQ(interp_trace(work), ref) << name;
+  }
+}
+
+// ---- one match per (rule, variant) ----------------------------------------
+
+std::string describe(const Candidate& c) {
+  return std::string(logicopt::rewrite::rule_name(c.rule)) + " target " +
+         std::to_string(c.target) + " variant " + std::to_string(c.variant) +
+         " aux " + std::to_string(c.aux);
+}
+
+// The same candidates as the reference matcher, in the same order, and
+// every one applies on clones through both implementations to the same
+// verdict and the same structure.
+void expect_matches_reference(const Netlist& net, const std::string& what) {
+  for (bool fold_only : {true, false}) {
+    const auto got = match_rules(net, fold_only);
+    const auto want = reference::match_rules(net, fold_only);
+    ASSERT_EQ(got.size(), want.size()) << what << " fold_only " << fold_only;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(describe(got[i]), describe(want[i]))
+          << what << " fold_only " << fold_only << " candidate " << i;
+    }
+    if (fold_only) continue;
+    for (const Candidate& c : got) {
+      Netlist mine = net.clone(), ref = net.clone();
+      const bool applied = apply_rule(mine, c);
+      ASSERT_EQ(applied, reference::apply_rule(ref, c))
+          << what << ": " << describe(c);
+      ASSERT_EQ(structural_hash(mine), structural_hash(ref))
+          << what << ": " << describe(c);
+    }
+  }
+}
+
+// rewrite_datapath's sequential loop — the fold prephase to a fixpoint,
+// then full-rule rounds — calling `on_keep` after every kept rewrite.
+void serial_rewrite(Netlist& net,
+                    const std::function<void(const Netlist&)>& on_keep) {
+  const RewriteOptions ro;
+  power::AnalysisOptions ao;
+  ao.mode = power::ActivityMode::ZeroDelay;
+  ao.n_vectors = ro.sim_vectors;
+  ao.seed = ro.seed;
+  power::IncrementalAnalyzer oracle(net, ao);
+  logicopt::candidate::Kernel kernel(net, oracle,
+                                     {.engine = "rewrite",
+                                      .min_gain_w = ro.min_gain_w,
+                                      .verify_frames = ro.verify_frames});
+  auto run_queue = [&](const std::vector<Candidate>& queue) {
+    EXPECT_LE(queue.size(), ro.max_candidates);
+    std::size_t kept = 0;
+    for (const Candidate& c : queue) {
+      auto p = kernel.apply([&] { return apply_rule(net, c); });
+      if (!p.applied) continue;
+      kernel.score(p);
+      if (!kernel.settle(p)) continue;
+      ++kept;
+      on_keep(net);
+    }
+    return kept;
+  };
+  for (int pass = 0; pass < 256; ++pass) {
+    auto queue = match_rules(net, /*fold_only=*/true);
+    if (queue.empty() || run_queue(queue) == 0) break;
+  }
+  for (int round = 0; round < 4; ++round)
+    if (run_queue(match_rules(net)) == 0) break;
+}
+
+TEST(RewriteRules, MatchesReferenceMatcher) {
+  std::vector<bench::NamedNetlist> nets;
+  for (auto& [name, net] : bench::default_suite()) {
+    nets.push_back({name + "/strash", strash(net)});
+    nets.push_back({name, std::move(net)});
+  }
+  for (std::uint32_t seed = 1; seed <= 6; ++seed)
+    nets.push_back({"dag32x150/" + std::to_string(seed),
+                    bench::random_dag(32, 150, seed)});
+  nets.push_back({"dag64x2000/1", bench::random_dag(64, 2000, 1)});
+  {
+    // Shapes no generator builds, where the enumeration's exclusions
+    // decide: a gate whose equal fanins are constants (Fold 0 and 1 both
+    // hold), and equal mux arms that are constant or a same-select mux
+    // (MuxRule 1 with 2, and 1 with 3).
+    Netlist edges("edges");
+    NodeId s = edges.add_input("s");
+    NodeId x = edges.add_input("x");
+    NodeId y = edges.add_input("y");
+    NodeId c0 = edges.add_const(false);
+    NodeId c1 = edges.add_const(true);
+    NodeId inner = edges.add_gate(GateType::Mux, {s, x, y});
+    edges.add_output(edges.add_gate(GateType::And, {c0, c0}), "f0");
+    edges.add_output(edges.add_gate(GateType::Mux, {s, c1, c1}), "f1");
+    edges.add_output(edges.add_gate(GateType::Mux, {s, inner, inner}), "f2");
+    nets.push_back({"edges", std::move(edges)});
+  }
+  for (const auto& [name, net] : nets) {
+    SCOPED_TRACE(name);
+    expect_matches_reference(net, name);
+  }
+
+  // The E25 datapath family, before the engine and after every keep of its
+  // sequential run; the run must be the engine's own (same final netlist).
+  const std::vector<bench::NamedNetlist> family = {
+      {"mult4", bench::array_multiplier(4)},
+      {"mult8", bench::array_multiplier(8)},
+      {"alu4", bench::alu(4)},
+      {"addsub8", bench::alu_addsub(8)},
+      {"dct8", bench::dct_butterfly(8)},
+      {"dct16", bench::dct_butterfly(16)}};
+  for (const auto& [name, net] : family) {
+    SCOPED_TRACE(name);
+    expect_matches_reference(net, name);
+    Netlist work = net.clone();
+    std::size_t keeps = 0;
+    serial_rewrite(work, [&](const Netlist& now) {
+      ++keeps;
+      expect_matches_reference(now, name + " keep " + std::to_string(keeps));
+    });
+    EXPECT_GT(keeps, 0u);
+    Netlist engine = net.clone();
+    RewriteOptions ro;
+    ro.workers = 1;
+    rewrite_datapath(engine, ro);
+    EXPECT_EQ(structural_hash(work), structural_hash(engine));
+  }
+}
+
+TEST(RewriteRules, OutOfRangeVariantIsStale) {
+  // Variants per rule, in RuleKind order.
+  constexpr std::uint8_t kVariants[] = {4, 2, 5, 4, 5, 2, 1};
+  auto expect_stale = [](const Netlist& net, const Candidate& c) {
+    Netlist work = net.clone();
+    EXPECT_FALSE(apply_rule(work, c)) << describe(c);
+    EXPECT_EQ(structural_hash(work), structural_hash(net)) << describe(c);
+  };
+  // Every enumerated site, pushed past its rule's last variant.  The
+  // reference accepted some of these as a lower variant.
+  std::size_t reference_accepted = 0;
+  std::vector<bench::NamedNetlist> nets = bench::default_suite();
+  nets.push_back({"dag32x150/3", bench::random_dag(32, 150, 3)});
+  for (const auto& [name, net] : nets) {
+    SCOPED_TRACE(name);
+    for (const Candidate& site : match_rules(net)) {
+      for (std::uint8_t past = 0; past < 3; ++past) {
+        Candidate c = site;
+        c.variant = static_cast<std::uint8_t>(
+            kVariants[static_cast<int>(site.rule)] + past);
+        expect_stale(net, c);
+        Netlist ref = net.clone();
+        if (reference::apply_rule(ref, c)) ++reference_accepted;
+      }
+    }
+  }
+  EXPECT_GT(reference_accepted, 0u);
+
+  // The two sites the reference ran as another variant.
+  const Netlist dag = bench::random_dag(32, 150, 3);
+  const Netlist mult4 = bench::array_multiplier(4);
+  for (const auto& [net, c] :
+       {std::pair{&dag, Candidate{RuleKind::Reassoc, 140, 2}},
+        std::pair{&mult4, Candidate{RuleKind::Distrib, 14, 1}}}) {
+    Netlist ref = net->clone();
+    EXPECT_TRUE(reference::apply_rule(ref, c)) << describe(c);
+    expect_stale(*net, c);
   }
 }
 

@@ -945,6 +945,80 @@ TEST(ServiceJournal, TornFinalRecordTruncatesToCommittedPrefix) {
   EXPECT_EQ(stat.find("hash")->as_string(), hash_mid);
 }
 
+TEST(ServiceJournal, MidJournalHashMismatchTruncatesThere) {
+  // A bad record mid-journal truncates the journal there after one replay
+  // of the records up to it (plus one of the kept prefix, since the bad
+  // record applied before its hash check failed) — not one replay per
+  // record past it, each re-running every optimize flow in its prefix.
+  const TempDir tmp("mid_mismatch");
+  const std::string& dir = tmp.path;
+  std::string hash_first, hash_opt;
+  double flow_stages = 0.0;
+  auto stages = [] {
+    return core::metrics::value("flow.stages_kept") +
+           core::metrics::value("flow.stages_reverted") +
+           core::metrics::value("flow.stages_failed");
+  };
+  {
+    service::ServiceOptions so;
+    so.journal_dir = dir;
+    service::Service svc(so);
+    ASSERT_TRUE(resp_ok(roundtrip(svc, load_frame("s1", bench_blif()))));
+    Json mut = roundtrip(
+        svc,
+        R"({"verb":"mutate","session":"s1","ops":[{"op":"set_size","node":"n17","value":2.0}]})");
+    ASSERT_TRUE(resp_ok(mut));
+    hash_first = mut.find("hash")->as_string();
+    const double before = stages();
+    ASSERT_TRUE(resp_ok(roundtrip(
+        svc,
+        R"({"verb":"optimize","session":"s1","flow":"combinational"})")));
+    flow_stages = stages() - before;
+    ASSERT_GT(flow_stages, 0.0);
+    Json stat = roundtrip(svc, R"({"verb":"stat","session":"s1"})");
+    hash_opt = stat.find("hash")->as_string();
+    for (int k = 1; k <= 20; ++k) {
+      ASSERT_TRUE(resp_ok(roundtrip(
+          svc, R"({"verb":"mutate","session":"s1","ops":[{"op":"set_size","node":"a0","value":)" +
+                   std::to_string(1.0 + k / 8.0) + "}]}")));
+    }
+  }
+  // Corrupt the optimize record's hash (line 3: base, mutate, optimize).
+  const std::string path = dir + "/s1.journal";
+  std::vector<std::string> lines;
+  {
+    std::ifstream is(path, std::ios::binary);
+    for (std::string line; std::getline(is, line);) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 23u);
+  const std::size_t at = lines[2].find(hash_opt);
+  ASSERT_NE(at, std::string::npos);
+  lines[2].replace(at, hash_opt.size(), "0x0000000000000001");
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    for (const std::string& line : lines) os << line << '\n';
+  }
+
+  service::ServiceOptions so;
+  so.journal_dir = dir;
+  service::Service svc2(so);
+  const double before = stages();
+  EXPECT_EQ(svc2.recover_sessions(), 1u);
+  EXPECT_LE(stages() - before, flow_stages);
+  Json stat = roundtrip(svc2, R"({"verb":"stat","session":"s1"})");
+  ASSERT_TRUE(resp_ok(stat));
+  EXPECT_EQ(stat.find("journal_records")->as_number(), 1);
+  EXPECT_EQ(stat.find("hash")->as_string(), hash_first);
+  // The journal file is rewritten to the kept prefix.
+  std::vector<std::string> kept;
+  {
+    std::ifstream is(path, std::ios::binary);
+    for (std::string line; std::getline(is, line);) kept.push_back(line);
+  }
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(kept[1], lines[1]);
+}
+
 TEST(ServiceJournal, GarbageJournalIsSkippedNotFatal) {
   const TempDir tmp("garbage");
   const std::string& dir = tmp.path;
