@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "circuit/sizing.hpp"
-#include "core/diag.hpp"
 #include "core/metrics.hpp"
 #include "core/parallel.hpp"
 #include "logicopt/dontcare.hpp"
@@ -82,9 +81,6 @@ std::vector<StageReport> PassManager::run(Netlist& net) const {
 
     if (!rep.note.empty()) {
       unwind();
-      if (!opt_.rollback)
-        throw diag::CheckError(
-            {diag::Severity::Error, "pass " + p->name() + ": " + rep.note, {}});
       rep.status = "failed";
     } else if (!opt_.estimate_power || rep.power_w <= reports.back().power_w) {
       net.commit_undo();

@@ -14,9 +14,8 @@
 // A pass that throws (its estimate included), breaks an invariant or
 // changes the function is rolled back through the journal (O(edit size)),
 // recorded as "failed" with the reason in StageReport::note, and the
-// remaining passes still run; Options::rollback = false rethrows as
-// diag::CheckError instead.  A cancellation (core::CancelledError) unwinds
-// the in-flight pass and propagates.
+// remaining passes still run.  A cancellation (core::CancelledError)
+// unwinds the in-flight pass and propagates.
 
 #pragma once
 
@@ -90,9 +89,6 @@ bool all_ok(const std::vector<StageReport>& reports);
 class PassManager {
  public:
   struct Options {
-    /// Contain failures: roll the pass back and keep going.  When false a
-    /// failing pass rethrows (diag::CheckError) after restoring the input.
-    bool rollback = true;
     /// Stimulus of the reference functional trace every pass is checked
     /// against.
     std::size_t verify_vectors = 1024;

@@ -1,7 +1,7 @@
-// validate.hpp — structural invariant checker for Netlist.
-//
-// One pass over the network detecting every corruption class the
-// fault-injection harness (faultinject.hpp) can produce:
+// validate.hpp — structural invariant checker for Netlist, over the whole
+// network (validate) or one undo epoch's edit (validate_edit).  Both detect
+// every corruption class the fault-injection harness (faultinject.hpp) can
+// produce:
 //
 //   - arity violations (fanin count outside the gate type's legal range);
 //   - dangling references: fanins/fanouts/POs pointing at out-of-range or
@@ -16,8 +16,8 @@
 //   - duplicate primary-output names (two POs claiming the same name);
 //   - dead or out-of-range primary outputs.
 //
-// `Netlist::check()` delegates here; passes run it after every rewrite via
-// the PassManager (core/pass.hpp).
+// `Netlist::check()` delegates to validate(); the stage runner
+// (core/pass.hpp) and the BLIF reader run it, lpsd runs validate_edit().
 
 #pragma once
 
@@ -30,17 +30,17 @@ namespace lps {
 /// early once the engine saturates).  Returns the number of errors found.
 std::size_t validate(const Netlist& net, diag::DiagEngine& eng);
 
-/// validate()'s verdict for the innermost undo epoch's edit, at a cost that
+/// validate()'s checks over the innermost undo epoch's edit, at a cost that
 /// scales with the edit, given that the network passed validate() at that
 /// epoch's begin_undo().  Only the edited nodes and their old and new
-/// neighbours are checked, the PO list only when it changed or a node
-/// died, and cycles only through the edges the edit added.  With no
-/// active epoch, a wholesale pre-image or a changed PI list, this is the
-/// full validate().
-bool validate_edit(const Netlist& net);
+/// neighbours are checked, the PO list only when the edit touched it or a
+/// node died, and cycles only through the edges the edit added.  Every
+/// violation but a cycle is reported as validate() words it, in its order.
+/// With no active epoch, a wholesale pre-image or a changed PI list, this
+/// is the full validate().  Returns the number of errors found.
+std::size_t validate_edit(const Netlist& net, diag::DiagEngine& eng);
 
-/// Convenience: all violations as a vector (up to `max_diags`).
-std::vector<diag::Diagnostic> validate(const Netlist& net,
-                                       std::size_t max_diags = 64);
+/// Convenience: true when validate_edit() finds no violation.
+bool validate_edit(const Netlist& net);
 
 }  // namespace lps

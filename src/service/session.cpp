@@ -114,8 +114,7 @@ void Session::poison(const std::string& why) {
 
 // ---- edit-script interpreter ----------------------------------------------
 
-std::string Session::apply_ops(Netlist& net, const Json& ops,
-                               std::vector<NodeId>* created) {
+std::string Session::apply_ops(Netlist& net, const Json& ops) {
   if (!ops.is_array()) return "'ops' must be an array";
   if (ops.as_array().empty()) return "'ops' must not be empty";
   std::size_t idx = 0;
@@ -137,8 +136,7 @@ std::string Session::apply_ops(Netlist& net, const Json& ops,
         return fail("add_input needs a non-empty 'name'");
       if (net.find(name->as_string()))
         return fail("name '" + name->as_string() + "' already exists");
-      NodeId id = net.add_input(name->as_string());
-      if (created) created->push_back(id);
+      net.add_input(name->as_string());
     } else if (k == "add_gate") {
       const Json* type = op.find("type");
       if (!type || !type->is_string()) return fail("add_gate needs 'type'");
@@ -163,8 +161,7 @@ std::string Session::apply_ops(Netlist& net, const Json& ops,
           return fail("name '" + n->as_string() + "' already exists");
         name = n->as_string();
       }
-      NodeId id = net.add_gate(*gt, std::move(fanins), std::move(name));
-      if (created) created->push_back(id);
+      net.add_gate(*gt, std::move(fanins), std::move(name));
     } else if (k == "add_output") {
       NodeId id = resolve_node(net, op.find("node"), err, "node");
       if (id == kNoNode) return fail(std::move(err));
@@ -223,6 +220,31 @@ std::string Session::apply_ops(Netlist& net, const Json& ops,
   return {};
 }
 
+std::string Session::apply_edit(Netlist& net, const Json& ops) {
+  net.begin_undo();
+  std::string err = apply_ops(net, ops);
+  // The committed state passed the check, so the edit's scope decides.
+  diag::DiagEngine eng(1);
+  if (err.empty() && validate_edit(net, eng) != 0)
+    err = "edit script breaks invariants: " + eng.diagnostics().front().message;
+  if (!err.empty()) net.rollback_undo();
+  return err;
+}
+
+std::optional<core::FlowResult> Session::run_flow(
+    const Netlist& net, const std::string& flow,
+    const core::CancelToken* cancel, int workers) const {
+  core::FlowOptions fo;
+  fo.estimate_mode = power::ActivityMode::ZeroDelay;
+  fo.sim_vectors = cfg_.vectors;
+  fo.seed = cfg_.seed;
+  fo.cancel = cancel;
+  fo.opt_workers = workers;
+  if (flow == "combinational") return core::optimize_combinational(net, fo);
+  if (flow == "sequential") return core::optimize_sequential(net, fo);
+  return std::nullopt;
+}
+
 std::string Session::apply_record(Netlist& net, const Json& record,
                                   const core::CancelToken* cancel) {
   const Json* type = record.find("type");
@@ -230,55 +252,39 @@ std::string Session::apply_record(Netlist& net, const Json& record,
   if (type->as_string() == "mutate") {
     const Json* ops = record.find("ops");
     if (!ops) return "mutate record missing 'ops'";
-    net.begin_undo();
-    std::string err = apply_ops(net, *ops, nullptr);
-    if (err.empty()) {
-      err = net.check();
-      if (!err.empty()) err = "replayed netlist invalid: " + err;
-    }
-    if (!err.empty()) {
-      net.rollback_undo();
-      return err;
-    }
-    net.commit_undo();
-    return {};
+    std::string err = apply_edit(net, *ops);
+    if (err.empty()) net.commit_undo();
+    return err;
   }
   if (type->as_string() == "optimize") {
     const Json* flow = record.find("flow");
     if (!flow || !flow->is_string()) return "optimize record missing 'flow'";
-    core::FlowOptions fo;
-    fo.estimate_mode = power::ActivityMode::ZeroDelay;
-    fo.sim_vectors = cfg_.vectors;
-    fo.seed = cfg_.seed;
-    fo.cancel = cancel;
-    if (flow->as_string() == "combinational")
-      net = core::optimize_combinational(net, fo).circuit;
-    else if (flow->as_string() == "sequential")
-      net = core::optimize_sequential(net, fo).circuit;
-    else
-      return "unknown flow '" + flow->as_string() + "'";
+    auto res = run_flow(net, flow->as_string(), cancel);
+    if (!res) return "unknown flow '" + flow->as_string() + "'";
+    net = std::move(res->circuit);
     return {};
   }
   return "unknown journal record type '" + type->as_string() + "'";
 }
 
 std::string Session::replay(Netlist& net, std::size_t n_records,
-                            const core::CancelToken* cancel, std::size_t* good,
-                            bool* dirty) {
+                            const core::CancelToken* cancel,
+                            std::size_t* good) {
   for (std::size_t i = 0; i < n_records && i < records_.size(); ++i) {
     core::poll_cancel(cancel);
+    net.begin_undo();
     std::string err = apply_record(net, records_[i], cancel);
-    bool applied = err.empty();
-    if (const Json* h = records_[i].find("hash"); applied && h) {
+    if (const Json* h = records_[i].find("hash"); err.empty() && h) {
       auto want = parse_hash(*h);
       if (!want || *want != structural_hash(net))
         err = "structural hash mismatch after replay";
     }
     if (!err.empty()) {
+      net.rollback_undo();
       if (good) *good = i;
-      if (dirty) *dirty = applied;
       return "journal record " + std::to_string(i + 1) + ": " + err;
     }
+    net.commit_undo();
   }
   return {};
 }
@@ -452,18 +458,8 @@ OpResult Session::mutate(const Json& ops, const core::CancelToken* cancel) {
   // build_analyzer=false) dropped it — mutate is an exclusive context.
   if (!analyzer_) rebuild_analyzer(cancel);
 
-  net_.begin_undo();
-  std::string err = apply_ops(net_, ops, nullptr);
-  // The committed state passed the check, so the edit's scope decides;
-  // the full check words the rejection.
-  if (err.empty() && !validate_edit(net_)) {
-    err = net_.check();
-    if (!err.empty()) err = "edit script breaks invariants: " + err;
-  }
-  if (!err.empty()) {
-    net_.rollback_undo();
+  if (std::string err = apply_edit(net_, ops); !err.empty())
     return OpResult::error(ErrorCode::MutateError, std::move(err));
-  }
 
   // Advance the analyzer BEFORE committing: if the re-estimate is cancelled
   // (deadline) the analyzer restores its own caches and we roll the netlist
@@ -491,17 +487,14 @@ OpResult Session::mutate(const Json& ops, const core::CancelToken* cancel) {
   if (!journal_append(record))
     metrics::count("service.journal_write_failed");
 
-  JsonObject payload;
-  payload.emplace_back("gates", Json(net_.num_live()));
-  payload.emplace_back("hash", Json(format_hash(hash_)));
-  payload.emplace_back("journal_records", Json(records_.size()));
+  OpResult r = state_payload();
   if (analyzer_) {
     const auto& st = analyzer_->last_update();
-    payload.emplace_back("resim_nodes", Json(st.resim_nodes));
-    payload.emplace_back("power_w",
-                         Json(analyzer_->analysis().report.breakdown.total_w()));
+    r.payload.emplace_back("resim_nodes", Json(st.resim_nodes));
+    r.payload.emplace_back(
+        "power_w", Json(analyzer_->analysis().report.breakdown.total_w()));
   }
-  return OpResult::ok(std::move(payload));
+  return r;
 }
 
 OpResult Session::estimate(const Json& params, const core::CancelToken* cancel) {
@@ -585,21 +578,17 @@ OpResult Session::optimize(const Json& params, const core::CancelToken* cancel) 
           "'flow' must be \"combinational\" or \"sequential\"");
     flow = f->as_string();
   }
-  core::FlowOptions fo;
-  fo.estimate_mode = power::ActivityMode::ZeroDelay;
-  fo.sim_vectors = cfg_.vectors;
-  fo.seed = cfg_.seed;
-  fo.cancel = cancel;
   // Optional speculation worker count for the optimization engines.  The
   // result is bit-identical at any value (only wall-clock changes), so the
   // journal record deliberately omits it: a crash replay at a different
   // worker count reconstructs the same circuit.
+  int workers = 0;
   if (const Json* w = params.find("workers")) {
     double d = w->is_number() ? w->as_number(-1) : -1;
     if (!(d >= 1) || d > 256 || std::floor(d) != d)
       return OpResult::error(ErrorCode::BadRequest,
                              "'workers' must be an integer in [1, 256]");
-    fo.opt_workers = static_cast<int>(d);
+    workers = static_cast<int>(d);
   }
 
   // The flow works on a copy; a cancellation (or failure) leaves the
@@ -607,8 +596,7 @@ OpResult Session::optimize(const Json& params, const core::CancelToken* cancel) 
   // than in the dispatcher so the message can say what was (not) kept.
   core::FlowResult res;
   try {
-    res = flow == "combinational" ? core::optimize_combinational(net_, fo)
-                                  : core::optimize_sequential(net_, fo);
+    res = *run_flow(net_, flow, cancel, workers);
   } catch (const core::CancelledError&) {
     return OpResult::error(ErrorCode::Deadline,
                            "deadline exceeded during optimize; "
@@ -667,7 +655,7 @@ OpResult Session::rollback(const core::CancelToken* cancel) {
   if (!journal_rewrite())
     metrics::count("service.journal_write_failed");
   rebuild_analyzer(cancel);
-  return rollback_payload();
+  return state_payload();
 }
 
 std::optional<OpResult> Session::rollback_frame(
@@ -708,10 +696,10 @@ std::optional<OpResult> Session::rollback_frame(
   update_cache_bytes();
   if (!journal_rewrite())
     metrics::count("service.journal_write_failed");
-  return rollback_payload();
+  return state_payload();
 }
 
-OpResult Session::rollback_payload() const {
+OpResult Session::state_payload() const {
   JsonObject payload;
   payload.emplace_back("gates", Json(net_.num_live()));
   payload.emplace_back("hash", Json(format_hash(hash_)));
@@ -782,25 +770,18 @@ OpResult Session::recover(const core::CancelToken* cancel) {
                            "journal base record malformed");
   cfg_ = {static_cast<std::size_t>(vectors), *seed};
 
-  Netlist base;
-  if (std::string err = parse_base(blif_j->as_string(), base); !err.empty())
+  Netlist rebuilt;
+  if (std::string err = parse_base(blif_j->as_string(), rebuilt); !err.empty())
     return OpResult::error(ErrorCode::Internal,
                            "journal base replay failed: " + err);
-  set_base(blif_j->as_string(), structural_hash(base));
+  set_base(blif_j->as_string(), structural_hash(rebuilt));
   records_.assign(lines.begin() + 1, lines.end());
   drop_frames();
 
-  // Replay; a failing or hash-mismatching record truncates the journal at
-  // that point (replay() validated everything before it).  A record that
-  // applied and then failed its hash check left its edit behind, so the
-  // kept prefix replays once more.
+  // Replay; a failing or hash-mismatching record is undone and truncates
+  // the journal at that point.
   std::size_t keep = records_.size();
-  bool dirty = false;
-  Netlist rebuilt = base;
-  if (!replay(rebuilt, keep, cancel, &keep, &dirty).empty() && dirty) {
-    rebuilt = base;
-    replay(rebuilt, keep, cancel);
-  }
+  replay(rebuilt, keep, cancel, &keep);
   bool truncated = torn || keep != records_.size();
   records_.resize(keep);
   net_ = std::move(rebuilt);
@@ -813,12 +794,9 @@ OpResult Session::recover(const core::CancelToken* cancel) {
   if (truncated) metrics::count("service.journal_truncated");
   metrics::count("service.sessions_recovered");
 
-  JsonObject payload;
-  payload.emplace_back("gates", Json(net_.num_live()));
-  payload.emplace_back("hash", Json(format_hash(hash_)));
-  payload.emplace_back("journal_records", Json(records_.size()));
-  payload.emplace_back("truncated", Json(truncated));
-  return OpResult::ok(std::move(payload));
+  OpResult r = state_payload();
+  r.payload.emplace_back("truncated", Json(truncated));
+  return r;
 }
 
 }  // namespace lps::service

@@ -66,6 +66,8 @@
 #include "service/json.hpp"
 #include "service/protocol.hpp"
 
+namespace lps::core { struct FlowResult; }
+
 namespace lps::service {
 
 /// Outcome of a session operation: a Status plus the error code the
@@ -177,27 +179,37 @@ class Session {
     std::uint64_t seed = 0xC0FFEE;
   };
 
+  // Apply an edit script's ops to net; returns error text or empty.
+  std::string apply_ops(Netlist& net, const Json& ops);
+  // mutate and journal replay apply an edit script through here: one undo
+  // epoch, apply_ops, the edit-scoped invariant check.  On success the
+  // epoch stays open for the caller to commit; on error it is rolled back.
+  std::string apply_edit(Netlist& net, const Json& ops);
+  // optimize and journal replay run a flow through here: on net, with the
+  // session's zero-delay estimate settings.  nullopt for an unknown flow.
+  std::optional<core::FlowResult> run_flow(const Netlist& net,
+                                           const std::string& flow,
+                                           const core::CancelToken* cancel,
+                                           int workers = 0) const;
   // Apply one journal record ("mutate"/"optimize") to net; returns error
-  // text or empty.  Shared by mutate/optimize (first application) and
-  // recover/rollback (replay) so both paths are the same code.
-  std::string apply_ops(Netlist& net, const Json& ops,
-                        std::vector<NodeId>* created);
+  // text or empty.
   std::string apply_record(Netlist& net, const Json& record,
                            const core::CancelToken* cancel);
 
-  // Apply records_[0..n_records) to net, which holds the parsed base;
-  // verifies each record's hash.  Returns error text or empty.  On an
-  // error, *good (when given) is the index of the failing record; net
-  // holds the records before it, unless that record applied and then
-  // failed its hash check (*dirty).
+  // Apply records_[0..n_records) to net, which holds the parsed base,
+  // each as one undo epoch that must reproduce the record's hash.  Returns
+  // error text or empty.  On an error the failing record is undone, so net
+  // holds the records before it, and *good (when given) is its index.
   std::string replay(Netlist& net, std::size_t n_records,
                      const core::CancelToken* cancel,
-                     std::size_t* good = nullptr, bool* dirty = nullptr);
+                     std::size_t* good = nullptr);
   // Rollback by popping the top undo frame; nullopt when the undone hash
   // disagrees with the journal (the session is then unchanged and the
   // frames dropped, so the caller replays).
   std::optional<OpResult> rollback_frame(const core::CancelToken* cancel);
-  OpResult rollback_payload() const;
+  // The committed state's gates, hash and journal_records, which the
+  // mutate, rollback and recovery responses lead with.
+  OpResult state_payload() const;
   void push_frame(Netlist::UndoFrame f);
   void drop_frames();
 

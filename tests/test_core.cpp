@@ -61,20 +61,6 @@ TEST(PassManager, RollsBackFunctionBreakingPassAndContinues) {
   EXPECT_TRUE(sim::equivalent_random(golden, net, 1024, 99));
 }
 
-TEST(PassManager, StrictModeStillThrows) {
-  auto net = bench::c17();
-  PassManager::Options opt;
-  opt.rollback = false;
-  PassManager pm(opt);
-  pm.add("saboteur", [](Netlist& n) {
-    NodeId out = n.outputs()[0];
-    NodeId inv = n.add_not(out);
-    n.substitute(out, inv);
-    return std::string("flipped an output");
-  });
-  EXPECT_THROW(pm.run(net), diag::CheckError);
-}
-
 TEST(PassManager, RollsBackThrowingPass) {
   auto net = bench::c17();
   auto golden = net.clone();

@@ -53,6 +53,45 @@ TEST(FaultInject, ValidateDiagnosticsNameTheSite) {
                              << eng.str();
 }
 
+// The edit-scoped check against the full one on every structural class,
+// injected inside an open undo epoch: the same verdict, and for every class
+// but a cycle the same first diagnostic.  A scoped cycle report names the
+// injected site, which every cycle the rewire closes runs through.
+TEST(FaultInject, ScopedCheckCatchesEveryStructuralFault) {
+  int injected = 0;
+  for (const auto& [name, circuit] : bench::default_suite()) {
+    for (fault::Fault f : fault::structural_faults()) {
+      for (std::uint64_t seed : {1ull, 7ull, 23ull}) {
+        Netlist net = circuit.clone();
+        ASSERT_EQ(net.check(), "") << name;
+        net.begin_undo();
+        auto inj = fault::inject(net, f, seed);
+        if (!inj.applied) continue;
+        ++injected;
+        const std::string what =
+            name + " " + std::string(fault::to_string(f)) + " seed " +
+            std::to_string(seed) + ": " + inj.description;
+        diag::DiagEngine full(1), scoped(1);
+        ASSERT_GT(validate(net, full), 0u) << what;
+        ASSERT_GT(validate_edit(net, scoped), 0u) << what;
+        const std::string& got = scoped.diagnostics().front().message;
+        if (f != fault::Fault::WireCycle) {
+          EXPECT_EQ(got, full.diagnostics().front().message) << what;
+        } else {
+          const std::string site = std::to_string(inj.site) + " (";
+          EXPECT_EQ(got.rfind("combinational cycle: ", 0), 0u) << what;
+          EXPECT_TRUE(got.find(": " + site) != std::string::npos ||
+                      got.find("-> " + site) != std::string::npos)
+              << what << " -- " << got;
+        }
+        net.rollback_undo();
+        EXPECT_EQ(net.check(), "") << what;
+      }
+    }
+  }
+  EXPECT_GT(injected, 50);
+}
+
 TEST(FaultInject, FunctionFlipIsStructurallyLegalButNotEquivalent) {
   auto net = healthy();
   auto golden = net.clone();

@@ -446,6 +446,24 @@ TEST(ValidateEdit, ScopeMatchesFullCheck) {
   EXPECT_GT(agreed_invalid, 300);
 }
 
+// A live gate reading a tombstone is one violation, not also a cycle: the
+// cycle search skips references node checks already report.
+TEST(Validate, DeadFaninIsNotACycle) {
+  Netlist net;
+  NodeId a = net.add_input("a");
+  NodeId h = net.add_gate(GateType::Buf, {a});
+  NodeId g = net.add_not(h);
+  net.add_output(g, "y");
+  // Tombstone h behind g's back: h unlinks from a, g still reads it.
+  net.node(h).fanouts.clear();
+  net.remove(h);
+  diag::DiagEngine eng(8);
+  validate(net, eng);
+  ASSERT_EQ(eng.diagnostics().size(), 1u) << eng.str();
+  EXPECT_EQ(eng.diagnostics()[0].message,
+            "node 2 (NOT) references dead fanin 1 (BUF)");
+}
+
 TEST(Netlist, PrintDoesNotCrash) {
   std::ostringstream os;
   os << bench::c17();

@@ -947,9 +947,9 @@ TEST(ServiceJournal, TornFinalRecordTruncatesToCommittedPrefix) {
 
 TEST(ServiceJournal, MidJournalHashMismatchTruncatesThere) {
   // A bad record mid-journal truncates the journal there after one replay
-  // of the records up to it (plus one of the kept prefix, since the bad
-  // record applied before its hash check failed) — not one replay per
-  // record past it, each re-running every optimize flow in its prefix.
+  // of the records up to it (the bad record applied before its hash check
+  // failed, and is undone in place) — not one replay per record past it,
+  // each re-running every optimize flow in its prefix.
   const TempDir tmp("mid_mismatch");
   const std::string& dir = tmp.path;
   std::string hash_first, hash_opt;
@@ -1360,6 +1360,57 @@ TEST(ServiceRollback, PathCountsAreExact) {
   EXPECT_EQ(c1[0] - c0[0], 3);
   EXPECT_EQ(c1[1] - c0[1], 4);
   EXPECT_EQ(c1[2] - c0[2], 0);
+}
+
+// A mutate and its journal replay apply the edit through the same scoped
+// check: N mutate records cost N scoped checks when committed and N again
+// when recovered, and neither path runs a whole-netlist check (recovery's
+// one is the base record's BLIF parse).  A rejected edit is worded by the
+// scoped check's first violation.
+TEST(ServiceJournal, MutateAndReplayRunOnlyScopedChecks) {
+  const TempDir tmp("scoped_checks");
+  service::Session s("s", tmp.path + "/s.journal");
+  ASSERT_TRUE(s.load(bench_blif(), 2048, 0xC0FFEE, true, nullptr).status.is_ok());
+  auto full = [] { return core::metrics::value("netlist.check_full"); };
+  auto scoped = [] { return core::metrics::value("netlist.check_edit"); };
+  constexpr int kRecords = 6;
+  const double full0 = full(), scoped0 = scoped();
+  for (int k = 0; k < kRecords; ++k) {
+    const std::string inv = "inv" + std::to_string(k);
+    const std::string ops =
+        k % 2 ? R"([{"op":"set_size","node":"n17","value":3.0}])"
+              : R"([{"op":"add_gate","type":"not","fanins":["n17"],"name":")" +
+                    inv + R"("},{"op":"add_output","node":")" + inv + R"("}])";
+    ASSERT_TRUE(s.mutate(*service::json_parse(ops), nullptr).status.is_ok())
+        << k;
+  }
+  EXPECT_EQ(scoped() - scoped0, kRecords);
+  EXPECT_EQ(full() - full0, 0);
+
+  service::OpResult cyc = s.mutate(
+      *service::json_parse(
+          R"([{"op":"add_gate","type":"not","fanins":["n17"],"name":"loop"},)"
+          R"({"op":"replace_fanin","node":"loop","index":0,"with":"loop"}])"),
+      nullptr);
+  ASSERT_FALSE(cyc.status.is_ok());
+  EXPECT_EQ(cyc.status.diagnostic().message.rfind(
+                "edit script breaks invariants: combinational cycle: ", 0),
+            0u)
+      << cyc.status.diagnostic().message;
+  EXPECT_EQ(full() - full0, 0);
+
+  // What parsing the base record alone costs in whole-netlist checks.
+  const double parse0 = full();
+  {
+    diag::DiagEngine eng;
+    ASSERT_TRUE(blif::parse_string(bench_blif(), eng).has_value());
+  }
+  const double parse_checks = full() - parse0;
+  const double full1 = full(), scoped1 = scoped();
+  ASSERT_TRUE(s.recover(nullptr).status.is_ok());
+  EXPECT_EQ(s.journal_records(), static_cast<std::size_t>(kRecords));
+  EXPECT_EQ(scoped() - scoped1, kRecords);
+  EXPECT_EQ(full() - full1, parse_checks);
 }
 
 // Shared estimates on one session overlap exclusive mutate/rollback cycles
