@@ -6,7 +6,8 @@
 // integer counters, so the estimate is bit-identical to a fresh full
 // power::analyze while evaluating a fraction of the nodes.  This bench
 // pins the equality across the generated suite (the CI equality gate) and
-// reports the node-evaluation reduction and wall-clock speedup.
+// reports the node-evaluation reduction and wall-clock speedup, and that
+// the session structural hash re-hashes no more than the analyzer's cone.
 
 #include <algorithm>
 #include <chrono>
@@ -18,6 +19,8 @@
 #include "core/flows.hpp"
 #include "core/report.hpp"
 #include "netlist/benchmarks.hpp"
+#include "netlist/blif.hpp"
+#include "netlist/hasher.hpp"
 #include "power/incremental.hpp"
 #include "seq/encoding.hpp"
 #include "seq/stg.hpp"
@@ -137,12 +140,77 @@ void report() {
             << (flow_seq ? "identical" : "DIFFERS") << ", fsm "
             << (flow_fsm ? "identical" : "DIFFERS") << "\n";
 
+  // ---- structural hash at cone cost ------------------------------------
+  // Seeded replace_fanin scripts over the suite and the two lpsd session
+  // shapes (BLIF round-tripped, as lpsd holds them): the nodes the session
+  // hasher re-hashes per edit against the analyzer's resim_nodes.  The
+  // hash cone stops at registers and the analyzer's crosses them, so the
+  // ratio stays at or under 1; a full pass per edit reads ~live/cone.  The
+  // fanin entries it reads per re-simulated node (edge terms, and the user
+  // scans that re-sum a touched driver) bound the rest of its work.
+  double hashed = 0, hash_edges = 0, resim = 0;
+  {
+    std::vector<bench::NamedNetlist> nets = bench::default_suite();
+    for (auto [name, net] : {std::pair{"rand", bench::random_dag(64, 2000, 1)},
+                             std::pair{"mult16", bench::array_multiplier(16)}}) {
+      diag::DiagEngine eng(8);
+      nets.push_back({name, *blif::parse_string(blif::write_string(net), eng)});
+    }
+    power::AnalysisOptions hao = ao;
+    hao.n_vectors = 256;
+    std::mt19937_64 rng(21);
+    for (auto& [name, net] : nets) {
+      power::IncrementalAnalyzer inc(net, hao);
+      StructuralHasher hasher(net);
+      const Netlist& cn = net;
+      std::vector<NodeId> gates;
+      for (NodeId id = 0; id < cn.size(); ++id)
+        if (!cn.is_dead(id) && !cn.node(id).fanins.empty() &&
+            cn.node(id).type != GateType::Dff)
+          gates.push_back(id);
+      for (int e = 0; e < 40; ++e) {
+        const NodeId g = gates[rng() % gates.size()];
+        const std::size_t k = rng() % cn.node(g).fanins.size();
+        const NodeId f = static_cast<NodeId>(rng() % cn.size());
+        if (cn.is_dead(f) || f == cn.node(g).fanins[k] ||
+            cn.fanout_cone_of(std::span<const NodeId>(&g, 1))[f])
+          continue;
+        net.begin_undo();
+        net.replace_fanin(g, k, f);
+        const auto touched = net.touched_nodes();
+        const std::uint64_t before = hasher.rehashed();
+        const std::uint64_t edges_before = hasher.edges_read();
+        inc.reanalyze(touched);
+        hasher.update(touched);
+        hashed += static_cast<double>(hasher.rehashed() - before);
+        hash_edges += static_cast<double>(hasher.edges_read() - edges_before);
+        resim += static_cast<double>(inc.last_update().resim_nodes);
+        if (rng() % 2) {
+          net.commit_undo();
+        } else {
+          net.rollback_undo();
+          inc.revert_last();
+          hasher.undo();
+        }
+      }
+    }
+  }
+  const double hash_cone_ratio = resim > 0 ? hashed / resim : 0.0;
+  const double hash_edge_ratio = resim > 0 ? hash_edges / resim : 0.0;
+  std::cout << "structural hash: " << hashed << " nodes re-hashed and "
+            << hash_edges << " fanin entries read for " << resim
+            << " re-simulated (ratios "
+            << core::Table::num(hash_cone_ratio, 3) << ", "
+            << core::Table::num(hash_edge_ratio, 3) << ")\n";
+
   benchx::claim("E21.identical_all", identical_all);
   benchx::claim("E21.flow_identical_comb", flow_comb);
   benchx::claim("E21.flow_identical_seq", flow_seq);
   benchx::claim("E21.flow_identical_fsm", flow_fsm);
   benchx::claim("E21.eval_reduction_max", reduction_max);
   benchx::claim("E21.vectors_used", static_cast<double>(vectors_used));
+  benchx::claim("E21.hash_cone_ratio", hash_cone_ratio);
+  benchx::claim("E21.hash_edge_ratio", hash_edge_ratio);
 
   // ---- per-update wall clock on the lpsd rand shape ---------------------
   // Median reanalyze() of 400 seeded replace_fanin edits (each rolled back

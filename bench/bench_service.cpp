@@ -608,6 +608,38 @@ void BM_dispatch_reject_garbage(benchmark::State& state) {
 }
 BENCHMARK(BM_dispatch_reject_garbage);
 
+// One mutate and its rollback on a journaled random_dag(64, 2000) session:
+// what an lpsd edit costs end to end — re-analysis, structural hash, undo
+// frame, journal append, then the frame's undo and the journal truncation.
+void BM_dispatch_mutate_rollback(benchmark::State& state) {
+  TempDir dir;
+  service::ServiceOptions so;
+  so.journal_dir = dir.path;
+  service::Service svc(so);
+  const std::string blif = blif::write_string(bench::random_dag(64, 2000, 1));
+  svc.dispatch(load_frame("rand", blif, 2048));
+  // A mid-netlist gate's first fanin moves to a PI: never a cycle.
+  diag::DiagEngine eng(8);
+  const Netlist net = *blif::parse_string(blif, eng);
+  NodeId g = static_cast<NodeId>(net.size() / 2);
+  while (net.is_dead(g) || net.node(g).fanins.empty()) ++g;
+  const NodeId pi = net.inputs()[net.node(g).fanins[0] == net.inputs()[0]];
+  const std::string mutate =
+      R"({"verb":"mutate","session":"rand","ops":[{"op":"replace_fanin","node":)" +
+      std::to_string(g) + R"(,"index":0,"with":)" + std::to_string(pi) + "}]}";
+  const std::string rollback = R"({"verb":"rollback","session":"rand"})";
+  hard_assert(svc.dispatch(mutate).find(R"("ok":true)") != std::string::npos,
+              "benchmark mutate rejected");
+  svc.dispatch(rollback);
+  for (auto _ : state) {
+    std::string m = svc.dispatch(mutate);
+    std::string r = svc.dispatch(rollback);
+    benchmark::DoNotOptimize(m);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_dispatch_mutate_rollback);
+
 }  // namespace
 
 LPS_BENCH_MAIN(report)

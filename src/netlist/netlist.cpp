@@ -1,13 +1,12 @@
 #include "netlist/netlist.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <map>
 #include <ostream>
 #include <stdexcept>
 
 #include "core/diag.hpp"
-#include "core/parallel.hpp"
+#include "netlist/hasher.hpp"
 #include "netlist/timer.hpp"
 #include "netlist/validate.hpp"
 
@@ -625,9 +624,12 @@ Netlist::TouchedNodes Netlist::touched_nodes() const {
     if (img.type != cur.type || img.fanins != cur.fanins ||
         img.init_value != cur.init_value || img.dead != cur.dead)
       roots.push_back(id);
+    else if (img.size != cur.size || img.delay != cur.delay)
+      t.param_roots.push_back(id);
   }
   std::sort(t.ids.begin(), t.ids.end());
   std::sort(roots.begin(), roots.end());
+  std::sort(t.param_roots.begin(), t.param_roots.end());
   for (NodeId n = static_cast<NodeId>(u.base_nodes); n < nodes_.size();
        ++n) {
     t.ids.push_back(n);
@@ -765,35 +767,7 @@ Netlist strash(const Netlist& src) {
 }
 
 std::uint64_t structural_hash(const Netlist& n) {
-  // Pass 1: canonical ids by topological position.  topo_order() covers
-  // every live node (Dffs as sources), so Dff D/EN fanins — forward
-  // references in that order — already have their ids when pass 2 hashes
-  // them.
-  std::vector<std::uint64_t> canon(n.size(), ~0ULL);
-  auto order = n.topo_order();
-  std::uint64_t next = 0;
-  for (NodeId id : order) canon[id] = next++;
-
-  auto mix = [](std::uint64_t h, std::uint64_t v) {
-    return core::mix64(h ^ v);
-  };
-  // Pass 2: fold each node's structure, then the PI/PO lists, in a fixed
-  // order — chaining through mix64 makes position significant.
-  std::uint64_t h = mix(0x5EEDF00Dull, order.size());
-  for (NodeId id : order) {
-    const Node& nd = n.node(id);
-    h = mix(h, static_cast<std::uint64_t>(nd.type) + 0x100);
-    h = mix(h, nd.fanins.size());
-    for (NodeId f : nd.fanins) h = mix(h, canon[f]);
-    h = mix(h, nd.init_value ? 1 : 2);
-    h = mix(h, std::bit_cast<std::uint64_t>(nd.size));
-    h = mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(nd.delay)));
-  }
-  h = mix(h, n.inputs().size());
-  for (NodeId i : n.inputs()) h = mix(h, canon[i]);
-  h = mix(h, n.outputs().size());
-  for (NodeId o : n.outputs()) h = mix(h, canon[o]);
-  return h;
+  return StructuralHasher(n).value();
 }
 
 std::ostream& operator<<(std::ostream& os, const Netlist& n) {

@@ -263,6 +263,10 @@ class Netlist {
     /// lets a sizing pass (size-only edits across the whole netlist)
     /// re-estimate without re-simulating a single node.
     std::vector<NodeId> value_roots;  // ascending, unique; subset of ids
+    /// The touched nodes outside value_roots whose size or delay changed:
+    /// with value_roots, the roots whose structural hash moved
+    /// (netlist/hasher.hpp).
+    std::vector<NodeId> param_roots;  // ascending, unique; subset of ids
   };
   TouchedNodes touched_nodes() const;
 
@@ -360,14 +364,22 @@ struct GateKeyHash {
 /// commutative inputs) and folding constants.  Returns the hashed copy.
 Netlist strash(const Netlist& n);
 
-/// 64-bit structural fingerprint of the live network.  Nodes are assigned
-/// canonical ids by topological position, so the digest is invariant under
-/// tombstones, node renumbering (compact()) and names — but sensitive to
+/// 64-bit structural fingerprint of the live network: a Merkle-multiset
+/// digest (netlist/hasher.hpp).  Each node hashes its own fields and its
+/// fanins' hashes, a PI its position in inputs(), a register its rank
+/// among the live Dffs in id order; each edge also enters its driver's
+/// term with its user's hash, size and delay, and the terms are summed,
+/// then the PO list follows in order.  No node id enters it, so the digest
+/// is invariant under tombstones, node renumbering that keeps the
+/// registers' relative order (compact()) and names, but sensitive to
 /// everything simulation and power care about: gate types, fanin wiring,
 /// register init values and enables, sizes, delays, and the PI/PO lists in
 /// order.  Two netlists with equal hashes are structurally identical up to
-/// a ~2^-64 collision.  The service layer keys sessions and verifies
-/// crash-recovery journal replay with it.
+/// a ~2^-64 collision, with one blind spot: structurally equal nodes
+/// ("twins") are told apart by their own users only, not by what lies two
+/// or more levels above them (hasher.hpp gives the example).  The service
+/// layer keys sessions and verifies crash-recovery journal replay with it,
+/// and keeps it per edit through StructuralHasher::update().
 std::uint64_t structural_hash(const Netlist& n);
 
 /// Human-readable dump for debugging.

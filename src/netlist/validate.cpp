@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
+#include <functional>
 
 #include "core/metrics.hpp"
 
@@ -99,8 +99,24 @@ class Checker {
     if (outs.size() != names.size())
       err("outputs/output_names size mismatch: " +
           std::to_string(outs.size()) + " vs " + std::to_string(names.size()));
-    std::unordered_map<std::string, std::size_t> seen;
-    seen.reserve(outs.size());
+    // Each named slot's first slot of the same name: sort (name hash,
+    // slot) pairs, then look back among equal hashes for an equal name.
+    const std::size_t named = std::min(outs.size(), names.size());
+    std::vector<std::pair<std::size_t, std::uint32_t>> by_hash(named);
+    for (std::size_t k = 0; k < named; ++k)
+      by_hash[k] = {std::hash<std::string>{}(names[k]),
+                    static_cast<std::uint32_t>(k)};
+    std::sort(by_hash.begin(), by_hash.end());
+    std::vector<std::uint32_t> first(named);
+    for (std::size_t i = 0; i < named; ++i) {
+      const std::uint32_t k = by_hash[i].second;
+      first[k] = k;
+      for (std::size_t j = i; j-- > 0 && by_hash[j].first == by_hash[i].first;)
+        if (names[by_hash[j].second] == names[k]) {
+          first[k] = first[by_hash[j].second];
+          break;
+        }
+    }
     for (std::size_t k = 0; k < outs.size() && !eng_.saturated(); ++k) {
       NodeId o = outs[k];
       if (o >= n_)
@@ -109,12 +125,9 @@ class Checker {
       else if (net_.node(o).dead)
         err("primary output " + (k < names.size() ? names[k] : "?") +
             " driven by dead node " + desc(o));
-      if (k < names.size()) {
-        auto [it, fresh] = seen.emplace(names[k], k);
-        if (!fresh)
-          err("duplicate primary output name \"" + names[k] + "\" (slots " +
-              std::to_string(it->second) + " and " + std::to_string(k) + ")");
-      }
+      if (k < named && first[k] != k)
+        err("duplicate primary output name \"" + names[k] + "\" (slots " +
+            std::to_string(first[k]) + " and " + std::to_string(k) + ")");
     }
   }
 

@@ -1,8 +1,12 @@
 #include "service/session.hpp"
 
+#include <unistd.h>
+
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -10,6 +14,7 @@
 #include "core/flows.hpp"
 #include "core/metrics.hpp"
 #include "netlist/blif.hpp"
+#include "netlist/hasher.hpp"
 #include "netlist/validate.hpp"
 #include "power/activity.hpp"
 
@@ -87,6 +92,38 @@ NodeId resolve_node(const Netlist& net, const Json* j, std::string& err,
   }
   err = std::string("'") + what + "' must be a node id or a node name";
   return kNoNode;
+}
+
+// The journal format: version 2 records carry structural_hash() values; a
+// base record without "hash_version" is version 1.
+constexpr int kHashVersion = 2;
+
+// The structural hash of version-1 journals: mix64 chained over topological
+// order, every node keyed by its position.  Recovery verifies a version-1
+// journal's records with it, then rewrites the journal as version 2.
+std::uint64_t chain_hash_v1(const Netlist& n) {
+  std::vector<std::uint64_t> canon(n.size(), ~0ULL);
+  const std::vector<NodeId> order = n.topo_order();
+  std::uint64_t next = 0;
+  for (NodeId id : order) canon[id] = next++;
+  auto mix = [](std::uint64_t h, std::uint64_t v) {
+    return core::mix64(h ^ v);
+  };
+  std::uint64_t h = mix(0x5EEDF00Dull, order.size());
+  for (NodeId id : order) {
+    const Node& nd = n.node(id);
+    h = mix(h, static_cast<std::uint64_t>(nd.type) + 0x100);
+    h = mix(h, nd.fanins.size());
+    for (NodeId f : nd.fanins) h = mix(h, canon[f]);
+    h = mix(h, nd.init_value ? 1 : 2);
+    h = mix(h, std::bit_cast<std::uint64_t>(nd.size));
+    h = mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(nd.delay)));
+  }
+  h = mix(h, n.inputs().size());
+  for (NodeId i : n.inputs()) h = mix(h, canon[i]);
+  h = mix(h, n.outputs().size());
+  for (NodeId o : n.outputs()) h = mix(h, canon[o]);
+  return h;
 }
 
 // Parse a journal base BLIF into net.  Returns error text or empty.
@@ -269,15 +306,20 @@ std::string Session::apply_record(Netlist& net, const Json& record,
 
 std::string Session::replay(Netlist& net, std::size_t n_records,
                             const core::CancelToken* cancel,
-                            std::size_t* good) {
+                            std::size_t* good, int hash_version) {
+  StructuralHasher hasher(net);
   for (std::size_t i = 0; i < n_records && i < records_.size(); ++i) {
     core::poll_cancel(cancel);
     net.begin_undo();
     std::string err = apply_record(net, records_[i], cancel);
+    if (err.empty()) hasher.update(net.touched_nodes());
     if (const Json* h = records_[i].find("hash"); err.empty() && h) {
       auto want = parse_hash(*h);
-      if (!want || *want != structural_hash(net))
+      if (!want || *want != (hash_version == 1 ? chain_hash_v1(net)
+                                               : hasher.value()))
         err = "structural hash mismatch after replay";
+      else if (hash_version == 1)
+        records_[i].set("hash", Json(format_hash(hasher.value())));
     }
     if (!err.empty()) {
       net.rollback_undo();
@@ -316,10 +358,11 @@ void Session::rebuild_analyzer(const core::CancelToken* cancel) {
   update_cache_bytes();
 }
 
-void Session::advance_analyzer(const core::CancelToken* cancel) {
+void Session::advance_analyzer(const Netlist::TouchedNodes& touched,
+                               const core::CancelToken* cancel) {
   analyzer_->set_cancel(cancel);  // bound only for this update
   try {
-    analyzer_->reanalyze(net_.touched_nodes());
+    analyzer_->reanalyze(touched);
   } catch (const core::CancelledError&) {
     analyzer_->set_cancel(nullptr);
     throw;
@@ -373,6 +416,7 @@ void Session::set_base(const std::string& blif, std::uint64_t hash) {
   Json base;
   base.set("type", Json("base"));
   base.set("hash", Json(format_hash(hash)));
+  base.set("hash_version", Json(kHashVersion));
   // The analyzer options replay and the rebuilt analyzer depend on.
   base.set("vectors", Json(cfg_.vectors));
   base.set("seed", Json(format_hash(cfg_.seed)));
@@ -382,28 +426,69 @@ void Session::set_base(const std::string& blif, std::uint64_t hash) {
 
 bool Session::journal_rewrite() {
   if (journal_path_.empty()) return true;
+  journal_stale_ = true;  // until the new file is in place
+  offsets_.clear();
   std::string tmp = journal_path_ + ".tmp";
+  std::uint64_t bytes = base_line_.size() + 1;
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     if (!os) return false;
     os << base_line_ << '\n';
-    for (const Json& r : records_) os << r.dump() << '\n';
+    for (const Json& r : records_) {
+      const std::string line = r.dump();
+      offsets_.push_back(bytes);
+      bytes += line.size() + 1;
+      os << line << '\n';
+    }
     os.flush();
     if (!os) return false;
   }
-  return std::rename(tmp.c_str(), journal_path_.c_str()) == 0;
+  if (std::rename(tmp.c_str(), journal_path_.c_str()) != 0) return false;
+  journal_stale_ = false;
+  journal_bytes_ = bytes;
+  return true;
 }
 
 bool Session::journal_append(const Json& record) {
   if (journal_path_.empty()) return true;
+  // records_ already holds `record`; a missed offset means the file lost
+  // step with records_, and only a rewrite puts it back.
+  if (journal_stale_ || offsets_.size() + 1 != records_.size())
+    return journal_rewrite();
   std::FILE* f = std::fopen(journal_path_.c_str(), "ab");
-  if (!f) return false;
+  if (!f) {
+    journal_stale_ = true;
+    return false;
+  }
   std::string line = record.dump();
   line.push_back('\n');
   bool ok = std::fwrite(line.data(), 1, line.size(), f) == line.size();
   ok = std::fflush(f) == 0 && ok;
   std::fclose(f);
-  return ok;
+  if (!ok) {
+    // Part of the line may be on disk: a truncation must not keep it.
+    journal_stale_ = true;
+    return false;
+  }
+  offsets_.push_back(journal_bytes_);
+  journal_bytes_ += line.size();
+  return true;
+}
+
+bool Session::journal_pop() {
+  if (journal_path_.empty()) return true;
+  // records_ is already popped: offsets_ holds one more entry, the popped
+  // record's, unless the file lost step with records_.
+  if (journal_stale_ || offsets_.size() != records_.size() + 1)
+    return journal_rewrite();
+  const std::uint64_t at = offsets_.back();
+  if (::truncate(journal_path_.c_str(), static_cast<off_t>(at)) != 0) {
+    journal_stale_ = true;
+    return false;
+  }
+  offsets_.pop_back();
+  journal_bytes_ = at;
+  return true;
 }
 
 // ---- verbs -----------------------------------------------------------------
@@ -422,7 +507,8 @@ OpResult Session::load(const std::string& blif_text, std::size_t vectors,
   // Parse succeeded: replace the session state wholesale.  A load also
   // clears a poisoned flag — it is the recovery verb for a wedged session.
   net_ = std::move(*parsed);
-  hash_ = structural_hash(net_);
+  hasher_.emplace(net_);
+  hash_ = hasher_->value();
   cfg_.vectors = vectors ? vectors : 2048;
   cfg_.seed = seed;
   // The journal base is the text we just parsed — replaying it trivially
@@ -465,9 +551,10 @@ OpResult Session::mutate(const Json& ops, const core::CancelToken* cancel) {
   // (deadline) the analyzer restores its own caches and we roll the netlist
   // back, leaving the session exactly as before the request — a cancelled
   // mutate is all-or-nothing, like a killed one.
+  const Netlist::TouchedNodes touched = net_.touched_nodes();
   if (analyzer_) {
     try {
-      advance_analyzer(cancel);
+      advance_analyzer(touched, cancel);
     } catch (const core::CancelledError&) {
       net_.rollback_undo();
       return OpResult::error(ErrorCode::Deadline,
@@ -475,8 +562,9 @@ OpResult Session::mutate(const Json& ops, const core::CancelToken* cancel) {
                              "mutation rolled back");
     }
   }
+  hasher_->update(touched);
   push_frame(net_.commit_undo_frame());
-  hash_ = structural_hash(net_);
+  hash_ = hasher_->value();
   update_cache_bytes();
 
   Json record;
@@ -607,7 +695,8 @@ OpResult Session::optimize(const Json& params, const core::CancelToken* cancel) 
   net_.begin_undo();
   net_ = std::move(res.circuit);  // journals the whole pre-image
   push_frame(net_.commit_undo_frame());
-  hash_ = structural_hash(net_);
+  hasher_.emplace(net_);
+  hash_ = hasher_->value();
 
   // Journal before the re-baseline, so a deadline there cannot leave a
   // committed circuit without its record.
@@ -649,10 +738,11 @@ OpResult Session::rollback(const core::CancelToken* cancel) {
     return OpResult::error(ErrorCode::Internal, "rollback replay: " + err);
   records_.pop_back();
   net_ = std::move(rebuilt);
-  hash_ = structural_hash(net_);
+  hasher_.emplace(net_);
+  hash_ = hasher_->value();
   // Journal before the re-baseline, so a deadline there cannot leave the
   // popped record on disk.
-  if (!journal_rewrite())
+  if (!journal_pop())
     metrics::count("service.journal_write_failed");
   rebuild_analyzer(cancel);
   return state_payload();
@@ -668,21 +758,24 @@ std::optional<OpResult> Session::rollback_frame(
   const bool had_analyzer = analyzer_.has_value();
   net_.begin_undo();
   net_.restore_frame(frames_.back());
+  const Netlist::TouchedNodes touched = net_.touched_nodes();
   try {
     if (had_analyzer)
-      advance_analyzer(cancel);
+      advance_analyzer(touched, cancel);
     else
       rebuild_analyzer(cancel);
   } catch (const core::CancelledError&) {
     net_.rollback_undo();  // the analyzer already restored its caches
     throw;
   }
-  const std::uint64_t h = structural_hash(net_);
+  hasher_->update(touched);
+  const std::uint64_t h = hasher_->value();
   if (h != want) {
     metrics::count("service.rollback.undo_mismatch");
     if (!had_analyzer) analyzer_.reset();
     else if (analyzer_) analyzer_->revert_last();
     net_.rollback_undo();
+    hasher_->undo();
     drop_frames();
     update_cache_bytes();
     return std::nullopt;
@@ -694,7 +787,7 @@ std::optional<OpResult> Session::rollback_frame(
   records_.pop_back();
   hash_ = h;
   update_cache_bytes();
-  if (!journal_rewrite())
+  if (!journal_pop())
     metrics::count("service.journal_write_failed");
   return state_payload();
 }
@@ -738,19 +831,26 @@ OpResult Session::recover(const core::CancelToken* cancel) {
   if (!is)
     return OpResult::error(ErrorCode::Internal,
                            "cannot open journal '" + journal_path_ + "'");
-  std::string line;
+  const std::string data((std::istreambuf_iterator<char>(is)),
+                         std::istreambuf_iterator<char>());
   std::vector<Json> lines;
-  bool torn = false;
-  while (std::getline(is, line)) {
+  std::vector<std::uint64_t> offsets;  // where each line starts
+  bool torn = false, unterminated = false;
+  for (std::size_t at = 0; at < data.size();) {
+    std::size_t end = data.find('\n', at);
+    unterminated = end == std::string::npos;
+    if (unterminated) end = data.size();
     // A torn final line (the daemon died mid-append) is detected by its
     // JSON being incomplete — a partial fwrite of a record cannot parse.
     // The record never committed, so ending the journal there is correct.
-    auto doc = json_parse(line);
+    auto doc = json_parse(std::string_view(data).substr(at, end - at));
     if (!doc || !doc->is_object()) {
       torn = true;
       break;
     }
     lines.push_back(std::move(*doc));
+    offsets.push_back(at);
+    at = end + 1;
   }
   if (lines.empty())
     return OpResult::error(ErrorCode::Internal,
@@ -760,12 +860,16 @@ OpResult Session::recover(const core::CancelToken* cancel) {
   // A base record without "vectors"/"seed" predates them: the defaults.
   const Json* vectors_j = lines[0].find("vectors");
   const Json* seed_j = lines[0].find("seed");
+  // ... and one without "hash_version" predates structural_hash() v2.
+  const Json* version_j = lines[0].find("hash_version");
   const AnalyzerConfig defaults;
   double vectors = vectors_j ? vectors_j->as_number(0) : defaults.vectors;
   auto seed = seed_j ? parse_hash(*seed_j) : defaults.seed;
+  const double version = version_j ? version_j->as_number(0) : 1;
   if (!type || !type->is_string() || type->as_string() != "base" || !blif_j ||
       !blif_j->is_string() || !(vectors >= 1 && vectors <= 1e15) ||
-      vectors != std::floor(vectors) || !seed)
+      vectors != std::floor(vectors) || !seed ||
+      (version != 1 && version != kHashVersion))
     return OpResult::error(ErrorCode::Internal,
                            "journal base record malformed");
   cfg_ = {static_cast<std::size_t>(vectors), *seed};
@@ -779,17 +883,24 @@ OpResult Session::recover(const core::CancelToken* cancel) {
   drop_frames();
 
   // Replay; a failing or hash-mismatching record is undone and truncates
-  // the journal at that point.
+  // the journal at that point.  A version-1 journal's records are checked
+  // against the chain hash and re-keyed to structural_hash() as they go.
   std::size_t keep = records_.size();
-  replay(rebuilt, keep, cancel, &keep);
+  replay(rebuilt, keep, cancel, &keep, static_cast<int>(version));
   bool truncated = torn || keep != records_.size();
   records_.resize(keep);
+  offsets_.assign(offsets.begin() + 1, offsets.begin() + 1 + keep);
+  journal_bytes_ = data.size();
+  // A final record without its newline would take the next append onto
+  // its line: the next write rewrites the file instead.
+  journal_stale_ = unterminated;
   net_ = std::move(rebuilt);
-  hash_ = structural_hash(net_);
+  hasher_.emplace(net_);
+  hash_ = hasher_->value();
   loaded_ = true;
   poisoned_.store(false, std::memory_order_relaxed);
   rebuild_analyzer(cancel);
-  if (truncated && !journal_rewrite())
+  if ((truncated || version != kHashVersion) && !journal_rewrite())
     metrics::count("service.journal_write_failed");
   if (truncated) metrics::count("service.journal_truncated");
   metrics::count("service.sessions_recovered");

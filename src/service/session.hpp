@@ -18,29 +18,38 @@
 //
 // Durability model (crash recovery)
 //   The journal file holds one JSON line per *committed* state transition:
-//     {"type":"base","hash":...,"vectors":...,"seed":...,"blif":...}
-//                                                    (load; the seed is
+//     {"type":"base","hash":...,"hash_version":2,"vectors":...,"seed":...,
+//      "blif":...}                                   (load; the seed is
 //                                                    hex, like the hashes)
 //     {"type":"mutate","ops":[...],"hash":...}       (committed mutate)
 //     {"type":"optimize","flow":...,"hash":...}      (kept optimize)
 //   A record is appended only after the in-memory commit succeeded, and
-//   each carries the structural_hash of the post-state.  Recovery replays
-//   the file from the base; a torn final line (daemon killed mid-append) or
-//   a hash mismatch truncates the journal there — so a kill at ANY point
-//   leaves the recovered session equal to the last fully committed state:
-//   a mid-mutate kill recovers to "fully rolled back", a post-append kill
-//   to "fully applied", and nothing in between exists on disk.
-//   Optimize records are only journaled when the flow ran to completion
-//   without a cancellation, keeping replay deterministic.
+//   each carries the structural_hash of the post-state, which the session
+//   keeps per edit (netlist/hasher.hpp).  Recovery replays the file from
+//   the base; a torn final line (daemon killed mid-append) or a hash
+//   mismatch truncates the journal there — so a kill at ANY point leaves
+//   the recovered session equal to the last fully committed state: a
+//   mid-mutate kill recovers to "fully rolled back", a post-append kill to
+//   "fully applied", and nothing in between exists on disk.  Optimize
+//   records are only journaled when the flow ran to completion without a
+//   cancellation, keeping replay deterministic.  A base record without
+//   "hash_version" is a version-1 journal, whose hashes are the retired
+//   chain hash: recovery checks its records with that hash and rewrites
+//   the journal once as version 2.
 //
 // Rollback
 //   Rollback pops an undo frame; replay is the fallback.  Each committed
 //   record keeps its undo frame (Netlist::commit_undo_frame) on a stack
 //   that counts in cache_bytes and is dropped by eviction.  Popping one
-//   restores it in a new epoch, advances the analyzer over the nodes it
-//   touched and checks one structural_hash against the record below.  A
+//   restores it in a new epoch, advances the analyzer and the hash over
+//   the nodes it touched and checks the hash against the record below.  A
 //   record without a frame (after an eviction or a recovery), or a hash
-//   mismatch, replays the journal prefix from the base instead.
+//   mismatch, replays the journal prefix from the base instead.  Either
+//   way the journal file is truncated at the popped record's byte offset,
+//   kept since it was appended; it is rewritten whole (temp file and
+//   rename) only by load, by a recovery that truncated or upgraded it, and
+//   by the first write after a failed append, which may have left part of
+//   a line behind or left the file one record short of the session.
 //
 // Failure model
 //   Expected failures (bad BLIF, rejected edit scripts, deadline
@@ -61,6 +70,7 @@
 #include <vector>
 
 #include "core/parallel.hpp"
+#include "netlist/hasher.hpp"
 #include "netlist/netlist.hpp"
 #include "power/incremental.hpp"
 #include "service/json.hpp"
@@ -200,9 +210,11 @@ class Session {
   // each as one undo epoch that must reproduce the record's hash.  Returns
   // error text or empty.  On an error the failing record is undone, so net
   // holds the records before it, and *good (when given) is its index.
+  // With hash_version 1 the records hold chain hashes; each one that
+  // matches is re-keyed to its structural_hash().
   std::string replay(Netlist& net, std::size_t n_records,
                      const core::CancelToken* cancel,
-                     std::size_t* good = nullptr);
+                     std::size_t* good = nullptr, int hash_version = 2);
   // Rollback by popping the top undo frame; nullopt when the undone hash
   // disagrees with the journal (the session is then unchanged and the
   // frames dropped, so the caller replays).
@@ -219,13 +231,16 @@ class Session {
   // but a deadline drops the analyzer and lets the edit stand;
   // CancelledError propagates with the caches restored, and the caller
   // rolls the epoch back.
-  void advance_analyzer(const core::CancelToken* cancel);
+  void advance_analyzer(const Netlist::TouchedNodes& touched,
+                        const core::CancelToken* cancel);
   void update_cache_bytes();
 
   // Journal I/O.
   void set_base(const std::string& blif, std::uint64_t hash);
   bool journal_rewrite();          // base + records_ -> file (atomic-ish)
   bool journal_append(const Json& record);
+  // Drop the record records_ just lost from the file's tail.
+  bool journal_pop();
 
   std::string name_;
   std::string journal_path_;  // empty = no journaling
@@ -234,6 +249,7 @@ class Session {
   bool loaded_ = false;
   Netlist net_;
   std::uint64_t hash_ = 0;
+  std::optional<StructuralHasher> hasher_;  // bound to net_; hash_'s source
   AnalyzerConfig cfg_;
   std::optional<power::IncrementalAnalyzer> analyzer_;
 
@@ -241,6 +257,11 @@ class Session {
   std::uint64_t base_hash_ = 0;  // structural_hash of the parsed base
   std::string base_line_;        // the journal's dumped base record
   std::vector<Json> records_;    // committed mutate/optimize records
+  // Byte offset of each record's line in the journal file, and the file's
+  // length.  Stale after a failed write: the next one rewrites the file.
+  std::vector<std::uint64_t> offsets_;
+  std::uint64_t journal_bytes_ = 0;
+  bool journal_stale_ = false;
   // Undo frames of the newest frames_.size() records, oldest first: an
   // optimize or strash frame is a whole-netlist pre-image, a mutate frame
   // its edit's node pre-images.  Records below them (recovered or evicted)

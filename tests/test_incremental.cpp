@@ -26,6 +26,7 @@
 #include "flow_reference.hpp"
 #include "logicsim_reference.hpp"
 #include "netlist/benchmarks.hpp"
+#include "netlist/hasher.hpp"
 #include "power/incremental.hpp"
 #include "seq/encoding.hpp"
 #include "sim/compiled.hpp"
@@ -776,41 +777,31 @@ Netlist load_enabled_counter() {
 }
 
 // A seeded script of journaled edits, each kept (its frame stacked) or
-// reverted (revert_last), with frame restores interleaved; after every
-// step the analyzer must equal a fresh analysis bit for bit, its cached
-// capacitances must equal node_capacitances(), and its output digest the
-// digest of a fresh frame-major run.
+// reverted, with frame restores interleaved.  Every edit reaches `track`
+// as update(touched) while its epoch is open; a reverted one is then
+// rolled back and followed by revert(); after every step check(what).
 struct ScriptCoverage {
   int kind[6] = {};
   int kept = 0, reverted = 0, restores = 0, cone_updates = 0;
 };
 
-void run_edit_script(Netlist net, std::size_t vectors, std::uint32_t seed,
-                     const std::string& name, ScriptCoverage& cov) {
-  const power::AnalysisOptions ao = zd_options(vectors);
-  power::IncrementalAnalyzer inc(net, ao);
+template <class Track>
+void edit_script(Netlist& net, std::uint32_t seed, const std::string& name,
+                 Track& track, ScriptCoverage& cov) {
   std::mt19937 rng(seed);
   std::vector<Netlist::UndoFrame> frames;
-  auto check = [&](const std::string& what) {
-    const Netlist& cn = net;
-    expect_bit_equal(inc.analysis(), power::analyze(cn, ao), what);
-    EXPECT_EQ(inc.capacitances(), power::node_capacitances(cn, ao.params))
-        << what;
-    EXPECT_EQ(inc.outputs_digest(), frame_major_digest(cn, ao)) << what;
-  };
   auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
   for (int step = 0; step < 24; ++step) {
     const Netlist& cn = net;  // reads must not journal nodes
-    const std::string what =
-        name + "/" + std::to_string(vectors) + " step " + std::to_string(step);
+    const std::string what = name + " step " + std::to_string(step);
     if (!frames.empty() && pick(5) == 0) {
       net.begin_undo();
       net.restore_frame(frames.back());
-      inc.reanalyze(net.touched_nodes());
+      track.update(net.touched_nodes());
       net.commit_undo();
       frames.pop_back();
       ++cov.restores;
-      check(what + " restore");
+      track.check(what + " restore");
       continue;
     }
     // Live gates (not registers), by id; any smaller id is a fanin that
@@ -853,19 +844,46 @@ void run_edit_script(Netlist net, std::size_t vectors, std::uint32_t seed,
         break;
       }
     }
-    inc.reanalyze(net.touched_nodes());
-    if (!inc.last_update().full_rebaseline) ++cov.cone_updates;
+    if (track.update(net.touched_nodes())) ++cov.cone_updates;
     if (pick(3) == 0) {
       net.rollback_undo();
-      inc.revert_last();
+      track.revert();
       ++cov.reverted;
-      check(what + " reverted");
+      track.check(what + " reverted");
     } else {
       frames.push_back(net.commit_undo_frame());
       ++cov.kept;
-      check(what + " kept");
+      track.check(what + " kept");
     }
   }
+}
+
+// The analyzer must equal a fresh analysis bit for bit, its cached
+// capacitances must equal node_capacitances(), and its output digest the
+// digest of a fresh frame-major run.
+struct AnalyzerTrack {
+  const Netlist& net;
+  power::AnalysisOptions ao;
+  power::IncrementalAnalyzer inc;
+  AnalyzerTrack(const Netlist& n, std::size_t vectors)
+      : net(n), ao(zd_options(vectors)), inc(n, ao) {}
+  bool update(const Netlist::TouchedNodes& t) {
+    inc.reanalyze(t);
+    return !inc.last_update().full_rebaseline;
+  }
+  void revert() { inc.revert_last(); }
+  void check(const std::string& what) {
+    expect_bit_equal(inc.analysis(), power::analyze(net, ao), what);
+    EXPECT_EQ(inc.capacitances(), power::node_capacitances(net, ao.params))
+        << what;
+    EXPECT_EQ(inc.outputs_digest(), frame_major_digest(net, ao)) << what;
+  }
+};
+
+void run_edit_script(Netlist net, std::size_t vectors, std::uint32_t seed,
+                     const std::string& name, ScriptCoverage& cov) {
+  AnalyzerTrack track(net, vectors);
+  edit_script(net, seed, name + "/" + std::to_string(vectors), track, cov);
 }
 
 TEST(Incremental, BlockTraceEditScriptsMatchAnalyze) {
@@ -882,6 +900,113 @@ TEST(Incremental, BlockTraceEditScriptsMatchAnalyze) {
   EXPECT_GT(cov.reverted, 0);
   EXPECT_GT(cov.restores, 0);
   EXPECT_GT(cov.cone_updates, cov.kept / 2);
+}
+
+// The hasher's kept value must equal a from-scratch structural_hash after
+// every edit and every undo, and a scoped update re-hashes no node outside
+// the analyzer's re-simulated cone but the size- and delay-only roots.
+struct HashTrack {
+  const Netlist& net;
+  StructuralHasher hasher;
+  power::IncrementalAnalyzer inc;
+  explicit HashTrack(const Netlist& n)
+      : net(n), hasher(n), inc(n, zd_options(256)) {}
+  bool update(const Netlist::TouchedNodes& t) {
+    const std::uint64_t before = hasher.rehashed();
+    hasher.update(t);
+    inc.reanalyze(t);
+    EXPECT_EQ(hasher.value(), structural_hash(net));
+    if (!inc.last_update().full_rebaseline) {
+      EXPECT_LE(hasher.rehashed() - before,
+                inc.last_update().resim_nodes + t.param_roots.size());
+    }
+    return !inc.last_update().full_rebaseline;
+  }
+  void revert() {
+    hasher.undo();
+    inc.revert_last();
+  }
+  void check(const std::string& what) {
+    EXPECT_EQ(hasher.value(), structural_hash(net)) << what;
+  }
+};
+
+TEST(StructuralHash, IncrementalMatchesFull) {
+  ScriptCoverage cov;
+  auto run = [&](Netlist net, std::uint32_t seed, const std::string& name) {
+    HashTrack track(net);
+    edit_script(net, seed, name, track, cov);
+  };
+  run(bench::random_dag(64, 2000, 7), 1, "rand");
+  run(bench::array_multiplier(8), 2, "mult8");
+  run(load_enabled_counter(), 3, "le-counter");
+  for (int k : cov.kind) EXPECT_GT(k, 0);
+  EXPECT_GT(cov.reverted, 0);
+  EXPECT_GT(cov.restores, 0);
+
+  // Registers: add and remove Dffs, move enables and D pins, flip init
+  // values, resize them, change any node's delay; kept, reverted or
+  // restored from a frame.
+  Netlist net = load_enabled_counter();
+  StructuralHasher hasher(net);
+  std::mt19937 rng(11);
+  auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  std::vector<Netlist::UndoFrame> frames;
+  int kinds[6] = {};
+  for (int step = 0; step < 200; ++step) {
+    const Netlist& cn = net;
+    const std::string what = "seq step " + std::to_string(step);
+    net.begin_undo();
+    if (!frames.empty() && pick(6) == 0) {
+      net.restore_frame(frames.back());
+      frames.pop_back();
+    } else {
+      std::vector<NodeId> live, regs;
+      for (NodeId id = 0; id < cn.size(); ++id) {
+        if (cn.is_dead(id)) continue;
+        live.push_back(id);
+        if (cn.node(id).type == GateType::Dff) regs.push_back(id);
+      }
+      const NodeId any = live[pick(live.size())];
+      const NodeId q = regs.empty() ? kNoNode : regs[pick(regs.size())];
+      const std::size_t kind = q == kNoNode ? 0 : pick(6);
+      ++kinds[kind];
+      switch (kind) {
+        case 0: {
+          const NodeId d = net.add_dff(any, pick(2) != 0);
+          if (pick(2)) net.add_output(d, "q" + std::to_string(step));
+          break;
+        }
+        case 1:  // the register's users read a PI instead; it is removed
+          net.substitute(q, cn.inputs()[pick(cn.inputs().size())]);
+          break;
+        case 2:
+          if (cn.dff_has_enable(q)) net.replace_fanin(q, 1, any);
+          else net.set_dff_enable(q, any);
+          break;
+        case 3:
+          net.node(q).init_value = !cn.node(q).init_value;
+          break;
+        case 4:
+          net.replace_fanin(q, 0, any);
+          break;
+        case 5:  // size or delay: the node's key moves, its hash does not
+          if (pick(2)) net.node(q).size += 1.0;
+          else net.node(any).delay += 1;
+          break;
+      }
+    }
+    hasher.update(net.touched_nodes());
+    EXPECT_EQ(hasher.value(), structural_hash(net)) << what;
+    if (pick(3) == 0) {
+      net.rollback_undo();
+      hasher.undo();
+      EXPECT_EQ(hasher.value(), structural_hash(net)) << what << " undone";
+    } else {
+      frames.push_back(net.commit_undo_frame());
+    }
+  }
+  for (int k : kinds) EXPECT_GT(k, 0);
 }
 
 // The whole generated suite: one local mutation per circuit, exact equality.

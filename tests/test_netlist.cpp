@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 #include <sstream>
+#include <unordered_map>
 
 #include "logicsim_reference.hpp"
 #include "netlist/benchmarks.hpp"
@@ -464,10 +466,176 @@ TEST(Validate, DeadFaninIsNotACycle) {
             "node 2 (NOT) references dead fanin 1 (BUF)");
 }
 
+// Each repeated PO name is reported at its slot, naming the first slot
+// that used the name, in slot order.
+TEST(Validate, DuplicateOutputNamesNameTheFirstSlot) {
+  Netlist net;
+  const NodeId a = net.add_input("a");
+  const NodeId g = net.add_not(a);
+  for (const char* name : {"y", "z", "y", "w", "y", "z"}) net.add_output(g, name);
+  diag::DiagEngine eng(8);
+  validate(net, eng);
+  std::vector<std::string> got;
+  for (const auto& d : eng.diagnostics()) got.push_back(d.message);
+  EXPECT_EQ(got, (std::vector<std::string>{
+                     "duplicate primary output name \"y\" (slots 0 and 2)",
+                     "duplicate primary output name \"y\" (slots 0 and 4)",
+                     "duplicate primary output name \"z\" (slots 1 and 5)"}));
+}
+
 TEST(Netlist, PrintDoesNotCrash) {
   std::ostringstream os;
   os << bench::c17();
   EXPECT_NE(os.str().find("NAND"), std::string::npos);
+}
+
+// Distinct single-edit mutants of the suite and two register circuits all
+// hash apart, and so do the pairs a hash without pin order, PI/PO
+// positions or register identity would merge.
+TEST(StructuralHash, NoCollisions) {
+  std::vector<bench::NamedNetlist> circuits = bench::default_suite();
+  circuits.push_back({"counter6", bench::counter(6)});
+  circuits.push_back({"shift6", bench::shift_register(6)});
+  std::unordered_map<std::uint64_t, std::string> seen;
+  auto add = [&](const Netlist& net, const std::string& what) {
+    auto [it, fresh] = seen.emplace(structural_hash(net), what);
+    EXPECT_TRUE(fresh) << what << " collides with " << it->second;
+  };
+  for (const auto& c : circuits) add(c.net, c.name);
+
+  static const GateType kNary[] = {GateType::And,  GateType::Or,
+                                   GateType::Nand, GateType::Nor,
+                                   GateType::Xor,  GateType::Xnor};
+  std::mt19937 rng(29);
+  auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  std::set<std::string> edits;
+  std::size_t mutants = 0;
+  while (mutants < 10000) {
+    auto& [name, net] = circuits[pick(circuits.size())];
+    const NodeId g = static_cast<NodeId>(pick(net.size()));
+    if (net.is_dead(g)) continue;
+    const Node& nd = net.node(g);
+    std::string what = name + "/" + std::to_string(g);
+    net.begin_undo();
+    switch (pick(5)) {
+      case 0: {  // a different driver outside g's fanout cone
+        if (nd.fanins.empty()) break;
+        const std::size_t k = pick(nd.fanins.size());
+        const NodeId f = static_cast<NodeId>(pick(net.size()));
+        if (net.is_dead(f) || f == nd.fanins[k]) break;
+        if (nd.type != GateType::Dff &&
+            net.fanout_cone_of(std::span<const NodeId>(&g, 1))[f])
+          break;
+        what += "/fanin" + std::to_string(k) + "=" + std::to_string(f);
+        net.replace_fanin(g, k, f);
+        break;
+      }
+      case 1:
+        what += "/size";
+        net.node(g).size += 1.0;
+        break;
+      case 2:
+        what += "/delay";
+        net.node(g).delay += 1;
+        break;
+      case 3:
+        if (nd.type != GateType::Dff) break;
+        what += "/init";
+        net.node(g).init_value = !nd.init_value;
+        break;
+      case 4: {
+        GateType t = nd.type;
+        if (t == GateType::Buf || t == GateType::Not)
+          t = t == GateType::Buf ? GateType::Not : GateType::Buf;
+        else if (is_commutative(t))
+          while (t == nd.type) t = kNary[pick(6)];
+        else
+          break;
+        what += "/type=" + std::string(to_string(t));
+        net.node(g).type = t;
+        break;
+      }
+    }
+    if (net.touched_nodes().ids.empty() || !edits.insert(what).second) {
+      net.rollback_undo();
+      continue;
+    }
+    add(net, what);
+    net.rollback_undo();
+    ++mutants;
+  }
+  for (const auto& c : circuits)
+    EXPECT_EQ(seen.count(structural_hash(c.net)), 1u) << c.name << " restored";
+
+  // Targeted pairs.
+  auto differ = [](const Netlist& a, const Netlist& b, const char* what) {
+    EXPECT_NE(structural_hash(a), structural_hash(b)) << what;
+  };
+  {
+    Netlist a, b;
+    for (Netlist* n : {&a, &b})
+      for (const char* pi : {"s", "x", "y"}) n->add_input(pi);
+    a.add_output(a.add_mux(0, 1, 2), "o");
+    b.add_output(b.add_mux(0, 2, 1), "o");
+    differ(a, b, "swapped Mux data fanins");
+  }
+  {
+    Netlist a, b;
+    const NodeId ax = a.add_input("x"), ay = a.add_input("y");
+    const NodeId by = b.add_input("y"), bx = b.add_input("x");
+    a.add_output(a.add_and(ax, a.add_not(ay)), "o");
+    b.add_output(b.add_and(bx, b.add_not(by)), "o");
+    differ(a, b, "swapped PI order");
+  }
+  {
+    Netlist a, b;
+    for (Netlist* n : {&a, &b}) {
+      const NodeId x = n->add_input("x"), y = n->add_input("y");
+      const NodeId p = n->add_and(x, y), q = n->add_or(x, y);
+      if (n == &a) {
+        n->add_output(p, "p");
+        n->add_output(q, "q");
+      } else {
+        n->add_output(q, "q");
+        n->add_output(p, "p");
+      }
+    }
+    differ(a, b, "swapped PO order");
+  }
+  {
+    Netlist a, b;
+    for (Netlist* n : {&a, &b}) {
+      const NodeId x = n->add_input("x"), y = n->add_input("y");
+      const NodeId p = n->add_and(x, y), q = n->add_or(x, y);
+      const bool swap = n == &b;
+      n->add_output(n->add_dff(swap ? q : p), "q0");
+      n->add_output(n->add_dff(swap ? p : q), "q1");
+    }
+    differ(a, b, "swapped D drivers of two registers with one init value");
+  }
+  {
+    // Twins t1 (size 1) and t2 (size 2), each read by one inverter: the
+    // inverters' sizes tie them to their twin.  Swapping the twins' sizes
+    // or rewiring the inverters onto the other twin is one edit that
+    // changes the sizing report but no node hash.
+    auto twins = [](double t1, double t2, bool rewire) {
+      Netlist n;
+      const NodeId x = n.add_input("x"), y = n.add_input("y");
+      const NodeId a1 = n.add_and(x, y), a2 = n.add_and(x, y);
+      n.node(a1).size = t1;
+      n.node(a2).size = t2;
+      const NodeId u1 = n.add_not(rewire ? a2 : a1);
+      const NodeId u2 = n.add_not(rewire ? a1 : a2);
+      n.node(u1).size = 3.0;
+      n.node(u2).size = 1.0;
+      n.add_output(u1, "o1");
+      n.add_output(u2, "o2");
+      return n;
+    };
+    const Netlist a = twins(1.0, 2.0, false);
+    differ(a, twins(2.0, 1.0, false), "swapped sizes of two twins");
+    differ(a, twins(1.0, 2.0, true), "users rewired onto the other twin");
+  }
 }
 
 }  // namespace

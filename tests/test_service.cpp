@@ -15,6 +15,7 @@
 //     diagnostics and fall back to documented defaults.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <atomic>
 #include <cstdio>
@@ -23,6 +24,8 @@
 #include <fstream>
 #include <iterator>
 #include <random>
+#include <sstream>
+#include <tuple>
 #include <thread>
 #include <vector>
 
@@ -295,6 +298,27 @@ TEST(ServiceHash, InvariantUnderNamesAndRenumbering) {
   // compact() renumbers wholesale; still invariant.
   edited.compact();
   EXPECT_EQ(structural_hash(edited), h);
+
+  // A sequential circuit with a load-enabled register: a register spliced
+  // in and taken out again leaves the other registers' ranks, and the
+  // hash, as they were; so do names and compact().
+  Netlist seq = bench::counter(4);
+  seq.set_dff_enable(seq.dffs()[1], seq.add_input("load"));
+  const std::uint64_t hs = structural_hash(seq);
+  Netlist sedit = seq.clone();
+  for (NodeId i = 0; i < sedit.size(); ++i)
+    if (!sedit.is_dead(i) && !sedit.node(i).name.empty())
+      sedit.node(i).name += "_x";
+  const NodeId q = sedit.dffs()[0];
+  const NodeId d = sedit.node(q).fanins[0];
+  const NodeId extra = sedit.add_dff(d);
+  sedit.replace_fanin(q, 0, extra);
+  EXPECT_NE(structural_hash(sedit), hs);
+  sedit.replace_fanin(q, 0, d);
+  sedit.remove(extra);
+  EXPECT_EQ(structural_hash(sedit), hs);
+  sedit.compact();
+  EXPECT_EQ(structural_hash(sedit), hs);
 }
 
 TEST(ServiceHash, SensitiveToParameters) {
@@ -1187,12 +1211,13 @@ TEST(ServiceRollback, UndoMatchesReplay) {
     service::Service svc(so);
     ASSERT_TRUE(resp_ok(roundtrip(svc, load_frame("main", bench_blif()))));
     ASSERT_TRUE(resp_ok(roundtrip(svc, load_frame("pad", bench_blif()))));
-    {  // The base record: the parsed base's hash, the load's analyzer
-       // options (default here), then the BLIF text.
+    {  // The base record: the parsed base's hash and its version, the
+       // load's analyzer options (default here), then the BLIF text.
       Json base;
       base.set("type", Json("base"));
       base.set("hash",
                Json(service::format_hash(structural_hash(bench_net()))));
+      base.set("hash_version", Json(2));
       base.set("vectors", Json(2048));
       base.set("seed", Json(service::format_hash(0xC0FFEE)));
       base.set("blif", Json(bench_blif()));
@@ -1360,6 +1385,203 @@ TEST(ServiceRollback, PathCountsAreExact) {
   EXPECT_EQ(c1[0] - c0[0], 3);
   EXPECT_EQ(c1[1] - c0[1], 4);
   EXPECT_EQ(c1[2] - c0[2], 0);
+}
+
+Json set_size_ops(const char* node, double value) {
+  Json op;
+  op.set("op", Json("set_size"));
+  op.set("node", Json(node));
+  op.set("value", Json(value));
+  return Json(JsonArray{op});
+}
+
+// A rollback, on the frame path and on the replay path, truncates the
+// journal at the popped record's offset: the file is byte for byte what it
+// was before that record was appended, and it is the same file — no temp
+// file, no rename.  Appends after a truncation land where the popped
+// records were, and a torn tail among them recovers to the prefix.
+TEST(ServiceJournal, RollbackTruncatesInPlace) {
+  const TempDir tmp("truncate");
+  const std::string journal = tmp.path + "/s.journal";
+  service::Session s("s", journal);
+  ASSERT_TRUE(s.load(bench_blif(), 2048, 0xC0FFEE, true, nullptr).status.is_ok());
+  auto inode = [&] {
+    struct stat st {};
+    EXPECT_EQ(::stat(journal.c_str(), &st), 0);
+    return st.st_ino;
+  };
+  const auto ino = inode();
+  std::vector<std::string> at{read_file(journal)};  // by #records
+  for (int k = 0; k < 3; ++k) {
+    ASSERT_TRUE(s.mutate(set_size_ops("n17", 2.0 + k), nullptr).status.is_ok());
+    at.push_back(read_file(journal));
+  }
+  const double undo0 = core::metrics::value("service.rollback.undo");
+  const double replay0 = core::metrics::value("service.rollback.replay");
+  ASSERT_TRUE(s.rollback(nullptr).status.is_ok());
+  EXPECT_EQ(core::metrics::value("service.rollback.undo") - undo0, 1);
+  EXPECT_EQ(read_file(journal), at[2]);
+  s.evict_caches();  // drops the frames: the next rollback replays
+  ASSERT_TRUE(s.rollback(nullptr).status.is_ok());
+  EXPECT_EQ(core::metrics::value("service.rollback.replay") - replay0, 1);
+  EXPECT_EQ(read_file(journal), at[1]);
+  EXPECT_EQ(inode(), ino);
+  for (const auto& e : std::filesystem::directory_iterator(tmp.path))
+    EXPECT_NE(e.path().extension(), ".tmp") << e.path();
+
+  ASSERT_TRUE(s.mutate(set_size_ops("n22", 5.0), nullptr).status.is_ok());
+  const std::uint64_t hash_mid = s.hash();
+  ASSERT_TRUE(s.mutate(set_size_ops("n22", 6.0), nullptr).status.is_ok());
+  EXPECT_EQ(inode(), ino);
+  std::string data = read_file(journal);
+  ASSERT_GT(data.size(), at[1].size() + 30);
+  {
+    std::ofstream os(journal, std::ios::binary | std::ios::trunc);
+    os.write(data.data(), static_cast<std::streamsize>(data.size() - 25));
+  }
+  service::Session r("s", journal);
+  service::OpResult rec = r.recover(nullptr);
+  ASSERT_TRUE(rec.status.is_ok());
+  EXPECT_TRUE(rec.payload.back().second.as_bool());  // "truncated"
+  EXPECT_EQ(r.journal_records(), 2u);
+  EXPECT_EQ(r.hash(), hash_mid);
+}
+
+// An append that cannot open the journal leaves the file one record short
+// of the session.  The rollback that pops that record must not truncate at
+// the offset of the record below it: it rewrites the file, which then
+// recovers to the committed prefix.  The same holds with no record below
+// (load, failed append, rollback).
+TEST(ServiceJournal, FailedAppendRewritesOnRollback) {
+  const TempDir tmp("failed_append");
+  const std::string journal = tmp.path + "/s.journal";
+  const std::string aside = tmp.path + "/aside";
+  for (int k : {0, 2}) {
+    service::Session s("s", journal);
+    ASSERT_TRUE(s.load(bench_blif(), 2048, 0xC0FFEE, true, nullptr).status.is_ok());
+    for (int i = 0; i < k; ++i)
+      ASSERT_TRUE(s.mutate(set_size_ops("n17", 2.0 + i), nullptr).status.is_ok());
+    const std::uint64_t hash = s.hash();
+    const std::string before = read_file(journal);
+    // A directory at the journal path makes the next append fail.
+    std::filesystem::rename(journal, aside);
+    std::filesystem::create_directory(journal);
+    const double failed0 = core::metrics::value("service.journal_write_failed");
+    ASSERT_TRUE(s.mutate(set_size_ops("n22", 7.0), nullptr).status.is_ok());
+    EXPECT_EQ(core::metrics::value("service.journal_write_failed") - failed0, 1);
+    std::filesystem::remove(journal);
+    std::filesystem::rename(aside, journal);
+
+    ASSERT_TRUE(s.rollback(nullptr).status.is_ok());
+    EXPECT_EQ(s.hash(), hash);
+    EXPECT_EQ(read_file(journal), before) << "k=" << k;
+    service::Session r("s", journal);
+    ASSERT_TRUE(r.recover(nullptr).status.is_ok());
+    EXPECT_EQ(r.journal_records(), static_cast<std::size_t>(k));
+    EXPECT_EQ(r.hash(), hash);
+
+    // The session appends in step again.
+    ASSERT_TRUE(s.mutate(set_size_ops("n22", 8.0), nullptr).status.is_ok());
+    service::Session r2("s", journal);
+    ASSERT_TRUE(r2.recover(nullptr).status.is_ok());
+    EXPECT_EQ(r2.journal_records(), static_cast<std::size_t>(k + 1));
+    EXPECT_EQ(r2.hash(), s.hash());
+    std::filesystem::remove(journal);
+  }
+}
+
+// A kill can cut an append just before its newline: the record parses and
+// recovers, and the next append must not land on its line, where the
+// following recovery would find one unparsable line and drop both.
+TEST(ServiceJournal, UnterminatedFinalRecordKeepsNextAppend) {
+  const TempDir tmp("unterminated");
+  const std::string journal = tmp.path + "/s.journal";
+  {
+    service::Session s("s", journal);
+    ASSERT_TRUE(s.load(bench_blif(), 2048, 0xC0FFEE, true, nullptr).status.is_ok());
+    ASSERT_TRUE(s.mutate(set_size_ops("n17", 2.0), nullptr).status.is_ok());
+  }
+  std::string data = read_file(journal);
+  ASSERT_EQ(data.back(), '\n');
+  {
+    std::ofstream os(journal, std::ios::binary | std::ios::trunc);
+    os.write(data.data(), static_cast<std::streamsize>(data.size() - 1));
+  }
+  std::uint64_t hash = 0;
+  {
+    service::Session s("s", journal);
+    ASSERT_TRUE(s.recover(nullptr).status.is_ok());
+    ASSERT_EQ(s.journal_records(), 1u);
+    ASSERT_TRUE(s.mutate(set_size_ops("n22", 3.0), nullptr).status.is_ok());
+    hash = s.hash();
+  }
+  service::Session r("s", journal);
+  service::OpResult rec = r.recover(nullptr);
+  ASSERT_TRUE(rec.status.is_ok());
+  EXPECT_FALSE(rec.payload.back().second.as_bool());  // "truncated"
+  EXPECT_EQ(r.journal_records(), 2u);
+  EXPECT_EQ(r.hash(), hash);
+}
+
+// A journal written before "hash_version" existed carries the retired chain
+// hashes.  It recovers to the same state, each record checked against its
+// chain hash, and is rewritten once as version 2: byte for byte the
+// journal a session writes for the same edits today.  A record whose chain
+// hash does not match still truncates the journal there.
+TEST(ServiceJournal, Version1JournalRecovers) {
+  // What version 1 wrote for bench_blif() and after each edit below.
+  const char* const kChain[] = {"0x56c6c8c193c5eb5b", "0x1bde330d56f16865",
+                                "0xa80ef3f7efaa26c2"};
+  const Json edits[] = {
+      set_size_ops("n17", 2.0),
+      *service::json_parse(
+          R"([{"op":"add_gate","type":"not","fanins":["n17"],"name":"inv"},)"
+          R"({"op":"add_output","node":"inv"}])")};
+  const TempDir tmp("v1");
+  const std::string journal = tmp.path + "/s.journal";
+  std::string v2;
+  std::uint64_t hash_first = 0, hash_second = 0;
+  {
+    service::Session s("s", journal);
+    ASSERT_TRUE(s.load(bench_blif(), 2048, 0xC0FFEE, true, nullptr).status.is_ok());
+    ASSERT_TRUE(s.mutate(edits[0], nullptr).status.is_ok());
+    hash_first = s.hash();
+    ASSERT_TRUE(s.mutate(edits[1], nullptr).status.is_ok());
+    hash_second = s.hash();
+    v2 = read_file(journal);
+  }
+  // The same journal in version 1: no "hash_version", chain hashes.
+  auto v1_journal = [&](const char* second) {
+    std::istringstream is(v2);
+    std::string line, out;
+    for (int i = 0; std::getline(is, line); ++i) {
+      const Json doc = *service::json_parse(line);
+      Json rec;
+      for (const auto& [k, v] : doc.as_object())
+        if (k != "hash_version") rec.set(k, v);
+      rec.set("hash", Json(i == 2 ? second : kChain[i]));
+      out += rec.dump() + "\n";
+    }
+    return out;
+  };
+  auto recover = [&](const std::string& text) {
+    {
+      std::ofstream os(journal, std::ios::binary | std::ios::trunc);
+      os << text;
+    }
+    service::Session r("s", journal);
+    service::OpResult res = r.recover(nullptr);
+    EXPECT_TRUE(res.status.is_ok());
+    return std::make_tuple(r.journal_records(), r.hash(),
+                           res.payload.back().second.as_bool());
+  };
+  EXPECT_EQ(recover(v1_journal(kChain[2])),
+            std::make_tuple(std::size_t{2}, hash_second, false));
+  EXPECT_EQ(read_file(journal), v2);
+  // Recovery checks the chain hashes: a wrong one truncates there.
+  EXPECT_EQ(recover(v1_journal("0x0123456789abcdef")),
+            std::make_tuple(std::size_t{1}, hash_first, true));
+  EXPECT_EQ(read_file(journal), v2.substr(0, v2.rfind('\n', v2.size() - 2) + 1));
 }
 
 // A mutate and its journal replay apply the edit through the same scoped
