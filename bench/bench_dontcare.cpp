@@ -6,6 +6,7 @@
 #include <random>
 
 #include "bench_util.hpp"
+#include "core/metrics.hpp"
 #include "core/report.hpp"
 #include "logicopt/dontcare.hpp"
 #include "netlist/benchmarks.hpp"
@@ -60,13 +61,16 @@ void report() {
   suite.emplace_back("alu4+red", with_redundancy(bench::alu(4), 9));
   double saving_min = 1.0;
   bool all_equiv = true;
+  double managers = 0.0;  // bdd.managers created inside optimize_dontcare
   for (auto& [name, net0] : suite) {
     auto net = net0.clone();
     power::AnalysisOptions ao;
     ao.n_vectors = 2048;
     double before = power::analyze(net, ao).report.breakdown.total_w();
     auto st = sim::measure_activity(net, 64, 11);
+    const double managers_before = core::metrics::value("bdd.managers");
     auto res = logicopt::optimize_dontcare(net, st.transition_prob);
+    managers += core::metrics::value("bdd.managers") - managers_before;
     double after = power::analyze(net, ao).report.breakdown.total_w();
     bool equiv = sim::equivalent_random(net0, net, 512, 13);
     saving_min = std::min(saving_min, 1.0 - after / before);
@@ -80,6 +84,10 @@ void report() {
   t.print(std::cout);
   benchx::claim("E4.saving_min", saving_min);
   benchx::claim("E4.all_equivalent", all_equiv);
+  // One BDD manager per call: the stage keeps its global BDDs across
+  // rewrites.  Rebuilding them per rewrite reads one more per rewrite.
+  benchx::claim("E4.dontcare_managers_per_call",
+                managers / static_cast<double>(suite.size()));
   std::cout << '\n';
 }
 
@@ -93,6 +101,31 @@ void bm_dontcare(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_dontcare);
+
+// The twelve random_dag(32, 150) circuits of perfbench's flow_random pool,
+// strashed as the flow does: one iteration runs the pass on all twelve.
+void bm_dontcare_pool(benchmark::State& state) {
+  constexpr std::uint32_t kPoolSeeds[] = {
+      1535578286u, 2653335377u, 961978839u,  1476624210u,
+      374703215u,  1433102928u, 1901963766u, 3814778373u,
+      4151018557u, 4059216129u, 2054710263u, 164471577u};
+  std::vector<std::pair<Netlist, std::vector<double>>> pool;
+  for (std::uint32_t s : kPoolSeeds) {
+    Netlist net = strash(bench::random_dag(32, 150, s));
+    auto act = sim::measure_activity(net, 64, 1).transition_prob;
+    pool.emplace_back(std::move(net), std::move(act));
+  }
+  for (auto _ : state) {
+    int rewrites = 0;
+    for (const auto& [base, act] : pool) {
+      Netlist net = base.clone();
+      auto r = logicopt::optimize_dontcare(net, act);
+      rewrites += r.const_replacements + r.merges;
+    }
+    benchmark::DoNotOptimize(rewrites);
+  }
+}
+BENCHMARK(bm_dontcare_pool)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

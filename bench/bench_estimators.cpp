@@ -349,7 +349,7 @@ void report() {
                          ? 100.0 * static_cast<double>(b.mgr.cache_hits()) /
                                static_cast<double>(b.mgr.cache_lookups())
                          : 0.0;
-    bt.row({name, std::to_string(b.mgr.nodes()),
+    bt.row({name, std::to_string(b.mgr.num_nodes()),
             std::to_string(b.mgr.cache_lookups()),
             core::Table::num(hit_pct, 1),
             std::to_string(b.mgr.unique_hits())});
@@ -514,7 +514,7 @@ void bm_bdd_build(benchmark::State& state) {
   auto net = bench::alu(4);
   for (auto _ : state) {
     auto b = bdd::build_bdds(net);
-    benchmark::DoNotOptimize(b.mgr.nodes());
+    benchmark::DoNotOptimize(b.mgr.num_nodes());
   }
 }
 BENCHMARK(bm_bdd_build);

@@ -79,13 +79,6 @@ void Manager::flush_metrics() {
   gc_runs_ = gc_swept_ = sift_swaps_ = 0;
 }
 
-unsigned Manager::add_var() {
-  unsigned v = num_vars_++;
-  level_of_.push_back(v);
-  var_at_.push_back(v);
-  return v;
-}
-
 void Manager::grow_unique(std::size_t min_slots) {
   std::size_t ns = unique_slots_.size();
   while (ns < min_slots) ns <<= 1;

@@ -108,8 +108,6 @@ class Manager {
   unsigned num_vars() const { return num_vars_; }
   /// Allocated node-array entries (terminal + live + free-listed).
   std::size_t num_nodes() const { return nodes_.size(); }
-  /// Alias of num_nodes() for instrumentation call sites.
-  std::size_t nodes() const { return nodes_.size(); }
   /// Internal nodes currently reachable-or-allocated (excludes the
   /// terminal and the free list).  This is what node_limit bounds.
   std::size_t live_nodes() const { return live_nodes_; }
@@ -128,9 +126,6 @@ class Manager {
   /// nodes, avoiding growth rehashes during a large build.
   void reserve(std::size_t n);
 
-  /// Add another variable at the bottom of the order; returns its index.
-  unsigned add_var();
-
   /// Current position of variable v in the order (top = 0).
   unsigned level_of(unsigned v) const { return level_of_[v]; }
   /// Variable at each level, top to bottom.
@@ -147,7 +142,6 @@ class Manager {
   }
   Ref lxor(Ref f, Ref g);
   Ref lxnor(Ref f, Ref g) { return lnot(lxor(f, g)); }
-  Ref implies(Ref f, Ref g) { return ite(f, g, kTrue); }
 
   /// Shannon cofactor with respect to x_v = value.
   Ref cofactor(Ref f, unsigned v, bool value);

@@ -122,14 +122,8 @@ NetlistBdds build_bdds(const Netlist& net, std::size_t node_limit,
   out.mgr.reserve(std::min<std::size_t>(node_limit, reserve_hint));
   // Assign variable indices in variable order; feed build_into
   // positionally.
-  auto order = variable_order(net);
   unsigned v = 0;
-  out.var_node.resize(order.size());
-  for (NodeId s : order) {
-    out.var_of[s] = v;
-    out.var_node[v] = s;
-    ++v;
-  }
+  for (NodeId s : variable_order(net)) out.var_of[s] = v++;
   // Root each variable as it is created: under a tight node_limit the next
   // var() call may collect, sweeping earlier unrooted ones.
   auto rooted_var = [&](NodeId s) {

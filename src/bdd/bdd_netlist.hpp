@@ -29,7 +29,6 @@ struct NetlistBdds {
   Manager mgr;
   std::vector<Ref> node_fn;                     // per NodeId
   std::unordered_map<NodeId, unsigned> var_of;  // PI / Dff output -> var
-  std::vector<NodeId> var_node;                 // var -> NodeId
 
   NetlistBdds() : mgr(0) {}
 };

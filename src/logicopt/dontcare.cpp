@@ -18,20 +18,6 @@ constexpr std::size_t kFilterVectors = 512;
 constexpr std::size_t kFilterWords = kFilterVectors / 64;
 constexpr std::uint64_t kFilterSeed = 0xD0C0FFEEull;
 
-// Rebuild functions of n's transitive fanout with node n replaced by var y;
-// returns the function of every node under that substitution.  `tfo` is
-// n's TFO without n, in topological order; it stops at registers, so it
-// holds only logic gates.  Auto-GC is off in build_bdds' manager, so
-// nothing here is rooted.
-std::vector<bdd::Ref> with_fresh_var(bdd::NetlistBdds& b, const Netlist& net,
-                                     NodeId n, unsigned y,
-                                     std::span<const NodeId> tfo) {
-  std::vector<bdd::Ref> fn = b.node_fn;
-  fn[n] = b.mgr.var(y);
-  for (NodeId id : tfo) fn[id] = bdd::lower_gate(b.mgr, net.node(id), fn);
-  return fn;
-}
-
 // Simulated care sets over one fixed batch of random vectors.  PIs and Dff
 // outputs are drawn freely, as they are free variables of the global BDDs,
 // so every simulated vector is a point of the exact care set's domain: a
@@ -157,15 +143,21 @@ DontCareResult optimize_dontcare(Netlist& net,
   };
 
   std::size_t exact_checks = 0, sim_pruned = 0, survivor_rejected = 0;
+  std::size_t relowered = 0;
   bool changed = true;
   int rewrites = 0;
   std::vector<NodeId> eligible, merge_targets;
   try {
+  // Global BDDs built once, every live node's function rooted in `fn` for
+  // the whole stage.  Auto-GC is off in build_bdds' manager: the care sets'
+  // unrooted temporaries go at the safe point below.  `work` equals `fn`
+  // between candidates; `at0` holds the roots under n := 0.
+  auto bdds = bdd::build_bdds(net, opt.bdd_limit);
+  auto& m = bdds.mgr;
+  auto& fn = bdds.node_fn;
+  std::vector<bdd::Ref> work = fn, at0;
   while (changed && rewrites < opt.max_rewrites) {
     changed = false;
-    auto bdds = bdd::build_bdds(net, opt.bdd_limit);
-    auto& m = bdds.mgr;
-    unsigned y = m.add_var();
     SimulatedCare sim_care(net);
     // Merge targets are existing signals: live, not constant, outside
     // the TFO of the node they replace.
@@ -195,25 +187,32 @@ DontCareResult optimize_dontcare(Netlist& net,
       }
       ++exact_checks;
 
-      // Safe point: between candidates only the rooted global functions
-      // are live, so shed the previous candidate's observability
-      // scaffolding once it gets heavy instead of growing to bdd_limit.
+      // Safe point: between candidates only the rooted node functions are
+      // live, so shed earlier candidates' care-set scaffolding once it gets
+      // heavy instead of growing to bdd_limit.
       if (m.live_nodes() >= opt.bdd_limit / 2) m.gc();
 
-      auto fn_y = with_fresh_var(bdds, cnet, n, y, sim_care.tfo_gates());
+      // Care set: the Boolean difference of the roots with respect to n,
+      // OR over roots r of f_r[n:=0] XOR f_r[n:=1].
+      const auto tfo = sim_care.tfo_gates();
+      const auto& roots = sim_care.roots();
+      auto relower_tfo = [&](bdd::Ref value) {
+        work[n] = value;
+        for (NodeId id : tfo)
+          work[id] = bdd::lower_gate(m, cnet.node(id), work);
+      };
+      relower_tfo(bdd::kFalse);
+      at0.clear();
+      for (NodeId r : roots) at0.push_back(work[r]);
+      relower_tfo(bdd::kTrue);
+      bdd::Ref care = bdd::kFalse;
+      for (std::size_t i = 0; i < roots.size(); ++i)
+        care = m.lor(care, m.lxor(at0[i], work[roots[i]]));
+      work[n] = fn[n];
+      for (NodeId id : tfo) work[id] = fn[id];
 
-      // Care set: some root distinguishes y=0 from y=1.
-      bdd::Ref odc = bdd::kTrue;
-      for (NodeId root : sim_care.roots()) {
-        bdd::Ref f = fn_y[root];
-        bdd::Ref f0 = m.cofactor(f, y, false);
-        bdd::Ref f1 = m.cofactor(f, y, true);
-        odc = m.land(odc, m.lxnor(f0, f1));
-      }
-
-      bdd::Ref care = m.lnot(odc);
-      bdd::Ref f_n = bdds.node_fn[n];
-      bdd::Ref f_care = m.land(f_n, care);
+      const bdd::Ref f_n = fn[n];
+      const bdd::Ref f_care = m.land(f_n, care);
 
       // The exact check decides every surviving candidate.
       NodeId replacement = kNoNode;
@@ -224,7 +223,7 @@ DontCareResult optimize_dontcare(Netlist& net,
       } else {
         double best_gain = opt.power_aware ? 1e-12 : -1e30;
         for (NodeId g : merge_targets) {
-          if (m.land(bdds.node_fn[g], care) != f_care) {
+          if (m.land(fn[g], care) != f_care) {
             ++survivor_rejected;
             continue;
           }
@@ -249,7 +248,24 @@ DontCareResult optimize_dontcare(Netlist& net,
           ++res.merges;
         ++rewrites;
         changed = true;
-        break;  // netlist changed: rebuild BDDs and the simulation
+        // Release the dead nodes' functions, give a fresh constant its
+        // terminal and re-lower n's former fanout, the only changed ones.
+        for (NodeId id = 0; id < fn.size(); ++id)
+          if (cnet.is_dead(id)) {
+            m.deref(fn[id]);
+            fn[id] = bdd::kFalse;
+          }
+        for (auto id = static_cast<NodeId>(fn.size()); id < cnet.size(); ++id)
+          fn.push_back(bdd::lower_gate(m, cnet.node(id), fn));
+        for (NodeId id : tfo) {
+          if (cnet.is_dead(id)) continue;
+          const bdd::Ref f = m.ref(bdd::lower_gate(m, cnet.node(id), fn));
+          m.deref(fn[id]);
+          fn[id] = f;
+          ++relowered;
+        }
+        work = fn;
+        break;  // netlist changed: rescan on a fresh simulation
       }
     }
   }
@@ -266,6 +282,8 @@ DontCareResult optimize_dontcare(Netlist& net,
                        static_cast<double>(sim_pruned));
   core::metrics::count("logicopt.dontcare.sim_survivor_rejected",
                        static_cast<double>(survivor_rejected));
+  core::metrics::count("logicopt.dontcare.relowered",
+                       static_cast<double>(relowered));
   res.gates_after = net.num_gates();
   return res;
 }

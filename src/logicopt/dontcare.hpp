@@ -5,9 +5,10 @@
 // utilizing the don't-care sets" (Shen et al. [38], improved by Iman &
 // Pedram [19] which considers the transitive fanout).
 //
-// We implement the exact-ODC form of the idea: for each node n the ODC set
-// is computed symbolically (replace n by a fresh BDD variable y and compare
-// output cofactors).  Within the ODC freedom the node is replaced by
+// We implement the exact-ODC form of the idea: n's care set is the Boolean
+// difference of the observation points with respect to n (its fanout
+// re-lowered with n at 0 and at 1) on global BDDs built once per call and
+// refreshed only in each rewrite's fanout.  Within it n is replaced by
 //   - a constant, when the care set pins it;
 //   - an existing signal g (possibly a fanin), when f_n and f_g agree on the
 //     care set and the swap reduces activity-weighted capacitance.
@@ -26,7 +27,8 @@
 // a surviving candidate build the BDD care set.  The counters
 // logicopt.dontcare.{exact_checks, sim_pruned, sim_survivor_rejected}
 // record how often the filter settles a node and how many of its
-// survivors the BDD rejects.
+// survivors the BDD rejects; logicopt.dontcare.relowered counts the gates
+// re-lowered after rewrites.
 
 #pragma once
 

@@ -2,12 +2,16 @@
 // as the differential reference for logicopt::optimize_dontcare.
 //
 // The production pass runs a random-simulation prefilter before the BDD
-// check and builds the exact care set only for nodes with a surviving
-// candidate.  This reference does the BDD work for every node and every
-// merge target, exactly as the pass did before the prefilter (with every
-// Dff pin, the load enable included, observed as a root).  Since the
-// prefilter is a necessary-condition test, both must keep the same rewrite
-// sequence: same structure, same const/merge counts.
+// check, builds the exact care set only for nodes with a surviving
+// candidate, and keeps one set of global BDDs for the whole call.  This
+// reference does the BDD work for every node and every merge target,
+// exactly as the pass did before the prefilter (with every Dff pin, the
+// load enable included, observed as a root): it rebuilds the global BDDs
+// after every rewrite and takes each care set from the cofactors of a
+// fresh variable y substituted for the node.  Since the prefilter is a
+// necessary-condition test and the care set is the same function either
+// way, both must keep the same rewrite sequence: same structure, same
+// const/merge counts.
 //
 // simulated_care_masks is the prefilter's care-mask computation on the
 // per-word LogicSim interpreter, as the pass ran it before the masks moved
@@ -157,9 +161,12 @@ inline logicopt::DontCareResult optimize_dontcare(
   try {
     while (changed && rewrites < opt.max_rewrites) {
       changed = false;
-      auto bdds = bdd::build_bdds(net, opt.bdd_limit);
+      // The fresh variable y: an unused PI, which build_bdds orders last.
+      Netlist shadow = net.clone();
+      const NodeId y_pi = shadow.add_input("__dontcare_y");
+      auto bdds = bdd::build_bdds(shadow, opt.bdd_limit);
       auto& m = bdds.mgr;
-      unsigned y = m.add_var();
+      const unsigned y = bdds.var_of.at(y_pi);
 
       auto order = net.topo_order();
       for (NodeId n : order) {

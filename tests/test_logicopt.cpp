@@ -82,6 +82,25 @@ TEST(DontCare, NodeLimitIsReportedNotSwallowed) {
   EXPECT_FALSE(ok.limited);
 }
 
+TEST(DontCare, NodeLimitCanTripMidStage) {
+  // The node functions live for the whole stage, so the budget can run out
+  // after some rewrites (three on this circuit); those rewrites stay.
+  const Netlist golden = bench::random_dag(32, 150, 9);
+  Netlist net = golden.clone();
+  auto st = sim::measure_activity(net, 64, 2);
+  core::metrics::reset();
+  DontCareOptions opt;
+  opt.bdd_limit = 2000;
+  auto res = optimize_dontcare(net, st.transition_prob, opt);
+  EXPECT_TRUE(res.limited);
+  EXPECT_EQ(core::metrics::value("logicopt.dontcare.limited"), 1.0);
+  EXPECT_GT(res.const_replacements + res.merges, 0);
+  EXPECT_LT(res.gates_after, res.gates_before);
+  EXPECT_EQ(res.gates_after, net.num_gates());
+  EXPECT_EQ(net.check(), "");
+  EXPECT_TRUE(bdd::equivalent_bdd(golden, net));
+}
+
 TEST(DontCare, DffEnableLogicIsObservable) {
   // The AND gate only drives a load enable: its care set is everything.
   Netlist n;
@@ -149,6 +168,29 @@ TEST(DontCare, MatchesReference) {
   expect_match("enabled_regs", with_enabled_registers(11), dflt);
   expect_match("rand16x60 area", bench::random_dag(16, 60, 8), area);
   expect_match("rand32x150 capped", bench::random_dag(32, 150, 9), capped);
+
+  // A budget at which the safe point collects between rewrites: the node
+  // functions kept rooted across the stage must survive every collection
+  // (re-lowered functions left unrooted are swept and the pass crashes).
+  // The reference, whose fresh-variable cofactors need far more nodes,
+  // runs at the default budget.
+  {
+    const Netlist input = bench::random_dag(32, 150, 9);
+    Netlist fast = input.clone(), ref = input.clone();
+    auto st = sim::measure_activity(fast, 64, 2);
+    DontCareOptions tight;
+    tight.bdd_limit = 3000;  // NodeLimitCanTripMidStage: 2000 runs out
+    core::metrics::reset();
+    auto a = optimize_dontcare(fast, st.transition_prob, tight);
+    EXPECT_GT(core::metrics::value("bdd.gc.runs"), 0.0);
+    auto b = reference::optimize_dontcare(ref, st.transition_prob, dflt);
+    EXPECT_FALSE(a.limited);
+    EXPECT_FALSE(b.limited);
+    EXPECT_EQ(a.const_replacements, b.const_replacements);
+    EXPECT_EQ(a.merges, b.merges);
+    EXPECT_EQ(structural_hash(fast), structural_hash(ref));
+    EXPECT_TRUE(bdd::equivalent_bdd(input, fast));
+  }
 }
 
 // Every GateType, a 70-fanin gate inside other gates' fanout, constants
